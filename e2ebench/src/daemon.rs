@@ -1,6 +1,6 @@
 //! daemon-mix: an in-process daemon on a loopback port, with its journal
-//! and a disk cache in a fresh directory, under a closed loop of clients
-//! that each wait for their stream before the next submit.
+//! and a disk cache in a fresh directory, under a closed loop of one
+//! client that waits for each stream before its next submit.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -13,17 +13,31 @@ use gncg_suite::grid::stream_cells;
 use gncg_suite::scenario::{Cell, ScenarioSpec};
 use gncg_suite::sink::JsonlSink;
 
+use crate::calib::{self, Kernel};
+use crate::cpu::Stopwatch;
 use crate::plan::{self, Op, Schedule};
-use crate::report::Tally;
+use crate::report::{digest, Tally};
 use crate::stats;
 use crate::trace::{self, Recorder, Span};
 use crate::{layer_values, secs, Measured, SETUP_REPS};
 
 /// Share of the run the client loop measures (checking the streams
-/// against offline runs takes most of the rest), in rounds of about
-/// [`ROUND_S`] seconds.
+/// against offline runs takes most of the rest).
 const LOOP_SHARE: f64 = 0.7;
-const ROUND_S: f64 = 2.0;
+
+/// Submits between two reference-kernel samples of the untraced loop.
+const BLOCK: usize = 8;
+
+/// Result-cache entries the daemon keeps (least recently used evicted):
+/// ten times the repeat pool's cells, which half of all submits keep
+/// fresh, and a bound on the run's memory however many fresh cells a
+/// fast host submits.
+const CACHE_MAX: usize = 256;
+
+/// Finished jobs the daemon keeps. The client streams each job right
+/// after its submit and never again; a small count keeps the run's
+/// memory from depending on how many jobs a fast host finishes.
+const RETAIN_JOBS: usize = 32;
 
 /// A daemon started for this run.
 struct Daemon {
@@ -41,6 +55,9 @@ impl Daemon {
             ServiceConfig {
                 journal_path: Some(dir.join("jobs.journal")),
                 cache_path: Some(dir.join("results.cache")),
+                cache_max: Some(CACHE_MAX),
+                retain: RETAIN_JOBS,
+                workers: rayon::current_num_threads(),
                 ..ServiceConfig::default()
             },
         )?;
@@ -88,8 +105,14 @@ struct Reply {
     ack_ms: f64,
     /// Submit to first streamed line.
     first_ms: f64,
+    /// Process CPU time from the submit to the last streamed line.
+    cpu_ns: u64,
+    /// The same on the reference host (set by the untraced loop).
+    ref_ms: f64,
     cells: usize,
-    bytes: Vec<u8>,
+    /// Digest of the streamed bytes (8 bytes kept per reply, however
+    /// many replies a fast host streams).
+    digest: u64,
 }
 
 /// One finished submit.
@@ -104,12 +127,14 @@ fn submit(
     client: &mut Client,
     spec: &ScenarioSpec,
     rec: Option<(&mut Recorder, u64)>,
-) -> Result<Reply, String> {
+) -> Result<(Reply, Vec<u8>), String> {
     let t0 = Instant::now();
+    let cpu = Stopwatch::start();
     let ack = client.submit(spec)?;
     let t_ack = Instant::now();
     let mut out = Capture::default();
     let summary = client.stream_to(ack.job, &mut out)?;
+    let cpu_ns = cpu.ns();
     let t_end = Instant::now();
     if summary.cells != ack.cells {
         return Err(format!(
@@ -131,28 +156,35 @@ fn submit(
         rec.push(group, root, 0, "service.submit", t0, t_end);
     }
     let ms = |a: Instant, b: Instant| b.duration_since(a).as_secs_f64() * 1e3;
-    Ok(Reply {
+    let reply = Reply {
         total_ms: ms(t0, t_end),
         ack_ms: ms(t0, t_ack),
         first_ms: ms(t0, t_first),
+        cpu_ns,
+        ref_ms: 0.0,
         cells: ack.cells,
-        bytes: out.bytes,
-    })
+        digest: digest(&out.bytes),
+    };
+    Ok((reply, out.bytes))
 }
 
-/// One client's closed loop until `deadline`.
+/// The client's closed loop until `deadline`, recording spans into `rec`
+/// when given. With a kernel, every [`BLOCK`] submits lie between two
+/// kernel samples, which put their CPU times on the reference host.
 fn client_loop(
     addr: &str,
     pool: &[ScenarioSpec],
     schedule: &mut Schedule,
     deadline: Instant,
     mut rec: Option<&mut Recorder>,
-    lane: u64,
+    mut kernel: Option<&mut Kernel>,
 ) -> (Vec<Sample>, Tally) {
-    let mut samples = Vec::new();
+    let mut samples: Vec<Sample> = Vec::new();
     let mut tally = Tally::default();
     let mut client = Client::connect(addr);
-    let mut group = (lane + 1) << 32;
+    let mut group = 1u64 << 32;
+    let mut before = kernel.as_deref_mut().map(Kernel::time_ns);
+    let mut block = 0;
     while Instant::now() < deadline {
         let op = schedule.next().expect("schedules are endless");
         let spec = match &op {
@@ -165,7 +197,7 @@ fn client_loop(
             .map_err(|e| e.clone())
             .and_then(|c| submit(c, spec, rec.as_deref_mut().map(|r| (r, group))));
         match result {
-            Ok(reply) => {
+            Ok((reply, _)) => {
                 tally.record(None);
                 samples.push(Sample { op, reply });
             }
@@ -174,45 +206,18 @@ fn client_loop(
                 client = Client::connect(addr);
             }
         }
+        if samples.len() - block == BLOCK || Instant::now() >= deadline {
+            if let (Some(k), Some(b)) = (kernel.as_deref_mut(), before) {
+                let after = k.time_ns();
+                for s in &mut samples[block..] {
+                    s.reply.ref_ms = calib::to_reference(s.reply.cpu_ns, &[b, after]) / 1e6;
+                }
+                before = Some(after);
+            }
+            block = samples.len();
+        }
     }
     (samples, tally)
-}
-
-/// Runs one client per schedule for `budget`, returning their samples,
-/// the merged tally, and the loop's wall time. Client `i` records into
-/// `recorders[i]` when there is one.
-fn closed_loop(
-    addr: &str,
-    pool: &[ScenarioSpec],
-    schedules: &mut [(u64, Schedule)],
-    budget: Duration,
-    recorders: &mut [Recorder],
-) -> (Vec<Sample>, Tally, f64) {
-    let started = Instant::now();
-    let deadline = started + budget;
-    let results: Vec<(Vec<Sample>, Tally)> = std::thread::scope(|s| {
-        let mut recs = recorders.iter_mut();
-        let handles: Vec<_> = schedules
-            .iter_mut()
-            .map(|(lane, schedule)| {
-                let rec = recs.next();
-                let lane = *lane;
-                s.spawn(move || client_loop(addr, pool, schedule, deadline, rec, lane))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    let wall = started.elapsed().as_secs_f64();
-    let mut samples = Vec::new();
-    let mut tally = Tally::default();
-    for (s, t) in results {
-        samples.extend(s);
-        tally.merge(t);
-    }
-    (samples, tally, wall)
 }
 
 /// One set-up: daemon start in a fresh directory and the repeat pool
@@ -227,21 +232,22 @@ fn set_up(
     let mut client = Client::connect(&daemon.addr)?;
     let mut warm = Vec::with_capacity(pool.len());
     for spec in pool {
-        let reply = submit(&mut client, spec, None)?;
+        let (_, bytes) = submit(&mut client, spec, None)?;
         tally.record(None);
-        warm.push(reply.bytes);
+        warm.push(bytes);
     }
     Ok((daemon, warm))
 }
 
-/// Set-up repeated [`SETUP_REPS`] times (each in its own directory, all
-/// but the last daemon stopped); returns the last daemon, its pool bytes,
-/// and the median set-up time.
+/// Set-up repeated `reps` times (each in its own directory, all but the
+/// last daemon stopped); returns the last daemon, its pool bytes, and the
+/// median set-up time on the reference host, in seconds.
 fn set_up_reps(
     work: &Path,
     reps: usize,
     pool: &[ScenarioSpec],
     tally: &mut Tally,
+    kernel: &mut Kernel,
 ) -> Result<(Daemon, Vec<Vec<u8>>, f64), String> {
     let mut times = Vec::new();
     let mut last = None;
@@ -249,9 +255,9 @@ fn set_up_reps(
         if let Some((daemon, _)) = last.take() {
             Daemon::stop(daemon);
         }
-        let t = Instant::now();
-        last = Some(set_up(work.join(format!("daemon-{rep}")), pool, tally)?);
-        times.push(t.elapsed().as_secs_f64());
+        let (up, t) = kernel.measure(|| set_up(work.join(format!("daemon-{rep}")), pool, tally));
+        last = Some(up?);
+        times.push(t.ref_ns / 1e9);
     }
     let (daemon, warm) = last.expect("at least one set-up");
     Ok((daemon, warm, stats::median(&mut times)))
@@ -300,14 +306,20 @@ fn regret_ok(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks every sample's bytes against the offline bytes of its spec
+/// Fresh specs an untraced run's check streams offline at once, so that
+/// its memory does not grow with the number of submits.
+const VERIFY_CHUNK: usize = 64;
+
+/// Checks every sample's stream against the offline bytes of its spec
 /// (repeats against the pool, the pool against offline) and the regret
-/// rule. Returns the fresh specs' cells and offline bytes for the trace.
+/// rule. With `keep`, returns the fresh specs' cells and offline bytes,
+/// and the offline streaming's wall time, for the trace.
 fn verify(
     samples: &[Sample],
     pool: &[ScenarioSpec],
     warm: &[Vec<u8>],
     tally: &mut Tally,
+    keep: bool,
 ) -> (Vec<Cell>, Vec<u8>, u64) {
     let (pool_offline, _, _, _) = offline_bytes(&pool.iter().collect::<Vec<_>>());
     for (i, (w, o)) in warm.iter().zip(&pool_offline).enumerate() {
@@ -315,47 +327,46 @@ fn verify(
             tally.fail(format!(
                 "repeat pool spec {i}: daemon bytes differ from offline"
             ));
+        } else if let Err(e) = regret_ok(w) {
+            tally.fail(format!("repeat pool spec {i}: {e}"));
         }
     }
-    let fresh: Vec<&ScenarioSpec> = samples
-        .iter()
-        .filter_map(|s| match &s.op {
-            Op::Fresh(spec) => Some(spec),
-            Op::Repeat(_) => None,
-        })
-        .collect();
-    let (fresh_offline, cells, all, wall_ns) = offline_bytes(&fresh);
-    let mut next_fresh = fresh_offline.iter();
+    let warm_digests: Vec<u64> = warm.iter().map(|w| digest(w)).collect();
+    let mut fresh: Vec<(&Sample, &ScenarioSpec)> = Vec::new();
     for s in samples {
-        let want = match &s.op {
-            Op::Fresh(_) => next_fresh
-                .next()
-                .expect("one offline stream per fresh spec"),
-            Op::Repeat(i) => &warm[*i],
-        };
-        if &s.reply.bytes != want {
-            tally.fail("submit: streamed bytes differ from offline".into());
-        } else if let Err(e) = regret_ok(&s.reply.bytes) {
-            tally.fail(format!("submit: {e}"));
+        match &s.op {
+            Op::Fresh(spec) => fresh.push((s, spec)),
+            Op::Repeat(i) => {
+                if s.reply.digest != warm_digests[*i] {
+                    tally.fail("repeat submit: streamed bytes differ from offline".into());
+                }
+            }
+        }
+    }
+    let (mut cells, mut all, mut wall_ns) = (Vec::new(), Vec::new(), 0);
+    // The trace compares its replay with one offline streaming of them all.
+    let chunk_len = if keep {
+        fresh.len().max(1)
+    } else {
+        VERIFY_CHUNK
+    };
+    for chunk in fresh.chunks(chunk_len) {
+        let specs: Vec<&ScenarioSpec> = chunk.iter().map(|(_, spec)| *spec).collect();
+        let (per_spec, c, a, ns) = offline_bytes(&specs);
+        for ((s, _), want) in chunk.iter().zip(&per_spec) {
+            if s.reply.digest != digest(want) {
+                tally.fail("fresh submit: streamed bytes differ from offline".into());
+            } else if let Err(e) = regret_ok(want) {
+                tally.fail(format!("fresh submit: {e}"));
+            }
+        }
+        if keep {
+            cells.extend(c);
+            all.extend(a);
+            wall_ns += ns;
         }
     }
     (cells, all, wall_ns)
-}
-
-/// The faster half of a loop's rounds (by cells streamed per second):
-/// their samples, cells, and wall time. Contention from outside the
-/// process that covers less than half of the run does not move figures
-/// taken from these rounds; a slowdown of the daemon itself moves every
-/// round.
-fn faster_half(rounds: &[(Vec<Sample>, f64)]) -> (Vec<&Sample>, usize, f64) {
-    let cells = |s: &[Sample]| s.iter().map(|s| s.reply.cells).sum::<usize>();
-    let mut order: Vec<&(Vec<Sample>, f64)> = rounds.iter().collect();
-    order.sort_by(|a, b| (cells(&b.0) as f64 / b.1).total_cmp(&(cells(&a.0) as f64 / a.1)));
-    order.truncate(rounds.len().div_ceil(2));
-    let kept = order.iter().flat_map(|(s, _)| s).collect();
-    let total = order.iter().map(|(s, _)| cells(s)).sum();
-    let wall = order.iter().map(|(_, w)| w).sum();
-    (kept, total, wall)
 }
 
 /// `f` of every fresh (or every repeat) reply.
@@ -371,45 +382,54 @@ fn ms_where<'a>(
         .collect()
 }
 
-/// The untraced run: end-to-end metrics.
+/// The untraced run: end-to-end metrics, timings in reference
+/// milliseconds (see `calib.rs`), memory as the peak of the whole run
+/// (bounded by the daemon's cache cap and job retention, not by how many
+/// submits the host's speed allows).
 pub fn run(seed: u64, seconds: f64, work: &Path) -> Result<Measured, String> {
     let mut tally = Tally::default();
-    let pool = plan::repeat_pool(seed);
-    let (daemon, warm, setup_s) = set_up_reps(work, SETUP_REPS, &pool, &mut tally)?;
-    let lanes = rayon::current_num_threads() as u64;
-    let mut schedules: Vec<(u64, Schedule)> =
-        (0..lanes).map(|l| (l, Schedule::new(seed, l))).collect();
-
-    let rounds = (seconds / ROUND_S).round().max(1.0);
-    let mut loop_rounds = Vec::new();
-    for _ in 0..rounds as usize {
-        let (s, t, w) = closed_loop(
-            &daemon.addr,
-            &pool,
-            &mut schedules,
-            Duration::from_secs_f64(seconds * LOOP_SHARE / rounds),
-            &mut [],
-        );
-        tally.merge(t);
-        loop_rounds.push((s, w));
-    }
+    let mut kernel = Kernel::new();
+    let pool = plan::repeat_pool();
+    let (daemon, warm, setup_s) = set_up_reps(work, SETUP_REPS, &pool, &mut tally, &mut kernel)?;
+    let mut schedule = Schedule::new(seed, 0);
+    let started = Instant::now();
+    let (samples, t) = client_loop(
+        &daemon.addr,
+        &pool,
+        &mut schedule,
+        started + Duration::from_secs_f64(seconds * LOOP_SHARE),
+        None,
+        Some(&mut kernel),
+    );
+    let wall = started.elapsed().as_secs_f64();
+    tally.merge(t);
     daemon.stop();
 
-    let (kept, cells, wall) = faster_half(&loop_rounds);
-    let mut fresh = ms_where(kept.iter().copied(), true, |s| s.total_ms);
+    let mut fresh = ms_where(&samples, true, |r| r.ref_ms);
     let fresh = stats::summarize(&mut fresh).ok_or("no fresh submit finished")?;
-    let samples: Vec<Sample> = loop_rounds.into_iter().flat_map(|(s, _)| s).collect();
-    verify(&samples, &pool, &warm, &mut tally);
+    let cells: usize = samples.iter().map(|s| s.reply.cells).sum();
+    let ref_ms: f64 = samples.iter().map(|s| s.reply.ref_ms).sum();
+    let cpu_ms = samples.iter().map(|s| s.reply.cpu_ns).sum::<u64>() as f64 / 1e6;
+    verify(&samples, &pool, &warm, &mut tally, false);
 
     let mut m = Measured::new(tally);
     m.note(format!(
-        "clients={lanes}, {rounds} rounds (faster half counts): {cells} cells; fresh: p50 and p{} of {} submits",
-        fresh.tail_q, fresh.count
+        "one client: {} submits, {cells} cells; fresh: p50 and p{} of {} submits",
+        samples.len(),
+        fresh.tail_q,
+        fresh.count
     ));
-    m.set("cells_per_s", cells as f64 / wall);
-    m.set("fresh_submit_p50_ms", fresh.p50);
-    m.set("fresh_submit_p99_ms", fresh.tail);
+    m.note(format!(
+        "as measured: {:.4} CPU ms per cell (host at {:.3} of reference speed); {:.1} cells per wall second",
+        cpu_ms / cells as f64,
+        (ref_ms / cpu_ms).powf(1.0 / calib::ELASTICITY),
+        cells as f64 / wall
+    ));
+    m.set("ref_ms_per_cell", ref_ms / cells as f64);
+    m.set("fresh_submit_ref_p50_ms", fresh.p50);
+    m.set("fresh_submit_ref_p99_ms", fresh.tail);
     m.set("setup_s", setup_s);
+    m.set("peak_rss_mb", crate::peak_rss_mb());
     Ok(m)
 }
 
@@ -467,24 +487,22 @@ pub fn run_traced(
     spans: &mut Vec<Span>,
 ) -> Result<Measured, String> {
     let mut tally = Tally::default();
-    let pool = plan::repeat_pool(seed);
-    let (daemon, warm, _) = set_up_reps(work, 1, &pool, &mut tally)?;
-    let lanes = rayon::current_num_threads() as u64;
+    let pool = plan::repeat_pool();
+    let (daemon, warm, _) = set_up_reps(work, 1, &pool, &mut tally, &mut Kernel::new())?;
     let epoch = Instant::now();
-    let mut recorders: Vec<Recorder> = (0..lanes)
-        .map(|l| Recorder::new(epoch, (1 << 30) + l))
-        .collect();
-
-    let mut schedules: Vec<(u64, Schedule)> =
-        (0..lanes).map(|l| (l, Schedule::new(seed, l))).collect();
+    let mut recorder = Recorder::new(epoch, 1 << 30);
+    let mut schedule = Schedule::new(seed, 0);
     let before = daemon.metrics()?;
-    let (samples, t, _) = closed_loop(
+    let started = Instant::now();
+    let (samples, t) = client_loop(
         &daemon.addr,
         &pool,
-        &mut schedules,
-        Duration::from_secs_f64(seconds * 0.4),
-        &mut recorders,
+        &mut schedule,
+        started + Duration::from_secs_f64(seconds * 0.4),
+        Some(&mut recorder),
+        None,
     );
+    let loop_wall = started.elapsed().as_secs_f64();
     let after = daemon.metrics()?;
     tally.merge(t);
     let mut pings = Vec::new();
@@ -496,11 +514,9 @@ pub fn run_traced(
     }
     drop(client);
     daemon.stop();
-    for r in recorders {
-        spans.extend(r.spans);
-    }
+    spans.extend(recorder.spans);
 
-    let (cells, offline, untraced_ns) = verify(&samples, &pool, &warm, &mut tally);
+    let (cells, offline, untraced_ns) = verify(&samples, &pool, &warm, &mut tally, true);
     let on = trace::replay_pass(&cells, epoch, 1);
     if on.bytes != offline {
         tally.fail("traced replay bytes differ from the untraced run".into());
@@ -560,6 +576,13 @@ pub fn run_traced(
         p50(ms_where(&samples, false, |s| s.total_ms - s.ack_ms)),
     );
     m.set("client.ping_p50_us", p50(pings));
+    let streamed: usize = samples.iter().map(|s| s.reply.cells).sum();
+    m.set("wall.cells_per_s", streamed as f64 / loop_wall);
+    let mut fresh_wall = ms_where(&samples, true, |s| s.total_ms);
+    if let Some(f) = stats::summarize(&mut fresh_wall) {
+        m.set("wall.fresh_submit_p50_ms", f.p50);
+        m.set("wall.fresh_submit_p99_ms", f.tail);
+    }
     let mut repeat = ms_where(&samples, false, |s| s.total_ms);
     if let Some(r) = stats::summarize(&mut repeat) {
         m.note(format!(

@@ -10,6 +10,8 @@
 //! the end-to-end metrics with `--trace 0`, the per-layer metrics of a
 //! separate traced run with `--trace 1`. See README.md for the metrics.
 
+mod calib;
+mod cpu;
 mod daemon;
 mod offline;
 mod plan;
@@ -24,7 +26,13 @@ use report::{Tally, END_TO_END, PER_LAYER};
 use trace::Totals;
 
 /// How many times a run sets up; `setup_s` is the median.
-pub const SETUP_REPS: usize = 5;
+pub const SETUP_REPS: usize = 9;
+
+/// Pool threads (and daemon workers) of an untraced run. One, so that a
+/// run's CPU time is the program's work and not the pool's idle hand-offs,
+/// whose cost depends on how the host schedules the pool's threads. A
+/// traced run keeps the full pool, for the `pool.*` and `wall.*` figures.
+const UNTRACED_THREADS: usize = 1;
 
 /// What one run measured.
 pub struct Measured {
@@ -249,8 +257,6 @@ fn run(args: &Args, out_dir: &Path) -> Result<Measured, String> {
                 m.set(name, 0.0);
             }
         }
-    } else {
-        m.set("peak_rss_mb", peak_rss_mb());
     }
     Ok(m)
 }
@@ -263,6 +269,12 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if !args.trace {
+        if let Err(e) = rayon::configure_num_threads(UNTRACED_THREADS) {
+            eprintln!("gncg-e2ebench: {e}");
+            std::process::exit(1);
+        }
+    }
     let root = repo_root();
     let out_dir = root.join(".bench_out");
     if let Err(e) = std::fs::create_dir_all(&out_dir) {

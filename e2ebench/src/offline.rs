@@ -7,14 +7,12 @@ use gncg_suite::grid::stream_cells;
 use gncg_suite::scenario::{Cell, Runner};
 use gncg_suite::sink::{CellSink, JsonlSink};
 
+use crate::calib::{self, Kernel};
 use crate::plan::{self, Workload};
-use crate::report::Tally;
+use crate::report::{line_digests, Tally};
 use crate::stats;
 use crate::trace::{self, Span, Totals};
 use crate::{layer_values, secs, Measured, SETUP_REPS};
-
-/// Rounds over the run's passes; a pass's figures are its fastest round.
-const ROUNDS: usize = 3;
 
 /// The cells of timed pass `k`.
 fn pass_cells(w: Workload, seed: u64, k: u64) -> Vec<Cell> {
@@ -31,11 +29,10 @@ fn stream(cells: &[Cell]) -> Vec<u8> {
     sink.into_inner()
 }
 
-/// Compares `got` against `want` line by line, counting each cell as
-/// attempted and each differing or missing line as failed.
-fn check_lines(tally: &mut Tally, what: &str, cells: usize, got: &[u8], want: &[u8]) {
-    let got: Vec<&[u8]> = got.split(|&b| b == b'\n').collect();
-    let want: Vec<&[u8]> = want.split(|&b| b == b'\n').collect();
+/// Compares `got` against the line digests `want` line by line, counting
+/// each cell as attempted and each differing or missing line as failed.
+fn check_lines(tally: &mut Tally, what: &str, cells: usize, got: &[u8], want: &[u64]) {
+    let got = line_digests(got);
     for i in 0..cells {
         let ok = got.get(i).is_some() && got.get(i) == want.get(i);
         tally.record((!ok).then(|| format!("{what}: cell line {i} differs")));
@@ -44,27 +41,33 @@ fn check_lines(tally: &mut Tally, what: &str, cells: usize, got: &[u8], want: &[
 
 /// One set-up: spec expansion, pool warm-up, and — where a golden file
 /// is committed — the preset grid byte-checked against it.
-fn set_up(w: Workload, seed: u64, tally: &mut Tally) -> Duration {
-    let started = Instant::now();
+fn set_up(w: Workload, seed: u64, tally: &mut Tally) {
     let first = pass_cells(w, seed, 1);
     assert!(!first.is_empty());
     match plan::golden(w) {
         Some(golden) => {
             let cells = plan::preset(w).expand();
             let got = stream(&cells);
-            check_lines(tally, "golden", cells.len(), &got, golden.as_bytes());
+            check_lines(
+                tally,
+                "golden",
+                cells.len(),
+                &got,
+                &line_digests(golden.as_bytes()),
+            );
         }
         None => {
             stream(&plan::large_n_warmup().expand());
         }
     }
-    started.elapsed()
 }
 
-/// A timed pool pass: its cells, their JSONL bytes, and its wall time.
+/// A pool pass: its cells, the digests of their JSONL lines (not the
+/// bytes, so that the run's memory does not depend on what the cells
+/// print), and its wall time.
 struct Pass {
     cells: Vec<Cell>,
-    bytes: Vec<u8>,
+    lines: Vec<u64>,
     wall: Duration,
 }
 
@@ -73,17 +76,18 @@ fn pool_pass(w: Workload, seed: u64, k: u64) -> Pass {
     let cells = pass_cells(w, seed, k);
     let t = Instant::now();
     let bytes = stream(&cells);
+    let wall = t.elapsed();
     Pass {
         cells,
-        bytes,
-        wall: t.elapsed(),
+        lines: line_digests(&bytes),
+        wall,
     }
 }
 
 /// Runs `cells` one at a time inside `with_sequential` (the
-/// single-thread baseline), checks the bytes against the pool's, and
+/// single-thread baseline), checks the lines against the pool's, and
 /// returns the wall time in seconds.
-fn sequential(cells: &[Cell], pool_bytes: &[u8], k: usize, tally: &mut Tally) -> f64 {
+fn sequential(cells: &[Cell], pool_lines: &[u64], k: usize, tally: &mut Tally) -> f64 {
     let (bytes, wall) = rayon::with_sequential(|| {
         let mut runner = Runner::new();
         let mut sink = JsonlSink::new(Vec::new());
@@ -99,60 +103,68 @@ fn sequential(cells: &[Cell], pool_bytes: &[u8], k: usize, tally: &mut Tally) ->
         &format!("pass {k}: pool vs 1 thread"),
         cells.len(),
         &bytes,
-        pool_bytes,
+        pool_lines,
     );
     wall
 }
 
-/// The untraced run: end-to-end metrics.
+/// The untraced run: end-to-end metrics, timings in reference
+/// milliseconds (see `calib.rs`), memory as the peak through set-up.
 ///
-/// Passes go over the pool through the grid streamer, each a fresh grid
-/// submit, timed in up to [`ROUNDS`] rounds spread over the run: the
-/// first round runs passes while the next is expected to end within a
-/// round's share of `seconds` (at least one), later rounds re-run the same
-/// passes while a whole round still fits. Each pass keeps its fastest
-/// round, so a burst of contention from outside the process costs a pass
-/// only when it covers every round. Every rerun is byte-checked against
-/// the first, and the first pass also against a single-thread run
-/// (untimed here; the traced run times it).
+/// The run's [`plan::passes`] passes go over the pool through the grid
+/// streamer, each a fresh grid submit, and are timed again round after
+/// round while another round fits in `seconds`; a pass's time is its
+/// mean over the rounds. Every rerun is byte-checked against the first
+/// run, and the first pass also against a single-thread run.
 pub fn run(w: Workload, seed: u64, seconds: f64) -> Measured {
     let mut tally = Tally::default();
+    let mut kernel = Kernel::new();
     let mut setups: Vec<f64> = (0..SETUP_REPS)
-        .map(|_| set_up(w, seed, &mut tally).as_secs_f64())
+        .map(|_| kernel.measure(|| set_up(w, seed, &mut tally)).1.ref_ns / 1e9)
         .collect();
     let setup_s = stats::median(&mut setups);
+    // The set-ups ran the preset grid, the same input for every seed; the
+    // passes' peak depends on which cells the seed draws.
+    let peak_rss = crate::peak_rss_mb();
 
     let started = Instant::now();
-    let mut passes: Vec<Pass> = Vec::new();
-    let mut last = Duration::ZERO;
-    while passes.is_empty() || (started.elapsed() + last).as_secs_f64() <= seconds / ROUNDS as f64 {
-        let pass = pool_pass(w, seed, passes.len() as u64 + 1);
-        last = pass.wall;
-        passes.push(pass);
-    }
-    let mut best: Vec<f64> = passes.iter().map(|p| p.wall.as_secs_f64()).collect();
-    let first_round = started.elapsed();
+    let mut timed = Vec::new();
+    let passes: Vec<Pass> = (1..=plan::passes(w))
+        .map(|k| {
+            let (pass, t) = kernel.measure(|| pool_pass(w, seed, k));
+            timed.push(t);
+            pass
+        })
+        .collect();
+    let wall_ns: u64 = passes.iter().map(|p| p.wall.as_nanos() as u64).sum();
+    let round = started.elapsed();
+    let mut pass_ref_ns: Vec<f64> = timed.iter().map(|t| t.ref_ns).collect();
     let mut rounds = 1;
-    while rounds < ROUNDS && (started.elapsed() + first_round).as_secs_f64() <= seconds {
+    while (started.elapsed() + round).as_secs_f64() <= seconds {
         for (i, pass) in passes.iter().enumerate() {
-            let t = Instant::now();
-            let bytes = stream(&pass.cells);
-            best[i] = best[i].min(t.elapsed().as_secs_f64());
+            let (bytes, t) = kernel.measure(|| stream(&pass.cells));
+            pass_ref_ns[i] += t.ref_ns;
+            timed.push(t);
             check_lines(
                 &mut tally,
                 &format!("pass {}: pool rerun", i + 1),
                 pass.cells.len(),
                 &bytes,
-                &pass.bytes,
+                &pass.lines,
             );
         }
         rounds += 1;
     }
-    sequential(&passes[0].cells, &passes[0].bytes, 1, &mut tally);
+    sequential(&passes[0].cells, &passes[0].lines, 1, &mut tally);
 
     let cells: usize = passes.iter().map(|p| p.cells.len()).sum();
-    let mut fresh_ms: Vec<f64> = best.iter().map(|s| s * 1e3).collect();
+    let mut fresh_ms: Vec<f64> = pass_ref_ns
+        .iter()
+        .map(|ns| ns / rounds as f64 / 1e6)
+        .collect();
     let fresh = stats::summarize(&mut fresh_ms).expect("at least one pass ran");
+    let cpu_ns: u64 = timed.iter().map(|t| t.cpu_ns).sum();
+    let ref_ns: f64 = timed.iter().map(|t| t.ref_ns).sum();
     let mut m = Measured::new(tally);
     m.note(format!(
         "{} passes of {cells} cells in {rounds} rounds; fresh: p50 and p{} of {} passes",
@@ -160,10 +172,17 @@ pub fn run(w: Workload, seed: u64, seconds: f64) -> Measured {
         fresh.tail_q,
         fresh.count
     ));
-    m.set("cells_per_s", cells as f64 / best.iter().sum::<f64>());
-    m.set("fresh_submit_p50_ms", fresh.p50);
-    m.set("fresh_submit_p99_ms", fresh.tail);
+    m.note(format!(
+        "as measured: {:.4} CPU ms per cell (host at {:.3} of reference speed); first round {:.1} cells per wall second",
+        cpu_ns as f64 / 1e6 / (cells * rounds) as f64,
+        (ref_ns / cpu_ns as f64).powf(1.0 / calib::ELASTICITY),
+        cells as f64 / (wall_ns as f64 / 1e9)
+    ));
+    m.set("ref_ms_per_cell", ref_ns / 1e6 / (cells * rounds) as f64);
+    m.set("fresh_submit_ref_p50_ms", fresh.p50);
+    m.set("fresh_submit_ref_p99_ms", fresh.tail);
     m.set("setup_s", setup_s);
+    m.set("peak_rss_mb", peak_rss);
     m
 }
 
@@ -192,7 +211,7 @@ pub fn run_traced(w: Workload, seed: u64, seconds: f64, spans: &mut Vec<Span>) -
             &format!("pass {}: traced vs untraced", k + 1),
             pass.cells.len(),
             &out.bytes,
-            &pass.bytes,
+            &pass.lines,
         );
         traced_ns += out.wall_ns;
         totals.merge(&out.totals);
@@ -210,9 +229,17 @@ pub fn run_traced(w: Workload, seed: u64, seconds: f64, spans: &mut Vec<Span>) -
     let seq: f64 = passes
         .iter()
         .enumerate()
-        .map(|(k, p)| sequential(&p.cells, &p.bytes, k + 1, &mut m.tally))
+        .map(|(k, p)| sequential(&p.cells, &p.lines, k + 1, &mut m.tally))
         .sum();
     m.set("pool.cells_per_s_1t", totals.cells as f64 / seq);
     m.set("trace.overhead_pct", overhead_pct);
+    let mut wall_ms: Vec<f64> = passes.iter().map(|p| p.wall.as_secs_f64() * 1e3).collect();
+    let wall = stats::summarize(&mut wall_ms).expect("at least one pass ran");
+    m.set(
+        "wall.cells_per_s",
+        totals.cells as f64 / (untraced_ns as f64 / 1e9),
+    );
+    m.set("wall.fresh_submit_p50_ms", wall.p50);
+    m.set("wall.fresh_submit_p99_ms", wall.tail);
     m
 }

@@ -3,16 +3,19 @@
 /// End-to-end metrics: every workload reports each of them on an
 /// untraced run (see README.md for what each means per workload).
 pub const END_TO_END: [(&str, &str); 5] = [
-    ("cells_per_s", "1/s"),
-    ("fresh_submit_p50_ms", "ms"),
-    ("fresh_submit_p99_ms", "ms"),
+    ("ref_ms_per_cell", "ms"),
+    ("fresh_submit_ref_p50_ms", "ms"),
+    ("fresh_submit_ref_p99_ms", "ms"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
 ];
 
 /// Per-layer metrics: every workload reports each of them on a traced
 /// run; a layer the workload bypasses reads 0.
-pub const PER_LAYER: [(&str, &str); 36] = [
+pub const PER_LAYER: [(&str, &str); 39] = [
+    ("wall.cells_per_s", "1/s"),
+    ("wall.fresh_submit_p50_ms", "ms"),
+    ("wall.fresh_submit_p99_ms", "ms"),
     ("host.build_ms", "ms/cell"),
     ("engine.run_ms", "ms/cell"),
     ("engine.us_per_activation", "us"),
@@ -100,6 +103,19 @@ impl Tally {
     }
 }
 
+/// FNV-1a digest of a byte string.
+pub fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The digest of each `\n`-separated piece of `bytes` (the piece after
+/// the last newline included, so a missing final newline shows).
+pub fn line_digests(bytes: &[u8]) -> Vec<u64> {
+    bytes.split(|&b| b == b'\n').map(digest).collect()
+}
+
 /// Formats the result line: `correct`, `attempted`, `failed`, and each
 /// metric of `names` with its value from `values` and its unit.
 pub fn result_line(tally: &Tally, names: &[(&str, &str)], values: &[(String, f64)]) -> String {
@@ -153,6 +169,16 @@ mod tests {
         assert!(valid_unit("%"));
         assert!(!valid_unit("µs"));
         assert!(!valid_unit(""));
+    }
+
+    #[test]
+    fn line_digests_tell_lines_apart() {
+        let d = line_digests(b"a\nb\n");
+        assert_eq!(d.len(), 3);
+        assert_eq!(d[0], digest(b"a"));
+        assert_ne!(d[0], d[1]);
+        assert_eq!(d[2], digest(b""));
+        assert_ne!(line_digests(b"a\nb"), d);
     }
 
     #[test]
