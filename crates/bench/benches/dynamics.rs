@@ -2,22 +2,21 @@
 //! round-robin, random, and max-gain activation — the sequential vs
 //! parallel sweep throughput used by the harness — and the swap-heavy
 //! warm-vector maintenance ablation (`dynamics_swap_heavy`): the
-//! deletion-tolerant `DynamicSssp` repair vs the historical
-//! invalidate-and-redo baseline. `scripts/bench_snapshot.sh` derives the
-//! tracked `swap_heavy_speedup_n20` figure from the
+//! deletion-tolerant `DynamicSssp` repair vs the invalidate-and-redo
+//! ancestor (`EvalContext::reset`). `scripts/bench_snapshot.sh` derives
+//! the tracked `swap_heavy_speedup_n20` figure from the
 //! `dynamics_swap_heavy` pair; the pool ablations `maxgain_scan` and
 //! `grid_wall` (each run once on the work-stealing pool and once inside
 //! [`rayon::with_sequential`]) feed the tracked
 //! `maxgain_parallel_speedup_n20` and `grid_wall_speedup` figures; the
-//! `br_grid` pair (persistent BR bound tables vs rebuild-every-
-//! activation) feeds `br_grid_speedup_n14`.
+//! `br_grid` pair (persistent BR bound tables vs the from-scratch
+//! `exact_best_response_given_current`) feeds `br_grid_speedup_n14`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use gncg_core::response::exact_best_response_given_current;
 use gncg_core::{Game, NodeId, Profile};
-use gncg_dynamics::{
-    BrCachePolicy, DynamicsConfig, Engine, EvalContext, RemovalPolicy, ResponseRule, Scheduler,
-};
+use gncg_dynamics::{DynamicsConfig, Engine, EvalContext, ResponseRule, Scheduler};
 use gncg_suite::scenario::{run_cell_slice, ScenarioSpec};
 
 fn bench_schedulers(c: &mut Criterion) {
@@ -74,20 +73,20 @@ fn bench_sweep_parallelism(c: &mut Criterion) {
 }
 
 /// Replays a deterministic swap-heavy strategy-change script through an
-/// [`EvalContext`] with every distance vector warm — the exact subsystem
-/// the removal policy changes. Each leaf agent buys a shortcut, swaps it
-/// twice, then deletes it (the churn the `swap_heavy` grid's α band
-/// produces); after every applied change the context re-warms all
-/// vectors, as the MaxGain pre-pass does each round. Under
-/// [`RemovalPolicy::Invalidate`] every removal-bearing change costs `n`
-/// fresh Dijkstras; under [`RemovalPolicy::DynamicSssp`] each vector is
+/// [`EvalContext`] with every distance vector warm — the warm-vector
+/// maintenance subsystem in isolation. Each leaf agent buys a shortcut,
+/// swaps it twice, then deletes it (the churn the `swap_heavy` grid's α
+/// band produces); after every applied change the context re-warms all
+/// vectors, as the MaxGain pre-pass does each round. With `invalidate`,
+/// every removal-bearing change is applied by resetting the context to
+/// the new profile ([`EvalContext::reset`], the invalidate-and-redo
+/// ancestor) and so costs `n` fresh Dijkstras; otherwise each vector is
 /// repaired in place. Returns a distance checksum so the work is not
 /// optimized away.
-fn replay_swap_script(game: &Game, policy: RemovalPolicy) -> f64 {
+fn replay_swap_script(game: &Game, invalidate: bool) -> f64 {
     let n = game.n();
     let mut profile = Profile::star(n, 0);
     let mut ctx = EvalContext::new(game, &profile);
-    ctx.set_removal_policy(policy);
     ctx.ensure_all_warm();
     let mut checksum = 0.0;
     for u in 1..n as NodeId {
@@ -106,7 +105,11 @@ fn replay_swap_script(game: &Game, policy: RemovalPolicy) -> f64 {
         for step in steps {
             let old = profile.strategy(u).clone();
             profile.set_strategy(u, step.iter().copied().collect());
-            ctx.apply_strategy_change(game, &profile, u, &old);
+            if invalidate && !old.is_subset(profile.strategy(u)) {
+                ctx.reset(game, &profile);
+            } else {
+                ctx.apply_strategy_change(game, &profile, u, &old);
+            }
             ctx.ensure_all_warm();
             checksum += ctx.distance_sum(u);
         }
@@ -132,15 +135,12 @@ fn bench_swap_heavy(c: &mut Criterion) {
     let n = games[0].n();
     let mut group = c.benchmark_group("dynamics_swap_heavy");
     group.sample_size(10);
-    for (name, policy) in [
-        ("dynamic", RemovalPolicy::DynamicSssp),
-        ("invalidate", RemovalPolicy::Invalidate),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, n), &policy, |b, &p| {
+    for (name, invalidate) in [("dynamic", false), ("invalidate", true)] {
+        group.bench_with_input(BenchmarkId::new(name, n), &invalidate, |b, &inv| {
             b.iter(|| {
                 games
                     .iter()
-                    .map(|game| replay_swap_script(game, p))
+                    .map(|game| replay_swap_script(game, inv))
                     .sum::<f64>()
             })
         });
@@ -210,29 +210,33 @@ fn bench_grid_wall(c: &mut Criterion) {
 /// rounds and the bill after that is stability probing, where
 /// branch-and-bound pruning is sharp and the dominant cost of a probe
 /// is building the bound tables (candidate sort + n + 1 Dijkstras for
-/// the `d0`/B* vectors). Under `Rebuild` every probe pays that build;
-/// under `Cached` a probe pays only delta maintenance plus the DFS, and
-/// the delta-free second sweep returns memoized results outright. The
-/// dynamics-loop bookkeeping both policies share is deliberately thin
-/// here, as in `replay_swap_script`, so the pair isolates bound-table
-/// reuse. Returns a stability count so the searches are not optimized
-/// away.
-fn replay_br_sweeps(game: &Game, start: &Profile, policy: BrCachePolicy) -> usize {
+/// the `d0`/B* vectors). With `rebuild`, every probe pays that build in
+/// the from-scratch [`exact_best_response_given_current`]; otherwise a
+/// probe pays only delta maintenance plus the DFS on the persistent
+/// tables, and the delta-free second sweep returns memoized results
+/// outright. The dynamics-loop bookkeeping both arms share is
+/// deliberately thin here, as in `replay_swap_script`, so the pair
+/// isolates bound-table reuse. Returns a stability count so the searches
+/// are not optimized away.
+fn replay_br_sweeps(game: &Game, start: &Profile, rebuild: bool) -> usize {
     const RULE: ResponseRule = ResponseRule::ExactBestResponse;
     let n = game.n();
     let mut profile = start.clone();
     let mut ctx = EvalContext::new(game, &profile);
-    ctx.set_br_policy(policy);
     let mut stable = 0usize;
     let m = n as NodeId - 1;
     for round in 0..8 as NodeId {
         for _sweep in 0..2 {
             for u in 0..n as NodeId {
-                if gncg_dynamics::engine::agent_is_stable_given_current(
-                    game, &profile, &mut ctx, u, RULE,
-                ) {
-                    stable += 1;
-                }
+                let is_stable = if rebuild {
+                    ctx.ensure_warm(u);
+                    let current = ctx.current_cost(game, &profile, u);
+                    !exact_best_response_given_current(game, &profile, ctx.network(), u, current)
+                        .improves()
+                } else {
+                    gncg_dynamics::agent_is_stable_given_current(game, &profile, &mut ctx, u, RULE)
+                };
+                stable += usize::from(is_stable);
             }
         }
         // One non-center agent toggles a shortcut (a buy if absent, a
@@ -257,12 +261,11 @@ fn replay_br_sweeps(game: &Game, start: &Profile, policy: BrCachePolicy) -> usiz
 /// golden locks: [`replay_br_sweeps`] at n = 14 over one game per host
 /// family × α band of the `br_grid` preset (the seed = 0 column), with
 /// the per-agent `BrBoundCache` resident across activations (`cached`,
-/// the default policy) vs torn down and rebuilt on every activation
-/// (`rebuild`, the historical baseline). Determinism guarantees both
-/// arms price bitwise-identical best responses, so the delta is pure
-/// bound-table reuse. `scripts/bench_snapshot.sh` derives the tracked
-/// `br_grid_speedup_n14` figure (rebuild ÷ cached wall time) from this
-/// pair.
+/// the engine's path) vs rebuilt from scratch on every probe (`rebuild`,
+/// the ancestor). Both arms price bitwise-identical best responses, so
+/// the delta is pure bound-table reuse. `scripts/bench_snapshot.sh`
+/// derives the tracked `br_grid_speedup_n14` figure (rebuild ÷ cached
+/// wall time) from this pair.
 fn bench_br_grid(c: &mut Criterion) {
     let cfg = DynamicsConfig {
         rule: ResponseRule::ExactBestResponse,
@@ -278,8 +281,7 @@ fn bench_br_grid(c: &mut Criterion) {
             let host = gncg_metrics::factory::build_host(&cell.host, cell.n, cell.cell_seed)
                 .expect("preset hosts are registered");
             let game = Game::new(host, cell.alpha);
-            // Both arms sweep from the same converged state; convergence
-            // itself is deterministic and identical under either policy.
+            // Both arms sweep from the same converged state.
             let start = Engine::new()
                 .run(&game, Profile::star(cell.n, 0), &cfg)
                 .profile;
@@ -290,15 +292,12 @@ fn bench_br_grid(c: &mut Criterion) {
     let n = games[0].0.n();
     let mut group = c.benchmark_group("br_grid");
     group.sample_size(10);
-    for (name, policy) in [
-        ("cached", BrCachePolicy::Cached),
-        ("rebuild", BrCachePolicy::Rebuild),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, n), &policy, |b, &p| {
+    for (name, rebuild) in [("cached", false), ("rebuild", true)] {
+        group.bench_with_input(BenchmarkId::new(name, n), &rebuild, |b, &r| {
             b.iter(|| {
                 games
                     .iter()
-                    .map(|(game, start)| replay_br_sweeps(game, start, p))
+                    .map(|(game, start)| replay_br_sweeps(game, start, r))
                     .sum::<usize>()
             })
         });

@@ -338,8 +338,7 @@ pub fn exact_best_response(game: &Game, profile: &Profile, agent: NodeId) -> Bes
     exact_best_response_in(game, profile, &network, agent)
 }
 
-/// [`exact_best_response`] reusing an already-built network `G(s)` — the
-/// entry point for the dynamics engine's cached-network evaluation.
+/// [`exact_best_response`] reusing an already-built network `G(s)`.
 pub fn exact_best_response_in(
     game: &Game,
     profile: &Profile,
@@ -351,9 +350,10 @@ pub fn exact_best_response_in(
 }
 
 /// [`exact_best_response_in`] with the agent's current cost supplied by
-/// the caller — the entry point for the dynamics engine's warm per-agent
-/// distance vectors, which price the current strategy without the
-/// per-activation Dijkstra `agent_cost_in` would run.
+/// the caller (e.g. read off a warm distance vector instead of the
+/// Dijkstra `agent_cost_in` would run). It rebuilds the whole search
+/// state per call: the from-scratch ancestor of [`BrBoundCache`], and
+/// the baseline the `br_grid` bench times it against.
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
@@ -598,11 +598,6 @@ impl BrBoundCache {
             weight_class: None,
             memo: None,
         }
-    }
-
-    /// The agent this cache prices best responses for.
-    pub fn agent(&self) -> NodeId {
-        self.agent
     }
 
     /// Whether the tables are resident (a fresh or invalidated cache
@@ -1148,25 +1143,9 @@ pub fn best_greedy_move_in(
     network: &AdjacencyList,
     agent: NodeId,
 ) -> Option<(Move, f64)> {
-    best_greedy_move_in_costed(game, profile, network, agent).1
-}
-
-/// [`best_greedy_move_in`] that also returns the agent's current cost —
-/// the move scan computes it anyway, and the dynamics engine needs both
-/// (one SSSP instead of two per activation).
-pub fn best_greedy_move_in_costed(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> (f64, Option<(Move, f64)>) {
-    best_move_among_in_costed(
-        game,
-        profile,
-        network,
-        agent,
-        &Move::greedy_moves(profile, agent),
-    )
+    let current = agent_cost_in(game, profile, network, agent).total();
+    let moves = Move::greedy_moves(profile, agent);
+    best_move_among_given_current(game, profile, network, agent, current, &moves)
 }
 
 /// The best single edge *addition* of `agent`, if an improving one exists
@@ -1182,23 +1161,9 @@ pub fn best_add_move_in(
     network: &AdjacencyList,
     agent: NodeId,
 ) -> Option<(Move, f64)> {
-    best_add_move_in_costed(game, profile, network, agent).1
-}
-
-/// [`best_add_move_in`] that also returns the agent's current cost.
-pub fn best_add_move_in_costed(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> (f64, Option<(Move, f64)>) {
-    best_move_among_in_costed(
-        game,
-        profile,
-        network,
-        agent,
-        &Move::add_moves(profile, agent),
-    )
+    let current = agent_cost_in(game, profile, network, agent).total();
+    let moves = Move::add_moves(profile, agent);
+    best_move_among_given_current(game, profile, network, agent, current, &moves)
 }
 
 /// Evaluates a set of moves and returns the best strictly-improving one.
@@ -1209,47 +1174,20 @@ pub fn best_move_among(
     moves: &[Move],
 ) -> Option<(Move, f64)> {
     let network = profile.build_network(game);
-    best_move_among_in(game, profile, &network, agent, moves)
+    let current = agent_cost_in(game, profile, &network, agent).total();
+    best_move_among_given_current(game, profile, &network, agent, current, moves)
 }
 
-/// [`best_move_among`] reusing an already-built network: the network is
-/// built (or cached) once and the base graph is derived from it, instead
-/// of the historical double build per evaluation.
-pub fn best_move_among_in(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-    moves: &[Move],
-) -> Option<(Move, f64)> {
-    best_move_among_in_costed(game, profile, network, agent, moves).1
-}
-
-/// [`best_move_among_in`] that also returns the agent's current cost,
-/// which the incumbent comparison computes anyway.
-pub fn best_move_among_in_costed(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-    moves: &[Move],
-) -> (f64, Option<(Move, f64)>) {
-    let current = agent_cost_in(game, profile, network, agent).total();
-    (
-        current,
-        best_move_among_given_current(game, profile, network, agent, current, moves),
-    )
-}
-
-/// [`best_move_among_in_costed`] with the agent's current cost supplied
-/// by the caller (see [`exact_best_response_given_current`] for the
-/// contract on `current`).
+/// [`best_move_among`] reusing an already-built network, with the
+/// agent's current cost supplied by the caller (see
+/// [`exact_best_response_given_current`] for the contract on `current`).
 ///
 /// Prices every candidate with a masked from-scratch Dijkstra
 /// ([`candidate_cost`]) — the historical scan, kept as the equivalence
 /// **oracle** and measured baseline of the speculative scan
-/// ([`best_move_among_speculative`]), which produces bitwise-identical
-/// choices and totals off a warm distance vector.
+/// ([`best_move_among_speculative_priced`]), which under
+/// [`SpeculativePricing::FullSum`] produces bitwise-identical choices and
+/// totals off a warm distance vector.
 pub fn best_move_among_given_current(
     game: &Game,
     profile: &Profile,
@@ -1270,69 +1208,6 @@ pub fn best_move_among_given_current(
         }
     }
     best
-}
-
-/// [`best_move_among_given_current`] evaluated **speculatively** against
-/// the agent's warm distance vector instead of one masked Dijkstra per
-/// candidate.
-///
-/// `warm` must hold the agent's exact distance vector in `network`
-/// (source `agent`, bitwise what a fresh Dijkstra produces — e.g. the
-/// dynamics engine's warm per-agent vector), and `current` the agent's
-/// exact current total cost. Each single-edge candidate is priced by the
-/// speculation-frame lifecycle of `gncg_graph::csr`:
-///
-/// 1. **apply** — open a frame and stage the move's network-level edge
-///    delta on the vector: a dropped sole-owned edge is a logged
-///    Ramalingam–Reps repair over a [`MaskedEdges`] view of `network`
-///    (the graph itself is never mutated), a genuinely new edge is a
-///    logged source-incident relaxation;
-/// 2. **read** — the candidate's distance cost is the warm sum, in the
-///    same index order the oracle sums its Dijkstra vector, and its edge
-///    cost re-accumulates in ascending node-id order, matching
-///    [`candidate_cost`]'s `BTreeSet` iteration bit for bit;
-/// 3. **rollback** — the frame restores the pre-move vector bitwise, so
-///    the next candidate starts from the same warm state.
-///
-/// Degenerate deltas (dropping a co-owned edge, gaining an
-/// already-present one) change no distances and read the current sum
-/// directly. [`Move::Replace`] candidates are not single-edge deltas and
-/// fall back to the oracle's [`candidate_cost`] pricing.
-///
-/// Returns exactly what [`best_move_among_given_current`] returns — the
-/// same chosen move and the same cost bits (debug-asserted against the
-/// oracle, alongside the bitwise restoration of `warm`).
-///
-/// Every move must be *valid for `profile`* in the [`Move::apply`] sense
-/// (deletes and swap-drops name owned edges, adds and swap-gains name
-/// non-owned ones) — the shape [`Move::greedy_moves`] /
-/// [`Move::add_moves`] enumerate. The oracle enforces this with
-/// assertions inside `Move::apply`; this path relies on it (an invalid
-/// move may panic on a missing network edge or price the edge term
-/// differently from a set-based candidate).
-///
-/// This entry point always prices with [`SpeculativePricing::FullSum`];
-/// [`best_move_among_speculative_priced`] exposes the bounded-horizon
-/// [`SpeculativePricing::RegionDelta`] policy.
-pub fn best_move_among_speculative(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    warm: &mut DynamicSssp,
-    agent: NodeId,
-    current: f64,
-    moves: &[Move],
-) -> Option<(Move, f64)> {
-    best_move_among_speculative_priced(
-        game,
-        profile,
-        network,
-        warm,
-        agent,
-        current,
-        moves,
-        SpeculativePricing::FullSum,
-    )
 }
 
 /// How the speculative move scan reads a candidate's distance cost off
@@ -1370,8 +1245,46 @@ pub enum SpeculativePricing {
 /// dynamics chooses, so tuning it is a byte-stream-breaking change.
 pub const PRICE_HORIZON: usize = 16;
 
-/// [`best_move_among_speculative`] with an explicit pricing policy —
-/// see [`SpeculativePricing`] for the contract of each mode.
+/// [`best_move_among_given_current`] evaluated **speculatively** against
+/// the agent's warm distance vector instead of one masked Dijkstra per
+/// candidate.
+///
+/// `warm` must hold the agent's exact distance vector in `network`
+/// (source `agent`, bitwise what a fresh Dijkstra produces — e.g. the
+/// dynamics engine's warm per-agent vector), and `current` the agent's
+/// exact current total cost. Each single-edge candidate is priced by the
+/// speculation-frame lifecycle of `gncg_graph::csr`:
+///
+/// 1. **apply** — open a frame and stage the move's network-level edge
+///    delta on the vector: a dropped sole-owned edge is a logged
+///    Ramalingam–Reps repair over a [`MaskedEdges`] view of `network`
+///    (the graph itself is never mutated), a genuinely new edge is a
+///    logged source-incident relaxation;
+/// 2. **read** — the candidate's distance cost is the warm sum, in the
+///    same index order the oracle sums its Dijkstra vector, and its edge
+///    cost re-accumulates in ascending node-id order, matching
+///    [`candidate_cost`]'s `BTreeSet` iteration bit for bit;
+/// 3. **rollback** — the frame restores the pre-move vector bitwise, so
+///    the next candidate starts from the same warm state.
+///
+/// Degenerate deltas (dropping a co-owned edge, gaining an
+/// already-present one) change no distances and read the current sum
+/// directly. [`Move::Replace`] candidates are not single-edge deltas and
+/// fall back to the oracle's [`candidate_cost`] pricing.
+///
+/// Under [`SpeculativePricing::FullSum`] this returns exactly what
+/// [`best_move_among_given_current`] returns — the same chosen move and
+/// the same cost bits (debug-asserted against the oracle, alongside the
+/// bitwise restoration of `warm`); see [`SpeculativePricing`] for the
+/// contract of the bounded-horizon mode.
+///
+/// Every move must be *valid for `profile`* in the [`Move::apply`] sense
+/// (deletes and swap-drops name owned edges, adds and swap-gains name
+/// non-owned ones) — the shape [`Move::greedy_moves`] /
+/// [`Move::add_moves`] enumerate. The oracle enforces this with
+/// assertions inside `Move::apply`; this path relies on it (an invalid
+/// move may panic on a missing network edge or price the edge term
+/// differently from a set-based candidate).
 #[allow(clippy::too_many_arguments)]
 pub fn best_move_among_speculative_priced(
     game: &Game,
@@ -1822,8 +1735,15 @@ mod tests {
                     let current = agent_cost_in(&game, &p, &network, agent).total();
                     let mut warm = DynamicSssp::new();
                     warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-                    let spec = best_move_among_speculative(
-                        &game, &p, &network, &mut warm, agent, current, &moves,
+                    let spec = best_move_among_speculative_priced(
+                        &game,
+                        &p,
+                        &network,
+                        &mut warm,
+                        agent,
+                        current,
+                        &moves,
+                        SpeculativePricing::FullSum,
                     );
                     let oracle =
                         best_move_among_given_current(&game, &p, &network, agent, current, &moves);
@@ -1934,8 +1854,16 @@ mod tests {
             let current = agent_cost_in(&game, &p, &network, agent).total();
             let mut warm = DynamicSssp::new();
             warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-            let spec =
-                best_move_among_speculative(&game, &p, &network, &mut warm, agent, current, &moves);
+            let spec = best_move_among_speculative_priced(
+                &game,
+                &p,
+                &network,
+                &mut warm,
+                agent,
+                current,
+                &moves,
+                SpeculativePricing::FullSum,
+            );
             let oracle = best_move_among_given_current(&game, &p, &network, agent, current, &moves);
             assert_eq!(spec, oracle, "agent {agent}");
         }
@@ -1949,7 +1877,16 @@ mod tests {
         assert!(current.is_infinite());
         let mut warm = DynamicSssp::new();
         warm.reset_from(3, &gncg_graph::dijkstra::dijkstra(&network, 3));
-        let spec = best_move_among_speculative(&game, &q, &network, &mut warm, 3, current, &moves);
+        let spec = best_move_among_speculative_priced(
+            &game,
+            &q,
+            &network,
+            &mut warm,
+            3,
+            current,
+            &moves,
+            SpeculativePricing::FullSum,
+        );
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);
         assert_eq!(spec, oracle);
         assert!(spec.is_some(), "connecting must improve on ∞");

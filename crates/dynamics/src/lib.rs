@@ -21,8 +21,7 @@ pub mod stats;
 pub mod trace;
 
 pub use engine::{
-    agent_is_stable_given_current, run, BrCachePolicy, Checkpoint, DynamicsConfig, Engine,
-    EvalContext, Outcome, RegretMeter, RemovalPolicy, ResponseRule, RunResult, ScanPolicy,
-    Scheduler,
+    agent_is_stable_given_current, run, Checkpoint, DynamicsConfig, Engine, EvalContext, Outcome,
+    RegretMeter, ResponseRule, RunResult, Scheduler,
 };
 pub use gncg_core::{BrBoundCache, SpeculativePricing, BR_STALENESS_BUDGET, PRICE_HORIZON};

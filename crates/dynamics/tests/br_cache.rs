@@ -1,8 +1,16 @@
-//! Equivalence of the persistent BR bound tables ([`BrBoundCache`],
-//! `BrCachePolicy::Cached`) with rebuild-every-activation pricing
-//! (`BrCachePolicy::Rebuild`).
+//! The dynamics engine's incremental paths against from-scratch oracles.
 //!
-//! The cached tables are delta-maintained through arbitrary interleaved
+//! [`reference_run`] replays the engine's semantics — the three
+//! schedulers, the silent-round stop, profile-recurrence cycles, the round
+//! cap and the per-round max-regret series — but prices every activation
+//! with the from-scratch oracles (`best_greedy_move`, `best_add_move`,
+//! `exact_best_response`: a fresh network, masked Dijkstras, a rebuilt
+//! bound table). Engine runs must match it bit for bit, so warm vectors,
+//! removal repair, the speculative scan, the persistent BR tables and the
+//! pool-parallel all-agent scan are all invisible in the result.
+//!
+//! The persistent BR bound tables ([`BrBoundCache`]) are probed in
+//! isolation too. They are delta-maintained through arbitrary interleaved
 //! insert / remove / swap strategy changes, and past the staleness budget
 //! they rebuild outright — in every state the chosen best response and
 //! its cost must be **bitwise identical** to a fresh `BrSearch`. These
@@ -16,15 +24,32 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
+use gncg_core::response::{best_add_move, best_greedy_move, exact_best_response};
 use gncg_core::{Game, NodeId, Profile};
+use gncg_dynamics::cycle::CycleDetector;
 use gncg_dynamics::engine::{
-    agent_is_stable_given_current, BrCachePolicy, DynamicsConfig, Engine, EvalContext,
-    ResponseRule, Scheduler,
+    agent_is_stable_given_current, DynamicsConfig, Engine, EvalContext, Outcome, ResponseRule,
+    Scheduler,
 };
 use gncg_dynamics::BR_STALENESS_BUDGET;
 
 const RULE: ResponseRule = ResponseRule::ExactBestResponse;
+
+const RULES: [ResponseRule; 3] = [
+    ResponseRule::BestGreedyMove,
+    ResponseRule::AddOnly,
+    ResponseRule::ExactBestResponse,
+];
+
+const SCHEDULERS: [Scheduler; 3] = [
+    Scheduler::RoundRobin,
+    Scheduler::RandomOrder { seed: 7 },
+    Scheduler::MaxGain,
+];
 
 /// A game on one of the nine registered factory hosts.
 fn factory_game(n: usize) -> impl Strategy<Value = Game> {
@@ -84,15 +109,161 @@ fn commit(
     ctx.apply_strategy_change(game, profile, a, &old);
 }
 
+/// Agent `u`'s improving change under `rule` and its gain, from scratch.
+fn oracle_change(
+    game: &Game,
+    profile: &Profile,
+    u: NodeId,
+    rule: ResponseRule,
+) -> Option<(BTreeSet<NodeId>, f64)> {
+    let (strategy, after) =
+        match rule {
+            ResponseRule::ExactBestResponse => {
+                let br = exact_best_response(game, profile, u);
+                br.improves().then_some((br.strategy, br.cost))?
+            }
+            ResponseRule::BestGreedyMove => best_greedy_move(game, profile, u)
+                .map(|(m, c)| (m.apply(u, profile.strategy(u)), c))?,
+            ResponseRule::AddOnly => best_add_move(game, profile, u)
+                .map(|(m, c)| (m.apply(u, profile.strategy(u)), c))?,
+        };
+    let before = gncg_core::cost::agent_cost(game, profile, u).total();
+    let gain = if before.is_infinite() && after.is_finite() {
+        f64::INFINITY
+    } else {
+        before - after
+    };
+    Some((strategy, gain))
+}
+
+/// What a run must reproduce: final profile, outcome, rounds, moves, and
+/// the max-regret series as bits.
+type Summary = (Profile, Outcome, usize, usize, Vec<u64>);
+
+/// The dynamics of `Engine::run`, priced from scratch at every step.
+fn reference_run(game: &Game, start: Profile, cfg: &DynamicsConfig) -> Summary {
+    let n = game.n() as NodeId;
+    let mut profile = start;
+    let mut detector = CycleDetector::new();
+    detector.observe(&profile);
+    let mut rng = StdRng::seed_from_u64(match cfg.scheduler {
+        Scheduler::RandomOrder { seed } => seed,
+        _ => 0,
+    });
+    let (mut moves, mut regrets) = (0, Vec::new());
+    let (mut outcome, mut rounds) = (Outcome::MaxRoundsReached, cfg.max_rounds);
+    'run: for round in 0..cfg.max_rounds {
+        let order: Vec<NodeId> = match cfg.scheduler {
+            Scheduler::RoundRobin => (0..n).collect(),
+            Scheduler::RandomOrder { .. } => {
+                let mut order: Vec<NodeId> = (0..n).collect();
+                order.shuffle(&mut rng);
+                order
+            }
+            // The largest gain, ties to the smaller id.
+            Scheduler::MaxGain => (0..n)
+                .filter_map(|u| oracle_change(game, &profile, u, cfg.rule).map(|(_, g)| (u, g)))
+                .reduce(|best, next| if next.1 > best.1 { next } else { best })
+                .map(|(u, _)| u)
+                .into_iter()
+                .collect(),
+        };
+        let mut moved = false;
+        for u in order {
+            if let Some((strategy, _)) = oracle_change(game, &profile, u, cfg.rule) {
+                profile.set_strategy(u, strategy);
+                moves += 1;
+                moved = true;
+                if let Some(recurrence) = detector.observe(&profile) {
+                    (outcome, rounds) = (Outcome::Cycle { recurrence }, round + 1);
+                    break 'run;
+                }
+            }
+        }
+        if cfg.regret_meter {
+            let gains =
+                (0..n).map(|u| oracle_change(game, &profile, u, cfg.rule).map_or(0.0, |c| c.1));
+            regrets.push(gains.fold(0.0, f64::max).to_bits());
+        }
+        if !moved {
+            (outcome, rounds) = (Outcome::Converged { rounds: round + 1 }, round + 1);
+            break;
+        }
+    }
+    (profile, outcome, rounds, moves, regrets)
+}
+
+/// Runs the engine and the reference loop from `start` and requires the
+/// same summary, regrets compared bitwise.
+fn assert_engine_matches_reference(game: &Game, start: &Profile, cfg: &DynamicsConfig) {
+    let r = Engine::new().run(game, start.clone(), cfg);
+    let series = r.regret_series.expect("meter on");
+    let bits = series.iter().map(|g| g.to_bits()).collect();
+    let got = (r.profile, r.outcome, r.rounds, r.moves, bits);
+    let want = reference_run(game, start.clone(), cfg);
+    assert_eq!(
+        got,
+        want,
+        "{:?} {:?} α {}",
+        cfg.rule,
+        cfg.scheduler,
+        game.alpha()
+    );
+}
+
+/// The greedy rules across α regimes on random metrics, from the
+/// delete- and swap-heavy α = 6 down to the add-heavy α = 0.4.
+#[test]
+fn engine_matches_reference_loop_on_random_metrics() {
+    for seed in 0..3u64 {
+        let host = gncg_metrics::arbitrary::random_metric(9, 1.0, 4.0, seed);
+        for alpha in [0.4, 1.5, 6.0] {
+            let game = Game::new(host.clone(), alpha);
+            for rule in &RULES[..2] {
+                for scheduler in SCHEDULERS {
+                    let cfg = DynamicsConfig {
+                        rule: *rule,
+                        scheduler,
+                        max_rounds: 400,
+                        regret_meter: true,
+                        ..Default::default()
+                    };
+                    assert_engine_matches_reference(&game, &Profile::star(9, 0), &cfg);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Cached-bound BR ≡ fresh-rebuild BR across all nine factory hosts
+    /// Every rule and scheduler from random starts on every factory host,
+    /// with the regret meter on.
+    #[test]
+    fn engine_matches_reference_loop_on_factory_hosts(
+        g in factory_game(7),
+        p0 in start_profile(7),
+        sched in 0usize..3,
+    ) {
+        for rule in RULES {
+            let cfg = DynamicsConfig {
+                rule,
+                scheduler: SCHEDULERS[sched],
+                max_rounds: 40,
+                regret_meter: true,
+                ..Default::default()
+            };
+            assert_engine_matches_reference(&g, &p0, &cfg);
+        }
+    }
+
+    /// Cached-bound BR ≡ from-scratch BR across all nine factory hosts
     /// under random interleaved insert/remove/swap deltas. Stability
-    /// verdicts must agree step for step between a `Cached` and a
-    /// `Rebuild` context evolved through the identical move sequence
-    /// (and every cached probe self-checks bitwise against a fresh
-    /// `BrSearch` via the debug oracle).
+    /// verdicts of a context evolved through the move sequence must
+    /// match the from-scratch oracle step for step (and every cached
+    /// probe self-checks bitwise against a fresh `BrSearch` via the debug
+    /// oracle).
     #[test]
     fn cached_br_matches_rebuild_under_interleaved_deltas(
         g in factory_game(8),
@@ -102,64 +273,19 @@ proptest! {
         let n = 8usize;
         let mut profile = p0;
         let mut cached = EvalContext::new(&g, &profile);
-        prop_assert_eq!(cached.br_policy(), BrCachePolicy::Cached);
-        let mut rebuild = EvalContext::new(&g, &profile);
-        rebuild.set_br_policy(BrCachePolicy::Rebuild);
         for &(a, mask, probe) in &steps {
             let s = decode_strategy(a, mask, n);
-            let old = profile.strategy(a).clone();
-            profile.set_strategy(a, s);
-            cached.apply_strategy_change(&g, &profile, a, &old);
-            rebuild.apply_strategy_change(&g, &profile, a, &old);
-            let want = agent_is_stable_given_current(&g, &profile, &mut rebuild, probe, RULE);
+            commit(&g, &mut profile, &mut cached, a, s);
+            let want = oracle_change(&g, &profile, probe, RULE).is_none();
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, probe, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged", probe);
         }
         // Final sweep: every agent's verdict agrees (every cache that was
         // built replays its whole pending history here).
         for u in 0..n as NodeId {
-            let want = agent_is_stable_given_current(&g, &profile, &mut rebuild, u, RULE);
+            let want = oracle_change(&g, &profile, u, RULE).is_none();
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, u, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged in final sweep", u);
-        }
-    }
-
-    /// Full BR-rule dynamics runs are bitwise identical under both
-    /// policies: same final profile, same outcome, same move count, for
-    /// every scheduler.
-    #[test]
-    fn br_dynamics_identical_under_both_policies(
-        g in factory_game(7),
-        p0 in start_profile(7),
-        sched in 0usize..3,
-    ) {
-        let scheduler = [
-            Scheduler::RoundRobin,
-            Scheduler::RandomOrder { seed: 7 },
-            Scheduler::MaxGain,
-        ][sched];
-        let cfg = DynamicsConfig {
-            rule: RULE,
-            scheduler,
-            max_rounds: 40,
-            regret_meter: true,
-            ..Default::default()
-        };
-        let mut cached_engine = Engine::new();
-        let cached = cached_engine.run(&g, p0.clone(), &cfg);
-        let mut rebuild_engine = Engine::new();
-        rebuild_engine.context_mut().set_br_policy(BrCachePolicy::Rebuild);
-        let rebuild = rebuild_engine.run(&g, p0, &cfg);
-        prop_assert_eq!(cached.outcome, rebuild.outcome);
-        prop_assert_eq!(cached.rounds, rebuild.rounds);
-        prop_assert_eq!(cached.moves, rebuild.moves);
-        for u in 0..g.n() as NodeId {
-            prop_assert_eq!(cached.profile.strategy(u), rebuild.profile.strategy(u));
-        }
-        let (a, b) = (cached.regret_series.unwrap(), rebuild.regret_series.unwrap());
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "regret series diverged");
         }
     }
 }
@@ -205,17 +331,14 @@ fn staleness_budget_triggers_rebuild() {
     // staleness, and a verdict matching a from-scratch context.
     let got = agent_is_stable_given_current(&g, &profile, &mut ctx, 0, RULE);
     assert_eq!(ctx.br_cache(0).unwrap().stale_removals(), 0);
-    let mut fresh = EvalContext::new(&g, &profile);
-    fresh.set_br_policy(BrCachePolicy::Rebuild);
-    let want = agent_is_stable_given_current(&g, &profile, &mut fresh, 0, RULE);
-    assert_eq!(got, want);
+    assert_eq!(got, oracle_change(&g, &profile, 0, RULE).is_none());
 }
 
 /// Re-probing an agent with zero intervening deltas returns the
 /// memoized result (observable via `memo_is_warm`; in these debug
 /// builds every hit is still oracle-checked against a fresh search),
 /// and any committed delta kills the memo of every other agent's cache.
-/// Verdicts match a rebuild baseline throughout.
+/// Verdicts match the from-scratch oracle throughout.
 #[test]
 fn repeat_probes_memoize_until_a_delta_lands() {
     let n = 9usize;
@@ -223,15 +346,12 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     let g = Game::new(host, 1.3);
     let mut profile = Profile::star(n, 0);
     let mut ctx = EvalContext::new(&g, &profile);
-    let mut baseline = EvalContext::new(&g, &profile);
-    baseline.set_br_policy(BrCachePolicy::Rebuild);
 
     // Two identical sweeps: the second is all memo hits.
     for _ in 0..2 {
         for u in 0..n as NodeId {
             let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
-            assert_eq!(got, want);
+            assert_eq!(got, oracle_change(&g, &profile, u, RULE).is_none());
         }
     }
     for u in 0..n as NodeId {
@@ -243,10 +363,7 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     // changed strategy misses it), and verdicts keep matching.
     let mut s = profile.strategy(3).clone();
     s.insert(7);
-    let old = profile.strategy(3).clone();
-    profile.set_strategy(3, s);
-    ctx.apply_strategy_change(&g, &profile, 3, &old);
-    baseline.apply_strategy_change(&g, &profile, 3, &old);
+    commit(&g, &mut profile, &mut ctx, 3, s);
     for u in 0..n as NodeId {
         if u != 3 {
             assert!(
@@ -257,15 +374,15 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     }
     for u in 0..n as NodeId {
         let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
+        let want = oracle_change(&g, &profile, u, RULE).is_none();
         assert_eq!(got, want, "agent {u} diverged after the memo-killing delta");
         assert!(ctx.br_cache(u).unwrap().memo_is_warm());
     }
 }
 
 /// Under the budget, removals stay stale (weaker pruning, never a wrong
-/// answer): probes keep matching the rebuild baseline while phantoms are
-/// live, without triggering a rebuild.
+/// answer): probes keep matching the from-scratch oracle while phantoms
+/// are live, without triggering a rebuild.
 #[test]
 fn stale_bounds_stay_admissible_under_budget() {
     let n = 10usize;
@@ -276,26 +393,20 @@ fn stale_bounds_stay_admissible_under_budget() {
         profile.buy(i, i + 1);
     }
     let mut ctx = EvalContext::new(&g, &profile);
-    let mut baseline = EvalContext::new(&g, &profile);
-    baseline.set_br_policy(BrCachePolicy::Rebuild);
 
     // Build every agent's tables once.
     for u in 0..n as NodeId {
         let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
-        assert_eq!(got, want);
+        assert_eq!(got, oracle_change(&g, &profile, u, RULE).is_none());
     }
     // Three removals, probing after each: the phantoms stay resident.
     for i in 1..4 as NodeId {
         let mut s = profile.strategy(i).clone();
         assert!(s.remove(&(i + 1)));
-        let old = profile.strategy(i).clone();
-        profile.set_strategy(i, s);
-        ctx.apply_strategy_change(&g, &profile, i, &old);
-        baseline.apply_strategy_change(&g, &profile, i, &old);
+        commit(&g, &mut profile, &mut ctx, i, s);
         for u in 0..n as NodeId {
             let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
+            let want = oracle_change(&g, &profile, u, RULE).is_none();
             assert_eq!(got, want, "agent {u} diverged with phantoms live");
         }
         // Probed caches of non-movers kept the removal stale, not repaired.

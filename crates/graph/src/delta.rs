@@ -11,7 +11,7 @@
 //! * [`NetworkDelta::apply_to`] mutates an [`AdjacencyList`] in place
 //!   (removals first, then insertions — the staging order every consumer
 //!   shares);
-//! * `gncg_dynamics::EvalContext::apply_delta` stages the same order
+//! * `gncg_dynamics::EvalContext::apply_strategy_change` stages the same order
 //!   edge by edge through its live network **and** delta-updates every
 //!   warm [`DynamicSssp`](crate::csr::DynamicSssp) distance vector
 //!   alongside ([`DynamicSssp::remove_edge`](crate::csr::DynamicSssp::remove_edge)

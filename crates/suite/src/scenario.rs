@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use gncg_core::{cost, equilibrium, Game, NodeId, Profile};
 use gncg_dynamics::{
-    BrCachePolicy, Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult,
-    ScanPolicy, Scheduler, SpeculativePricing,
+    Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult, Scheduler,
+    SpeculativePricing,
 };
 
 /// JSONL schema version emitted by [`CellResult::to_jsonl`] consumers
@@ -292,13 +292,12 @@ impl ScenarioSpec {
 
     /// The br-grid preset: exact-best-response dynamics on three hosts at
     /// the sizes where the exponential per-activation search is the whole
-    /// cell cost — the end-to-end workload of the persistent BR bound
-    /// tables (`BrCachePolicy::Cached`, the engine default). The cache is
-    /// bitwise invisible (cached and rebuild pricing choose identical
-    /// responses at identical cost bits), so this grid's bytes are locked
-    /// by `tests/golden/br_grid_n14.jsonl` *and* must reproduce exactly
-    /// under `BrCachePolicy::Rebuild` — the `br_grid` bench measures the
-    /// speedup between those two runs of the same byte stream.
+    /// cell cost — the end-to-end workload of the engine's persistent BR
+    /// bound tables. The tables are bitwise invisible (debug builds check
+    /// every cached search against a fresh one), so this grid's bytes are
+    /// locked by `tests/golden/br_grid_n14.jsonl`; the `br_grid` bench
+    /// times the tables against the from-scratch ancestor
+    /// `exact_best_response_given_current`.
     pub fn br_grid() -> ScenarioSpec {
         ScenarioSpec {
             name: "br-grid".into(),
@@ -879,24 +878,6 @@ impl Runner {
         self.engine.recycle();
     }
 
-    /// Sets the engine's candidate-move [`ScanPolicy`] for every
-    /// subsequent cell (it survives per-cell context resets). Cell
-    /// results are byte-identical under either policy; the `move_scan`
-    /// bench uses this to measure the masked-Dijkstra baseline against
-    /// the default speculative scan.
-    pub fn set_scan_policy(&mut self, scan: ScanPolicy) {
-        self.engine.context_mut().set_scan_policy(scan);
-    }
-
-    /// Sets the engine's exact-best-response [`BrCachePolicy`] for every
-    /// subsequent cell (sticky across per-cell context resets). Cell
-    /// results are byte-identical under either policy; the `br_grid`
-    /// bench uses this to measure the rebuild-every-activation baseline
-    /// against the default persistent bound tables.
-    pub fn set_br_policy(&mut self, policy: BrCachePolicy) {
-        self.engine.context_mut().set_br_policy(policy);
-    }
-
     /// Bytes resident in the engine's warm distance vectors after the
     /// last cell — the figure the service's `warm_resident_bytes` peak
     /// gauge records per job.
@@ -1367,35 +1348,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_policies_produce_identical_cell_bytes() {
-        // A swap-heavy cell (the removal-richest regime) run under the
-        // speculative scan and the masked-Dijkstra baseline must emit
-        // byte-identical JSONL lines.
-        let cell = &ScenarioSpec::swap_heavy().expand()[4];
-        let speculative = Runner::new().run_cell(cell).to_jsonl();
-        let mut masked_runner = Runner::new();
-        masked_runner.set_scan_policy(ScanPolicy::MaskedDijkstra);
-        let masked = masked_runner.run_cell(cell).to_jsonl();
-        assert_eq!(speculative, masked);
-    }
-
-    #[test]
-    fn br_policies_produce_identical_cell_bytes() {
-        // BR cells run off the persistent bound tables by default; the
-        // rebuild-every-activation baseline (the historical pre-cache
-        // path) must emit byte-identical JSONL lines. A shared runner per
-        // policy keeps each cache alive *across* cells, so the reset
-        // invalidation is exercised too.
+    fn shared_runner_matches_fresh_runners() {
+        // A shared runner keeps every agent's BR bound tables alive
+        // *across* cells, so its bytes match a fresh runner per cell only
+        // if the per-cell context reset invalidates them.
         let cells = ScenarioSpec::br_grid().expand();
-        let mut cached_runner = Runner::new();
-        let mut rebuild_runner = Runner::new();
-        rebuild_runner.set_br_policy(BrCachePolicy::Rebuild);
+        let mut shared = Runner::new();
         for cell in [&cells[0], &cells[7], &cells[20]] {
-            let cached = cached_runner.run_cell(cell).to_jsonl();
-            let rebuild = rebuild_runner.run_cell(cell).to_jsonl();
             assert_eq!(
-                cached, rebuild,
-                "cell {} diverged across BR policies",
+                shared.run_cell(cell).to_jsonl(),
+                Runner::new().run_cell(cell).to_jsonl(),
+                "cell {} diverged on the shared runner",
                 cell.index
             );
         }

@@ -90,8 +90,8 @@ echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # Exact best responses priced off the persistent per-agent bound tables
 # (BrBoundCache): delta-maintained d0/B* vectors, stale-admissible
 # removals, memoized re-probes. The committed golden locks the cached
-# path's bytes to the rebuild-every-activation baseline at one pool
-# thread and at four.
+# path's bytes at one pool thread and at four; debug builds check every
+# cached search against a fresh one.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
   GNCG_THREADS="$1" ./target/release/gncg grid \

@@ -181,7 +181,9 @@ proptest! {
         seed in 0u64..500,
         greedy in proptest::bool::ANY,
     ) {
-        use gncg_core::response::{best_move_among_given_current, best_move_among_speculative};
+        use gncg_core::response::{
+            best_move_among_given_current, best_move_among_speculative_priced, SpeculativePricing,
+        };
         use gncg_core::Move;
         use gncg_graph::DynamicSssp;
         let n = 8usize;
@@ -201,8 +203,8 @@ proptest! {
                 let mut warm = DynamicSssp::new();
                 warm.reset_from(u, &gncg_graph::dijkstra::dijkstra(&network, u));
                 let before = warm.dist().to_vec();
-                let spec = best_move_among_speculative(
-                    &game, &p, &network, &mut warm, u, current, &moves,
+                let spec = best_move_among_speculative_priced(
+                    &game, &p, &network, &mut warm, u, current, &moves, SpeculativePricing::FullSum,
                 );
                 let oracle =
                     best_move_among_given_current(&game, &p, &network, u, current, &moves);
