@@ -1018,7 +1018,7 @@ pub fn agent_is_stable_given_current(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gncg_core::response::{best_add_move, best_greedy_move};
+    use gncg_core::response::{best_add_move, best_greedy_move, best_move_among_given_current};
     use gncg_graph::SymMatrix;
 
     fn unit_game(n: usize, alpha: f64) -> Game {
@@ -1265,6 +1265,163 @@ mod tests {
         for u in 0..5u32 {
             let expected = gncg_core::cost::agent_cost_in(&game, &p, &network, u).total();
             assert_eq!(ctx.current_cost(&game, &p, u), expected, "agent {u}");
+        }
+    }
+
+    /// The run loop's schedulers, recurrence stop and silent-round stop
+    /// from `start`, with every activation priced by `price` and every
+    /// change committed by `commit` — a run with one of the engine's fast
+    /// paths swapped for its ancestor. Returns the final profile, the
+    /// outcome and the move count.
+    fn replay(
+        game: &Game,
+        start: &Profile,
+        cfg: &DynamicsConfig,
+        mut price: impl FnMut(&Profile, &mut EvalContext, NodeId) -> Option<Change>,
+        mut commit: impl FnMut(&Profile, &mut EvalContext, NodeId, &BTreeSet<NodeId>),
+    ) -> (Profile, Outcome, usize) {
+        let n = game.n() as NodeId;
+        let mut profile = start.clone();
+        let mut ctx = EvalContext::new(game, &profile);
+        let mut detector = CycleDetector::new();
+        detector.observe(&profile);
+        let mut rng = StdRng::seed_from_u64(match cfg.scheduler {
+            Scheduler::RandomOrder { seed } => seed,
+            _ => 0,
+        });
+        let mut moves = 0;
+        for round in 0..cfg.max_rounds {
+            let order: Vec<NodeId> = match cfg.scheduler {
+                Scheduler::RoundRobin => (0..n).collect(),
+                Scheduler::RandomOrder { .. } => {
+                    let mut order: Vec<NodeId> = (0..n).collect();
+                    order.shuffle(&mut rng);
+                    order
+                }
+                // The largest gain, ties to the smaller id.
+                Scheduler::MaxGain => (0..n)
+                    .filter_map(|u| price(&profile, &mut ctx, u).map(|c| (u, gain(&c))))
+                    .reduce(|best, next| if next.1 > best.1 { next } else { best })
+                    .map(|(u, _)| u)
+                    .into_iter()
+                    .collect(),
+            };
+            let mut moved = false;
+            for u in order {
+                if let Some((strategy, _, _)) = price(&profile, &mut ctx, u) {
+                    let old = profile.strategy(u).clone();
+                    profile.set_strategy(u, strategy);
+                    commit(&profile, &mut ctx, u, &old);
+                    moves += 1;
+                    moved = true;
+                    if let Some(recurrence) = detector.observe(&profile) {
+                        return (profile, Outcome::Cycle { recurrence }, moves);
+                    }
+                }
+            }
+            if !moved {
+                return (profile, Outcome::Converged { rounds: round + 1 }, moves);
+            }
+        }
+        (profile, Outcome::MaxRoundsReached, moves)
+    }
+
+    #[test]
+    fn swap_heavy_run_matches_across_policies() {
+        // High-α greedy dynamics from the complete network (swap- and
+        // delete-heavy rounds): repairing the warm vectors in place must
+        // reproduce the invalidate-and-redo ancestor — a context reset
+        // after every removal-bearing change — move for move and bit for
+        // bit.
+        let owned: Vec<(NodeId, NodeId)> = (0..9)
+            .flat_map(|u| (u + 1..9).map(move |v| (u, v)))
+            .collect();
+        let start = Profile::from_owned_edges(9, &owned);
+        for seed in 0..3u64 {
+            let host = gncg_metrics::arbitrary::random_metric(9, 1.0, 4.0, seed);
+            let game = Game::new(host, 6.0);
+            let cfg = DynamicsConfig {
+                max_rounds: 400,
+                ..Default::default()
+            };
+            let mut resets = 0;
+            let baseline = replay(
+                &game,
+                &start,
+                &cfg,
+                |p, ctx, u| ctx.activate(&game, p, u, cfg.rule),
+                |p, ctx, u, old| {
+                    if old.is_subset(p.strategy(u)) {
+                        ctx.apply_strategy_change(&game, p, u, old);
+                    } else {
+                        ctx.reset(&game, p);
+                        resets += 1;
+                    }
+                },
+            );
+            assert!(resets > 0, "seed {seed}: no removal-bearing move");
+            let r = Engine::new().run(&game, start.clone(), &cfg);
+            assert_eq!((r.profile, r.outcome, r.moves), baseline, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn scan_policies_agree_move_for_move() {
+        // Full runs under the speculative scan must reproduce the
+        // masked-Dijkstra ancestor (`best_move_among_given_current`, one
+        // from-scratch Dijkstra per candidate) bit for bit — profile, move
+        // count, outcome — across rules, schedulers, and α regimes. (Each
+        // speculative activation is additionally oracle-checked by a debug
+        // assertion inside best_move_among_speculative_priced.)
+        for seed in 0..3u64 {
+            let host = gncg_metrics::arbitrary::random_metric(9, 1.0, 4.0, seed);
+            for alpha in [0.4, 1.5, 6.0] {
+                let game = Game::new(host.clone(), alpha);
+                for rule in [ResponseRule::BestGreedyMove, ResponseRule::AddOnly] {
+                    for scheduler in [
+                        Scheduler::RoundRobin,
+                        Scheduler::MaxGain,
+                        Scheduler::RandomOrder { seed: 7 },
+                    ] {
+                        let cfg = DynamicsConfig {
+                            rule,
+                            scheduler,
+                            max_rounds: 400,
+                            ..Default::default()
+                        };
+                        let masked = replay(
+                            &game,
+                            &Profile::star(9, 0),
+                            &cfg,
+                            |p, ctx, u| {
+                                ctx.ensure_warm(u);
+                                let current = ctx.current_cost(&game, p, u);
+                                let candidates = match rule {
+                                    ResponseRule::AddOnly => Move::add_moves(p, u),
+                                    _ => Move::greedy_moves(p, u),
+                                };
+                                let network = ctx.network();
+                                best_move_among_given_current(
+                                    &game,
+                                    p,
+                                    network,
+                                    u,
+                                    current,
+                                    &candidates,
+                                )
+                                .map(|(m, after)| (m.apply(u, p.strategy(u)), current, after))
+                            },
+                            |p, ctx, u, old| ctx.apply_strategy_change(&game, p, u, old),
+                        );
+                        let r = Engine::new().run(&game, Profile::star(9, 0), &cfg);
+                        assert_eq!(
+                            (r.profile, r.outcome, r.moves),
+                            masked,
+                            "seed {seed} α {alpha} {rule:?} {scheduler:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 
