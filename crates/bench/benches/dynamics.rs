@@ -213,8 +213,8 @@ fn bench_grid_wall(c: &mut Criterion) {
 /// the `d0`/B* vectors). With `rebuild`, every probe pays that build in
 /// the from-scratch [`exact_best_response_given_current`]; otherwise a
 /// probe pays only delta maintenance plus the DFS on the persistent
-/// tables, and the delta-free second sweep returns memoized results
-/// outright. The dynamics-loop bookkeeping both arms share is
+/// tables, and the commit-free second sweep is answered by the engine's
+/// pricing memo without a search (the rebuild arm searches every time). The dynamics-loop bookkeeping both arms share is
 /// deliberately thin here, as in `replay_swap_script`, so the pair
 /// isolates bound-table reuse. Returns a stability count so the searches
 /// are not optimized away.
@@ -306,8 +306,9 @@ fn bench_br_grid(c: &mut Criterion) {
 }
 
 /// The regret meter's price at n = 20: the same round-robin greedy run
-/// with the meter off vs on (one extra speculative pricing scan per
-/// round, the pass MaxGain already runs to pick a winner).
+/// with the meter off vs on (one end-of-round pricing scan, the pass
+/// MaxGain runs to pick a winner, which re-prices only the agents priced
+/// before the round's last move; the rest are pricing-memo hits).
 /// `scripts/bench_snapshot.sh` derives `regret_meter_overhead_n20`
 /// (on ÷ off wall time) from this pair.
 fn bench_regret_meter(c: &mut Criterion) {

@@ -519,6 +519,11 @@ pub const BR_STALENESS_BUDGET: usize = 16;
 /// `debug_assertions`, asserts `d0` bitwise-equal, asserts the cached
 /// `via` bound admissible (≤ fresh) per node, and compares the chosen
 /// best response and cost bit for bit.
+///
+/// The cache keeps no result memo: every [`BrBoundCache::best_response`]
+/// call searches. Re-probes with no commit since the agent was last
+/// priced are answered above it, by the dynamics engine's pricing memo,
+/// which serves all three response rules.
 #[derive(Debug)]
 pub struct BrBoundCache {
     agent: NodeId,
@@ -560,14 +565,6 @@ pub struct BrBoundCache {
     dist_buf: Vec<f64>,
     batch: Vec<(NodeId, NodeId, f64)>,
     weight_class: Option<(f64, f64)>,
-    /// The last search's `(current strategy, result)`, returned verbatim
-    /// when the agent is re-probed with **zero** intervening deltas — the
-    /// cache tracks every committed change exactly, so "no change since
-    /// the memo" means the query inputs are literally identical and the
-    /// previous answer is bitwise the fresh answer by definition. Killed
-    /// by every maintenance entry point; a hit additionally requires the
-    /// caller's `current` cost and strategy to match bit for bit.
-    memo: Option<(BTreeSet<NodeId>, BestResponse)>,
 }
 
 impl BrBoundCache {
@@ -596,7 +593,6 @@ impl BrBoundCache {
             dist_buf: Vec::new(),
             batch: Vec::new(),
             weight_class: None,
-            memo: None,
         }
     }
 
@@ -617,14 +613,6 @@ impl BrBoundCache {
     /// committed delta stream precisely (context reset, raw deltas).
     pub fn invalidate(&mut self) {
         self.built = false;
-        self.memo = None;
-    }
-
-    /// Whether the last result is memoized and no delta has touched the
-    /// cache since — the next probe with an unchanged strategy and
-    /// current cost returns it without a search (test observability).
-    pub fn memo_is_warm(&self) -> bool {
-        self.memo.is_some()
     }
 
     /// Bytes resident in the cache's tables — the B\* vectors dominate
@@ -714,7 +702,6 @@ impl BrBoundCache {
         self.d0_synced = log_len;
         self.bstar_synced = log_len;
         self.built = true;
-        self.memo = None;
     }
 
     /// Refreshes the suffix-min `via` table from the resident B\*
@@ -750,7 +737,6 @@ impl BrBoundCache {
         if !self.built || self.d0_synced >= insert_log.len() {
             return;
         }
-        self.memo = None;
         self.batch.clear();
         for &(a, b, w) in &insert_log[self.d0_synced..] {
             if self.base.has_edge(a, b) {
@@ -772,7 +758,6 @@ impl BrBoundCache {
         if self.bstar_synced >= insert_log.len() {
             return;
         }
-        self.memo = None;
         self.batch.clear();
         for &(a, b, w) in &insert_log[self.bstar_synced..] {
             if a == self.agent || b == self.agent {
@@ -812,7 +797,6 @@ impl BrBoundCache {
         if !self.built || mover == self.agent {
             return;
         }
-        self.memo = None;
         for &(a, b, w) in inserts {
             if !self.base.has_edge(a, b) {
                 self.base.add_edge(a, b, w);
@@ -832,7 +816,6 @@ impl BrBoundCache {
         if !self.built || mover == self.agent {
             return;
         }
-        self.memo = None;
         self.batch.clear();
         for &(a, b, w) in removed {
             if self.base.remove_edge(a, b) {
@@ -859,7 +842,6 @@ impl BrBoundCache {
         if !self.built {
             return;
         }
-        self.memo = None;
         // Pending inserts replay first, against the base graph *without*
         // the flip edge (the graph d0 is exact for, minus the pending
         // batch); only then does the flip edge enter and relax.
@@ -879,7 +861,6 @@ impl BrBoundCache {
         if !self.built {
             return;
         }
-        self.memo = None;
         // Pending inserts replay while the base graph still holds the
         // flip edge; the exact removal repair follows.
         self.flush_d0(insert_log);
@@ -891,9 +872,7 @@ impl BrBoundCache {
 
     /// The exact best response off the resident tables — the same DFS as
     /// [`exact_best_response_given_current`], minus its per-activation
-    /// CSR snapshots and `n + 1` Dijkstras; a re-probe with zero
-    /// intervening deltas skips the DFS too and returns the memoized
-    /// result (identical inputs, identical answer). Requires a prior
+    /// CSR snapshots and `n + 1` Dijkstras. Requires a prior
     /// [`BrBoundCache::ensure`] against the same network and insert log;
     /// `current` must be the agent's exact current cost (it seeds the
     /// incumbent). Under `debug_assertions` every call re-derives the
@@ -907,26 +886,6 @@ impl BrBoundCache {
         current: f64,
     ) -> BestResponse {
         debug_assert!(self.built, "best_response on an unbuilt BrBoundCache");
-        // Memo hit: no delta has touched the cache since the last search
-        // and the query (current strategy + exact current cost) is bit
-        // for bit the same, so the inputs of the search are literally
-        // identical and the previous result *is* the fresh result. The
-        // debug oracle below still re-derives and checks it.
-        let memoized = self
-            .memo
-            .as_ref()
-            .filter(|(set, prev)| {
-                prev.current_cost.to_bits() == current.to_bits()
-                    && set == profile.strategy(self.agent)
-            })
-            .map(|(_, prev)| prev.clone());
-        if let Some(result) = memoized {
-            #[cfg(debug_assertions)]
-            self.assert_matches_fresh(game, profile, network, current, &result);
-            #[cfg(not(debug_assertions))]
-            let _ = network;
-            return result;
-        }
         if self.csr_dirty {
             self.csr = Csr::from_adjacency(&self.base);
             self.csr_dirty = false;
@@ -959,7 +918,6 @@ impl BrBoundCache {
         self.assert_matches_fresh(game, profile, network, current, &result);
         #[cfg(not(debug_assertions))]
         let _ = network;
-        self.memo = Some((profile.strategy(self.agent).clone(), result.clone()));
         result
     }
 

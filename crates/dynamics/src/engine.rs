@@ -70,6 +70,23 @@
 //! at a time, or as one pool-parallel scan over every agent, which
 //! MaxGain folds to its winner and the meter maps to regrets.
 //!
+//! All four share one **pricing memo**: each agent's last answer, keyed
+//! by the context's *commit epoch* and the rule it was priced under. The
+//! epoch is bumped by every committed change
+//! ([`EvalContext::apply_strategy_change`]), by [`EvalContext::reset`],
+//! by [`EvalContext::set_pricing`] and by [`Engine::recycle`], and never
+//! rewound. Between two bumps every input of a pricing is unchanged —
+//! the profile, the network, the agent's warm vector, the answers of its
+//! BR bound tables, the rule and the pricing policy — so a stored answer
+//! whose epoch and rule match is bitwise the fresh one and is returned
+//! as is; only the other agents are warmed and priced. Debug builds
+//! re-price every hit and assert it bitwise equal. In a metered
+//! round-robin run, activations before a round's first move reuse the
+//! last meter scan, the meter re-prices only the agents priced before
+//! the round's last move, and a converged run's final round, its meter
+//! and its sampled certification price nothing.
+//! [`EvalContext::pricings`] counts the pricings that ran.
+//!
 //! The context is behaviorally invisible — `debug_assert`s re-derive the
 //! network from the profile and every valid warm vector from a fresh
 //! Dijkstra after each applied move, so the equivalence is
@@ -134,7 +151,8 @@ pub struct DynamicsConfig {
     /// ([`RunResult::regret_series`]) via a [`RegretMeter`] scan after
     /// each round. Off by default: the scan is behaviorally invisible
     /// (warm vectors equal fresh Dijkstras bitwise and speculation rolls
-    /// back exactly), but it costs one all-agent pricing pass per round.
+    /// back exactly), but it re-prices every agent priced before the
+    /// round's last move (the others are pricing-memo hits).
     pub regret_meter: bool,
     /// Checkpoint cadence in rounds: every `k`-th completed round (and
     /// the final round of the run) a [`Checkpoint`] of the full engine
@@ -227,8 +245,11 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Captures the current engine state. `meter` must have been
     /// [`RegretMeter::measure`]d against the same `(game, profile, ctx,
-    /// rule)` — the capture reuses its per-agent regrets and the warm
-    /// vectors the scan left behind.
+    /// rule)` — the capture reuses its per-agent regrets and reads every
+    /// cost off a warm vector. Those are all current: the scan warmed the
+    /// agents it priced, and the agents it read off the memo have had
+    /// nothing committed since they were priced, when their vectors were
+    /// made current.
     fn capture(
         round: usize,
         game: &Game,
@@ -255,8 +276,9 @@ impl Checkpoint {
 /// scan (the same pricing pass [`Scheduler::MaxGain`] runs to pick a
 /// winner, kept whole instead of reduced), so "how far from equilibrium
 /// is this profile" costs one parallel scan per round instead of `n`
-/// from-scratch best responses. A max of `0.0` certifies an equilibrium
-/// with respect to the rule's move space.
+/// from-scratch best responses — a scan that prices only the agents the
+/// pricing memo misses. A max of `0.0` certifies an equilibrium with
+/// respect to the rule's move space.
 #[derive(Clone, Debug, Default)]
 pub struct RegretMeter {
     regrets: Vec<f64>,
@@ -273,8 +295,10 @@ impl RegretMeter {
     /// the best cost any single `rule`-move reaches (`f64::INFINITY` when
     /// a move first makes the cost finite; `0.0` when no move improves).
     /// The scan is bitwise deterministic at every thread count and leaves
-    /// `ctx` behaviorally untouched: it warms every vector (warm vectors
-    /// equal fresh Dijkstras bitwise) and rolls every speculation back.
+    /// `ctx` behaviorally untouched: agents priced since the last commit
+    /// are read off the pricing memo, the others are priced off warm
+    /// vectors (bitwise equal to fresh Dijkstras) with every speculation
+    /// rolled back.
     pub fn measure(
         &mut self,
         game: &Game,
@@ -284,8 +308,7 @@ impl RegretMeter {
     ) -> f64 {
         self.regrets = ctx
             .scan(game, profile, rule)
-            .iter()
-            .map(|change| change.as_ref().map_or(0.0, gain))
+            .map(|change| change.map_or(0.0, gain))
             .collect();
         self.max()
     }
@@ -307,6 +330,56 @@ impl RegretMeter {
 /// An improving strategy change: the new strategy plus the agent's cost
 /// before and after it.
 type Change = (BTreeSet<NodeId>, f64, f64);
+
+/// An agent's last pricing: the commit epoch and rule it ran under, and
+/// the answer (`None` when the agent was stable).
+#[derive(Debug)]
+struct Priced {
+    epoch: u64,
+    rule: ResponseRule,
+    change: Option<Change>,
+}
+
+/// Whether `slot` holds a pricing from commit epoch `epoch` under `rule`
+/// — one that is bitwise the fresh answer (see the module docs).
+fn is_current(slot: &Option<Priced>, epoch: u64, rule: ResponseRule) -> bool {
+    slot.as_ref()
+        .is_some_and(|p| p.epoch == epoch && p.rule == rule)
+}
+
+/// The memo lookup every activation path shares: keeps `slot` when it is
+/// current for `(epoch, rule)`, otherwise stores `price()`'s answer there.
+/// Returns whether `price` ran for a miss. Debug builds re-price every hit
+/// and assert the stored strategy and both costs bitwise equal to the
+/// fresh ones.
+fn memoized(
+    slot: &mut Option<Priced>,
+    epoch: u64,
+    rule: ResponseRule,
+    price: impl FnOnce() -> Option<Change>,
+) -> bool {
+    if is_current(slot, epoch, rule) {
+        #[cfg(debug_assertions)]
+        {
+            let bits = |c: Option<&Change>| {
+                c.map(|(s, before, after)| (s.clone(), before.to_bits(), after.to_bits()))
+            };
+            let hit = slot.as_ref().and_then(|p| p.change.as_ref());
+            assert_eq!(
+                bits(hit),
+                bits(price().as_ref()),
+                "memoized {rule:?} pricing diverged from a fresh one at epoch {epoch}"
+            );
+        }
+        return false;
+    }
+    *slot = Some(Priced {
+        epoch,
+        rule,
+        change: price(),
+    });
+    true
+}
 
 /// How much a change improves its agent's cost (`f64::INFINITY` when it
 /// first makes the cost finite) — what [`Scheduler::MaxGain`] ranks and
@@ -356,6 +429,31 @@ fn pricer<'a>(
     }
 }
 
+/// Makes one warm distance vector current for `network`: a fresh Dijkstra
+/// (through `scratch` and `buf`) when it was never computed this run
+/// (`pending` is `None`), otherwise one batched replay of the committed
+/// insertions it has not seen yet.
+fn sync_warm(
+    network: &AdjacencyList,
+    u: NodeId,
+    warm: &mut DynamicSssp,
+    pending: Option<&[(NodeId, NodeId, f64)]>,
+    scratch: &mut DijkstraScratch,
+    buf: &mut Vec<f64>,
+) {
+    match pending {
+        None => {
+            scratch.run(network, u, &[]);
+            buf.clear();
+            buf.resize(network.n(), f64::INFINITY);
+            scratch.write_distances(buf);
+            warm.reset_from(u, buf);
+        }
+        Some(log) if !log.is_empty() => warm.relax_inserts(network, log),
+        Some(_) => {}
+    }
+}
+
 /// The built network `G(s)` plus per-agent warm distance vectors, cached
 /// across a run and maintained under strategy changes (see the module
 /// docs for the delta/warm invariants).
@@ -398,6 +496,15 @@ pub struct EvalContext {
     /// [`EvalContext::apply_strategy_change`] otherwise. Boxed: the
     /// tables are `Θ(n²)` floats, absent entirely for non-BR runs.
     br: Vec<Option<Box<BrBoundCache>>>,
+    /// The commit epoch the pricing memo is keyed on: bumped by
+    /// [`EvalContext::apply_strategy_change`], [`EvalContext::reset`],
+    /// [`EvalContext::set_pricing`] and [`Engine::recycle`], never rewound,
+    /// so no pricing from before any of them can match again.
+    epoch: u64,
+    /// The pricing memo: `priced[u]` is agent `u`'s last pricing.
+    priced: Vec<Option<Priced>>,
+    /// Pricer runs for memo misses ([`EvalContext::pricings`]).
+    pricings: u64,
 }
 
 impl EvalContext {
@@ -412,6 +519,7 @@ impl EvalContext {
     /// Re-targets the context at a new run, reusing every allocation the
     /// previous run left behind.
     pub fn reset(&mut self, game: &Game, profile: &Profile) {
+        self.epoch += 1;
         self.network = profile.build_network(game);
         let n = game.n();
         if self.warm.len() < n {
@@ -439,6 +547,9 @@ impl EvalContext {
         for cache in self.br.iter_mut().flatten() {
             cache.invalidate();
         }
+        if self.priced.len() < n {
+            self.priced.resize_with(n, || None);
+        }
     }
 
     /// The current network.
@@ -454,7 +565,15 @@ impl EvalContext {
     /// its own goldens; the default keeps every pre-existing byte
     /// stream.
     pub fn set_pricing(&mut self, pricing: SpeculativePricing) {
+        self.epoch += 1;
         self.pricing = pricing;
+    }
+
+    /// How many times this context has priced an agent: a plain count of
+    /// per-agent pricer runs over the context's lifetime, memo hits
+    /// excluded — the "agents re-priced" work counter.
+    pub fn pricings(&self) -> u64 {
+        self.pricings
     }
 
     /// Agent `u`'s persistent BR bound tables, when they exist — an
@@ -492,7 +611,8 @@ impl EvalContext {
 
     /// Agent `u`'s improving change under `rule` (`None` when `u` is
     /// stable) — the activation of the run loop and of
-    /// [`agent_is_stable_given_current`].
+    /// [`agent_is_stable_given_current`]. A memo hit returns the stored
+    /// answer; a miss warms `u`'s vector, prices and stores.
     fn activate(
         &mut self,
         game: &Game,
@@ -500,6 +620,8 @@ impl EvalContext {
         u: NodeId,
         rule: ResponseRule,
     ) -> Option<Change> {
+        let i = u as usize;
+        // A no-op on a hit: nothing was committed since `u` was priced.
         self.ensure_warm(u);
         let price = pricer(
             game,
@@ -509,17 +631,27 @@ impl EvalContext {
             rule,
             self.pricing,
         );
-        price(u, &mut self.warm[u as usize], &mut self.br[u as usize])
+        let (warm, br) = (&mut self.warm[i], &mut self.br[i]);
+        if memoized(&mut self.priced[i], self.epoch, rule, || price(u, warm, br)) {
+            self.pricings += 1;
+        }
+        self.priced[i].as_ref().and_then(|p| p.change.clone())
     }
 
-    /// Every agent's improving change under `rule`, in agent order: the
-    /// [`EvalContext::activate`] pricing fanned over the rayon pool, each
-    /// worker borrowing exactly its agent's warm vector and bound tables.
-    /// Bitwise deterministic at every thread count.
-    fn scan(&mut self, game: &Game, profile: &Profile, rule: ResponseRule) -> Vec<Option<Change>> {
+    /// Every agent's improving change under `rule`, in agent order, read
+    /// off the memo after one pool-parallel pass over the agents it
+    /// misses: each worker borrows exactly its agent's warm vector, bound
+    /// tables and memo slot, warms the vector and prices. Bitwise
+    /// deterministic at every thread count.
+    fn scan(
+        &mut self,
+        game: &Game,
+        profile: &Profile,
+        rule: ResponseRule,
+    ) -> impl Iterator<Item = Option<&Change>> + '_ {
         use rayon::prelude::*;
-        self.ensure_all_warm();
         let n = game.n();
+        let epoch = self.epoch;
         let price = pricer(
             game,
             profile,
@@ -528,15 +660,43 @@ impl EvalContext {
             rule,
             self.pricing,
         );
-        let mut agents: Vec<_> = self.warm[..n].iter_mut().zip(&mut self.br[..n]).collect();
-        agents
-            .par_chunks_mut(1)
+        let (network, log, class) = (&self.network, &self.insert_log, self.weight_class);
+        let (valid, synced) = (&mut self.valid, &mut self.synced);
+        // Debug builds keep the hits in the pass too, for the re-pricing
+        // oracle in `memoized`; their vectors are already current.
+        let mut agents: Vec<_> = self.warm[..n]
+            .iter_mut()
+            .zip(&mut self.br[..n])
+            .zip(&mut self.priced[..n])
             .enumerate()
-            .map(|(u, agent)| {
-                let (warm, br) = &mut agent[0];
-                price(u as NodeId, warm, br)
+            .filter(|(_, (_, slot))| cfg!(debug_assertions) || !is_current(slot, epoch, rule))
+            .map(|(u, ((warm, br), slot))| {
+                let pending = valid[u].then(|| &log[synced[u]..]);
+                valid[u] = true;
+                synced[u] = log.len();
+                (u as NodeId, pending, warm, br, slot)
             })
-            .collect()
+            .collect();
+        let misses = agents
+            .iter()
+            .filter(|(_, _, _, _, slot)| !is_current(slot, epoch, rule))
+            .count();
+        agents.par_chunks_mut(1).for_each_init(
+            || {
+                let mut scratch = DijkstraScratch::new();
+                scratch.set_weight_class(class);
+                (scratch, Vec::new())
+            },
+            |(scratch, buf), agent| {
+                let (u, pending, warm, br, slot) = &mut agent[0];
+                sync_warm(network, *u, warm, *pending, scratch, buf);
+                memoized(slot, epoch, rule, || price(*u, warm, br));
+            },
+        );
+        self.pricings += misses as u64;
+        self.priced[..n]
+            .iter()
+            .map(|p| p.as_ref().and_then(|p| p.change.as_ref()))
     }
 
     /// Makes agent `u`'s warm distance vector current: a fresh Dijkstra
@@ -546,63 +706,46 @@ impl EvalContext {
     /// `insert_log` suffix).
     pub fn ensure_warm(&mut self, u: NodeId) {
         let i = u as usize;
-        if !self.valid[i] {
-            let n = self.network.n();
-            self.scratch.run(&self.network, u, &[]);
-            self.dist_buf.clear();
-            self.dist_buf.resize(n, f64::INFINITY);
-            self.scratch.write_distances(&mut self.dist_buf);
-            self.warm[i].reset_from(u, &self.dist_buf);
-            self.valid[i] = true;
-            self.synced[i] = self.insert_log.len();
-            return;
+        let pending = self.valid[i].then(|| &self.insert_log[self.synced[i]..]);
+        sync_warm(
+            &self.network,
+            u,
+            &mut self.warm[i],
+            pending,
+            &mut self.scratch,
+            &mut self.dist_buf,
+        );
+        #[cfg(debug_assertions)]
+        if pending.is_some_and(|p| !p.is_empty()) {
+            let fresh = gncg_graph::dijkstra::dijkstra(&self.network, u);
+            debug_assert_eq!(
+                self.warm[i].dist(),
+                fresh.as_slice(),
+                "lazily synced warm vector of agent {u} drifted from a fresh Dijkstra"
+            );
         }
-        if self.synced[i] < self.insert_log.len() {
-            self.warm[i].relax_inserts(&self.network, &self.insert_log[self.synced[i]..]);
-            self.synced[i] = self.insert_log.len();
-            #[cfg(debug_assertions)]
-            {
-                let fresh = gncg_graph::dijkstra::dijkstra(&self.network, u);
-                debug_assert_eq!(
-                    self.warm[i].dist(),
-                    fresh.as_slice(),
-                    "lazily synced warm vector of agent {u} drifted from a fresh Dijkstra"
-                );
-            }
-        }
+        self.valid[i] = true;
+        self.synced[i] = self.insert_log.len();
     }
 
     /// Warms every agent's distance vector, fanning the cold recomputes
     /// over the rayon pool (each is an independent Dijkstra; workers use
-    /// private scratch) — the pre-pass of every all-agent scan (MaxGain,
-    /// the regret meter), which would otherwise serialize `n` Dijkstras
-    /// after every removal-bearing move.
+    /// private scratch), so warming after a removal-bearing move does not
+    /// serialize `n` Dijkstras.
     pub fn ensure_all_warm(&mut self) {
         use rayon::prelude::*;
         let n = self.network.n();
-        let network = &self.network;
-        let valid = &self.valid;
-        let class = self.weight_class;
-        let log = &self.insert_log;
-        let synced = &self.synced;
+        let (network, log, class) = (&self.network, &self.insert_log, self.weight_class);
+        let (valid, synced) = (&self.valid, &self.synced);
         self.warm[..n].par_chunks_mut(1).enumerate().for_each_init(
             || {
                 let mut scratch = DijkstraScratch::new();
                 scratch.set_weight_class(class);
                 (scratch, Vec::new())
             },
-            |(scratch, buf): &mut (DijkstraScratch, Vec<f64>), (u, slot)| {
-                if valid[u] {
-                    if synced[u] < log.len() {
-                        slot[0].relax_inserts(network, &log[synced[u]..]);
-                    }
-                    return;
-                }
-                scratch.run(network, u as NodeId, &[]);
-                buf.clear();
-                buf.resize(n, f64::INFINITY);
-                scratch.write_distances(buf);
-                slot[0].reset_from(u as NodeId, buf);
+            |(scratch, buf), (u, slot)| {
+                let pending = valid[u].then(|| &log[synced[u]..]);
+                sync_warm(network, u as NodeId, &mut slot[0], pending, scratch, buf);
             },
         );
         self.valid[..n].fill(true);
@@ -646,6 +789,7 @@ impl EvalContext {
         u: NodeId,
         old: &BTreeSet<NodeId>,
     ) {
+        self.epoch += 1;
         let new = profile.strategy(u);
         let mut delta = std::mem::take(&mut self.delta);
         delta.clear();
@@ -852,13 +996,15 @@ impl Engine {
     }
 
     /// Drops run-specific state (the cycle-detector map, the cached
-    /// network and its warm vectors) while keeping every allocation, so a
-    /// long-lived worker — e.g. a service worker thread holding one
-    /// engine across *jobs*, not just across the cells of one batch —
-    /// releases references into the last job's data without paying the
-    /// scratch allocations again on the next one.
+    /// network, its warm vectors and the pricing memo, by bumping the
+    /// commit epoch) while keeping every allocation, so a long-lived
+    /// worker — e.g. a service worker thread holding one engine across
+    /// *jobs*, not just across the cells of one batch — releases
+    /// references into the last job's data without paying the scratch
+    /// allocations again on the next one.
     pub fn recycle(&mut self) {
         self.detector.clear();
+        self.ctx.epoch += 1;
         self.ctx.network = AdjacencyList::default();
         self.ctx.valid.fill(false);
         self.ctx.insert_log.clear();
@@ -906,12 +1052,11 @@ impl Engine {
                 Scheduler::MaxGain => self
                     .ctx
                     .scan(game, &profile, cfg.rule)
-                    .into_iter()
                     .enumerate()
-                    .filter_map(|(u, change)| change.map(|c| (u as NodeId, gain(&c), c)))
+                    .filter_map(|(u, change)| change.map(|c| (u as NodeId, gain(c), c)))
                     // Strictly greater keeps the smaller id on ties.
                     .reduce(|best, next| if next.1 > best.1 { next } else { best })
-                    .map(|(u, _, change)| (u, Some(change)))
+                    .map(|(u, _, change)| (u, Some(change.clone())))
                     .into_iter()
                     .collect(),
             };
@@ -1677,6 +1822,99 @@ mod tests {
                     .all(|u| agent_is_stable_given_current(&game, &probe, &mut cert_ctx, u, rule));
                 assert_eq!(max == 0.0, all_stable, "{rule:?}");
                 assert_eq!(meter.regrets().len(), 7);
+            }
+        }
+    }
+
+    const RULES: [ResponseRule; 3] = [
+        ResponseRule::ExactBestResponse,
+        ResponseRule::BestGreedyMove,
+        ResponseRule::AddOnly,
+    ];
+
+    #[test]
+    fn back_to_back_measures_price_nothing_the_second_time() {
+        let host = gncg_metrics::arbitrary::random_metric(7, 1.0, 3.0, 11);
+        let game = Game::new(host, 1.8);
+        let probe = Profile::star(7, 3);
+        let mut ctx = EvalContext::new(&game, &probe);
+        let mut meter = RegretMeter::new();
+        for rule in RULES {
+            // The memo is keyed on the rule too: switching rules re-prices.
+            let before = ctx.pricings();
+            meter.measure(&game, &probe, &mut ctx, rule);
+            assert_eq!(ctx.pricings() - before, 7, "{rule:?}");
+            let first: Vec<u64> = meter.regrets().iter().map(|g| g.to_bits()).collect();
+            assert!(first.iter().any(|&g| g != 0), "{rule:?}: a vacuous probe");
+            meter.measure(&game, &probe, &mut ctx, rule);
+            assert_eq!(
+                ctx.pricings() - before,
+                7,
+                "{rule:?}: the second measure priced"
+            );
+            let second: Vec<u64> = meter.regrets().iter().map(|g| g.to_bits()).collect();
+            assert_eq!(first, second, "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn set_pricing_and_reset_force_a_full_reprice() {
+        let host = gncg_metrics::arbitrary::random_metric(7, 1.0, 3.0, 11);
+        let game = Game::new(host, 1.8);
+        let probe = Profile::star(7, 3);
+        let sweep = |ctx: &mut EvalContext, rule| {
+            let before = ctx.pricings();
+            for u in 0..7 {
+                agent_is_stable_given_current(&game, &probe, ctx, u, rule);
+            }
+            ctx.pricings() - before
+        };
+        for rule in RULES {
+            let mut ctx = EvalContext::new(&game, &probe);
+            let mut meter = RegretMeter::new();
+            meter.measure(&game, &probe, &mut ctx, rule);
+            // Activations reuse the meter's pricings...
+            assert_eq!(sweep(&mut ctx, rule), 0, "{rule:?}");
+            // ...until the pricing policy is set, even to the same value,
+            ctx.set_pricing(SpeculativePricing::FullSum);
+            assert_eq!(sweep(&mut ctx, rule), 7, "{rule:?} after set_pricing");
+            // or the context is reset to the same profile.
+            ctx.reset(&game, &probe);
+            let before = ctx.pricings();
+            meter.measure(&game, &probe, &mut ctx, rule);
+            assert_eq!(ctx.pricings() - before, 7, "{rule:?} after reset");
+            assert_eq!(sweep(&mut ctx, rule), 0, "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn certifying_a_converged_metered_run_prices_nothing() {
+        let host = gncg_metrics::arbitrary::random_metric(7, 1.0, 3.0, 2);
+        let game = Game::new(host, 1.5);
+        for rule in RULES {
+            for scheduler in [
+                Scheduler::RoundRobin,
+                Scheduler::MaxGain,
+                Scheduler::RandomOrder { seed: 3 },
+            ] {
+                let mut engine = Engine::new();
+                let cfg = DynamicsConfig {
+                    rule,
+                    scheduler,
+                    max_rounds: 400,
+                    regret_meter: true,
+                    ..Default::default()
+                };
+                let r = engine.run(&game, Profile::star(7, 0), &cfg);
+                assert!(r.converged() && r.moves > 0, "{rule:?} {scheduler:?}");
+                let ctx = engine.context_mut();
+                let before = ctx.pricings();
+                for u in 0..7 {
+                    assert!(agent_is_stable_given_current(
+                        &game, &r.profile, ctx, u, rule
+                    ));
+                }
+                assert_eq!(ctx.pricings(), before, "{rule:?} {scheduler:?}");
             }
         }
     }

@@ -334,11 +334,12 @@ fn staleness_budget_triggers_rebuild() {
     assert_eq!(got, oracle_change(&g, &profile, 0, RULE).is_none());
 }
 
-/// Re-probing an agent with zero intervening deltas returns the
-/// memoized result (observable via `memo_is_warm`; in these debug
-/// builds every hit is still oracle-checked against a fresh search),
-/// and any committed delta kills the memo of every other agent's cache.
-/// Verdicts match the from-scratch oracle throughout.
+/// Re-probing an agent with zero intervening commits is answered by the
+/// engine's pricing memo: no pricing runs (observable via
+/// `EvalContext::pricings`; in these debug builds every hit is still
+/// re-priced and checked bitwise against the stored answer), and one
+/// committed delta makes the next sweep re-price every agent, the mover
+/// included. Verdicts match the from-scratch oracle throughout.
 #[test]
 fn repeat_probes_memoize_until_a_delta_lands() {
     let n = 9usize;
@@ -347,37 +348,29 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     let mut profile = Profile::star(n, 0);
     let mut ctx = EvalContext::new(&g, &profile);
 
-    // Two identical sweeps: the second is all memo hits.
-    for _ in 0..2 {
+    // Two identical sweeps: the first prices every agent, the second
+    // prices nothing.
+    for expected in [n as u64, 0] {
+        let before = ctx.pricings();
         for u in 0..n as NodeId {
             let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
             assert_eq!(got, oracle_change(&g, &profile, u, RULE).is_none());
         }
-    }
-    for u in 0..n as NodeId {
-        assert!(ctx.br_cache(u).unwrap().memo_is_warm());
+        assert_eq!(ctx.pricings() - before, expected);
     }
 
-    // One committed purchase: every *other* agent's memo dies on the
-    // spot (the mover's own survives until its next probe, where the
-    // changed strategy misses it), and verdicts keep matching.
+    // One committed purchase: the next sweep re-prices all n agents, the
+    // mover included, and verdicts keep matching.
     let mut s = profile.strategy(3).clone();
     s.insert(7);
     commit(&g, &mut profile, &mut ctx, 3, s);
-    for u in 0..n as NodeId {
-        if u != 3 {
-            assert!(
-                !ctx.br_cache(u).unwrap().memo_is_warm(),
-                "agent {u}'s memo must die with the committed insert"
-            );
-        }
-    }
+    let before = ctx.pricings();
     for u in 0..n as NodeId {
         let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
         let want = oracle_change(&g, &profile, u, RULE).is_none();
-        assert_eq!(got, want, "agent {u} diverged after the memo-killing delta");
-        assert!(ctx.br_cache(u).unwrap().memo_is_warm());
+        assert_eq!(got, want, "agent {u} diverged after the committed delta");
     }
+    assert_eq!(ctx.pricings() - before, n as u64);
 }
 
 /// Under the budget, removals stay stale (weaker pruning, never a wrong

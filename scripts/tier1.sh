@@ -24,6 +24,12 @@ cargo build --release
 echo "== cargo test" >&2
 cargo test -q
 
+echo "== e2ebench unit tests (its own cargo workspace)" >&2
+# e2ebench/ is a separate workspace, so the root build never compiles it:
+# without this step an engine API change could break the benchmark
+# unnoticed.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== rayon shim under an oversubscribed pool (GNCG_THREADS=4)" >&2
 # The pool tests must pass at a thread count above the core count: steals
 # and panic propagation still have to behave when workers outnumber CPUs.
@@ -88,10 +94,12 @@ GNCG_THREADS=1 swap_heavy_grid
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # Exact best responses priced off the persistent per-agent bound tables
-# (BrBoundCache): delta-maintained d0/B* vectors, stale-admissible
-# removals, memoized re-probes. The committed golden locks the cached
-# path's bytes at one pool thread and at four; debug builds check every
-# cached search against a fresh one.
+# (BrBoundCache): delta-maintained d0/B* vectors and stale-admissible
+# removals; a re-probe with no commit since the agent was last priced is
+# answered by the engine's pricing memo, which serves all three rules.
+# The committed golden locks the cached path's bytes at one pool thread
+# and at four; debug builds check every cached search against a fresh
+# one, and every memo hit against a fresh pricing.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
   GNCG_THREADS="$1" ./target/release/gncg grid \
@@ -101,6 +109,23 @@ br_grid() {
 }
 br_grid 1
 br_grid 4
+
+echo "== metered grid vs committed golden (54 cells, every rule x scheduler)" >&2
+# The per-round max-regret series of all three rules under all three
+# schedulers, pinned to one pool thread and at four: the pricing memo the
+# meter shares with activations, MaxGain and certification must never
+# move a result byte.
+meter_golden() {
+  rm -f target/tier1-meter-golden.jsonl target/tier1-meter-golden.manifest
+  GNCG_THREADS="$1" ./target/release/gncg grid \
+    --out target/tier1-meter-golden.jsonl \
+    --hosts r2,metric,clusters --n 12 --alpha 1.0,4.0 \
+    --rules greedy,add,br --scheds rr,maxgain,random \
+    --seed-count 1 --max-rounds 100 --regret-meter
+  cmp target/tier1-meter-golden.jsonl tests/golden/meter_n12.jsonl
+}
+meter_golden 1
+meter_golden 4
 
 echo "== horizon-policy grid vs committed golden (24 cells, n = 20)" >&2
 # Bounded-horizon pricing at n = 20 > PRICE_HORIZON, where the truncated

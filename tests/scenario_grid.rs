@@ -72,6 +72,37 @@ fn horizon_policy_grid_matches_committed_golden() {
     );
 }
 
+/// The regret meter against its committed golden: every rule under every
+/// scheduler, so the per-round max-regret series of all three rules and
+/// the memoized pricing the meter shares with activations, MaxGain and
+/// certification are part of the byte contract.
+#[test]
+fn regret_meter_grid_matches_committed_golden() {
+    let dir = tmp_dir();
+    let out = dir.join("meter.jsonl");
+    let spec = ScenarioSpec {
+        hosts: vec!["r2".into(), "metric".into(), "clusters".into()],
+        ns: vec![12],
+        alphas: vec![1.0, 4.0],
+        rules: vec![RuleSpec::Greedy, RuleSpec::Add, RuleSpec::Br],
+        schedulers: vec![SchedSpec::RoundRobin, SchedSpec::MaxGain, SchedSpec::Random],
+        seeds: vec![0],
+        max_rounds: 100,
+        regret_meter: true,
+        ..ScenarioSpec::default()
+    };
+    run_grid(&spec, &out, false).unwrap();
+    let got = fs::read_to_string(&out).unwrap();
+    let golden = fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/meter_n12.jsonl"),
+    )
+    .unwrap();
+    assert_eq!(
+        got, golden,
+        "metered grid drifted from the committed golden"
+    );
+}
+
 #[test]
 fn golden_jsonl_is_byte_identical_across_runs() {
     let dir = tmp_dir();
