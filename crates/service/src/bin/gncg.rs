@@ -6,11 +6,11 @@
 //! gncg opt       --host <key> --n <n> --alpha <α> [--seed <s>]
 //! gncg landscape --host <key> --n <n> --alpha <α> [--seed <s>]
 //! gncg analyze   --host <key> --n <n> --alpha <α> [--seed <s>]
-//! gncg grid      --out <file.jsonl> [--name <s>] [--hosts k1,k2] [--n n1,n2]
-//!                [--alpha a1,a2] [--rules r1,r2] [--scheds s1,s2]
+//! gncg grid      --out <file.jsonl> [--preset swap-heavy|large-n|br-grid] [--name <s>]
+//!                [--hosts k1,k2] [--n n1,n2] [--alpha a1,a2] [--rules r1,r2] [--scheds s1,s2]
 //!                [--seeds s1,s2 | --seed-count k] [--max-rounds <r>] [--base-seed <s>]
-//!                [--preset swap-heavy|large-n|br-grid] [--certify full|sampled|off] [--horizon]
-//!                [--regret-meter] [--checkpoint-every <k>] [--threads <k>]
+//!                [--certify full|sampled|off] [--horizon] [--regret-meter]
+//!                [--checkpoint-every <k>] [--threads <k>]
 //! gncg resume    --out <file.jsonl> [--threads <k>]
 //! gncg serve     [--addr host:port] [--workers k] [--threads k] [--queue-cap n] [--cache <file>]
 //!                [--cache-max <entries>] [--journal <file>] [--read-timeout-ms <ms>] [--write-timeout-ms <ms>]
@@ -40,7 +40,7 @@ use gncg_graph::SymMatrix;
 use gncg_service::json::Value;
 use gncg_service::{Client, RetryPolicy, Server, ServiceConfig};
 use gncg_suite::grid::{manifest_path, run_grid, GridSummary};
-use gncg_suite::scenario::{CertifyMode, RuleSpec, ScenarioSpec, SchedSpec};
+use gncg_suite::scenario::{FieldKind, RuleSpec, ScenarioSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -183,23 +183,36 @@ fn apply_threads(threads: Option<usize>) {
     }
 }
 
+/// The spec flags of `gncg grid` / `gncg submit`, each with the spec
+/// field it sets. A boolean field's flag is a switch that takes no value;
+/// a list field's value is comma-separated.
+const SPEC_FLAGS: [(&str, &str); 13] = [
+    ("--name", "name"),
+    ("--hosts", "hosts"),
+    ("--n", "ns"),
+    ("--alpha", "alphas"),
+    ("--rules", "rules"),
+    ("--scheds", "schedulers"),
+    ("--seeds", "seeds"),
+    ("--max-rounds", "max_rounds"),
+    ("--base-seed", "base_seed"),
+    ("--certify", "certify"),
+    ("--regret-meter", "regret_meter"),
+    ("--checkpoint-every", "checkpoint_every"),
+    ("--horizon", "horizon_pricing"),
+];
+
 /// Parses `gncg grid` / `gncg submit` flags (the service-only flags are
 /// accepted only when `allow_addr` — the `submit` form).
 fn parse_grid_spec(args: &[String], allow_addr: bool) -> GridCli {
     let mut spec = ScenarioSpec::default();
+    let mut spec_flag_seen = false;
     let mut out: Option<std::path::PathBuf> = None;
     let mut addr: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut retries: u32 = 0;
     let mut timeout_ms: Option<u64> = None;
     let mut threads: Option<usize> = None;
-    fn split_list<T>(value: &str, parse: impl Fn(&str) -> T) -> Vec<T> {
-        value
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| parse(s.trim()))
-            .collect()
-    }
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -224,38 +237,17 @@ fn parse_grid_spec(args: &[String], allow_addr: bool) -> GridCli {
                 threads = Some(parse_or_exit(&value(), "--threads takes a thread count"))
             }
             "--out" => out = Some(value().into()),
-            "--name" => spec.name = value(),
-            "--hosts" => spec.hosts = split_list(&value(), str::to_string),
-            "--n" => spec.ns = split_list(&value(), |s| parse_or_exit(s, "--n takes integers")),
-            "--alpha" => {
-                spec.alphas = split_list(&value(), |s| parse_or_exit(s, "--alpha takes floats"))
-            }
-            "--rules" => {
-                spec.rules = split_list(&value(), |s| {
-                    RuleSpec::parse(s).unwrap_or_else(|e| invalid(e))
-                })
-            }
-            "--scheds" => {
-                spec.schedulers = split_list(&value(), |s| {
-                    SchedSpec::parse(s).unwrap_or_else(|e| invalid(e))
-                })
-            }
-            "--seeds" => {
-                spec.seeds = split_list(&value(), |s| parse_or_exit(s, "--seeds takes integers"))
-            }
             "--seed-count" => {
                 let k: u64 = parse_or_exit(&value(), "--seed-count takes an integer");
                 spec.seeds = (0..k).collect();
+                spec_flag_seen = true;
             }
-            "--max-rounds" => {
-                spec.max_rounds = parse_or_exit(&value(), "--max-rounds takes an integer")
-            }
-            "--base-seed" => {
-                spec.base_seed = parse_or_exit(&value(), "--base-seed takes an integer")
-            }
-            // Presets replace the whole spec, so they belong *before* any
-            // per-axis override on the command line.
+            // A preset replaces the whole spec, so it must come before
+            // every other spec flag instead of silently overwriting them.
             "--preset" => {
+                if spec_flag_seen {
+                    invalid("--preset must precede every spec flag (it replaces the whole spec)");
+                }
                 spec = match value().as_str() {
                     "swap-heavy" => ScenarioSpec::swap_heavy(),
                     "large-n" => ScenarioSpec::large_n(),
@@ -263,18 +255,20 @@ fn parse_grid_spec(args: &[String], allow_addr: bool) -> GridCli {
                     other => invalid(format_args!(
                         "unknown preset '{other}' (use swap-heavy|large-n|br-grid)"
                     )),
-                }
+                };
+                spec_flag_seen = true;
             }
-            "--certify" => {
-                spec.certify = CertifyMode::parse(&value()).unwrap_or_else(|e| invalid(e))
+            other => {
+                let Some(&(_, key)) = SPEC_FLAGS.iter().find(|(f, _)| *f == other) else {
+                    invalid(format_args!("unknown flag: {other}"));
+                };
+                let switch =
+                    ScenarioSpec::default_field(key).is_ok_and(|f| f.kind == FieldKind::Bool);
+                let text = if switch { "true".to_string() } else { value() };
+                spec.set_field_text(key, &text)
+                    .unwrap_or_else(|e| invalid(format_args!("{flag}: {e}")));
+                spec_flag_seen = true;
             }
-            "--horizon" => spec.horizon_pricing = true,
-            "--regret-meter" => spec.regret_meter = true,
-            "--checkpoint-every" => {
-                spec.checkpoint_every =
-                    parse_or_exit(&value(), "--checkpoint-every takes a round count")
-            }
-            other => invalid(format_args!("unknown flag: {other}")),
         }
     }
     let out = out.unwrap_or_else(|| invalid("grid/submit require --out <file.jsonl>"));
@@ -1033,10 +1027,11 @@ fn usage_and_exit() -> ! {
          \n\
          instance commands: [--host <key>] [--n N] [--alpha A] [--seed S]\n\
          \x20                  [--rule br|greedy|add] [--max-rounds R]\n\
-         grid:  --out results.jsonl [--hosts k1,k2] [--n n1,n2] [--alpha a1,a2]\n\
+         grid:  --out results.jsonl [--preset swap-heavy|large-n|br-grid] (preset first)\n\
+         \x20      [--name S] [--hosts k1,k2] [--n n1,n2] [--alpha a1,a2]\n\
          \x20      [--rules r1,r2] [--scheds rr,random,maxgain]\n\
          \x20      [--seeds s1,s2 | --seed-count K] [--max-rounds R] [--base-seed S]\n\
-         \x20      [--preset swap-heavy|large-n|br-grid] [--certify full|sampled|off] [--horizon]\n\
+         \x20      [--certify full|sampled|off] [--horizon]\n\
          \x20      [--regret-meter] [--checkpoint-every K] [--threads K]\n\
          resume: --out results.jsonl [--threads K]   (spec is read back from the manifest)\n\
          \n\

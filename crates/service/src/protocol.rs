@@ -29,9 +29,18 @@
 //! {"op":"shutdown","drain":true}
 //! ```
 //!
-//! Spec members mirror [`ScenarioSpec`]; absent members take the spec
-//! defaults ([`ScenarioSpec::default`]), so `{"op":"submit","spec":{}}`
-//! is a valid one-cell submission. A submit may additionally carry
+//! Spec members are the rows of the spec field table
+//! ([`ScenarioSpec::fields`]): the manifest's keys, with the same names,
+//! the JSON types of the rows' kinds, and the same defaults (the README's
+//! spec-key table lists them). Absent members take the defaults
+//! ([`ScenarioSpec::default`]), so `{"op":"submit","spec":{}}` is a valid
+//! one-cell submission. An unknown member (a misspelled `"horizon"`) or a
+//! member of the wrong JSON type (`"horizon_pricing":"true"`) is
+//! rejected, so a typo fails the submit instead of silently running the
+//! grid without the option. The opt-in members `regret_meter`,
+//! `checkpoint_every` and `horizon_pricing` are sent only when
+//! non-default, so default submits keep their historical bytes. The job
+//! journal stores the same spec object. A submit may additionally carry
 //! `"deadline_ms":N` — a wall-clock budget for the whole job, after
 //! which the daemon expires it (state `"expired"`, streams receive an
 //! error footer). The deadline lives in the *protocol*, not the spec:
@@ -74,7 +83,7 @@
 //! many workers. Every cell line carries its `"cell"` index, so clients
 //! re-sort on receipt; the re-sorted bytes equal a `stream` response's.
 
-use gncg_suite::scenario::{CertifyMode, RuleSpec, ScenarioSpec, SchedSpec};
+use gncg_suite::scenario::{Field, FieldKind, ScenarioSpec};
 
 use crate::json::{escape, parse, Value};
 
@@ -192,19 +201,15 @@ impl Request {
     /// Serializes the request as its wire line (no trailing newline).
     pub fn to_line(&self) -> String {
         match self {
-            Request::Submit {
-                spec,
-                deadline_ms: None,
-            } => {
-                format!("{{\"op\":\"submit\",\"spec\":{}}}", spec_to_json(spec))
+            Request::Submit { spec, deadline_ms } => {
+                let spec = spec_to_json(spec);
+                match deadline_ms {
+                    None => format!("{{\"op\":\"submit\",\"spec\":{spec}}}"),
+                    Some(ms) => {
+                        format!("{{\"op\":\"submit\",\"spec\":{spec},\"deadline_ms\":{ms}}}")
+                    }
+                }
             }
-            Request::Submit {
-                spec,
-                deadline_ms: Some(ms),
-            } => format!(
-                "{{\"op\":\"submit\",\"spec\":{},\"deadline_ms\":{ms}}}",
-                spec_to_json(spec)
-            ),
             Request::Status { job: Some(j) } => format!("{{\"op\":\"status\",\"job\":{j}}}"),
             Request::Status { job: None } => "{\"op\":\"status\"}".into(),
             Request::Stream { job } => format!("{{\"op\":\"stream\",\"job\":{job}}}"),
@@ -221,141 +226,72 @@ impl Request {
     }
 }
 
-/// Serializes a spec as the protocol's `"spec"` object (round-trips
+/// Serializes a spec as the protocol's `"spec"` object: one member per
+/// emitted [`ScenarioSpec::fields`] row, in table order (round-trips
 /// exactly through [`spec_from_value`]).
 pub fn spec_to_json(spec: &ScenarioSpec) -> String {
-    let strings = |xs: &[String]| -> String {
-        let quoted: Vec<String> = xs.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-        format!("[{}]", quoted.join(","))
+    let members: Vec<String> = spec
+        .fields()
+        .iter()
+        .filter(|f| f.emit)
+        .map(|f| format!("\"{}\":{}", f.key, value_json(f)))
+        .collect();
+    format!("{{{}}}", members.join(","))
+}
+
+/// A field's value as JSON: its tokens, quoted when strings, in an array
+/// when the field is a list.
+fn value_json(f: &Field) -> String {
+    let quote = |t: &String| format!("\"{}\"", escape(t));
+    let body = match f.kind {
+        FieldKind::Str => f.tokens.iter().map(quote).collect::<Vec<_>>().join(","),
+        FieldKind::Num | FieldKind::Bool => f.tokens.join(","),
     };
-    let mut base = format!(
-        "{{\"name\":\"{}\",\"hosts\":{},\"ns\":[{}],\"alphas\":[{}],\"rules\":{},\"schedulers\":{},\"seeds\":[{}],\"max_rounds\":{},\"base_seed\":{},\"certify\":\"{}\"}}",
-        escape(&spec.name),
-        strings(&spec.hosts),
-        spec.ns
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        spec.alphas
-            .iter()
-            .map(|a| format!("{a:?}"))
-            .collect::<Vec<_>>()
-            .join(","),
-        strings(&spec.rules.iter().map(|r| r.key().to_string()).collect::<Vec<_>>()),
-        strings(
-            &spec
-                .schedulers
-                .iter()
-                .map(|s| s.key().to_string())
-                .collect::<Vec<_>>()
-        ),
-        spec.seeds
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        spec.max_rounds,
-        spec.base_seed,
-        spec.certify.key(),
-    );
-    // Opt-in members ride along only when non-default, so default
-    // submits keep their historical wire bytes (mirrors the manifest's
-    // schema gating).
-    if spec.observability_on() || spec.horizon_pricing {
-        base.truncate(base.len() - 1);
-        if spec.regret_meter {
-            base.push_str(",\"regret_meter\":true");
-        }
-        if spec.checkpoint_every != 0 {
-            base.push_str(&format!(",\"checkpoint_every\":{}", spec.checkpoint_every));
-        }
-        if spec.horizon_pricing {
-            base.push_str(",\"horizon_pricing\":true");
-        }
-        base.push('}');
+    if f.list {
+        format!("[{body}]")
+    } else {
+        body
     }
-    base
 }
 
 /// Builds a [`ScenarioSpec`] from the protocol's `"spec"` object. Absent
-/// members keep the [`ScenarioSpec::default`] values; the result is
-/// validated exactly as the offline pipeline validates it.
+/// members keep the [`ScenarioSpec::default`] values; unknown members and
+/// members of the wrong JSON type are rejected; the result is validated
+/// exactly as the offline pipeline validates it.
 pub fn spec_from_value(v: &Value) -> Result<ScenarioSpec, String> {
-    if !matches!(v, Value::Obj(_)) {
+    let Value::Obj(members) = v else {
         return Err("\"spec\" must be an object".into());
-    }
-    let mut spec = ScenarioSpec::default();
-    let list = |v: &Value, what: &str| -> Result<Vec<Value>, String> {
-        v.as_arr()
-            .map(<[Value]>::to_vec)
-            .ok_or(format!("\"{what}\" must be an array"))
     };
-    if let Some(x) = v.get("name") {
-        spec.name = x.as_str().ok_or("\"name\" must be a string")?.to_string();
-    }
-    if let Some(x) = v.get("hosts") {
-        spec.hosts = list(x, "hosts")?
-            .iter()
-            .map(|h| {
-                h.as_str()
-                    .map(str::to_string)
-                    .ok_or("host keys must be strings".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(x) = v.get("ns") {
-        spec.ns = list(x, "ns")?
-            .iter()
-            .map(|n| n.as_usize().ok_or("\"ns\" entries must be integers"))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(x) = v.get("alphas") {
-        spec.alphas = list(x, "alphas")?
-            .iter()
-            .map(|a| a.as_f64().ok_or("\"alphas\" entries must be numbers"))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(x) = v.get("rules") {
-        spec.rules = list(x, "rules")?
-            .iter()
-            .map(|r| RuleSpec::parse(r.as_str().ok_or("rules must be strings")?))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(x) = v.get("schedulers") {
-        spec.schedulers = list(x, "schedulers")?
-            .iter()
-            .map(|s| SchedSpec::parse(s.as_str().ok_or("schedulers must be strings")?))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(x) = v.get("seeds") {
-        spec.seeds = list(x, "seeds")?
-            .iter()
-            .map(|s| s.as_u64().ok_or("\"seeds\" entries must be u64"))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(x) = v.get("max_rounds") {
-        spec.max_rounds = x.as_usize().ok_or("\"max_rounds\" must be an integer")?;
-    }
-    if let Some(x) = v.get("base_seed") {
-        spec.base_seed = x.as_u64().ok_or("\"base_seed\" must be a u64")?;
-    }
-    if let Some(x) = v.get("certify") {
-        spec.certify = CertifyMode::parse(x.as_str().ok_or("\"certify\" must be a string")?)?;
-    }
-    if let Some(x) = v.get("regret_meter") {
-        spec.regret_meter = x.as_bool().ok_or("\"regret_meter\" must be a boolean")?;
-    }
-    if let Some(x) = v.get("checkpoint_every") {
-        spec.checkpoint_every = x
-            .as_usize()
-            .ok_or("\"checkpoint_every\" must be an integer")?;
-    }
-    if let Some(x) = v.get("horizon_pricing") {
-        spec.horizon_pricing = x.as_bool().ok_or("\"horizon_pricing\" must be a boolean")?;
+    let mut spec = ScenarioSpec::default();
+    for (key, value) in members {
+        let row = ScenarioSpec::default_field(key)?;
+        spec.set_field(key, &wire_tokens(row, value)?)?;
     }
     spec.validate()?;
     Ok(spec)
+}
+
+/// The text tokens of a member value of field `row`, or an error naming
+/// the row's JSON shape (its default value) when the value has another:
+/// a `"true"` string is not a boolean, and a bare number is not an array.
+fn wire_tokens<'a>(row: &Field, value: &'a Value) -> Result<Vec<&'a str>, String> {
+    let token = |x: &'a Value| match (row.kind, x) {
+        (FieldKind::Str, Value::Str(t)) | (FieldKind::Num, Value::Num(t)) => Some(t.as_str()),
+        (FieldKind::Bool, Value::Bool(b)) => Some(if *b { "true" } else { "false" }),
+        _ => None,
+    };
+    let tokens = match (row.list, value) {
+        (true, Value::Arr(items)) => items.iter().map(token).collect(),
+        (false, x) => token(x).map(|t| vec![t]),
+        (true, _) => None,
+    };
+    tokens.ok_or_else(|| {
+        format!(
+            "\"{}\" must be JSON shaped like {}",
+            row.key,
+            value_json(row)
+        )
+    })
 }
 
 /// Builds the standard error line.
@@ -373,6 +309,7 @@ pub fn is_control_line(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gncg_suite::scenario::{CertifyMode, RuleSpec, SchedSpec};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -478,6 +415,14 @@ mod tests {
             r#"{"op":"submit","spec":{"hosts":["bogus-factory"]}}"#,
             r#"{"op":"submit","spec":{"ns":[0]}}"#,
             r#"{"op":"submit","spec":{"alphas":[]}}"#,
+            // Misspelled members must not be silently ignored.
+            r#"{"op":"submit","spec":{"hosts":["unit"],"ns":[4],"horizon":true}}"#,
+            r#"{"op":"submit","spec":{"hosts":["unit"],"ns":[4],"regret-meter":true}}"#,
+            // Members of the wrong JSON type are rejected, not coerced.
+            r#"{"op":"submit","spec":{"horizon_pricing":"true"}}"#,
+            r#"{"op":"submit","spec":{"max_rounds":"5"}}"#,
+            r#"{"op":"submit","spec":{"ns":4}}"#,
+            r#"{"op":"submit","spec":{"name":["g"]}}"#,
             r#"{"op":"submit","spec":{},"deadline_ms":"soon"}"#,
             r#"{"op":"submit","spec":{},"deadline_ms":-5}"#,
             r#"{"op":"shutdown","drain":"yes"}"#,

@@ -126,6 +126,97 @@ fn cli_certify_flag_lands_in_manifest_and_output() {
         .output()
         .unwrap();
     assert_eq!(out_cmd.status.code(), Some(2));
+
+    // Every spec flag lands in the manifest: the written text equals the
+    // manifest of the spec the flags spell out, opt-in keys included.
+    let all = dir.join("every-flag.jsonl");
+    let status = gncg()
+        .args([
+            "grid",
+            "--out",
+            all.to_str().unwrap(),
+            "--name",
+            "every flag",
+            "--hosts",
+            "unit,onetwo",
+            "--n",
+            "5",
+            "--alpha",
+            "0.5,2.0",
+            "--rules",
+            "add",
+            "--scheds",
+            "random,maxgain",
+            "--seeds",
+            "3",
+            "--max-rounds",
+            "50",
+            "--base-seed",
+            "11",
+            "--certify",
+            "sampled",
+            "--horizon",
+            "--regret-meter",
+            "--checkpoint-every",
+            "2",
+        ])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let spec = ScenarioSpec {
+        name: "every flag".into(),
+        hosts: vec!["unit".into(), "onetwo".into()],
+        ns: vec![5],
+        alphas: vec![0.5, 2.0],
+        rules: vec![RuleSpec::Add],
+        schedulers: vec![SchedSpec::Random, SchedSpec::MaxGain],
+        seeds: vec![3],
+        max_rounds: 50,
+        base_seed: 11,
+        certify: CertifyMode::Sampled,
+        regret_meter: true,
+        checkpoint_every: 2,
+        horizon_pricing: true,
+    };
+    assert_eq!(
+        fs::read_to_string(manifest_path(&all)).unwrap(),
+        spec.to_manifest()
+    );
+
+    // Spec flags after a preset override its axes.
+    let preset = dir.join("preset-then-flags.jsonl");
+    let status = gncg()
+        .args([
+            "grid",
+            "--out",
+            preset.to_str().unwrap(),
+            "--preset",
+            "swap-heavy",
+        ])
+        .args([
+            "--hosts",
+            "unit",
+            "--n",
+            "6",
+            "--alpha",
+            "2.0",
+            "--seed-count",
+            "1",
+        ])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let spec = ScenarioSpec {
+        hosts: vec!["unit".into()],
+        ns: vec![6],
+        alphas: vec![2.0],
+        seeds: vec![0],
+        ..ScenarioSpec::swap_heavy()
+    };
+    assert_eq!(
+        fs::read_to_string(manifest_path(&preset)).unwrap(),
+        spec.to_manifest()
+    );
 }
 
 #[test]
@@ -144,6 +235,31 @@ fn cli_exit_codes_are_scriptable() {
         vec!["tail", "--addr", "127.0.0.1:1", "--out", "x.jsonl"], // missing --job
         vec!["tail", "--addr", "127.0.0.1:1", "--job", "1"], // missing --out
         vec![],
+        // A preset after a spec flag would silently overwrite it.
+        vec![
+            "grid",
+            "--out",
+            "x.jsonl",
+            "--n",
+            "5",
+            "--max-rounds",
+            "7",
+            "--preset",
+            "br-grid",
+        ],
+        vec![
+            "grid",
+            "--out",
+            "x.jsonl",
+            "--seed-count",
+            "2",
+            "--preset",
+            "large-n",
+        ],
+        vec![
+            "grid", "--out", "x.jsonl", "--preset", "large-n", "--preset", "br-grid",
+        ],
+        vec!["grid", "--out", "x.jsonl", "--n", "five"], // bad field value
     ] {
         let out = gncg().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {args:?}");

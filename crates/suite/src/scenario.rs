@@ -16,6 +16,8 @@
 //! **excluded** from the JSONL line for exactly this reason.
 
 use std::collections::BTreeSet;
+use std::str::FromStr;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use gncg_core::{cost, equilibrium, Game, NodeId, Profile};
@@ -257,8 +259,6 @@ impl ScenarioSpec {
             schedulers: vec![SchedSpec::RoundRobin],
             seeds: vec![0, 1, 2, 3],
             max_rounds: 500,
-            base_seed: 0,
-            certify: CertifyMode::Full,
             ..ScenarioSpec::default()
         }
     }
@@ -283,7 +283,6 @@ impl ScenarioSpec {
             schedulers: vec![SchedSpec::RoundRobin],
             seeds: vec![0],
             max_rounds: 3,
-            base_seed: 0,
             certify: CertifyMode::Sampled,
             horizon_pricing: true,
             ..ScenarioSpec::default()
@@ -308,8 +307,6 @@ impl ScenarioSpec {
             schedulers: vec![SchedSpec::RoundRobin],
             seeds: vec![0, 1],
             max_rounds: 60,
-            base_seed: 0,
-            certify: CertifyMode::Full,
             ..ScenarioSpec::default()
         }
     }
@@ -318,6 +315,184 @@ impl ScenarioSpec {
     /// trigger for manifests, cell lines, and digests.
     pub fn observability_on(&self) -> bool {
         self.regret_meter || self.checkpoint_every != 0
+    }
+}
+
+/// The JSON type of a spec field's values on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FieldKind {
+    /// JSON strings.
+    Str,
+    /// JSON numbers (kept as their raw token text).
+    Num,
+    /// JSON booleans.
+    Bool,
+}
+
+/// One row of the spec field table ([`ScenarioSpec::fields`]): a field's
+/// value rendered to text tokens, tagged with what every codec needs.
+/// The manifest writes `key=tokens` (comma-joined), the wire writes
+/// `"key":` and the tokens typed by `kind` (in an array when `list`), and
+/// both skip rows with `emit` unset.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Field {
+    /// Manifest key, which is also the wire member name.
+    pub key: &'static str,
+    /// Wire type of each token.
+    pub kind: FieldKind,
+    /// A list (JSON array, comma-separated in the manifest and on the
+    /// CLI) rather than a scalar (exactly one token).
+    pub list: bool,
+    /// Whether the codecs write the field: always, except for the opt-in
+    /// fields, which are written only when non-default.
+    pub emit: bool,
+    /// The value as text: one token per list element, floats in
+    /// shortest round-trip form.
+    pub tokens: Vec<String>,
+}
+
+impl Field {
+    fn list(key: &'static str, kind: FieldKind, tokens: Vec<String>) -> Field {
+        Field {
+            key,
+            kind,
+            list: true,
+            emit: true,
+            tokens,
+        }
+    }
+
+    fn scalar(key: &'static str, kind: FieldKind, token: String) -> Field {
+        Field {
+            list: false,
+            ..Field::list(key, kind, vec![token])
+        }
+    }
+
+    /// Emits the field only when `on`: default (opt-out) specs keep their
+    /// historical manifest and wire bytes, and a build that predates the
+    /// field rejects its key instead of silently running without it.
+    fn opt_in(self, on: bool) -> Field {
+        Field { emit: on, ..self }
+    }
+}
+
+impl ScenarioSpec {
+    /// The spec field table: every field rendered to text tokens, in
+    /// manifest and wire order. The manifest ([`ScenarioSpec::to_manifest`])
+    /// and the service's wire and journal codec are loops over these
+    /// rows; [`ScenarioSpec::set_field`] parses them back.
+    pub fn fields(&self) -> Vec<Field> {
+        use FieldKind::{Bool, Num, Str};
+        // `{:?}` is plain decimal for integers and the shortest
+        // round-trip form for floats.
+        fn text<T: std::fmt::Debug>(xs: &[T]) -> Vec<String> {
+            xs.iter().map(|x| format!("{x:?}")).collect()
+        }
+        // Exhaustive on purpose: a new spec field does not compile until
+        // it has a row here (and a parse arm in `set_field`).
+        let ScenarioSpec {
+            name,
+            hosts,
+            ns,
+            alphas,
+            rules,
+            schedulers,
+            seeds,
+            max_rounds,
+            base_seed,
+            certify,
+            regret_meter,
+            checkpoint_every,
+            horizon_pricing,
+        } = self;
+        vec![
+            Field::scalar("name", Str, name.clone()),
+            Field::list("hosts", Str, hosts.clone()),
+            Field::list("ns", Num, text(ns)),
+            Field::list("alphas", Num, text(alphas)),
+            Field::list("rules", Str, rules.iter().map(|r| r.key().into()).collect()),
+            Field::list(
+                "schedulers",
+                Str,
+                schedulers.iter().map(|s| s.key().into()).collect(),
+            ),
+            Field::list("seeds", Num, text(seeds)),
+            Field::scalar("max_rounds", Num, max_rounds.to_string()),
+            Field::scalar("base_seed", Num, base_seed.to_string()),
+            Field::scalar("certify", Str, certify.key().into()),
+            Field::scalar("regret_meter", Bool, regret_meter.to_string()).opt_in(*regret_meter),
+            Field::scalar("checkpoint_every", Num, checkpoint_every.to_string())
+                .opt_in(*checkpoint_every != 0),
+            Field::scalar("horizon_pricing", Bool, horizon_pricing.to_string())
+                .opt_in(*horizon_pricing),
+        ]
+    }
+
+    /// The default spec's row for `key` — its kind, list-ness and default
+    /// tokens — from a table rendered once, so parsers look keys up
+    /// without rendering. Unknown keys are an error.
+    pub fn default_field(key: &str) -> Result<&'static Field, String> {
+        static DEFAULTS: OnceLock<Vec<Field>> = OnceLock::new();
+        DEFAULTS
+            .get_or_init(|| ScenarioSpec::default().fields())
+            .iter()
+            .find(|f| f.key == key)
+            .ok_or_else(|| format!("unknown spec key '{key}'"))
+    }
+
+    /// Sets field `key` from its text tokens (the inverse of its
+    /// [`ScenarioSpec::fields`] row). Rejects unknown keys, a scalar given
+    /// other than one token, and tokens that do not parse; tokens are
+    /// taken verbatim.
+    pub fn set_field(&mut self, key: &str, tokens: &[&str]) -> Result<(), String> {
+        let row = ScenarioSpec::default_field(key)?;
+        if !row.list && tokens.len() != 1 {
+            return Err(format!("spec key '{key}' takes one value"));
+        }
+        fn parsed<T: FromStr>(token: &str) -> Result<T, String> {
+            token.parse().map_err(|_| format!("cannot parse '{token}'"))
+        }
+        fn each<T>(tokens: &[&str], f: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+            tokens.iter().map(|t| f(t)).collect()
+        }
+        let one = tokens.first().copied().unwrap_or_default();
+        let mut assign = || -> Result<(), String> {
+            match key {
+                "name" => self.name = one.to_string(),
+                "hosts" => self.hosts = tokens.iter().map(|t| t.to_string()).collect(),
+                "ns" => self.ns = each(tokens, parsed)?,
+                "alphas" => self.alphas = each(tokens, parsed)?,
+                "rules" => self.rules = each(tokens, RuleSpec::parse)?,
+                "schedulers" => self.schedulers = each(tokens, SchedSpec::parse)?,
+                "seeds" => self.seeds = each(tokens, parsed)?,
+                "max_rounds" => self.max_rounds = parsed(one)?,
+                "base_seed" => self.base_seed = parsed(one)?,
+                "certify" => self.certify = CertifyMode::parse(one)?,
+                "regret_meter" => self.regret_meter = parsed(one)?,
+                "checkpoint_every" => self.checkpoint_every = parsed(one)?,
+                "horizon_pricing" => self.horizon_pricing = parsed(one)?,
+                _ => return Err("the field has a row but no parse arm".into()),
+            }
+            Ok(())
+        };
+        assign().map_err(|e| format!("bad {key}: {e}"))
+    }
+
+    /// Sets field `key` from its manifest or CLI text: a list field's
+    /// value is split on commas (elements trimmed, empty ones dropped); a
+    /// scalar's is taken verbatim, so names round-trip exactly.
+    pub fn set_field_text(&mut self, key: &str, value: &str) -> Result<(), String> {
+        if ScenarioSpec::default_field(key)?.list {
+            let tokens: Vec<&str> = value
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .collect();
+            self.set_field(key, &tokens)
+        } else {
+            self.set_field(key, &[value])
+        }
     }
 }
 
@@ -353,17 +528,13 @@ pub struct Cell {
 }
 
 impl ScenarioSpec {
-    /// Number of cells the spec expands to. Panics on overflow in debug;
-    /// validated specs are always in range ([`ScenarioSpec::validate`]
-    /// rejects specs whose product overflows via
+    /// Number of cells the spec expands to. Panics on overflow, which
+    /// validated specs never reach ([`ScenarioSpec::validate`] rejects
+    /// specs whose product overflows via
     /// [`ScenarioSpec::checked_cell_count`]).
     pub fn cell_count(&self) -> usize {
-        self.hosts.len()
-            * self.ns.len()
-            * self.alphas.len()
-            * self.rules.len()
-            * self.schedulers.len()
-            * self.seeds.len()
+        self.checked_cell_count()
+            .expect("spec cell count overflows (validate the spec first)")
     }
 
     /// [`ScenarioSpec::cell_count`] with overflow detection — what
@@ -460,97 +631,31 @@ impl ScenarioSpec {
         cells
     }
 
-    /// Serializes the spec as the resume manifest (stable `key=value`
-    /// lines; [`ScenarioSpec::from_manifest`] round-trips it exactly).
+    /// Serializes the spec as the resume manifest: a `schema` line, then
+    /// one stable `key=value` line per emitted [`ScenarioSpec::fields`]
+    /// row ([`ScenarioSpec::from_manifest`] round-trips it exactly).
     pub fn to_manifest(&self) -> String {
-        let mut s = String::new();
         // Meter-off specs keep emitting schema 1 byte for byte; only
-        // opted-in observability bumps the version (and appends its keys
-        // below), so historical manifests never change under this build.
+        // opted-in observability bumps the version, so historical
+        // manifests never change under this build.
         let schema = if self.observability_on() {
             SCHEMA_VERSION_OBSERVABILITY
         } else {
             SCHEMA_VERSION
         };
-        s.push_str(&format!("schema={schema}\n"));
-        s.push_str(&format!("name={}\n", self.name));
-        s.push_str(&format!("hosts={}\n", self.hosts.join(",")));
-        s.push_str(&format!(
-            "ns={}\n",
-            self.ns
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!(
-            "alphas={}\n",
-            self.alphas
-                .iter()
-                .map(|a| format!("{a:?}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!(
-            "rules={}\n",
-            self.rules
-                .iter()
-                .map(|r| r.key())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!(
-            "schedulers={}\n",
-            self.schedulers
-                .iter()
-                .map(|r| r.key())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!(
-            "seeds={}\n",
-            self.seeds
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        s.push_str(&format!("max_rounds={}\n", self.max_rounds));
-        s.push_str(&format!("base_seed={}\n", self.base_seed));
-        s.push_str(&format!("certify={}\n", self.certify.key()));
-        if self.regret_meter {
-            s.push_str("regret_meter=true\n");
-        }
-        if self.checkpoint_every != 0 {
-            s.push_str(&format!("checkpoint_every={}\n", self.checkpoint_every));
-        }
-        // Emitted only when on: historical (full-sum) manifests keep
-        // their exact bytes, and pre-horizon builds reject a key they
-        // cannot honor instead of silently re-running with the wrong
-        // pricing policy.
-        if self.horizon_pricing {
-            s.push_str("horizon_pricing=true\n");
+        let mut s = format!("schema={schema}\n");
+        for f in self.fields().into_iter().filter(|f| f.emit) {
+            s.push_str(&format!("{}={}\n", f.key, f.tokens.join(",")));
         }
         s
     }
 
-    /// Parses a manifest produced by [`ScenarioSpec::to_manifest`].
+    /// Parses a manifest produced by [`ScenarioSpec::to_manifest`]. Keys
+    /// a manifest lacks keep their [`ScenarioSpec::default`] values, as on
+    /// the wire: older manifests predate `certify` and the opt-in keys,
+    /// and the defaults are what those grids ran with.
     pub fn from_manifest(text: &str) -> Result<ScenarioSpec, String> {
-        let mut spec = ScenarioSpec {
-            name: String::new(),
-            hosts: Vec::new(),
-            ns: Vec::new(),
-            alphas: Vec::new(),
-            rules: Vec::new(),
-            schedulers: Vec::new(),
-            seeds: Vec::new(),
-            max_rounds: 0,
-            base_seed: 0,
-            certify: CertifyMode::Full,
-            regret_meter: false,
-            checkpoint_every: 0,
-            horizon_pricing: false,
-        };
+        let mut spec = ScenarioSpec::default();
         for raw in text.lines() {
             // Trim only line endings and for blank/comment detection; the
             // *value* is kept verbatim so names round-trip exactly.
@@ -561,74 +666,17 @@ impl ScenarioSpec {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("manifest line without '=': {line}"))?;
-            fn list<T, E: std::fmt::Display>(
-                value: &str,
-                parse: impl Fn(&str) -> Result<T, E>,
-            ) -> Result<Vec<T>, String> {
-                value
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| parse(s.trim()).map_err(|e| e.to_string()))
-                    .collect()
+            let key = key.trim();
+            if key != "schema" {
+                spec.set_field_text(key, value)?;
+                continue;
             }
-            match key.trim() {
-                "schema" => {
-                    let v: u32 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| "bad schema version".to_string())?;
-                    if v != SCHEMA_VERSION && v != SCHEMA_VERSION_OBSERVABILITY {
-                        return Err(format!(
-                            "manifest schema {v} unsupported (this build speaks \
-                             {SCHEMA_VERSION} and {SCHEMA_VERSION_OBSERVABILITY})"
-                        ));
-                    }
-                }
-                "name" => spec.name = value.to_string(),
-                "hosts" => spec.hosts = list(value, |s| Ok::<_, String>(s.to_string()))?,
-                "ns" => spec.ns = list(value, str::parse::<usize>)?,
-                "alphas" => spec.alphas = list(value, str::parse::<f64>)?,
-                "rules" => spec.rules = list(value, RuleSpec::parse)?,
-                "schedulers" => spec.schedulers = list(value, SchedSpec::parse)?,
-                "seeds" => spec.seeds = list(value, str::parse::<u64>)?,
-                "max_rounds" => {
-                    spec.max_rounds = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| "bad max_rounds".to_string())?
-                }
-                "base_seed" => {
-                    spec.base_seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| "bad base_seed".to_string())?
-                }
-                // Absent in pre-certify manifests: the default (full)
-                // matches what those grids ran with.
-                "certify" => spec.certify = CertifyMode::parse(value.trim())?,
-                // Absent in schema-1 manifests: both default to off,
-                // matching what those grids ran with.
-                "regret_meter" => {
-                    spec.regret_meter = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| "bad regret_meter (use true|false)".to_string())?
-                }
-                "checkpoint_every" => {
-                    spec.checkpoint_every = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| "bad checkpoint_every".to_string())?
-                }
-                // Absent in pre-horizon manifests: full-sum pricing is
-                // what those grids ran with.
-                "horizon_pricing" => {
-                    spec.horizon_pricing = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| "bad horizon_pricing (use true|false)".to_string())?
-                }
-                other => return Err(format!("unknown manifest key '{other}'")),
+            let v = value.trim();
+            if !matches!(v.parse(), Ok(SCHEMA_VERSION | SCHEMA_VERSION_OBSERVABILITY)) {
+                return Err(format!(
+                    "manifest schema '{v}' unsupported (this build speaks \
+                     {SCHEMA_VERSION} and {SCHEMA_VERSION_OBSERVABILITY})"
+                ));
             }
         }
         spec.validate()?;
@@ -904,39 +952,57 @@ fn sampled_agents(n: usize, cell_seed: u64) -> Vec<NodeId> {
 
 /// Content address of a cell: a splitmix64-chained digest over **every**
 /// field that determines its result bytes (host key, n, α bits, rule,
-/// scheduler, raw seed, derived cell seed, round cap, certify mode —
-/// everything except the positional `index`, which callers re-stamp when
-/// serving a cached line). Equal digests ⇒ byte-identical
-/// [`CellResult::to_jsonl`] output up to the `cell` field, which is what
-/// the service's result cache keys on.
+/// scheduler, raw seed, derived cell seed, round cap, certify mode, and —
+/// only when non-default — the regret meter, checkpoint cadence and
+/// horizon pricing; everything except the positional `index`, which
+/// callers re-stamp when serving a cached line). Equal digests ⇒
+/// byte-identical [`CellResult::to_jsonl`] output up to the `cell` field,
+/// which is what the service's result cache keys on.
 pub fn cell_digest(cell: &Cell) -> u64 {
+    // Exhaustive on purpose: a new cell field does not compile until
+    // someone decides whether the digest mixes it.
+    let Cell {
+        index: _,
+        host,
+        n,
+        alpha,
+        rule,
+        scheduler,
+        seed,
+        cell_seed,
+        max_rounds,
+        certify,
+        regret_meter,
+        checkpoint_every,
+        horizon_pricing,
+    } = cell;
     let mut h: u64 = 0x6763_6763_6E63_6731; // "gcgcncg1": domain tag
     let mut mix = |word: u64| h = splitmix64(h ^ word);
-    mix(cell.host.len() as u64);
-    for chunk in cell.host.as_bytes().chunks(8) {
+    mix(host.len() as u64);
+    for chunk in host.as_bytes().chunks(8) {
         let mut w = [0u8; 8];
         w[..chunk.len()].copy_from_slice(chunk);
         mix(u64::from_le_bytes(w));
     }
-    mix(cell.n as u64);
-    mix(cell.alpha.to_bits());
-    mix(cell.rule as u64);
-    mix(cell.scheduler as u64);
-    mix(cell.seed);
-    mix(cell.cell_seed);
-    mix(cell.max_rounds as u64);
-    mix(cell.certify as u64);
+    mix(*n as u64);
+    mix(alpha.to_bits());
+    mix(*rule as u64);
+    mix(*scheduler as u64);
+    mix(*seed);
+    mix(*cell_seed);
+    mix(*max_rounds as u64);
+    mix(*certify as u64);
     // Observability fields join the digest only when non-default, so
     // every pre-observability digest (and any cached line keyed on one)
     // is unchanged by this build.
-    if cell.regret_meter || cell.checkpoint_every != 0 {
+    if *regret_meter || *checkpoint_every != 0 {
         mix(0x6F62_7332_6763_6763); // "obs2gcgc": sub-domain tag
-        mix(cell.regret_meter as u64);
-        mix(cell.checkpoint_every as u64);
+        mix(*regret_meter as u64);
+        mix(*checkpoint_every as u64);
     }
     // Same gating for the pricing policy: only horizon cells mix the tag,
     // so every full-sum digest (and cached line keyed on one) survives.
-    if cell.horizon_pricing {
+    if *horizon_pricing {
         mix(0x686F_727A_6763_6763); // "horzgcgc": sub-domain tag
     }
     h

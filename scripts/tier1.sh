@@ -139,6 +139,19 @@ rm -f target/tier1-horizon.jsonl target/tier1-horizon.manifest
   --rules greedy,add --scheds rr --seeds 0,1 --max-rounds 500 --base-seed 0 \
   --horizon
 cmp target/tier1-horizon.jsonl tests/golden/horizon_policy_n20.jsonl
+# Resume re-renders the manifest from the spec it parses back and
+# byte-compares it with the one on disk, so resuming an opt-in grid
+# (horizon_pricing=true here, schema 2 with both observability keys
+# below) checks that the codec round-trips its opt-in keys.
+# resume_prefix FILE KEEP WANT: cut FILE to KEEP whole lines plus a torn
+# partial line, resume it, and byte-compare the result with WANT.
+resume_prefix() {
+  { head -n "$2" "$1"; sed -n "$(($2 + 1))p" "$1" | head -c 20; } > "$1.cut"
+  mv "$1.cut" "$1"
+  ./target/release/gncg resume --out "$1"
+  cmp "$1" "$3"
+}
+resume_prefix target/tier1-horizon.jsonl 10 tests/golden/horizon_policy_n20.jsonl
 
 echo "== large-n grid (n = 1024 preset cell, byte-stable across thread counts)" >&2
 # The large-n scale path end to end: the full 3-round n = 1024 preset
@@ -184,6 +197,7 @@ meter_grid 2
 meter_grid 4
 cmp target/tier1-meter-1.jsonl target/tier1-meter-2.jsonl
 cmp target/tier1-meter-1.jsonl target/tier1-meter-4.jsonl
+resume_prefix target/tier1-meter-1.jsonl 2 target/tier1-meter-2.jsonl
 grep -q '"max_regret":\[' target/tier1-meter-1.jsonl
 grep -q '"checkpoints":\[{"round":' target/tier1-meter-1.jsonl
 # Every converged cell must end at a regret of exactly 0.0.
