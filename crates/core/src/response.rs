@@ -1230,6 +1230,36 @@ pub const PRICE_HORIZON: usize = 16;
 /// directly. [`Move::Replace`] candidates are not single-edge deltas and
 /// fall back to the oracle's [`candidate_cost`] pricing.
 ///
+/// # Price first, select second
+///
+/// A pricing pass computes the candidates' prices; a selection pass then
+/// walks `moves` in their given order and keeps each price that is
+/// [`strictly_less`] than the incumbent — the oracle's rule — so the
+/// order in which prices were computed can never change a tie-break. The
+/// split allows two savings:
+///
+/// * **One removal repair per owned edge.** Frames nest: a run of
+///   consecutive swaps dropping the same sole-owned edge `(agent, d)`
+///   repairs the removal once in an outer frame and prices each gained
+///   edge in an inner one. A `Delete(d)` listed before such a run is read
+///   off the run's outer frame rather than repeating the repair in a frame
+///   of its own; a delete with no run after it prices in its own frame.
+/// * **Bound-pruned swaps** (under [`SpeculativePricing::FullSum`] only).
+///   `Swap(d, a)` is skipped, with no insert relaxation, when
+///   `α·w(S − d + a) + D_add(a) ≥ floor`. Here `D_add(a)` is the distance
+///   sum already priced for `Add(a)`, and `floor` is the least of
+///   `current` and every price computed so far for a move listed before
+///   the swap. The bound is exact in floating point: `G − ud + ua` is a
+///   subgraph of `G + ua`, so no distance goes down (each is an exact
+///   minimum over left-to-right path prefix sums), and index-order sums
+///   and `+` are monotone, so the swap's price is at least its bound. An
+///   incumbent is never more than `EPS` above the least price listed
+///   before it, so a swap priced at or above `floor` could never displace
+///   it, and skipping it leaves the selection bitwise unchanged.
+///   [`Move::greedy_moves`] lists every `Add(a)` before the swaps; a swap
+///   listed ahead of its `Add` twin is priced in full. RegionDelta prices
+///   are upper bounds, so that policy prices every swap.
+///
 /// Under [`SpeculativePricing::FullSum`] this returns exactly what
 /// [`best_move_among_given_current`] returns — the same chosen move and
 /// the same cost bits (debug-asserted against the oracle, alongside the
@@ -1271,25 +1301,31 @@ pub fn best_move_among_speculative_priced(
     }
     let own = profile.strategy(agent);
     let alpha = game.alpha();
+    let n = profile.n();
     // Replace moves price through the oracle path; its base graph is
     // derived at most once.
     let mut base: Option<AdjacencyList> = None;
-    let mut best: Option<(Move, f64)> = None;
-    let update = |m: &Move, c: f64, best: &mut Option<(Move, f64)>| {
-        let incumbent = best.as_ref().map_or(current, |&(_, b)| b);
-        if strictly_less(c, incumbent) {
-            *best = Some((m.clone(), c));
-        }
-    };
+    // One price per move; once the pricing pass ends, `None` marks a
+    // swap its bound ruled out.
+    let mut prices: Vec<Option<f64>> = vec![None; moves.len()];
+    // FullSum only: `Add(a)`'s distance sum, the swap bound's lower term.
+    let mut add_dist: Vec<Option<f64>> = vec![None; n];
+    // The position of a sole-owned `Delete(d)` awaiting the outer frame
+    // of the next swap run dropping `d`.
+    let mut deferred: Vec<Option<usize>> = vec![None; n];
+    let mut floor = current;
+    let ruled_out =
+        |add: Option<f64>, edge: f64, floor: f64| add.is_some_and(|d| edge + d >= floor);
     let mut i = 0;
     while i < moves.len() {
-        // Consecutive swaps dropping the same sole-owned edge (the shape
-        // `Move::greedy_moves` enumerates) share one removal repair:
-        // frames nest, so the dropped edge is repaired once in an outer
-        // frame and each add target is an inner insert + rollback —
-        // `k` removals for `k·(n−1−k)` swap candidates, not one each.
-        if let Move::Swap(d, _) = moves[i] {
-            if !profile.owns(d, agent) {
+        match moves[i] {
+            // Consecutive swaps dropping the same sole-owned edge (the
+            // shape `Move::greedy_moves` enumerates) share one removal
+            // repair: frames nest, so the dropped edge is repaired once in
+            // an outer frame and each add target is an inner insert +
+            // rollback — `k` removals for `k·(n−1−k)` swap candidates and
+            // their `k` deletes, not one each.
+            Move::Swap(d, _) if !profile.owns(d, agent) => {
                 let run = moves[i..]
                     .iter()
                     .take_while(|m| matches!(m, Move::Swap(dd, _) if *dd == d))
@@ -1305,12 +1341,22 @@ pub fn best_move_among_speculative_priced(
                 let mark = warm.undo_len();
                 warm.begin_speculation();
                 warm.remove_edge(&view, agent, d, w);
-                for m in &moves[i..i + run] {
+                let removal = frame_price(warm, pricing, sum0, mark);
+                if let Some(j) = deferred[d as usize].take() {
+                    let c = alpha * candidate_edge_sum(game, agent, own, &moves[j]) + removal;
+                    prices[j] = Some(c);
+                    floor = floor.min(c);
+                }
+                for (k, m) in moves[i..i + run].iter().enumerate() {
                     let &Move::Swap(_, a) = m else { unreachable!() };
+                    let edge = alpha * candidate_edge_sum(game, agent, own, m);
+                    if ruled_out(add_dist[a as usize], edge, floor) {
+                        continue;
+                    }
                     let dist = if network.has_edge(agent, a) {
                         // Gained edge already present: the removal repair
                         // is the whole delta.
-                        frame_price(warm, pricing, sum0, mark)
+                        removal
                     } else {
                         warm.begin_speculation();
                         warm.speculate_insert(&view, agent, a, game.w(agent, a));
@@ -1318,29 +1364,64 @@ pub fn best_move_among_speculative_priced(
                         warm.rollback();
                         s
                     };
-                    let c = alpha * candidate_edge_sum(game, agent, own, m) + dist;
-                    update(m, c, &mut best);
+                    let c = edge + dist;
+                    prices[i + k] = Some(c);
+                    floor = floor.min(c);
                 }
                 warm.rollback();
                 i += run;
-                continue;
+            }
+            Move::Delete(d) if !profile.owns(d, agent) && deferred[d as usize].is_none() => {
+                deferred[d as usize] = Some(i);
+                i += 1;
+            }
+            ref m => {
+                let j = i;
+                i += 1;
+                let c = match *m {
+                    Move::Replace(ref cand) => {
+                        let base =
+                            base.get_or_insert_with(|| base_graph_from(network, profile, agent));
+                        candidate_cost(game, base, agent, cand).total()
+                    }
+                    _ => {
+                        let edge = alpha * candidate_edge_sum(game, agent, own, m);
+                        if let Move::Swap(_, a) = *m {
+                            if ruled_out(add_dist[a as usize], edge, floor) {
+                                continue;
+                            }
+                        }
+                        let dist = speculative_distance_sum(
+                            game, profile, network, warm, agent, m, pricing, sum0,
+                        );
+                        if let (Move::Add(a), SpeculativePricing::FullSum) = (m, pricing) {
+                            add_dist[*a as usize] = Some(dist);
+                        }
+                        edge + dist
+                    }
+                };
+                prices[j] = Some(c);
+                floor = floor.min(c);
             }
         }
-        let m = &moves[i];
-        let c = match m {
-            Move::Replace(cand) => {
-                let base = base.get_or_insert_with(|| base_graph_from(network, profile, agent));
-                candidate_cost(game, base, agent, cand).total()
-            }
-            _ => {
-                let dist =
-                    speculative_distance_sum(game, profile, network, warm, agent, m, pricing, sum0);
-                alpha * candidate_edge_sum(game, agent, own, m) + dist
-            }
-        };
-        update(m, c, &mut best);
-        i += 1;
     }
+    // A delete with no swap run after it prices in a frame of its own.
+    for j in deferred.into_iter().flatten() {
+        let m = &moves[j];
+        let dist = speculative_distance_sum(game, profile, network, warm, agent, m, pricing, sum0);
+        prices[j] = Some(alpha * candidate_edge_sum(game, agent, own, m) + dist);
+    }
+    // Selection: the oracle's incumbent rule over the moves in their
+    // given order, passing over the swaps their bound ruled out.
+    let mut best: Option<(usize, f64)> = None;
+    for (j, &c) in prices.iter().enumerate() {
+        let Some(c) = c else { continue };
+        let incumbent = best.map_or(current, |(_, b)| b);
+        if strictly_less(c, incumbent) {
+            best = Some((j, c));
+        }
+    }
+    let mut best = best.map(|(j, c)| (moves[j].clone(), c));
     // RegionDelta ranked the candidates on approximate prices; the
     // reported cost must be oracle-exact, so the winner is re-priced
     // with a full sum and re-gated against `current` (a sub-ulp

@@ -50,8 +50,12 @@
 //!   candidate *speculatively against the activated agent's warm vector*
 //!   (apply the move's edge delta inside a speculation frame, read the
 //!   cost off the warm sum, roll back —
-//!   [`best_move_among_speculative_priced`]). Its ancestor, one masked
-//!   from-scratch Dijkstra per candidate
+//!   [`best_move_among_speculative_priced`]), then selects the winner in
+//!   move order. Each owned edge's removal is repaired once for its
+//!   delete and all its swaps, and under full-sum pricing a swap whose
+//!   exact lower bound (its edge cost plus its `Add` twin's distance
+//!   sum) cannot beat an earlier price is skipped unpriced. Its
+//!   ancestor, one masked from-scratch Dijkstra per candidate
 //!   ([`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)),
 //!   is the debug oracle of every scan and the measured baseline of the
 //!   `move_scan` bench;

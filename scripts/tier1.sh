@@ -127,6 +127,24 @@ meter_golden() {
 meter_golden 1
 meter_golden 4
 
+echo "== greedy-hosts grid vs committed golden (72 cells, n = 16)" >&2
+# The greedy rule on the hosts no other golden covers: exact ties (unit,
+# onetwo), a tree metric, non-metric weights (general) and ∞ edges
+# (oneinf), under round-robin and the pool-parallel MaxGain scan. The
+# speculative scan's bound-pruned swaps and shared removal frames must
+# never move a result byte, pinned to one pool thread and at four.
+greedy_hosts() {
+  rm -f target/tier1-greedy-hosts.jsonl target/tier1-greedy-hosts.manifest
+  GNCG_THREADS="$1" ./target/release/gncg grid \
+    --out target/tier1-greedy-hosts.jsonl \
+    --name greedy-hosts \
+    --hosts unit,onetwo,tree,metric,general,oneinf --n 16 --alpha 0.5,1.5,4.0 \
+    --rules greedy --scheds rr,maxgain --seeds 0,1 --max-rounds 500
+  cmp target/tier1-greedy-hosts.jsonl tests/golden/greedy_hosts_n16.jsonl
+}
+greedy_hosts 1
+greedy_hosts 4
+
 echo "== horizon-policy grid vs committed golden (24 cells, n = 20)" >&2
 # Bounded-horizon pricing at n = 20 > PRICE_HORIZON, where the truncated
 # speculative relaxations genuinely shape move selection: the committed

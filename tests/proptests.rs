@@ -174,20 +174,27 @@ proptest! {
     /// every activation of a random improving-move sequence over every
     /// factory host, under both greedy rules; and every scan must leave
     /// the warm vector bitwise untouched with both log depths at zero
-    /// (the speculation-frame rollback contract).
+    /// (the speculation-frame rollback contract). Each activation is
+    /// checked twice: on the enumerated move list, and on a copy shuffled
+    /// by `order`, which puts deletes after their swap runs, splits runs
+    /// and lists swaps ahead of their `Add` twins.
     #[test]
     fn speculative_move_scan_matches_masked_oracle(
         agents in proptest::collection::vec(0u32..8, 10),
         seed in 0u64..500,
         greedy in proptest::bool::ANY,
+        order in 0u64..1_000,
     ) {
         use gncg_core::response::{
             best_move_among_given_current, best_move_among_speculative_priced, SpeculativePricing,
         };
         use gncg_core::Move;
         use gncg_graph::DynamicSssp;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
         let n = 8usize;
         let alpha = [0.4, 1.5, 6.0][(seed % 3) as usize];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(order);
         for key in gncg_metrics::factory::keys() {
             let host = gncg_metrics::factory::build_host(key, n, seed).unwrap();
             let game = Game::new(host, alpha);
@@ -199,31 +206,38 @@ proptest! {
                 } else {
                     Move::add_moves(&p, u)
                 };
+                let mut shuffled = moves.clone();
+                shuffled.shuffle(&mut rng);
                 let current = gncg_core::cost::agent_cost_in(&game, &p, &network, u).total();
                 let mut warm = DynamicSssp::new();
                 warm.reset_from(u, &gncg_graph::dijkstra::dijkstra(&network, u));
                 let before = warm.dist().to_vec();
-                let spec = best_move_among_speculative_priced(
-                    &game, &p, &network, &mut warm, u, current, &moves, SpeculativePricing::FullSum,
-                );
-                let oracle =
-                    best_move_among_given_current(&game, &p, &network, u, current, &moves);
-                prop_assert_eq!(&spec, &oracle, "host '{}' agent {}", key, u);
-                prop_assert!(
-                    warm.dist() == before.as_slice(),
-                    "host '{}' agent {}: rollback must restore the vector bitwise",
-                    key,
-                    u
-                );
-                prop_assert_eq!(
-                    (warm.depth(), warm.speculation_depth()),
-                    (0, 0),
-                    "both log depths must return to zero"
-                );
-                // Walk the dynamics forward: apply the chosen move so
-                // later activations scan evolving profiles (including
-                // removal-bearing ones under the greedy rule).
-                if let Some((m, _)) = spec {
+                let mut chosen = None;
+                for list in [&moves, &shuffled] {
+                    let spec = best_move_among_speculative_priced(
+                        &game, &p, &network, &mut warm, u, current, list, SpeculativePricing::FullSum,
+                    );
+                    let oracle =
+                        best_move_among_given_current(&game, &p, &network, u, current, list);
+                    prop_assert_eq!(&spec, &oracle, "host '{}' agent {} moves {:?}", key, u, list);
+                    prop_assert!(
+                        warm.dist() == before.as_slice(),
+                        "host '{}' agent {}: rollback must restore the vector bitwise",
+                        key,
+                        u
+                    );
+                    prop_assert_eq!(
+                        (warm.depth(), warm.speculation_depth()),
+                        (0, 0),
+                        "both log depths must return to zero"
+                    );
+                    chosen = spec;
+                }
+                // Walk the dynamics forward: apply the move chosen from
+                // the shuffled list so later activations scan evolving
+                // profiles (including removal-bearing ones under the
+                // greedy rule).
+                if let Some((m, _)) = chosen {
                     let next = m.apply(u, p.strategy(u));
                     p.set_strategy(u, next);
                 }

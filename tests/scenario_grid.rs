@@ -103,6 +103,40 @@ fn regret_meter_grid_matches_committed_golden() {
     );
 }
 
+/// The greedy rule on the hosts the other goldens leave out, against its
+/// committed golden: exact ties (unit, onetwo), a tree metric, non-metric
+/// weights (general) and ∞ edges (oneinf), under round-robin and the
+/// pool-parallel MaxGain scan. These are where the speculative scan's
+/// swap bound meets `strictly_less`'s tie and infinity cases.
+#[test]
+fn greedy_hosts_grid_matches_committed_golden() {
+    let dir = tmp_dir();
+    let out = dir.join("greedy-hosts.jsonl");
+    let spec = ScenarioSpec {
+        name: "greedy-hosts".into(),
+        hosts: ["unit", "onetwo", "tree", "metric", "general", "oneinf"]
+            .map(String::from)
+            .to_vec(),
+        ns: vec![16],
+        alphas: vec![0.5, 1.5, 4.0],
+        rules: vec![RuleSpec::Greedy],
+        schedulers: vec![SchedSpec::RoundRobin, SchedSpec::MaxGain],
+        seeds: vec![0, 1],
+        max_rounds: 500,
+        ..ScenarioSpec::default()
+    };
+    run_grid(&spec, &out, false).unwrap();
+    let got = fs::read_to_string(&out).unwrap();
+    let golden = fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/greedy_hosts_n16.jsonl"),
+    )
+    .unwrap();
+    assert_eq!(
+        got, golden,
+        "greedy-hosts grid drifted from the committed golden"
+    );
+}
+
 #[test]
 fn golden_jsonl_is_byte_identical_across_runs() {
     let dir = tmp_dir();
