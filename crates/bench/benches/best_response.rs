@@ -1,16 +1,11 @@
 //! Best-response solver ablation: the incremental branch-and-bound vs the
-//! historical from-scratch engine, the parallel split search, and the
-//! polynomial UMFL local search (Theorem 3's machinery), across instance
-//! sizes — quantifying both the price of exactness the NP-hardness results
-//! (Cor. 1, Thms 13/16) predict and the payoff of incremental delta
-//! evaluation. `scripts/bench_snapshot.sh` derives the tracked
+//! historical from-scratch engine and the polynomial UMFL local search
+//! (Theorem 3's machinery), across instance sizes — quantifying both the
+//! price of exactness the NP-hardness results (Cor. 1, Thms 13/16)
+//! predict and the payoff of incremental delta evaluation.
+//! `scripts/bench_snapshot.sh` derives the tracked
 //! `incremental_speedup_n14` figure from the `exact_bnb` /
-//! `exact_bnb_reference` pair at n = 14, and asserts
-//! `exact_bnb_parallel` never regresses past `exact_bnb` at any measured
-//! n. The n = 20 point crosses the parallel engine's sequential cutoff
-//! ([`gncg_core::response::MIN_PARALLEL_CANDIDATES`]), so the split
-//! search itself — not just the cutoff's sequential fallback — is in the
-//! tracked set.
+//! `exact_bnb_reference` pair at n = 14.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -30,9 +25,6 @@ fn bench_best_response(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("exact_bnb_reference", n), &n, |b, _| {
             b.iter(|| gncg_core::response::exact_best_response_reference(&game, &profile, 1))
-        });
-        group.bench_with_input(BenchmarkId::new("exact_bnb_parallel", n), &n, |b, _| {
-            b.iter(|| gncg_core::response::exact_best_response_parallel(&game, &profile, 1))
         });
         group.bench_with_input(BenchmarkId::new("umfl_local_search", n), &n, |b, _| {
             b.iter(|| gncg_solvers::umfl::best_response_umfl(&game, &profile, 1))

@@ -1,76 +1,18 @@
-//! Scheduler ablation (E24): convergence cost of response dynamics under
-//! round-robin, random, and max-gain activation — the sequential vs
-//! parallel sweep throughput used by the harness — and the swap-heavy
-//! warm-vector maintenance ablation (`dynamics_swap_heavy`): the
-//! deletion-tolerant `DynamicSssp` repair vs the invalidate-and-redo
-//! ancestor (`EvalContext::reset`). `scripts/bench_snapshot.sh` derives
-//! the tracked `swap_heavy_speedup_n20` figure from the
-//! `dynamics_swap_heavy` pair; the pool ablations `maxgain_scan` and
-//! `grid_wall` (each run once on the work-stealing pool and once inside
-//! [`rayon::with_sequential`]) feed the tracked
-//! `maxgain_parallel_speedup_n20` and `grid_wall_speedup` figures; the
-//! `br_grid` pair (persistent BR bound tables vs the from-scratch
-//! `exact_best_response_given_current`) feeds `br_grid_speedup_n14`.
+//! Engine ablation pairs. `dynamics_swap_heavy`: warm-vector maintenance
+//! under swap-heavy moves, the deletion-tolerant `DynamicSssp` repair vs
+//! the invalidate-and-redo ancestor (`EvalContext::reset`). `br_grid`:
+//! persistent BR bound tables vs the from-scratch
+//! `exact_best_response_given_current`. `regret_meter`: the same run with
+//! the meter off and on. `scripts/bench_snapshot.sh` derives
+//! `swap_heavy_speedup_n20`, `br_grid_speedup_n14` and
+//! `regret_meter_overhead_n20` from them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use gncg_core::response::exact_best_response_given_current;
 use gncg_core::{Game, NodeId, Profile};
 use gncg_dynamics::{DynamicsConfig, Engine, EvalContext, ResponseRule, Scheduler};
-use gncg_suite::scenario::{run_cell_slice, ScenarioSpec};
-
-fn bench_schedulers(c: &mut Criterion) {
-    let host = gncg_metrics::arbitrary::random_metric(10, 1.0, 4.0, 5);
-    let game = gncg_core::Game::new(host, 1.5);
-    let mut group = c.benchmark_group("dynamics_scheduler");
-    for (name, sched) in [
-        ("round_robin", Scheduler::RoundRobin),
-        ("random", Scheduler::RandomOrder { seed: 3 }),
-        ("max_gain", Scheduler::MaxGain),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, 10), &sched, |b, &s| {
-            b.iter(|| {
-                gncg_dynamics::run(
-                    &game,
-                    Profile::star(10, 0),
-                    &DynamicsConfig {
-                        rule: ResponseRule::BestGreedyMove,
-                        scheduler: s,
-                        max_rounds: 300,
-                        ..DynamicsConfig::default()
-                    },
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_sweep_parallelism(c: &mut Criterion) {
-    let hosts: Vec<gncg_graph::SymMatrix> = (0..8)
-        .map(|s| gncg_metrics::arbitrary::random_metric(8, 1.0, 4.0, s))
-        .collect();
-    let alphas = [0.5, 1.0, 2.0, 4.0];
-    let cfg = DynamicsConfig {
-        rule: ResponseRule::BestGreedyMove,
-        scheduler: Scheduler::RoundRobin,
-        max_rounds: 200,
-        ..DynamicsConfig::default()
-    };
-    let mut group = c.benchmark_group("sweep");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            gncg_dynamics::parallel::sweep_sequential(&hosts, &alphas, &cfg, |_, n| {
-                Profile::star(n, 0)
-            })
-        })
-    });
-    group.bench_function("rayon", |b| {
-        b.iter(|| gncg_dynamics::parallel::sweep(&hosts, &alphas, &cfg, |_, n| Profile::star(n, 0)))
-    });
-    group.finish();
-}
+use gncg_suite::scenario::ScenarioSpec;
 
 /// Replays a deterministic swap-heavy strategy-change script through an
 /// [`EvalContext`] with every distance vector warm — the warm-vector
@@ -87,7 +29,8 @@ fn replay_swap_script(game: &Game, invalidate: bool) -> f64 {
     let n = game.n();
     let mut profile = Profile::star(n, 0);
     let mut ctx = EvalContext::new(game, &profile);
-    ctx.ensure_all_warm();
+    let warm_all = |ctx: &mut EvalContext| (0..n as NodeId).for_each(|u| ctx.ensure_warm(u));
+    warm_all(&mut ctx);
     let mut checksum = 0.0;
     for u in 1..n as NodeId {
         // Three distinct shortcut targets for u, none of them the star
@@ -110,7 +53,7 @@ fn replay_swap_script(game: &Game, invalidate: bool) -> f64 {
             } else {
                 ctx.apply_strategy_change(game, &profile, u, &old);
             }
-            ctx.ensure_all_warm();
+            warm_all(&mut ctx);
             checksum += ctx.distance_sum(u);
         }
     }
@@ -145,58 +88,6 @@ fn bench_swap_heavy(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// MaxGain rounds at n = 20: every round warms all 20 distance vectors
-/// and scans every agent's best move, both fanned over the rayon pool.
-/// The pair prices that fan-out against the same run forced inline via
-/// [`rayon::with_sequential`] — determinism guarantees the two arms
-/// compute byte-identical results, so the delta is pure pool overhead
-/// (or speedup). `scripts/bench_snapshot.sh` derives
-/// `maxgain_parallel_speedup_n20` from it.
-fn bench_maxgain_scan(c: &mut Criterion) {
-    let n = 20usize;
-    let host = gncg_metrics::arbitrary::random_metric(n, 1.0, 4.0, 7);
-    let game = Game::new(host, 2.0);
-    let cfg = DynamicsConfig {
-        rule: ResponseRule::BestGreedyMove,
-        scheduler: Scheduler::MaxGain,
-        max_rounds: 300,
-        ..DynamicsConfig::default()
-    };
-    let mut group = c.benchmark_group("maxgain_scan");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
-        b.iter(|| rayon::with_sequential(|| gncg_dynamics::run(&game, Profile::star(n, 0), &cfg)))
-    });
-    group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-        b.iter(|| gncg_dynamics::run(&game, Profile::star(n, 0), &cfg))
-    });
-    group.finish();
-}
-
-/// Grid wall clock: a 12-cell swap-heavy slice through the real cell
-/// runner ([`run_cell_slice`], the same sharded pipeline the JSONL
-/// streamer waves over), on the pool vs forced inline. This is the
-/// figure the whole parallelism stack exists to move;
-/// `scripts/bench_snapshot.sh` derives `grid_wall_speedup` from it.
-fn bench_grid_wall(c: &mut Criterion) {
-    // Two α bands × three host families × two seeds at n = 20.
-    let cells: Vec<_> = ScenarioSpec::swap_heavy()
-        .expand()
-        .into_iter()
-        .filter(|cell| cell.alpha != 4.0 && cell.seed < 2)
-        .collect();
-    assert_eq!(cells.len(), 12);
-    let mut group = c.benchmark_group("grid_wall");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("sequential", "12cells"), &(), |b, _| {
-        b.iter(|| rayon::with_sequential(|| run_cell_slice(&cells)))
-    });
-    group.bench_with_input(BenchmarkId::new("parallel", "12cells"), &(), |b, _| {
-        b.iter(|| run_cell_slice(&cells))
-    });
     group.finish();
 }
 
@@ -333,14 +224,5 @@ fn bench_regret_meter(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_schedulers,
-    bench_sweep_parallelism,
-    bench_swap_heavy,
-    bench_maxgain_scan,
-    bench_grid_wall,
-    bench_br_grid,
-    bench_regret_meter
-);
+criterion_group!(benches, bench_swap_heavy, bench_br_grid, bench_regret_meter);
 criterion_main!(benches);

@@ -8,11 +8,12 @@
 //! 1. warm up until ~¼ of the per-sample budget is spent,
 //! 2. pick an iteration count so one sample lasts ≥ the per-sample budget,
 //! 3. take `sample_size` samples and report their **median** per-iteration
-//!    time (median is robust to scheduler noise on the single-core CI box).
+//!    time (median is robust to scheduler noise on the single-core CI box)
+//!    with the first and third quartiles as its noise band.
 //!
 //! Every benchmark prints one line and appends a JSON record under
 //! `$CRITERION_LITE_OUT` (default `target/criterion-lite/`), which
-//! `scripts/bench_snapshot.sh` aggregates into `BENCH_hotpath.json`.
+//! `scripts/bench_aggregate.py` folds into `BENCH_hotpath.json`.
 //!
 //! Environment knobs: `CRITERION_LITE_SAMPLES` overrides every group's
 //! sample size; `CRITERION_LITE_SAMPLE_MS` sets the per-sample time budget
@@ -123,8 +124,7 @@ impl BenchmarkGroup<'_> {
         }
         let mut bencher = Bencher {
             sample_size: self.sample_size,
-            median_ns: 0.0,
-            mean_ns: 0.0,
+            ..Bencher::default()
         };
         f(&mut bencher, input);
         println!(
@@ -156,8 +156,8 @@ impl BenchmarkGroup<'_> {
         }
         let file = dir.join(format!("{}.jsonl", sanitize(&self.name)));
         let line = format!(
-            "{{\"benchmark\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"samples\":{}}}\n",
-            full, b.median_ns, b.mean_ns, b.sample_size
+            "{{\"benchmark\":\"{}\",\"median_ns\":{:.1},\"q1_ns\":{:.1},\"q3_ns\":{:.1},\"mean_ns\":{:.1},\"samples\":{}}}\n",
+            full, b.median_ns, b.q1_ns, b.q3_ns, b.mean_ns, b.sample_size
         );
         if let Ok(mut f) = std::fs::OpenOptions::new()
             .create(true)
@@ -194,14 +194,26 @@ fn fmt_ns(ns: f64) -> String {
 }
 
 /// Passed to the bench closure; [`Bencher::iter`] performs the measurement.
+#[derive(Default)]
 pub struct Bencher {
     sample_size: usize,
     median_ns: f64,
+    q1_ns: f64,
+    q3_ns: f64,
     mean_ns: f64,
 }
 
+/// The `p`-quantile of sorted, non-empty `samples`, interpolating
+/// linearly between the two nearest ranks.
+fn quantile(samples: &[f64], p: f64) -> f64 {
+    let pos = p * (samples.len() - 1) as f64;
+    let (lo, hi) = (samples[pos.floor() as usize], samples[pos.ceil() as usize]);
+    lo + (hi - lo) * pos.fract()
+}
+
 impl Bencher {
-    /// Measures `f`, storing median/mean per-iteration times.
+    /// Measures `f`, storing the median, quartiles and mean of the
+    /// per-iteration times.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         let budget = Duration::from_millis(env_usize("CRITERION_LITE_SAMPLE_MS", 20) as u64);
 
@@ -224,12 +236,9 @@ impl Bencher {
             samples.push(t.elapsed().as_secs_f64() * 1e9 / iters_per_sample as f64);
         }
         samples.sort_by(f64::total_cmp);
-        let mid = samples.len() / 2;
-        self.median_ns = if samples.len() % 2 == 1 {
-            samples[mid]
-        } else {
-            (samples[mid - 1] + samples[mid]) / 2.0
-        };
+        self.median_ns = quantile(&samples, 0.5);
+        self.q1_ns = quantile(&samples, 0.25);
+        self.q3_ns = quantile(&samples, 0.75);
         self.mean_ns = samples.iter().sum::<f64>() / samples.len() as f64;
     }
 }
@@ -264,12 +273,20 @@ mod tests {
         std::env::set_var("CRITERION_LITE_SAMPLE_MS", "1");
         let mut b = Bencher {
             sample_size: 5,
-            median_ns: 0.0,
-            mean_ns: 0.0,
+            ..Bencher::default()
         };
         b.iter(|| (0..100u64).sum::<u64>());
         assert!(b.median_ns > 0.0);
         assert!(b.mean_ns > 0.0);
+        assert!(b.q1_ns <= b.median_ns && b.median_ns <= b.q3_ns);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        let s = [1.0, 2.0, 3.0, 4.0];
+        let q = |p| quantile(&s, p);
+        assert_eq!((q(0.25), q(0.5), q(0.75)), (1.75, 2.5, 3.25));
+        assert_eq!(quantile(&[7.0], 0.25), 7.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rayon::prelude::*;
 
 use gncg_graph::{strictly_less, NodeId};
 
-use crate::cost::{agent_cost_in, base_graph_without, candidate_cost};
+use crate::cost::{agent_cost_in, base_graph_from, candidate_cost};
 use crate::response::{best_add_move, best_greedy_move, exact_best_response};
 use crate::{Game, Move, Profile};
 
@@ -80,12 +80,12 @@ pub fn nash_approximation_factor(game: &Game, profile: &Profile) -> f64 {
 /// A profile is a β-GE exactly when this factor is ≤ β. Theorem 2 of the
 /// paper shows every AE in the M–GNCG has factor ≤ α + 1.
 pub fn greedy_approximation_factor(game: &Game, profile: &Profile) -> f64 {
+    let network = profile.build_network(game);
     (0..game.n() as NodeId)
         .into_par_iter()
         .map(|u| {
-            let network = profile.build_network(game);
             let current = agent_cost_in(game, profile, &network, u).total();
-            let base = base_graph_without(game, profile, u);
+            let base = base_graph_from(&network, profile, u);
             let own = profile.strategy(u);
             let mut best = current;
             for m in Move::greedy_moves(profile, u) {

@@ -133,7 +133,8 @@ struct BrSearchView<'g> {
     via: &'g [f64],
 }
 
-/// Mutable per-branch state (per worker in the parallel search).
+/// Mutable DFS state of one search: the live vector, the chosen set and
+/// the incumbent.
 #[derive(Debug)]
 struct BrWorker {
     inc: DynamicSssp,
@@ -375,87 +376,6 @@ pub fn exact_best_response_given_current(
     view.dfs(&mut worker, 0, 0.0);
 
     worker.take_result(current)
-}
-
-/// Fewest candidates (`n − 1`) for which [`exact_best_response_parallel`]
-/// actually splits. Below this the whole pruned DFS is tens of
-/// microseconds, so per-subtree incumbent re-seeding plus spawn overhead
-/// outweigh any core the split could recruit (`BENCH_hotpath.json`
-/// measured the split 15–30% *slower* at n = 12–16).
-pub const MIN_PARALLEL_CANDIDATES: usize = 18;
-
-/// Rayon-parallel exact best response: the include/exclude tree is split
-/// at the first `SPLIT_DEPTH` candidate decisions into `2^SPLIT_DEPTH`
-/// independent subtree searches that run on the rayon pool, each with its
-/// own incumbent seeded by the agent's current cost; results reduce to the
-/// global optimum. Produces exactly the same *cost* as
-/// [`exact_best_response`] (the strategy may differ among ties).
-///
-/// Splitting has a real cost even on a real pool: each subtree re-seeds
-/// its incumbent from the agent's current cost instead of sharing the
-/// global one, so the split prices leaves the shared-incumbent DFS would
-/// have pruned. Below [`MIN_PARALLEL_CANDIDATES`] candidates — or when
-/// the pool has a single thread — that overhead cannot be bought back,
-/// and this function runs the plain [`exact_best_response`] search
-/// inline, making it never slower than the sequential solver
-/// (`bench_snapshot.sh` asserts the relation at every measured `n`).
-pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeId) -> BestResponse {
-    use rayon::prelude::*;
-    const SPLIT_DEPTH: usize = 4;
-
-    let network = profile.build_network(game);
-    // The candidate count is n − 1; check it before paying for the search
-    // state (the via table costs n Dijkstras) the sequential path would
-    // rebuild anyway.
-    if game.n().saturating_sub(1) < MIN_PARALLEL_CANDIDATES || rayon::current_num_threads() == 1 {
-        return exact_best_response_in(game, profile, &network, agent);
-    }
-    let current = agent_cost_in(game, profile, &network, agent).total();
-    let base = base_graph_from(&network, profile, agent);
-    let search = BrSearch::new(game, agent, &base);
-    let view = search.view();
-
-    let split = SPLIT_DEPTH;
-    let results: Vec<(f64, BTreeSet<NodeId>, usize)> = (0u32..(1 << split))
-        .into_par_iter()
-        .map(|prefix_mask| {
-            let mut worker = BrWorker::fresh(&search, current, profile.strategy(agent));
-            let mut edge_w_sum = 0.0;
-            for i in 0..split {
-                if prefix_mask & (1 << i) != 0 {
-                    let v = search.candidates[i];
-                    let w = search.cand_w[i];
-                    worker.inc.add_edge(&search.csr, agent, v, w);
-                    worker.chosen.push(v);
-                    worker.in_set[v as usize] = true;
-                    edge_w_sum += w;
-                }
-            }
-            // Each prefix set is a complete subset in exactly this task:
-            // price it before descending (subsets with includes past the
-            // split are priced at their last include inside the DFS).
-            view.evaluate_current(&mut worker);
-            view.dfs(&mut worker, split, edge_w_sum);
-            (worker.best_cost, worker.best_set, worker.evaluated)
-        })
-        .collect();
-
-    let mut best_cost = current;
-    let mut best_set: BTreeSet<NodeId> = profile.strategy(agent).clone();
-    let mut evaluated = 0usize;
-    for (c, s, e) in results {
-        evaluated += e;
-        if strictly_less(c, best_cost) {
-            best_cost = c;
-            best_set = s;
-        }
-    }
-    BestResponse {
-        strategy: best_set,
-        cost: best_cost,
-        current_cost: current,
-        evaluated,
-    }
 }
 
 /// Committed removals a [`BrBoundCache`] absorbs as bound staleness
@@ -1929,41 +1849,6 @@ mod tests {
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);
         assert_eq!(spec, oracle);
         assert!(spec.is_some(), "connecting must improve on ∞");
-    }
-
-    #[test]
-    fn parallel_br_matches_sequential_cost() {
-        for seed in 0..3u64 {
-            let host = gncg_metrics::arbitrary::random_metric(9, 1.0, 4.0, seed);
-            let game = Game::new(host, 1.2);
-            let mut p = Profile::star(9, 0);
-            p.buy(2, 5);
-            p.buy(7, 3);
-            for agent in 0..9u32 {
-                let seq = exact_best_response(&game, &p, agent);
-                let par = exact_best_response_parallel(&game, &p, agent);
-                assert_eq!(
-                    seq.cost, par.cost,
-                    "agent {agent} seed {seed}: {} vs {}",
-                    seq.cost, par.cost
-                );
-                assert_eq!(seq.current_cost, par.current_cost);
-                // The parallel strategy must achieve its reported cost.
-                let mut p2 = p.clone();
-                p2.set_strategy(agent, par.strategy.clone());
-                let real = crate::cost::agent_cost(&game, &p2, agent).total();
-                assert!(gncg_graph::approx_eq(real, par.cost));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_br_tiny_instance_falls_back() {
-        let game = unit_game(4, 1.0);
-        let p = Profile::star(4, 0);
-        let par = exact_best_response_parallel(&game, &p, 1);
-        let seq = exact_best_response(&game, &p, 1);
-        assert!(gncg_graph::approx_eq(par.cost, seq.cost));
     }
 
     #[test]

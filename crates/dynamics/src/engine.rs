@@ -732,31 +732,6 @@ impl EvalContext {
         self.synced[i] = self.insert_log.len();
     }
 
-    /// Warms every agent's distance vector, fanning the cold recomputes
-    /// over the rayon pool (each is an independent Dijkstra; workers use
-    /// private scratch), so warming after a removal-bearing move does not
-    /// serialize `n` Dijkstras.
-    pub fn ensure_all_warm(&mut self) {
-        use rayon::prelude::*;
-        let n = self.network.n();
-        let (network, log, class) = (&self.network, &self.insert_log, self.weight_class);
-        let (valid, synced) = (&self.valid, &self.synced);
-        self.warm[..n].par_chunks_mut(1).enumerate().for_each_init(
-            || {
-                let mut scratch = DijkstraScratch::new();
-                scratch.set_weight_class(class);
-                (scratch, Vec::new())
-            },
-            |(scratch, buf), (u, slot)| {
-                let pending = valid[u].then(|| &log[synced[u]..]);
-                sync_warm(network, u as NodeId, &mut slot[0], pending, scratch, buf);
-            },
-        );
-        self.valid[..n].fill(true);
-        let len = self.insert_log.len();
-        self.synced[..n].fill(len);
-    }
-
     /// Agent `u`'s distance cost `d_G(u, V)` read off its warm vector.
     /// Requires a prior [`EvalContext::ensure_warm`] for `u`.
     #[inline]

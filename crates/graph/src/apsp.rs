@@ -134,16 +134,6 @@ pub fn apsp_parallel(g: &AdjacencyList) -> DistanceMatrix {
     if n < 64 || rayon::current_num_threads() == 1 {
         return apsp_sequential(g);
     }
-    apsp_parallel_forced(g)
-}
-
-/// Parallel APSP that always uses the rayon pool regardless of size
-/// (exposed for the parallelism ablation bench).
-pub fn apsp_parallel_forced(g: &AdjacencyList) -> DistanceMatrix {
-    let n = g.n();
-    if n == 0 {
-        return DistanceMatrix::from_raw(0, Vec::new());
-    }
     let csr = Csr::from_adjacency(g);
     let mut d = vec![f64::INFINITY; n * n];
     // for_each_init: one scratch per chunk of rows, reused across the
@@ -210,7 +200,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let g = path4();
-        assert_eq!(apsp_sequential(&g), apsp_parallel_forced(&g));
+        assert_eq!(apsp_sequential(&g), apsp_parallel(&g));
     }
 
     #[test]
@@ -245,7 +235,6 @@ mod tests {
     fn empty_graph_apsp_is_empty() {
         let g = AdjacencyList::new(0);
         assert_eq!(apsp_sequential(&g).n(), 0);
-        assert_eq!(apsp_parallel_forced(&g).n(), 0);
         assert_eq!(apsp_parallel(&g).n(), 0);
     }
 

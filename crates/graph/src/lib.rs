@@ -44,7 +44,7 @@ pub mod unionfind;
 
 pub use adjacency::AdjacencyList;
 pub use apsp::DistanceMatrix;
-pub use csr::{Csr, DijkstraScratch, DynamicSssp, EdgeSource, IncrementalSssp, MaskedEdges};
+pub use csr::{Csr, DijkstraScratch, DynamicSssp, EdgeSource, MaskedEdges};
 pub use delta::NetworkDelta;
 pub use matrix::SymMatrix;
 pub use tree::WeightedTree;

@@ -143,10 +143,14 @@ pub enum CertifyMode {
     /// historical behavior and the default.
     #[default]
     Full,
-    /// A deterministic ⌈√n⌉-agent sample checked incrementally against
-    /// the engine's warm context (`sampled`): a cheap spot-check for
-    /// large-n grids. `certified:true` then means "no sampled agent can
-    /// improve", not a full certificate.
+    /// A deterministic ⌈√n⌉-agent sample asked of the engine's post-run
+    /// context (`sampled`). It is not an independent check: a converged
+    /// run ends on a silent round with no commit after it, so every
+    /// sampled answer is a hit in the engine's pricing memo, and the mode
+    /// prices nothing and restates the silent round's verdict
+    /// (`certifying_a_converged_metered_run_prices_nothing` in
+    /// `gncg-dynamics` pins this). An engine-independent sampled check is
+    /// open item 1 of ROADMAP.md.
     Sampled,
     /// No certification (`off`): `certified` is always `false`.
     Off,
@@ -872,11 +876,9 @@ impl Runner {
                     RuleSpec::Add => equilibrium::is_add_only_equilibrium(&game, &result.profile),
                 },
                 CertifyMode::Sampled => {
-                    // Spot-check a deterministic ⌈√n⌉-agent sample against
-                    // the engine's post-run context: the network and warm
-                    // vectors already describe the final profile, so each
-                    // check reuses the `*_given_current` entry points
-                    // instead of a from-scratch build + Dijkstra.
+                    // Ask the engine's post-run context about a
+                    // deterministic ⌈√n⌉-agent sample: after the silent
+                    // round every answer is a pricing-memo hit.
                     let ctx = self.engine.context_mut();
                     sampled_agents(cell.n, cell.cell_seed).into_iter().all(|u| {
                         gncg_dynamics::agent_is_stable_given_current(

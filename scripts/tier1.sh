@@ -42,19 +42,25 @@ echo "== cargo bench smoke (compile all, 1-sample run of the tracked set)" >&2
 # bench_snapshot.sh tracks with one tiny sample each (the untracked
 # solver benches cost minutes per iteration — compile-only for those).
 cargo bench -p gncg-bench --no-run
-for bench in best_response apsp dynamics move_scan service_roundtrip; do
-  CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 \
-    CRITERION_LITE_OUT=target/criterion-smoke \
+# Bench binaries run from their package directory: the records path must
+# be absolute to land under the root's target/.
+SMOKE_OUT="$PWD/target/criterion-smoke"
+rm -rf "$SMOKE_OUT"
+for bench in best_response dynamics move_scan service_roundtrip; do
+  CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 CRITERION_LITE_OUT="$SMOKE_OUT" \
     cargo bench -p gncg-bench --bench "$bench" >/dev/null
 done
 # large_n smokes only its sub-minute ids: the n=4096 round costs over a
 # minute per iteration and the grid/daemon sections below already run
 # that cell end to end, so the bench smoke filters to n=1024 (which
 # covers both groups' setup and payload paths).
-CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 \
-  CRITERION_LITE_OUT=target/criterion-smoke \
+CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 CRITERION_LITE_OUT="$SMOKE_OUT" \
   cargo bench -p gncg-bench --bench large_n -- 1024 >/dev/null
-rm -rf target/criterion-smoke
+# The snapshot aggregation over the smoke's records: it fails when a
+# derived figure finds one of its two bench ids but not the other, so a
+# renamed arm cannot drop its figure unnoticed.
+python3 scripts/bench_aggregate.py "$SMOKE_OUT" target/tier1-bench-smoke.json >/dev/null
+rm -rf "$SMOKE_OUT"
 
 echo "== gncg grid smoke (4 cells, n ≤ 8)" >&2
 rm -f target/tier1-grid.jsonl target/tier1-grid.manifest

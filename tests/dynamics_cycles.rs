@@ -59,7 +59,7 @@ fn convergence_statistics() {
         assert!(p.social_cost.is_finite());
     }
     // On these small metric instances greedy dynamics mostly converge.
-    let rate = gncg_dynamics::parallel::convergence_rate(&points);
+    let rate = gncg_dynamics::stats::summarize(&points).convergence_rate;
     assert!(rate > 0.5, "convergence rate suspiciously low: {rate}");
 }
 
