@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use gncg_graph::apsp::apsp_parallel;
+use gncg_graph::apsp::{apsp_parallel, DistanceMatrix};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_with_extra};
 use gncg_graph::{AdjacencyList, NetworkDelta, NodeId};
 
@@ -94,27 +94,51 @@ pub fn candidate_cost(
     u: NodeId,
     candidate: &BTreeSet<NodeId>,
 ) -> CostBreakdown {
+    candidate_cost_from(
+        game,
+        u,
+        candidate,
+        &candidate_distances(game, base, u, candidate),
+    )
+}
+
+/// The distance vector [`candidate_cost`] sums: one Dijkstra from `u` on
+/// `base` with the candidate's edges overlaid.
+pub(crate) fn candidate_distances(
+    game: &Game,
+    base: &AdjacencyList,
+    u: NodeId,
+    candidate: &BTreeSet<NodeId>,
+) -> Vec<f64> {
     let extra: Vec<(NodeId, NodeId, f64)> =
         candidate.iter().map(|&v| (u, v, game.w(u, v))).collect();
-    let dist: f64 = dijkstra_with_extra(base, u, &extra).iter().sum();
-    let edge: f64 = game.alpha() * candidate.iter().map(|&v| game.w(u, v)).sum::<f64>();
+    dijkstra_with_extra(base, u, &extra)
+}
+
+/// [`candidate_cost`] given the candidate's [`candidate_distances`]:
+/// the same sums in the same order, so the same bits.
+pub(crate) fn candidate_cost_from(
+    game: &Game,
+    u: NodeId,
+    candidate: &BTreeSet<NodeId>,
+    dist: &[f64],
+) -> CostBreakdown {
     CostBreakdown {
-        edge_cost: edge,
-        distance_cost: dist,
+        edge_cost: game.alpha() * candidate.iter().map(|&v| game.w(u, v)).sum::<f64>(),
+        distance_cost: dist.iter().sum(),
     }
 }
 
 /// Social cost of a profile: `Σ_u cost(u)` — equivalently
 /// `α·Σ_u w(u, S_u) + Σ_u d_G(u, V)`.
 pub fn social_cost(game: &Game, profile: &Profile) -> f64 {
-    let network = profile.build_network(game);
-    social_cost_in(game, profile, &network)
+    social_cost_from(game, profile, &apsp_parallel(&profile.build_network(game)))
 }
 
-/// Social cost reusing a built network.
-pub fn social_cost_in(game: &Game, profile: &Profile, network: &AdjacencyList) -> f64 {
-    let d = apsp_parallel(network);
-    let dist = d.total_distance_cost();
+/// Social cost off the profile network's all-pairs distance table — what
+/// a caller that also certifies the profile off the same table passes.
+pub fn social_cost_from(game: &Game, profile: &Profile, apsp: &DistanceMatrix) -> f64 {
+    let dist = apsp.total_distance_cost();
     let edges: f64 = (0..profile.n() as NodeId)
         .map(|u| edge_cost(game, profile, u))
         .sum();

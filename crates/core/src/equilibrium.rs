@@ -9,27 +9,229 @@
 //! * **AE** (Add-only Equilibrium) — no agent improves by a single add.
 //! * **β-NE / β-GE** — no deviation (in the respective move space) drops an
 //!   agent's cost below `cost(u)/β`.
+//!
+//! GE and AE are certified **cold** ([`certify_agents_in`]): the profile's
+//! network is built once and its all-pairs distance table computed once;
+//! per agent, a distance bound read off that table rules out most adds
+//! and swaps, and only the rest are priced exactly. No engine state is
+//! consulted, so a certificate is independent of the dynamics that
+//! produced the profile. The masked scan it replaces
+//! ([`best_greedy_move`](crate::response::best_greedy_move) /
+//! [`best_add_move`](crate::response::best_add_move), one masked Dijkstra
+//! per move) stays as its oracle: debug builds check every agent's
+//! verdict against it.
+
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
 
 use rayon::prelude::*;
 
-use gncg_graph::{strictly_less, NodeId};
+use gncg_graph::apsp::apsp_parallel;
+use gncg_graph::{strictly_less, AdjacencyList, DistanceMatrix, NodeId, EPS};
 
-use crate::cost::{agent_cost_in, base_graph_from, candidate_cost};
-use crate::response::{best_add_move, best_greedy_move, exact_best_response};
+use crate::cost::{
+    agent_cost_in, base_graph_from, candidate_cost, candidate_cost_from, candidate_distances,
+    edge_cost, CostBreakdown,
+};
+use crate::response::{
+    best_add_move_in, best_greedy_move_in, candidate_edge_sum, exact_best_response,
+};
 use crate::{Game, Move, Profile};
+
+/// The single-edge move space a cold certificate covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MoveSpace {
+    /// Adds, deletes and swaps: the Greedy Equilibrium check.
+    Greedy,
+    /// Adds only: the Add-only Equilibrium check.
+    AddOnly,
+}
 
 /// Whether `profile` is an Add-only Equilibrium.
 pub fn is_add_only_equilibrium(game: &Game, profile: &Profile) -> bool {
-    (0..game.n() as NodeId)
-        .into_par_iter()
-        .all(|u| best_add_move(game, profile, u).is_none())
+    certify_all(game, profile, MoveSpace::AddOnly)
 }
 
 /// Whether `profile` is a Greedy Equilibrium.
 pub fn is_greedy_equilibrium(game: &Game, profile: &Profile) -> bool {
-    (0..game.n() as NodeId)
-        .into_par_iter()
-        .all(|u| best_greedy_move(game, profile, u).is_none())
+    certify_all(game, profile, MoveSpace::Greedy)
+}
+
+/// [`certify_agents_in`] over every agent, building the network and its
+/// all-pairs table first.
+fn certify_all(game: &Game, profile: &Profile, space: MoveSpace) -> bool {
+    let network = profile.build_network(game);
+    let agents: Vec<NodeId> = (0..game.n() as NodeId).collect();
+    certify_agents_in(
+        game,
+        profile,
+        &network,
+        &apsp_parallel(&network),
+        &agents,
+        space,
+    )
+    .0
+}
+
+/// The cold certifier: whether no agent in `agents` has a strictly
+/// improving move in `space`, together with the number of exact
+/// Dijkstras the check ran. `network` must be `profile`'s built network
+/// and `apsp` its [`apsp_parallel`] table.
+///
+/// The verdict is bitwise the masked scan's
+/// ([`best_greedy_move`](crate::response::best_greedy_move) /
+/// [`best_add_move`](crate::response::best_add_move) returning `None` for
+/// every agent), and debug builds assert it per agent. Agents are
+/// checked in parallel. Each agent's check stops at its first improving
+/// move, but every agent is checked, so the count is deterministic at
+/// every pool size.
+///
+/// # Per agent
+///
+/// For agent `u` with strategy `S` and current cost `c`, read off the
+/// table as [`agent_cost_in`] computes it:
+///
+/// * **`Add(a)`** is ruled out when
+///   `(α·w(S + a) + Σ_v min(d(u,v), w(u,a) + d(a,v)))·(1 − 8nε) ≥ c − EPS`,
+///   with `d` the table and `ε` = [`f64::EPSILON`].
+/// * **`Delete(d)`** is always priced exactly, with one Dijkstra on
+///   `G − ud` (on `G` when `d` also buys that edge).
+/// * **`Swap(d, a)`** is ruled out by the `Add(a)` rule with the
+///   `Delete(d)` vector `d_{G−ud}(u,·)` in place of `d(u,·)`.
+///
+/// Every move not ruled out is priced exactly, as [`candidate_cost`]
+/// prices it for the masked scan, and improves when it is
+/// [`strictly_less`] than `c`. The count is the deletes plus these
+/// survivors.
+///
+/// # Why a ruled-out move cannot improve
+///
+/// Let `H` be the candidate's network without the new edge `ua` (`G` for
+/// an add, `G − ud` for a swap) and `δ` its distances from `u` (`d(u,·)`
+/// or the delete vector). A shortest path from `u` in `H + ua` either
+/// avoids `ua`, and is no shorter than `δ(v)`, or leaves `u` through `ua`
+/// first (it visits `u` once); the rest is then a path from `a` in `H`,
+/// hence in `G`, and no shorter than `d(a,v)`. So
+/// `m_v = min(δ(v), w(u,a) + d(a,v))` would bound each new distance from
+/// below in exact arithmetic. Every distance here is the exact minimum
+/// over paths of their left-to-right `f64` prefix sums (see
+/// `gncg_graph::csr`), and the bound associates differently, so it holds
+/// only up to rounding. With `u₀ = ε/2`, and every finite sum below
+/// `f64::MAX`:
+///
+/// 1. A path `u, a, …, v` of `k + 1 ≤ n − 1` edges sums in floating point
+///    to at least `(1 − u₀)^k` times its exact length, and
+///    `w(u,a) + d(a,v)` rounds to at most `(1 + u₀)^k` times it, so each
+///    new distance is at least `r·m_v` with `r = ((1 − u₀)/(1 + u₀))^(n−2)`.
+/// 2. The two `n`-term distance sums (index order both) round within
+///    `(1 ± u₀)^(n−1)` of their exact sums, so the true distance term is at
+///    least `((1 − u₀)/(1 + u₀))^(2n−3)` times the bound's.
+/// 3. The edge term `α·w(·)` is summed in [`candidate_cost`]'s
+///    ascending-id order, so it is the true one bit for bit, and it is
+///    non-negative. One more rounding of each total leaves the true price
+///    at least `((1 − u₀)/(1 + u₀))^(2n−2)` times the bound: the bound
+///    exceeds the true price by at most a factor of about `1 + 2nε`.
+///
+/// The product with the margin rounds up by at most `1 + u₀`, so the test
+/// is sound whenever the margin is at most
+/// `((1 − u₀)/(1 + u₀))^(2n−2)/(1 + u₀) ≥ 1 − (4n − 3)u₀ = 1 − (2n − 1.5)ε`.
+/// `1 − 8nε` is exact in `f64` and below that for every `n ≥ 1`, so a
+/// move whose bound passes the test prices at or above `fl(c − EPS)`,
+/// which is exactly when [`strictly_less`] says it does not improve on
+/// `c`. Infinities need no margin. A bound of `∞` means an infinite edge
+/// term, or a node no finite path of `H + ua` reaches, so the true price
+/// is `∞` too and never improves; and when `c = ∞` only a bound of `∞`
+/// passes the test.
+pub fn certify_agents_in(
+    game: &Game,
+    profile: &Profile,
+    network: &AdjacencyList,
+    apsp: &DistanceMatrix,
+    agents: &[NodeId],
+    space: MoveSpace,
+) -> (bool, u64) {
+    agents
+        .par_iter()
+        .map(|&u| agent_check(game, profile, network, apsp, u, space))
+        .reduce(|| (true, 0), |(a, x), (b, y)| (a && b, x + y))
+}
+
+/// One agent's cold check (see [`certify_agents_in`]): whether `u` is
+/// stable in `space`, and how many exact Dijkstras it took to tell.
+fn agent_check(
+    game: &Game,
+    profile: &Profile,
+    network: &AdjacencyList,
+    apsp: &DistanceMatrix,
+    u: NodeId,
+    space: MoveSpace,
+) -> (bool, u64) {
+    let own = profile.strategy(u);
+    let current = CostBreakdown {
+        edge_cost: edge_cost(game, profile, u),
+        distance_cost: apsp.distance_cost(u),
+    }
+    .total();
+    let floor = current - EPS;
+    let margin = 1.0 - 8.0 * game.n() as f64 * f64::EPSILON;
+    // Whether the bound rules out candidate `m`, which gains edge `ua`
+    // onto a network whose distances from `u` are `dist`.
+    let ruled_out = |m: &Move, a: NodeId, dist: &[f64]| {
+        let w = game.w(u, a);
+        let reach: f64 = dist
+            .iter()
+            .zip(apsp.row(a))
+            .map(|(&x, &y)| x.min(w + y))
+            .sum();
+        (game.alpha() * candidate_edge_sum(game, u, own, m) + reach) * margin >= floor
+    };
+    let base = OnceCell::new();
+    let mut dijkstras = 0;
+    // Prices `cand` exactly, as the masked scan does: whether it improves
+    // on `current`, and its distance vector.
+    let mut exact = |cand: BTreeSet<NodeId>| {
+        dijkstras += 1;
+        let base = base.get_or_init(|| base_graph_from(network, profile, u));
+        let dist = candidate_distances(game, base, u, &cand);
+        let improves = strictly_less(candidate_cost_from(game, u, &cand, &dist).total(), current);
+        (improves, dist)
+    };
+    let adds: Vec<NodeId> = (0..game.n() as NodeId)
+        .filter(|&a| a != u && !own.contains(&a))
+        .collect();
+    let stable = 'check: {
+        for &a in &adds {
+            let m = Move::Add(a);
+            if !ruled_out(&m, a, apsp.row(u)) && exact(m.apply(u, own)).0 {
+                break 'check false;
+            }
+        }
+        if space == MoveSpace::Greedy {
+            for &d in own {
+                let (improves, dist) = exact(Move::Delete(d).apply(u, own));
+                if improves {
+                    break 'check false;
+                }
+                for &a in &adds {
+                    let m = Move::Swap(d, a);
+                    if !ruled_out(&m, a, &dist) && exact(m.apply(u, own)).0 {
+                        break 'check false;
+                    }
+                }
+            }
+        }
+        true
+    };
+    debug_assert_eq!(
+        stable,
+        match space {
+            MoveSpace::Greedy => best_greedy_move_in(game, profile, network, u),
+            MoveSpace::AddOnly => best_add_move_in(game, profile, network, u),
+        }
+        .is_none(),
+        "cold certificate of agent {u} drifted from the masked scan"
+    );
+    (stable, dijkstras)
 }
 
 /// Whether `profile` is a *Swap Equilibrium*: no agent improves by
@@ -105,10 +307,13 @@ pub fn is_beta_nash(game: &Game, profile: &Profile, beta: f64) -> bool {
     nash_approximation_factor(game, profile) <= beta + gncg_graph::EPS
 }
 
-/// Which agents currently have an improving greedy move (diagnostic).
+/// Which agents currently have an improving greedy move (diagnostic),
+/// each told by the cold per-agent check of [`certify_agents_in`].
 pub fn unstable_agents_greedy(game: &Game, profile: &Profile) -> Vec<NodeId> {
+    let network = profile.build_network(game);
+    let apsp = apsp_parallel(&network);
     (0..game.n() as NodeId)
-        .filter(|&u| best_greedy_move(game, profile, u).is_some())
+        .filter(|&u| !agent_check(game, profile, &network, &apsp, u, MoveSpace::Greedy).0)
         .collect()
 }
 

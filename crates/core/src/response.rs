@@ -1488,7 +1488,12 @@ fn speculative_distance_sum(
 /// accumulated in ascending node-id order — the `BTreeSet` iteration
 /// order [`candidate_cost`]'s edge term uses, so totals agree bitwise
 /// (f64 addition is order-sensitive).
-fn candidate_edge_sum(game: &Game, agent: NodeId, own: &BTreeSet<NodeId>, m: &Move) -> f64 {
+pub(crate) fn candidate_edge_sum(
+    game: &Game,
+    agent: NodeId,
+    own: &BTreeSet<NodeId>,
+    m: &Move,
+) -> f64 {
     let (drop, add) = match *m {
         Move::Add(v) => (None, Some(v)),
         Move::Delete(v) => (Some(v), None),

@@ -88,7 +88,7 @@
 //! round-robin run, activations before a round's first move reuse the
 //! last meter scan, the meter re-prices only the agents priced before
 //! the round's last move, and a converged run's final round, its meter
-//! and its sampled certification price nothing.
+//! and a post-run [`agent_is_stable_given_current`] sweep price nothing.
 //! [`EvalContext::pricings`] counts the pricings that ran.
 //!
 //! The context is behaviorally invisible — `debug_assert`s re-derive the

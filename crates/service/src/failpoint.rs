@@ -15,6 +15,13 @@
 //! erases, so production binaries carry no registry, no parsing, and no
 //! atomics on any hot path.
 //!
+//! Under the `failpoints` feature an armed site fires on whichever thread
+//! hits it: the chaos suite's daemon threads hit sites its test thread
+//! armed. In the crate's own unit tests (`cfg(test)`), which run side by
+//! side in one process, a site armed with `arm` counts and fires only
+//! on the thread that armed it, so one test cannot inject a fault into
+//! another. Sites armed from `GNCG_FAILPOINTS` fire on every thread.
+//!
 //! # `GNCG_FAILPOINTS` syntax
 //!
 //! Comma-separated `site=action@k` triples; `k` is the 1-based hit at
@@ -45,6 +52,7 @@ pub use real::{arm, check, disarm, hits, reset, Action};
 mod real {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
+    use std::thread::ThreadId;
 
     /// What an armed site does on its trigger hit.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,6 +72,8 @@ mod real {
         /// 1-based hit number at which `action` fires.
         at: u64,
         hits: u64,
+        /// The only thread whose hits count, if any (see the module docs).
+        owner: Option<ThreadId>,
     }
 
     fn sites() -> &'static Mutex<HashMap<String, Site>> {
@@ -80,6 +90,7 @@ mod real {
                                     action,
                                     at,
                                     hits: 0,
+                                    owner: None,
                                 },
                             );
                         }
@@ -115,7 +126,8 @@ mod real {
     }
 
     /// Arms `site` to perform `action` on its `at`-th hit (1-based),
-    /// resetting the site's hit counter.
+    /// resetting the site's hit counter. In unit tests only the calling
+    /// thread's hits count (see the module docs).
     pub fn arm(site: &str, action: Action, at: u64) {
         sites().lock().unwrap().insert(
             site.to_string(),
@@ -123,6 +135,9 @@ mod real {
                 action,
                 at: at.max(1),
                 hits: 0,
+                // The arming thread in unit tests; every thread under the
+                // `failpoints` feature.
+                owner: cfg!(test).then(|| std::thread::current().id()),
             },
         );
     }
@@ -143,13 +158,16 @@ mod real {
     }
 
     /// Records one hit at `site` and performs the armed action if this is
-    /// the trigger hit. Unarmed sites cost one mutex lock and return
-    /// `Ok(())`.
+    /// the trigger hit. Unarmed sites, and in unit tests sites armed by
+    /// another thread, cost one mutex lock and return `Ok(())`.
     pub fn check(site: &str) -> std::io::Result<()> {
         let fired = {
             let mut g = sites().lock().unwrap();
             match g.get_mut(site) {
                 None => return Ok(()),
+                Some(s) if s.owner.is_some_and(|t| t != std::thread::current().id()) => {
+                    return Ok(())
+                }
                 Some(s) => {
                     s.hits += 1;
                     (s.hits == s.at).then_some(s.action)
@@ -189,6 +207,16 @@ mod real {
             disarm("fp.test.kth");
             assert!(check("fp.test.kth").is_ok());
             assert_eq!(hits("fp.test.kth"), 0);
+        }
+
+        #[test]
+        fn a_site_armed_on_one_thread_ignores_hits_from_another() {
+            arm("fp.test.thread", Action::Err, 1);
+            let other = std::thread::spawn(|| check("fp.test.thread").is_ok());
+            assert!(other.join().unwrap(), "another thread's hit fired");
+            assert_eq!(hits("fp.test.thread"), 0, "another thread's hit counted");
+            assert!(check("fp.test.thread").is_err(), "the arming thread's hit");
+            disarm("fp.test.thread");
         }
 
         #[test]

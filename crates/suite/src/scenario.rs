@@ -20,11 +20,16 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use gncg_core::{cost, equilibrium, Game, NodeId, Profile};
+use gncg_core::equilibrium::{self, MoveSpace};
+use gncg_core::response::exact_best_response_in;
+use gncg_core::{cost, Game, NodeId, Profile};
 use gncg_dynamics::{
     Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult, Scheduler,
     SpeculativePricing,
 };
+use gncg_graph::apsp::apsp_parallel;
+use gncg_graph::{AdjacencyList, DistanceMatrix};
+use rayon::prelude::*;
 
 /// JSONL schema version emitted by [`CellResult::to_jsonl`] consumers
 /// (bumped when the line format changes incompatibly).
@@ -139,18 +144,17 @@ impl SchedSpec {
 /// of its rule's class (the JSONL `certified` field).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CertifyMode {
-    /// Full per-agent best responses from scratch (`full`) — the
-    /// historical behavior and the default.
+    /// Every agent (`full`), the default. Checked cold, off the final
+    /// network and its one all-pairs distance table and with no engine
+    /// state: the greedy and add rules by
+    /// [`certify_agents_in`](gncg_core::equilibrium::certify_agents_in),
+    /// which bounds every single-edge move off the table and prices
+    /// exactly only the moves the bound cannot rule out; the br rule by
+    /// one exact best response per agent.
     #[default]
     Full,
-    /// A deterministic ⌈√n⌉-agent sample asked of the engine's post-run
-    /// context (`sampled`). It is not an independent check: a converged
-    /// run ends on a silent round with no commit after it, so every
-    /// sampled answer is a hit in the engine's pricing memo, and the mode
-    /// prices nothing and restates the silent round's verdict
-    /// (`certifying_a_converged_metered_run_prices_nothing` in
-    /// `gncg-dynamics` pins this). An engine-independent sampled check is
-    /// open item 1 of ROADMAP.md.
+    /// The same cold check on a deterministic ⌈√n⌉-agent sample
+    /// (`sampled`), drawn from the cell seed.
     Sampled,
     /// No certification (`off`): `certified` is always `false`.
     Off,
@@ -866,31 +870,13 @@ impl Runner {
         let started = Instant::now();
         let result = self.engine.run(&game, Profile::star(game.n(), 0), &cfg);
         let wall_micros = started.elapsed().as_micros();
-        let social = cost::social_cost(&game, &result.profile);
-        let certified = result.converged()
-            && match cell.certify {
-                CertifyMode::Off => false,
-                CertifyMode::Full => match cell.rule {
-                    RuleSpec::Br => equilibrium::is_nash_equilibrium(&game, &result.profile),
-                    RuleSpec::Greedy => equilibrium::is_greedy_equilibrium(&game, &result.profile),
-                    RuleSpec::Add => equilibrium::is_add_only_equilibrium(&game, &result.profile),
-                },
-                CertifyMode::Sampled => {
-                    // Ask the engine's post-run context about a
-                    // deterministic ⌈√n⌉-agent sample: after the silent
-                    // round every answer is a pricing-memo hit.
-                    let ctx = self.engine.context_mut();
-                    sampled_agents(cell.n, cell.cell_seed).into_iter().all(|u| {
-                        gncg_dynamics::agent_is_stable_given_current(
-                            &game,
-                            &result.profile,
-                            ctx,
-                            u,
-                            cell.rule.rule(),
-                        )
-                    })
-                }
-            };
+        // One network build and one all-pairs table serve the social cost
+        // and the certificate.
+        let network = result.profile.build_network(&game);
+        let apsp = apsp_parallel(&network);
+        let social = cost::social_cost_from(&game, &result.profile, &apsp);
+        let certified =
+            result.converged() && certify(cell, &game, &result.profile, &network, &apsp);
         let outcome = match result.outcome {
             Outcome::Converged { .. } => "converged",
             Outcome::Cycle { .. } => "cycle",
@@ -933,6 +919,34 @@ impl Runner {
     /// gauge records per job.
     pub fn warm_resident_bytes(&self) -> usize {
         self.engine.warm_resident_bytes()
+    }
+}
+
+/// The cell's certificate of `profile` under its [`CertifyMode`], checked
+/// cold off the profile's built `network` and its all-pairs table `apsp`:
+/// the greedy and add rules by
+/// [`certify_agents_in`](equilibrium::certify_agents_in), the br rule by
+/// one exact best response per agent.
+fn certify(
+    cell: &Cell,
+    game: &Game,
+    profile: &Profile,
+    network: &AdjacencyList,
+    apsp: &DistanceMatrix,
+) -> bool {
+    let agents: Vec<NodeId> = match cell.certify {
+        CertifyMode::Off => return false,
+        CertifyMode::Full => (0..cell.n as NodeId).collect(),
+        CertifyMode::Sampled => sampled_agents(cell.n, cell.cell_seed),
+    };
+    let cold =
+        |space| equilibrium::certify_agents_in(game, profile, network, apsp, &agents, space).0;
+    match cell.rule {
+        RuleSpec::Br => agents
+            .par_iter()
+            .all(|&u| !exact_best_response_in(game, profile, network, u).improves()),
+        RuleSpec::Greedy => cold(MoveSpace::Greedy),
+        RuleSpec::Add => cold(MoveSpace::AddOnly),
     }
 }
 
@@ -1304,6 +1318,42 @@ mod tests {
         assert_eq!(full.moves, off.moves);
         assert_eq!(full.social_cost, sampled.social_cost);
         assert_eq!(full.social_cost, off.social_cost);
+    }
+
+    #[test]
+    fn sampled_check_fails_a_star_whose_sample_holds_a_leaf() {
+        // On the unit host at α = 0.5 a star's leaf gains by buying an
+        // edge to another leaf (distance 2 → 1 for 0.5), while the center
+        // owns every edge it could use. The sampled check must price that
+        // leaf cold rather than restate any engine verdict.
+        for rule in [RuleSpec::Greedy, RuleSpec::Add] {
+            let spec = ScenarioSpec {
+                hosts: vec!["unit".into()],
+                ns: vec![9],
+                alphas: vec![0.5],
+                rules: vec![rule],
+                certify: CertifyMode::Sampled,
+                ..ScenarioSpec::default()
+            };
+            let cell = &spec.expand()[0];
+            let host = gncg_metrics::factory::build_host("unit", 9, cell.cell_seed).unwrap();
+            let game = Game::new(host, 0.5);
+            let star = Profile::star(9, 0);
+            let network = star.build_network(&game);
+            let apsp = apsp_parallel(&network);
+            assert!(
+                sampled_agents(9, cell.cell_seed).iter().any(|&u| u != 0),
+                "the sample holds a leaf"
+            );
+            assert!(!certify(cell, &game, &star, &network, &apsp), "{rule:?}");
+            let space = match rule {
+                RuleSpec::Greedy => MoveSpace::Greedy,
+                _ => MoveSpace::AddOnly,
+            };
+            let (center_only, _) =
+                equilibrium::certify_agents_in(&game, &star, &network, &apsp, &[0], space);
+            assert!(center_only, "{rule:?}: the center alone is stable");
+        }
     }
 
     #[test]

@@ -80,6 +80,10 @@ cp target/tier1-grid.jsonl target/tier1-grid.jsonl.orig
 cmp target/tier1-grid.jsonl target/tier1-grid.jsonl.orig
 rm -f target/tier1-grid.jsonl.orig
 
+# The binary the golden grids below run; the oracle-profile step reruns
+# them with its own build.
+GNCG=./target/release/gncg
+
 echo "== swap-heavy grid vs committed golden (36 cells, n = 20)" >&2
 # The removal-richest regime (≈ half the applied moves delete or swap
 # edges) byte-compared against the committed pre-speculation golden:
@@ -88,7 +92,7 @@ echo "== swap-heavy grid vs committed golden (36 cells, n = 20)" >&2
 # once on the default pool — both must equal the golden exactly.
 swap_heavy_grid() {
   rm -f target/tier1-swap-heavy.jsonl target/tier1-swap-heavy.manifest
-  ./target/release/gncg grid \
+  "$GNCG" grid \
     --out target/tier1-swap-heavy.jsonl \
     --name swap-heavy \
     --hosts r2,grid,clusters --n 20 --alpha 2.0,4.0,8.0 \
@@ -108,7 +112,7 @@ echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # one, and every memo hit against a fresh pricing.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
-  GNCG_THREADS="$1" ./target/release/gncg grid \
+  GNCG_THREADS="$1" "$GNCG" grid \
     --out target/tier1-br-grid.jsonl \
     --preset br-grid
   cmp target/tier1-br-grid.jsonl tests/golden/br_grid_n14.jsonl
@@ -123,7 +127,7 @@ echo "== metered grid vs committed golden (54 cells, every rule x scheduler)" >&
 # move a result byte.
 meter_golden() {
   rm -f target/tier1-meter-golden.jsonl target/tier1-meter-golden.manifest
-  GNCG_THREADS="$1" ./target/release/gncg grid \
+  GNCG_THREADS="$1" "$GNCG" grid \
     --out target/tier1-meter-golden.jsonl \
     --hosts r2,metric,clusters --n 12 --alpha 1.0,4.0 \
     --rules greedy,add,br --scheds rr,maxgain,random \
@@ -141,7 +145,7 @@ echo "== greedy-hosts grid vs committed golden (72 cells, n = 16)" >&2
 # never move a result byte, pinned to one pool thread and at four.
 greedy_hosts() {
   rm -f target/tier1-greedy-hosts.jsonl target/tier1-greedy-hosts.manifest
-  GNCG_THREADS="$1" ./target/release/gncg grid \
+  GNCG_THREADS="$1" "$GNCG" grid \
     --out target/tier1-greedy-hosts.jsonl \
     --name greedy-hosts \
     --hosts unit,onetwo,tree,metric,general,oneinf --n 16 --alpha 0.5,1.5,4.0 \
@@ -191,6 +195,22 @@ large_n_1024() {
 large_n_1024 1
 large_n_1024 4
 cmp target/tier1-large-n-1.jsonl target/tier1-large-n-4.jsonl
+
+echo "== oracle profile (release speed, debug assertions on): goldens + large-n" >&2
+# [profile.oracle] (root Cargo.toml) is the release profile with debug
+# assertions on, so every debug oracle runs at optimized speed: the cold
+# certifier's masked-scan check on every certified golden cell, and at
+# n = 1024 the warm-vector, cached-network, memo and bucket-queue checks.
+# The golden bytes, and the release build's large-n bytes, must not move.
+cargo build --profile oracle -p gncg-service --bin gncg
+GNCG=./target/oracle/gncg
+GNCG_THREADS=4 swap_heavy_grid
+br_grid 4
+meter_golden 4
+greedy_hosts 4
+rm -f target/tier1-large-n-oracle.jsonl target/tier1-large-n-oracle.manifest
+GNCG_THREADS=4 "$GNCG" grid --out target/tier1-large-n-oracle.jsonl --preset large-n --n 1024
+cmp target/tier1-large-n-oracle.jsonl target/tier1-large-n-1.jsonl
 
 echo "== large-n grid (n = 4096 cell vs committed golden)" >&2
 # One round of the n = 4096 preset cell (one round already sweeps all

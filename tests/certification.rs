@@ -1,0 +1,121 @@
+//! The cold GE/AE certifier against the masked scan it replaced, and the
+//! work it does on the swap-heavy preset.
+//!
+//! `certify_agents_in` bounds every single-edge move off one all-pairs
+//! table and prices exactly only the moves the bound cannot rule out; its
+//! verdict must be the masked scan's (`best_greedy_move` /
+//! `best_add_move`, one masked Dijkstra per move) on every profile, and
+//! the number of exact Dijkstras it runs is deterministic, so it is
+//! locked here as a count.
+
+use proptest::prelude::*;
+
+use gncg_core::equilibrium::{certify_agents_in, MoveSpace};
+use gncg_core::response::{best_add_move, best_greedy_move};
+use gncg_core::{Game, Move, NodeId, Profile};
+use gncg_dynamics::{DynamicsConfig, ResponseRule};
+use gncg_graph::apsp::apsp_parallel;
+use gncg_suite::scenario::{Runner, ScenarioSpec};
+
+/// splitmix64, for the random owned-edge sets.
+fn mix(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Three profiles on `game`: a star, a mid-dynamics profile (the greedy
+/// or add dynamics from a star, cut after one or two rounds), and a
+/// random owned-edge set, which is often disconnected.
+fn profiles(game: &Game, seed: u64) -> Vec<Profile> {
+    let n = game.n();
+    let mut x = seed;
+    let star = Profile::star(n, (mix(&mut x) % n as u64) as NodeId);
+    let rule = if mix(&mut x).is_multiple_of(2) {
+        ResponseRule::BestGreedyMove
+    } else {
+        ResponseRule::AddOnly
+    };
+    let cfg = DynamicsConfig {
+        rule,
+        max_rounds: 1 + (mix(&mut x) % 2) as usize,
+        ..DynamicsConfig::default()
+    };
+    let mid = gncg_dynamics::run(game, star.clone(), &cfg).profile;
+    let per_mille = 60 + mix(&mut x) % 300;
+    let mut random = Profile::empty(n);
+    for u in 0..n as NodeId {
+        for v in 0..n as NodeId {
+            if u != v && mix(&mut x) % 1000 < per_mille {
+                random.buy(u, v);
+            }
+        }
+    }
+    vec![star, mid, random]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Per agent and per move space, the cold verdict is the masked
+    /// scan's, on all nine factory hosts: exact ties (`unit`, `onetwo`),
+    /// non-metric weights (`general`) and ∞ edges (`oneinf`) included.
+    #[test]
+    fn cold_verdicts_match_the_masked_scan(
+        host in 0usize..9,
+        n in 4usize..13,
+        alpha in 0.3f64..8.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let game = Game::new(gncg_metrics::factory::build_host(key, n, seed).unwrap(), alpha);
+        for profile in profiles(&game, seed) {
+            let network = profile.build_network(&game);
+            let apsp = apsp_parallel(&network);
+            for u in 0..n as NodeId {
+                let (ge, _) =
+                    certify_agents_in(&game, &profile, &network, &apsp, &[u], MoveSpace::Greedy);
+                prop_assert_eq!(ge, best_greedy_move(&game, &profile, u).is_none());
+                let (ae, _) =
+                    certify_agents_in(&game, &profile, &network, &apsp, &[u], MoveSpace::AddOnly);
+                prop_assert_eq!(ae, best_add_move(&game, &profile, u).is_none());
+            }
+        }
+    }
+}
+
+/// Certifying the swap-heavy preset's 36 final profiles (all converged
+/// GE) takes a fixed number of exact Dijkstras: one per owned edge for
+/// the deletes, plus the adds and swaps the bound cannot rule out. The
+/// masked scan prices every one of the 29,424 moves; the cold certifier
+/// must stay at or below a twentieth of that.
+#[test]
+fn swap_heavy_certification_work_is_locked() {
+    let mut runner = Runner::new();
+    let (mut dijkstras, mut masked) = (0, 0);
+    for cell in ScenarioSpec::swap_heavy().expand() {
+        let (_, game, run) = runner.run_cell_full(&cell);
+        let network = run.profile.build_network(&game);
+        let apsp = apsp_parallel(&network);
+        let agents: Vec<NodeId> = (0..game.n() as NodeId).collect();
+        let (stable, count) = certify_agents_in(
+            &game,
+            &run.profile,
+            &network,
+            &apsp,
+            &agents,
+            MoveSpace::Greedy,
+        );
+        assert!(stable && run.converged(), "cell {}", cell.index);
+        dijkstras += count;
+        masked += agents
+            .iter()
+            .map(|&u| Move::greedy_moves(&run.profile, u).len() as u64)
+            .sum::<u64>();
+    }
+    assert_eq!(masked, 29_424);
+    assert_eq!(dijkstras, 1_048);
+    assert!(20 * dijkstras <= masked);
+}
