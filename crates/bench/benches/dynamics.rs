@@ -101,7 +101,7 @@ fn bench_swap_heavy(c: &mut Criterion) {
 /// rounds and the bill after that is stability probing, where
 /// branch-and-bound pruning is sharp and the dominant cost of a probe
 /// is building the bound tables (candidate sort + n + 1 Dijkstras for
-/// the `d0`/B* vectors). With `rebuild`, every probe pays that build in
+/// the `d0` and remainder vectors). With `rebuild`, every probe pays that build in
 /// the from-scratch [`exact_best_response_given_current`]; otherwise a
 /// probe pays only delta maintenance plus the DFS on the persistent
 /// tables, and the commit-free second sweep is answered by the engine's

@@ -34,7 +34,7 @@ use crate::cost::{
     edge_cost, CostBreakdown,
 };
 use crate::response::{
-    best_add_move_in, best_greedy_move_in, candidate_edge_sum, exact_best_response,
+    best_add_move_in, best_greedy_move_in, candidate_edge_sum, exact_best_response_in,
 };
 use crate::{Game, Move, Profile};
 
@@ -257,9 +257,10 @@ pub fn is_swap_equilibrium(game: &Game, profile: &Profile) -> bool {
 /// worst case — intended for the experiment sizes (n ≲ 20) and structured
 /// constructions.
 pub fn is_nash_equilibrium(game: &Game, profile: &Profile) -> bool {
+    let network = profile.build_network(game);
     (0..game.n() as NodeId)
         .into_par_iter()
-        .all(|u| !exact_best_response(game, profile, u).improves())
+        .all(|u| !exact_best_response_in(game, profile, &network, u).improves())
 }
 
 /// The worst NE approximation factor over agents:
@@ -267,10 +268,11 @@ pub fn is_nash_equilibrium(game: &Game, profile: &Profile) -> bool {
 ///
 /// A profile is a β-NE exactly when this factor is ≤ β.
 pub fn nash_approximation_factor(game: &Game, profile: &Profile) -> f64 {
+    let network = profile.build_network(game);
     (0..game.n() as NodeId)
         .into_par_iter()
         .map(|u| {
-            let br = exact_best_response(game, profile, u);
+            let br = exact_best_response_in(game, profile, &network, u);
             ratio(br.current_cost, br.cost)
         })
         .reduce(|| 1.0, f64::max)

@@ -26,28 +26,74 @@
 //! * the DFS allocates nothing per node (the undo log, heap, and chosen
 //!   stack are reused; only incumbent improvements clone a strategy).
 //!
-//! # Why the partial-network bound is admissible
+//! # Why the pruning bound is admissible
 //!
-//! A branch at depth `idx` has committed `chosen ⊆ {candidates[..idx]}`
-//! and may still add edges only towards `R = candidates[idx..]`. Every
-//! shortest path from `u` in any completion either
+//! A node at depth `idx` has committed `chosen ⊆ candidates[..idx]`,
+//! already priced when the DFS included its last edge, and the live
+//! vector `D` holds the distances from `u` in `base ∪ star(chosen)`.
+//! Every subset the node's subtree still evaluates is `S = chosen ∪ T`
+//! with `∅ ≠ T ⊆ R = candidates[idx..]`. Let `G − u` be the network with
+//! every edge at `u` removed, and
 //!
-//! 1. uses no still-addable edge — all new edges are incident to `u`, a
-//!    path visits `u` once, so the whole path lies in `base ∪ chosen` and
-//!    its length is ≥ the live incremental distance `D[x]`, or
-//! 2. starts with a new edge `(u, v)`, `v ∈ R` — the remainder avoids `u`,
-//!    hence uses no new edge, so the path length is
-//!    ≥ `w(u,v) + d_{B*}(v, x)`, where `B* = base ∪ {(u,c) : c candidate}`
-//!    is the *optimistic network* (a supergraph of every reachable
-//!    network, so its distances lower-bound all of them).
+//! `LB = α·(w(chosen) + cand_w[idx]) + Σ_x min(D[x], via[idx][x])`,
+//! `via[idx][x] = min_{i ≥ idx} (cand_w[i] + d_{G−u}(candidates[i], x))`.
 //!
-//! Therefore `Σ_x min(D[x], min_{v∈R}(w(u,v) + d_{B*}(v, x)))` is an
-//! admissible distance lower bound — strictly stronger than the host
-//! closure bound the reference engine uses (`B*` is a subgraph of the
-//! host, so `d_H ≤ d_{B*}`, and the live `D` tightens it further as the
-//! DFS descends). The inner `min_{v∈R}` depends only on `idx` (remaining
-//! candidates form a suffix), so it is precomputed once per search as a
-//! suffix-min table (`via`), making the bound `O(n)` per node.
+//! In exact arithmetic `LB ≤ cost(S)`, term by term:
+//!
+//! 1. **The next edge's price.** `S` buys every edge of `chosen` and at
+//!    least one of `R`. Candidates are sorted by weight, weights are
+//!    `≥ 0` and `α > 0` ([`Game::new`] asserts both), so
+//!    `α·w(S) ≥ α·(w(chosen) + cand_w[idx])`.
+//! 2. **Remainders in `G − u`.** A shortest path from `u` to `x` in `S`'s
+//!    network visits `u` once, so only its first edge is at `u`. Every
+//!    other edge is a network edge not at `u`: the rest of the path lies
+//!    in `G − u`. If the first edge is in `base ∪ star(chosen)`, so is the
+//!    whole path, and it is no shorter than `D[x]`. Otherwise it is a new
+//!    edge `(u, candidates[i])` with `i ≥ idx`, and the path is no shorter
+//!    than `cand_w[i] + d_{G−u}(candidates[i], x)`.
+//!
+//! Each term of the distance sum is the length of some host path from
+//! `u` to `x`, so the bound is at least the host-closure bound the
+//! reference engine prunes with, and the live `D` tightens it as the DFS
+//! descends. `via[idx]` depends only on `idx` (the remaining candidates
+//! are a suffix), so it is one suffix-min table per search, and the bound
+//! costs `O(n)` per node.
+//!
+//! # Rounding
+//!
+//! Every distance is the exact minimum over paths of their left-to-right
+//! `f64` prefix sums (see `gncg_graph::csr`), but `LB` associates
+//! differently: `cand_w[i] + d_{G−u}(…)` sums a path from its second
+//! node, and the DFS accumulates `w(chosen)` in include order where
+//! [`candidate_cost`] sums ascending node ids. So `LB` bounds `cost(S)`
+//! only up to rounding. With `ε` = [`f64::EPSILON`], `u₀ = ε/2`,
+//! `γ = (1 + u₀)/(1 − u₀)`, and every finite sum below `f64::MAX`:
+//!
+//! * a path of `k ≤ n − 1` edges sums to at least `(1 − u₀)^(k−1)` times
+//!   its exact length, and its bound term to at most `(1 + u₀)^(k−1)`
+//!   times it, so each term of the bound's distance sum is at most
+//!   `γ^(n−2)` times the matching distance of `S`;
+//! * the two `n`-term distance sums (index order both) round within
+//!   `(1 ± u₀)^(n−1)` of their exact sums, so the bound's distance term is
+//!   at most `γ^(2n−3)` times `S`'s;
+//! * both edge sums have at most `n − 1` terms, and the product with `α`
+//!   rounds once on each side, so the bound's edge term is at most
+//!   `γ^(n−1)` times `S`'s;
+//! * one more rounding of each total gives `LB ≤ γ^(2n−2)·cost(S)`.
+//!
+//! That is the factor [`certify_agents_in`](crate::equilibrium::certify_agents_in)
+//! proves its `1 − 8nε` margin against, and the same margin serves here:
+//! a node is pruned when `LB·(1 − 8nε) ≥ best − EPS`, which puts every
+//! `S` below it at or above `fl(best − EPS)`, where [`strictly_less`] says
+//! it cannot replace the incumbent `best`. Infinities need no margin:
+//! `LB = ∞` means an infinite edge term (every remaining candidate's
+//! weight is `∞` once `cand_w[idx]` is) or a node no subset below reaches
+//! at finite length, so every `S` below prices at `∞` too.
+//!
+//! The incumbent only ever falls, so a subset pruned against it could not
+//! have replaced a later incumbent either. Any admissible bound therefore
+//! leaves the DFS's sequence of incumbents, hence its result, bitwise
+//! unchanged; only [`BestResponse::evaluated`] depends on the bound.
 //!
 //! Costs are **bit-identical** to the reference engine on any instance
 //! whose distinct candidate subsets are not tied within
@@ -109,8 +155,8 @@ struct BrSearch<'g> {
     cand_w: Vec<f64>,
     /// Distances from the agent in the bare base graph.
     d0: Vec<f64>,
-    /// Suffix-min table of the optimistic bound:
-    /// `via[idx·n + x] = min_{i ≥ idx} (cand_w[i] + d_{B*}(candidates[i], x))`,
+    /// Suffix-min table of the pruning bound (module docs):
+    /// `via[idx·n + x] = min_{i ≥ idx} (cand_w[i] + d_{G−u}(candidates[i], x))`,
     /// with row `len` all-∞ (no candidates left).
     via: Vec<f64>,
     /// The host's weight class, installed as the bucket-queue hint on
@@ -233,20 +279,13 @@ impl<'g> BrSearch<'g> {
         scratch.run(&csr, agent, &[]);
         let d0 = scratch.to_vec(n);
 
-        // The optimistic network B*: base plus every candidate edge.
-        let mut bstar = base.clone();
-        for &v in &candidates {
-            if !bstar.has_edge(agent, v) {
-                bstar.add_edge(agent, v, game.w(agent, v));
-            }
-        }
-        let bstar_csr = Csr::from_adjacency(&bstar);
-
-        // Suffix-min bound table, built back to front.
+        // Suffix-min bound table over the remainders in G − u, built back
+        // to front.
+        let g_minus_u = Csr::from_adjacency(&without_edges_at(base, agent));
         let len = candidates.len();
         let mut via = vec![f64::INFINITY; (len + 1) * n];
         for i in (0..len).rev() {
-            scratch.run(&bstar_csr, candidates[i], &[]);
+            scratch.run(&g_minus_u, candidates[i], &[]);
             let (lo, hi) = (i * n, (i + 1) * n);
             for x in 0..n {
                 let through = cand_w[i] + scratch.dist(x as NodeId);
@@ -268,18 +307,31 @@ impl<'g> BrSearch<'g> {
     }
 }
 
+/// `g` with every edge at `u` removed: `G − u` when `g` is the network or
+/// a base graph of `u`, which differ from it only in edges at `u`.
+fn without_edges_at(g: &AdjacencyList, u: NodeId) -> AdjacencyList {
+    let mut rest = g.clone();
+    for &(v, _) in g.neighbors(u) {
+        rest.remove_edge(u, v);
+    }
+    rest
+}
+
 impl BrSearchView<'_> {
-    /// The admissible lower bound at a node: committed edge cost plus
-    /// `Σ_x min(live dist, optimistic completion dist)`.
+    /// Whether no subset below the node at depth `idx < len` can replace
+    /// the incumbent: the module docs' bound `LB`, shrunk by the
+    /// `1 − 8nε` rounding margin, is at least `best − EPS`.
     #[inline]
-    fn lower_bound(&self, worker: &BrWorker, idx: usize, edge_w_sum: f64) -> f64 {
+    fn prunes(&self, worker: &BrWorker, idx: usize, edge_w_sum: f64) -> bool {
         let via_row = &self.via[idx * self.n..(idx + 1) * self.n];
         let dist = worker.inc.dist();
-        let mut lb = 0.0;
+        let mut reach = 0.0;
         for x in 0..self.n {
-            lb += dist[x].min(via_row[x]);
+            reach += dist[x].min(via_row[x]);
         }
-        self.game.alpha() * edge_w_sum + lb
+        let lb = self.game.alpha() * (edge_w_sum + self.cand_w[idx]) + reach;
+        let margin = 1.0 - 8.0 * self.n as f64 * f64::EPSILON;
+        lb * margin >= worker.best_cost - gncg_graph::EPS
     }
 
     /// Prices the worker's current chosen set off the live vector and
@@ -306,12 +358,9 @@ impl BrSearchView<'_> {
     /// set at entry has already been evaluated; `worker.inc` holds its
     /// exact distance vector.
     fn dfs(&self, worker: &mut BrWorker, idx: usize, edge_w_sum: f64) {
-        if self.lower_bound(worker, idx, edge_w_sum) >= worker.best_cost - gncg_graph::EPS {
-            // No completion below this node can strictly beat the
-            // incumbent; every subset under it is dominated.
-            return;
-        }
-        if idx == self.candidates.len() {
+        // With no candidate left the chosen set is the only subset here,
+        // and it is priced; a pruned node's subsets are all dominated.
+        if idx == self.candidates.len() || self.prunes(worker, idx, edge_w_sum) {
             return;
         }
         let v = self.candidates[idx];
@@ -382,18 +431,19 @@ pub fn exact_best_response_given_current(
 /// before its next activation triggers a full bound-table rebuild.
 ///
 /// Each removal the cache leaves unrepaired keeps one *phantom* edge in
-/// the envelope graph its B\* vectors are exact for, which can only make
-/// the pruning bound *lower* — weaker pruning, never a wrong answer — so
-/// the budget trades rebuild Dijkstras against DFS nodes. The value is a
-/// plain constant, not a tuning surface: results are bitwise identical at
-/// any budget (see `tests/br_cache.rs`).
+/// the envelope graph its remainder vectors are exact for, which can only
+/// make the pruning bound *lower* — weaker pruning, never a wrong
+/// answer — so the budget trades rebuild Dijkstras against DFS nodes. The
+/// value is a plain constant, not a tuning surface: results are bitwise
+/// identical at any budget (see `tests/br_cache.rs`).
 pub const BR_STALENESS_BUDGET: usize = 16;
 
 /// Persistent per-agent branch-and-bound state for
 /// [`exact_best_response`]: the sorted candidate list, the exact base
-/// distances `d0`, and the per-candidate B\* distance vectors backing the
-/// suffix-min `via` bound table survive from activation to activation and
-/// are delta-maintained through the same committed `NetworkDelta` staging
+/// distances `d0`, and the per-candidate remainder vectors (distances in
+/// `G − u`, the network without the agent's edges) backing the suffix-min
+/// `via` bound table survive from activation to activation and are
+/// delta-maintained through the same committed `NetworkDelta` staging
 /// that keeps the dynamics engine's warm vectors alive — replacing the
 /// `n` full Dijkstras + CSR snapshots `BrSearch` pays per activation.
 ///
@@ -410,26 +460,25 @@ pub const BR_STALENESS_BUDGET: usize = 16;
 ///   eagerly by the [`BrBoundCache::gain_co_owned`] /
 ///   [`BrBoundCache::lose_co_owned`] hooks.
 ///
-/// * **The B\* vectors only feed the pruning bound**, so they never need
-///   to track the true optimistic network exactly — but "stale yet
-///   admissible" is subtler than leaving removal repairs undone. A
-///   decrease-only insert replay into a vector that is merely *below*
-///   the truth can stop propagating at a stale-low node and leave some
-///   *other* node **above** the truth — an inadmissible bound. The cache
-///   therefore keeps every B\* vector **exact for the envelope graph**
-///   `Ĝ = B*(at last rebuild) ∪ {inserts since}`: insert replays stay on
-///   [`DynamicSssp::relax_inserts`]'s exactness contract, and removals
-///   simply *keep* the removed edge in `Ĝ` (a *phantom* edge). Since the
-///   true optimistic network `B* = network ∪ star(agent)` is always a
-///   subgraph of `Ĝ`, `d_Ĝ ≤ d_B*` pointwise and the bound stays
-///   admissible — each phantom edge just makes it lower, hence weaker.
-///   Past [`BR_STALENESS_BUDGET`] phantoms the next activation rebuilds
-///   the tables from scratch.
+/// * **The remainder vectors only feed the pruning bound**, so they never
+///   need to track the live `G − u` exactly — but "stale yet admissible"
+///   is subtler than leaving removal repairs undone. A decrease-only
+///   insert replay into a vector that is merely *below* the truth can
+///   stop propagating at a stale-low node and leave some *other* node
+///   **above** the truth — an inadmissible bound. The cache therefore
+///   keeps every remainder vector **exact for the envelope graph**
+///   `Ĝ = (G − u)(at last rebuild) ∪ {inserts since}`: insert replays
+///   stay on [`DynamicSssp::relax_inserts`]'s exactness contract, and
+///   removals simply *keep* the removed edge in `Ĝ` (a *phantom* edge).
+///   Since the live `G − u` is always a subgraph of `Ĝ`, `d_Ĝ ≤ d_{G−u}`
+///   pointwise and the bound stays admissible — each phantom edge just
+///   makes it lower, hence weaker. Past [`BR_STALENESS_BUDGET`] phantoms
+///   the next activation rebuilds the tables from scratch.
 ///
-/// * **`B*` does not depend on the agent's own strategy** (`network ∪
-///   star(agent)` is invariant under the agent's own moves, and the
-///   agent's sole-owned edges are star edges already in `Ĝ`), so the
-///   agent's own purchases and drops touch neither `base` nor `Ĝ`.
+/// * **`G − u` does not change when an edge at the agent does.** The
+///   agent's own purchases and drops, other agents' edges to it, and
+///   ownership flips of its edges never enter `Ĝ`, so only edges
+///   between two other agents move the envelope.
 ///
 /// Because weaker pruning evaluates a *superset* of the subsets the
 /// fresh search evaluates — all of them dominated within the search's
@@ -464,18 +513,19 @@ pub struct BrBoundCache {
     d0: DynamicSssp,
     /// How many engine insert-log entries `d0` already reflects.
     d0_synced: usize,
-    /// The envelope graph `Ĝ` the B\* vectors are exact for (see the
-    /// type docs): monotonically grown by insert replays, never shrunk.
+    /// The envelope graph `Ĝ` the remainder vectors are exact for (see
+    /// the type docs): monotonically grown by insert replays, never
+    /// shrunk, and never holding an edge at the agent.
     ghat: AdjacencyList,
     /// Edges of `Ĝ` no longer in the live network (normalized pairs) —
     /// the staleness the budget counts.
     phantom: Vec<(NodeId, NodeId)>,
-    /// Per-candidate B\* distance vectors (`bstar[i]` from source
+    /// Per-candidate remainder vectors (`remainders[i]` from source
     /// `candidates[i]`), exact for `Ĝ`.
-    bstar: Vec<DynamicSssp>,
-    /// How many engine insert-log entries the B\* vectors reflect.
-    bstar_synced: usize,
-    /// Suffix-min bound table derived from `bstar` (same layout as
+    remainders: Vec<DynamicSssp>,
+    /// How many engine insert-log entries the remainder vectors reflect.
+    remainders_synced: usize,
+    /// Suffix-min bound table derived from `remainders` (same layout as
     /// [`BrSearch::via`]); refreshed in one `O(n²)` pass when dirty.
     via: Vec<f64>,
     via_dirty: bool,
@@ -504,8 +554,8 @@ impl BrBoundCache {
             d0_synced: 0,
             ghat: AdjacencyList::default(),
             phantom: Vec::new(),
-            bstar: Vec::new(),
-            bstar_synced: 0,
+            remainders: Vec::new(),
+            remainders_synced: 0,
             via: Vec::new(),
             via_dirty: false,
             worker: BrWorker::new(),
@@ -535,12 +585,12 @@ impl BrBoundCache {
         self.built = false;
     }
 
-    /// Bytes resident in the cache's tables — the B\* vectors dominate
-    /// (`n − 1` SSSP engines of `Θ(n)` floats each).
+    /// Bytes resident in the cache's tables — the remainder vectors
+    /// dominate (`n − 1` SSSP engines of `Θ(n)` floats each).
     pub fn resident_bytes(&self) -> usize {
         self.d0.resident_bytes()
             + self
-                .bstar
+                .remainders
                 .iter()
                 .map(DynamicSssp::resident_bytes)
                 .sum::<usize>()
@@ -551,7 +601,7 @@ impl BrBoundCache {
     /// Makes the tables current for the live `network`: a full rebuild
     /// when unbuilt or past the staleness budget, otherwise one lazy
     /// replay of the pending committed-insert suffix into `d0` and the
-    /// B\* vectors.
+    /// remainder vectors.
     pub fn ensure(
         &mut self,
         game: &Game,
@@ -564,7 +614,7 @@ impl BrBoundCache {
             return;
         }
         self.flush_d0(insert_log);
-        self.sync_bstar(network, insert_log);
+        self.sync_remainders(network, insert_log);
     }
 
     /// Rebuilds every table from the live network — the same
@@ -595,36 +645,30 @@ impl BrBoundCache {
         self.d0.set_weight_class(self.weight_class);
         self.d0.reset_from(agent, &self.dist_buf);
 
-        // A fresh envelope graph is exactly the optimistic network:
-        // Ĝ = network ∪ star(agent) = base ∪ {(agent, c) ∀ candidates}.
-        self.ghat = network.clone();
-        for (i, &v) in self.candidates.iter().enumerate() {
-            if !self.ghat.has_edge(agent, v) {
-                self.ghat.add_edge(agent, v, self.cand_w[i]);
-            }
-        }
+        // A fresh envelope graph is exactly G − u.
+        self.ghat = without_edges_at(&self.base, agent);
         self.phantom.clear();
 
         let len = self.candidates.len();
-        if self.bstar.len() < len {
-            self.bstar.resize_with(len, DynamicSssp::new);
+        if self.remainders.len() < len {
+            self.remainders.resize_with(len, DynamicSssp::new);
         }
         for (i, &c) in self.candidates.iter().enumerate() {
             self.scratch.run(&self.ghat, c, &[]);
             self.dist_buf.clear();
             self.dist_buf.resize(n, f64::INFINITY);
             self.scratch.write_distances(&mut self.dist_buf);
-            self.bstar[i].set_weight_class(self.weight_class);
-            self.bstar[i].reset_from(c, &self.dist_buf);
+            self.remainders[i].set_weight_class(self.weight_class);
+            self.remainders[i].reset_from(c, &self.dist_buf);
         }
         self.rebuild_via();
 
         self.d0_synced = log_len;
-        self.bstar_synced = log_len;
+        self.remainders_synced = log_len;
         self.built = true;
     }
 
-    /// Refreshes the suffix-min `via` table from the resident B\*
+    /// Refreshes the suffix-min `via` table from the resident remainder
     /// vectors — the same back-to-front fold as [`BrSearch::new`], so a
     /// phantom-free cache reproduces the fresh table bit for bit.
     fn rebuild_via(&mut self) {
@@ -633,7 +677,7 @@ impl BrBoundCache {
         self.via.clear();
         self.via.resize((len + 1) * n, f64::INFINITY);
         for i in (0..len).rev() {
-            let dist = self.bstar[i].dist();
+            let dist = self.remainders[i].dist();
             let w = self.cand_w[i];
             let lo = i * n;
             // Row `i` folds over row `i + 1`, laid out right behind it.
@@ -669,20 +713,19 @@ impl BrBoundCache {
         self.d0_synced = insert_log.len();
     }
 
-    /// Lazily replays pending committed inserts into the B\* vectors:
-    /// each genuinely new edge enters the envelope graph `Ĝ` and is
-    /// relaxed — exactly — into every resident vector in one batch; an
+    /// Lazily replays pending committed inserts into the remainder
+    /// vectors: each genuinely new edge enters the envelope graph `Ĝ` and
+    /// is relaxed — exactly — into every resident vector in one batch; an
     /// edge `Ĝ` kept through an interim removal merely stops being
     /// phantom (the vectors are already exact for it).
-    fn sync_bstar(&mut self, network: &AdjacencyList, insert_log: &[(NodeId, NodeId, f64)]) {
-        if self.bstar_synced >= insert_log.len() {
+    fn sync_remainders(&mut self, network: &AdjacencyList, insert_log: &[(NodeId, NodeId, f64)]) {
+        if self.remainders_synced >= insert_log.len() {
             return;
         }
         self.batch.clear();
-        for &(a, b, w) in &insert_log[self.bstar_synced..] {
+        for &(a, b, w) in &insert_log[self.remainders_synced..] {
             if a == self.agent || b == self.agent {
-                // Star edges are permanently in Ĝ at the same host
-                // weight; the replay would be a no-op.
+                // Edges at the agent are not in G − u.
                 continue;
             }
             if !network.has_edge(a, b) {
@@ -700,19 +743,19 @@ impl BrBoundCache {
         }
         if !self.batch.is_empty() {
             let len = self.candidates.len();
-            for inc in &mut self.bstar[..len] {
+            for inc in &mut self.remainders[..len] {
                 inc.relax_inserts(&self.ghat, &self.batch);
             }
             self.via_dirty = true;
         }
-        self.bstar_synced = insert_log.len();
+        self.remainders_synced = insert_log.len();
     }
 
     /// Notes a committed edge-insertion batch by `mover` (the edges are
     /// live in the network). Base bookkeeping is eager and `O(1)` per
     /// edge; the SSSP repairs stay lazy behind the cursors. A batch by
     /// the cache's own agent is sole-owned by construction — outside the
-    /// base graph, already in `Ĝ` as star edges — and is a no-op.
+    /// base graph, and at the agent, so outside `Ĝ` — and is a no-op.
     pub fn on_inserts(&mut self, inserts: &[(NodeId, NodeId, f64)], mover: NodeId) {
         if !self.built || mover == self.agent {
             return;
@@ -727,11 +770,11 @@ impl BrBoundCache {
 
     /// Notes committed removals by `mover`, already applied to the
     /// network; [`BrBoundCache::flush_d0`] must have run first. `d0` is
-    /// repaired exactly in one batched affected-region pass; the B\*
-    /// vectors instead keep each removed edge in `Ĝ` as a phantom
-    /// (admissible staleness — see the type docs). A batch by the
+    /// repaired exactly in one batched affected-region pass; the
+    /// remainder vectors instead keep each removed edge in `Ĝ` as a
+    /// phantom (admissible staleness — see the type docs). A batch by the
     /// cache's own agent is a no-op (sole-owned drops were never in the
-    /// base graph, and their star edges legitimately stay in `Ĝ`).
+    /// base graph, and edges at the agent are never in `Ĝ`).
     pub fn on_removals(&mut self, removed: &[(NodeId, NodeId, f64)], mover: NodeId) {
         if !self.built || mover == self.agent {
             return;
@@ -757,7 +800,7 @@ impl BrBoundCache {
     /// The mover just bought an edge the cache's agent already owned:
     /// `(agent, other)` was sole-owned (outside the base graph) and is
     /// now co-owned (inside it). No network edge moved, so only this
-    /// cache's base/`d0` change; `Ĝ` holds the star edge either way.
+    /// cache's base/`d0` change; `Ĝ` never holds an edge at the agent.
     pub fn gain_co_owned(&mut self, other: NodeId, w: f64, insert_log: &[(NodeId, NodeId, f64)]) {
         if !self.built {
             return;
@@ -841,10 +884,10 @@ impl BrBoundCache {
         result
     }
 
-    /// The PR 4–5 oracle: rebuild the per-activation search state from
+    /// The cache's oracle: rebuild the per-activation search state from
     /// scratch and require (a) the lock-step base graph, (b) a bitwise
     /// `d0`, (c) per-node bound admissibility (cached `via` ≤ fresh
-    /// `via` — the fresh bound is the exact optimistic distance, so `≤`
+    /// `via` — the fresh table is exact for the live `G − u`, so `≤`
     /// *is* admissibility), and (d) a bitwise-identical chosen strategy
     /// and cost.
     #[cfg(debug_assertions)]

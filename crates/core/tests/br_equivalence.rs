@@ -2,11 +2,14 @@
 //!
 //! The incremental branch-and-bound (`exact_best_response`) must return
 //! costs *identical* to the historical from-scratch engine
-//! (`exact_best_response_reference`) on arbitrary metric hosts across α
-//! regimes — both engines take exact minima over the same candidate space
-//! with admissible pruning, so any divergence is a soundness bug, not
-//! noise. Likewise, `DijkstraScratch` reuse must be observationally
-//! identical to fresh-allocation Dijkstra across arbitrarily many calls.
+//! (`exact_best_response_reference`) on arbitrary metric hosts and on
+//! every factory host across α regimes — both engines take exact minima
+//! over the same candidate space with admissible pruning, so any
+//! divergence is a soundness bug, not noise. The reference prices every
+//! leaf with its own Dijkstra and prunes only with the host-closure
+//! bound, so it shares no pruning code with the engine it checks.
+//! Likewise, `DijkstraScratch` reuse must be observationally identical to
+//! fresh-allocation Dijkstra across arbitrarily many calls.
 
 use proptest::prelude::*;
 
@@ -25,6 +28,36 @@ fn game(n: usize) -> impl Strategy<Value = Game> {
             alpha,
         )
     })
+}
+
+/// splitmix64, for the random extra purchases.
+fn mix(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A star on `n` agents (or, when `star` is false, the empty profile)
+/// plus random extra purchases at a density of 6–36 %. Empty-based
+/// profiles often leave agents disconnected, at cost ∞.
+fn with_extras(n: usize, star: bool, seed: u64) -> Profile {
+    let mut x = seed;
+    let mut p = if star {
+        Profile::star(n, (mix(&mut x) % n as u64) as NodeId)
+    } else {
+        Profile::empty(n)
+    };
+    let per_mille = 60 + mix(&mut x) % 300;
+    for u in 0..n as NodeId {
+        for v in 0..n as NodeId {
+            if u != v && mix(&mut x) % 1000 < per_mille && !p.has_edge(u, v) {
+                p.buy(u, v);
+            }
+        }
+    }
+    p
 }
 
 /// A connected-ish random profile: a star with extra purchases.
@@ -96,6 +129,45 @@ proptest! {
                 prop_assert_eq!(&scratch.to_vec(n), &fresh);
                 prop_assert_eq!(scratch.sum_distances(n), fresh.iter().sum::<f64>());
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On all nine factory hosts — exact ties (`unit`, `onetwo`), ∞ edges
+    /// (`oneinf`) and non-metric weights (`general`) included — every
+    /// agent's best response prices at the reference's cost bits, and the
+    /// two agree on whether it improves, for α from 0.05 to 40.
+    #[test]
+    fn br_matches_reference_on_factory_hosts(
+        host in 0usize..9,
+        n in 7usize..10,
+        ln_alpha in 0.05f64.ln()..40f64.ln(),
+        star in proptest::bool::ANY,
+        seed in 0u64..1 << 32,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let g = Game::new(
+            gncg_metrics::factory::build_host(key, n, seed).expect("registry key"),
+            ln_alpha.exp(),
+        );
+        let p = with_extras(n, star, seed);
+        for agent in 0..n as NodeId {
+            let bnb = exact_best_response(&g, &p, agent);
+            let refr = exact_best_response_reference(&g, &p, agent);
+            prop_assert_eq!(
+                bnb.cost.to_bits(),
+                refr.cost.to_bits(),
+                "{} α = {} agent {}: {} vs {}",
+                key,
+                g.alpha(),
+                agent,
+                bnb.cost,
+                refr.cost
+            );
+            prop_assert_eq!(bnb.improves(), refr.improves());
         }
     }
 }

@@ -104,9 +104,10 @@ GNCG_THREADS=1 swap_heavy_grid
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # Exact best responses priced off the persistent per-agent bound tables
-# (BrBoundCache): delta-maintained d0/B* vectors and stale-admissible
-# removals; a re-probe with no commit since the agent was last priced is
-# answered by the engine's pricing memo, which serves all three rules.
+# (BrBoundCache): delta-maintained d0 and G − u remainder vectors and
+# stale-admissible removals; a re-probe with no commit since the agent
+# was last priced is answered by the engine's pricing memo, which serves
+# all three rules.
 # The committed golden locks the cached path's bytes at one pool thread
 # and at four; debug builds check every cached search against a fresh
 # one, and every memo hit against a fresh pricing.
@@ -155,6 +156,25 @@ greedy_hosts() {
 greedy_hosts 1
 greedy_hosts 4
 
+echo "== br-hosts grid vs committed golden (72 exact-BR cells, n = 12)" >&2
+# The br rule on the hosts br-grid skips: exact ties (unit, onetwo), a
+# tree metric, non-metric weights (general), ∞ edges (oneinf) and the
+# integer grid, under round-robin and MaxGain. The branch-and-bound's
+# pruning bound decides only how many subsets it evaluates, never which
+# best response it returns, so its bytes must not move, pinned to one
+# pool thread and at four.
+br_hosts() {
+  rm -f target/tier1-br-hosts.jsonl target/tier1-br-hosts.manifest
+  GNCG_THREADS="$1" "$GNCG" grid \
+    --out target/tier1-br-hosts.jsonl \
+    --name br-hosts \
+    --hosts unit,onetwo,tree,general,oneinf,grid --n 12 --alpha 0.3,0.8,2.0 \
+    --rules br --scheds rr,maxgain --seeds 0,1 --max-rounds 200
+  cmp target/tier1-br-hosts.jsonl tests/golden/br_hosts_n12.jsonl
+}
+br_hosts 1
+br_hosts 4
+
 echo "== horizon-policy grid vs committed golden (24 cells, n = 20)" >&2
 # Bounded-horizon pricing at n = 20 > PRICE_HORIZON, where the truncated
 # speculative relaxations genuinely shape move selection: the committed
@@ -199,8 +219,10 @@ cmp target/tier1-large-n-1.jsonl target/tier1-large-n-4.jsonl
 echo "== oracle profile (release speed, debug assertions on): goldens + large-n" >&2
 # [profile.oracle] (root Cargo.toml) is the release profile with debug
 # assertions on, so every debug oracle runs at optimized speed: the cold
-# certifier's masked-scan check on every certified golden cell, and at
-# n = 1024 the warm-vector, cached-network, memo and bucket-queue checks.
+# certifier's masked-scan check on every certified golden cell, the cached
+# best response's bound-admissibility and fresh-search checks on every br
+# activation, and at n = 1024 the warm-vector, cached-network, memo and
+# bucket-queue checks.
 # The golden bytes, and the release build's large-n bytes, must not move.
 cargo build --profile oracle -p gncg-service --bin gncg
 GNCG=./target/oracle/gncg
@@ -208,6 +230,7 @@ GNCG_THREADS=4 swap_heavy_grid
 br_grid 4
 meter_golden 4
 greedy_hosts 4
+br_hosts 4
 rm -f target/tier1-large-n-oracle.jsonl target/tier1-large-n-oracle.manifest
 GNCG_THREADS=4 "$GNCG" grid --out target/tier1-large-n-oracle.jsonl --preset large-n --n 1024
 cmp target/tier1-large-n-oracle.jsonl target/tier1-large-n-1.jsonl

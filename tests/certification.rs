@@ -1,17 +1,19 @@
 //! The cold GE/AE certifier against the masked scan it replaced, and the
-//! work it does on the swap-heavy preset.
+//! work certification does on the swap-heavy and br-grid presets.
 //!
 //! `certify_agents_in` bounds every single-edge move off one all-pairs
 //! table and prices exactly only the moves the bound cannot rule out; its
 //! verdict must be the masked scan's (`best_greedy_move` /
 //! `best_add_move`, one masked Dijkstra per move) on every profile, and
 //! the number of exact Dijkstras it runs is deterministic, so it is
-//! locked here as a count.
+//! locked here as a count. NE certification runs one exact best response
+//! per agent, and the number of subsets its branch-and-bound evaluates is
+//! deterministic too, so it is locked the same way.
 
 use proptest::prelude::*;
 
 use gncg_core::equilibrium::{certify_agents_in, MoveSpace};
-use gncg_core::response::{best_add_move, best_greedy_move};
+use gncg_core::response::{best_add_move, best_greedy_move, exact_best_response_in};
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_dynamics::{DynamicsConfig, ResponseRule};
 use gncg_graph::apsp::apsp_parallel;
@@ -118,4 +120,28 @@ fn swap_heavy_certification_work_is_locked() {
     assert_eq!(masked, 29_424);
     assert_eq!(dijkstras, 1_048);
     assert!(20 * dijkstras <= masked);
+}
+
+/// Certifying the br-grid preset's 36 final profiles (all converged NE)
+/// with one exact best response per agent evaluates a fixed number of
+/// candidate subsets. It counts what the branch-and-bound's pruning bound
+/// fails to rule out, so it must stay at or below a fifth of 67,226: the
+/// count when the bound charged no next edge and let new-edge paths
+/// detour back through the agent.
+#[test]
+fn br_certification_work_is_locked() {
+    let mut runner = Runner::new();
+    let mut evaluated = 0;
+    for cell in ScenarioSpec::br_grid().expand() {
+        let (_, game, run) = runner.run_cell_full(&cell);
+        assert!(run.converged(), "cell {}", cell.index);
+        let network = run.profile.build_network(&game);
+        for u in 0..game.n() as NodeId {
+            let br = exact_best_response_in(&game, &run.profile, &network, u);
+            assert!(!br.improves(), "cell {} agent {u}", cell.index);
+            evaluated += br.evaluated;
+        }
+    }
+    assert_eq!(evaluated, 8_933);
+    assert!(5 * evaluated <= 67_226);
 }
