@@ -129,6 +129,90 @@ pub(crate) fn candidate_cost_from(
     }
 }
 
+/// The proved lower bound that rules single-edge moves out unpriced: the
+/// cold certifier ([`certify_agents_in`](crate::equilibrium::certify_agents_in))
+/// and the engine's move scan
+/// ([`best_move_among_speculative_priced`](crate::response::best_move_among_speculative_priced))
+/// both decide through it.
+///
+/// # The bound
+///
+/// Let `G` be the network, `d` its distances, and `H′` a candidate network
+/// of agent `u` that differs from `G` only in edges at `u`. A shortest path
+/// from `u` to `v ≠ u` in `H′` visits `u` once, so it leaves `u` through
+/// one edge `(u, x)` of `H′`, and the rest of it lies in `H′ − u = G − u ⊆ G`:
+/// the path is no shorter than `w(u,x) + d(x,v)`. The first hop may be any
+/// edge at `u`. So for every `v ≠ u`, `d_{H′}(u,v) ≥ m_v` in exact
+/// arithmetic, where `m_v` is either
+///
+/// * `min(δ(v), w(u,a) + d(a,v))`, when `H′ = H + ua` and `δ` are the
+///   distances from `u` in `H` (a path that avoids `ua` is a path of `H`;
+///   one that uses it leaves `u` through it), or
+/// * the least `w(u,x) + d(x,v)` over a set of first hops `x` that holds
+///   every edge of `H′` at `u`,
+///
+/// and `m_u = 0`. A move is ruled out when
+/// `(edge + Σ_v m_v)·(1 − 8nε) ≥ floor` ([`MoveBound::rules_out`]), with
+/// `edge` the move's edge term `α·w(S′)` summed as [`candidate_cost`]
+/// sums it and `ε` = [`f64::EPSILON`]: the move then prices at or above
+/// `floor`.
+///
+/// # Rounding
+///
+/// Every distance is the exact minimum over paths of their left-to-right
+/// `f64` prefix sums (see `gncg_graph::csr`), and the bound associates
+/// differently, so it holds only up to rounding. With `u₀ = ε/2`, and
+/// every finite sum below `f64::MAX`:
+///
+/// 1. A path `u, x, …, v` of `k + 1 ≤ n − 1` edges sums in floating point
+///    to at least `(1 − u₀)^k` times its exact length, and
+///    `w(u,x) + d(x,v)` rounds to at most `(1 + u₀)^k` times it, so each
+///    new distance is at least `r·m_v` with `r = ((1 − u₀)/(1 + u₀))^(n−2)`
+///    (a path that avoids the new edge is a path of `H`, no shorter than
+///    `δ(v)`).
+/// 2. The two `n`-term distance sums (index order both) round within
+///    `(1 ± u₀)^(n−1)` of their exact sums, so the true distance term is at
+///    least `((1 − u₀)/(1 + u₀))^(2n−3)` times the bound's.
+/// 3. The edge term is the true one bit for bit, and it is non-negative.
+///    One more rounding of each total leaves the true price at least
+///    `((1 − u₀)/(1 + u₀))^(2n−2)` times the bound: the bound exceeds the
+///    true price by at most a factor of about `1 + 2nε`.
+///
+/// The product with the margin rounds up by at most `1 + u₀`, so the test
+/// is sound whenever the margin is at most
+/// `((1 − u₀)/(1 + u₀))^(2n−2)/(1 + u₀) ≥ 1 − (4n − 3)u₀ = 1 − (2n − 1.5)ε`.
+/// `1 − 8nε` is exact in `f64` and below that for every `n ≥ 1`, so a
+/// move whose bound passes the test prices at or above `floor`.
+/// Infinities need no margin. A bound of `∞` means an infinite edge term,
+/// or a node no finite path of `H′` reaches, so the true price is `∞` too;
+/// and when `floor = ∞` only a bound of `∞` passes the test.
+#[derive(Clone, Copy, Debug)]
+pub struct MoveBound {
+    margin: f64,
+}
+
+impl MoveBound {
+    /// The bound for a game on `n` nodes.
+    pub fn new(n: usize) -> Self {
+        MoveBound {
+            margin: 1.0 - 8.0 * n as f64 * f64::EPSILON,
+        }
+    }
+
+    /// `Σ_v min(first[v], w + row[v])`: the distance bound of a move that
+    /// gains an edge of weight `w` to the node whose distances are `row`,
+    /// onto first hops whose bound is `first`.
+    pub fn reach(first: &[f64], w: f64, row: &[f64]) -> f64 {
+        first.iter().zip(row).map(|(&x, &y)| x.min(w + y)).sum()
+    }
+
+    /// Whether a move with edge term `edge` and distance bound `reach`
+    /// prices at or above `floor`.
+    pub fn rules_out(self, edge: f64, reach: f64, floor: f64) -> bool {
+        (edge + reach) * self.margin >= floor
+    }
+}
+
 /// Social cost of a profile: `Σ_u cost(u)` — equivalently
 /// `α·Σ_u w(u, S_u) + Σ_u d_G(u, V)`.
 pub fn social_cost(game: &Game, profile: &Profile) -> f64 {

@@ -31,7 +31,7 @@ use gncg_graph::{strictly_less, AdjacencyList, DistanceMatrix, NodeId, EPS};
 
 use crate::cost::{
     agent_cost_in, base_graph_from, candidate_cost, candidate_cost_from, candidate_distances,
-    edge_cost, CostBreakdown,
+    edge_cost, CostBreakdown, MoveBound,
 };
 use crate::response::{
     best_add_move_in, best_greedy_move_in, candidate_edge_sum, exact_best_response_in,
@@ -106,42 +106,10 @@ fn certify_all(game: &Game, profile: &Profile, space: MoveSpace) -> bool {
 ///
 /// # Why a ruled-out move cannot improve
 ///
-/// Let `H` be the candidate's network without the new edge `ua` (`G` for
-/// an add, `G − ud` for a swap) and `δ` its distances from `u` (`d(u,·)`
-/// or the delete vector). A shortest path from `u` in `H + ua` either
-/// avoids `ua`, and is no shorter than `δ(v)`, or leaves `u` through `ua`
-/// first (it visits `u` once); the rest is then a path from `a` in `H`,
-/// hence in `G`, and no shorter than `d(a,v)`. So
-/// `m_v = min(δ(v), w(u,a) + d(a,v))` would bound each new distance from
-/// below in exact arithmetic. Every distance here is the exact minimum
-/// over paths of their left-to-right `f64` prefix sums (see
-/// `gncg_graph::csr`), and the bound associates differently, so it holds
-/// only up to rounding. With `u₀ = ε/2`, and every finite sum below
-/// `f64::MAX`:
-///
-/// 1. A path `u, a, …, v` of `k + 1 ≤ n − 1` edges sums in floating point
-///    to at least `(1 − u₀)^k` times its exact length, and
-///    `w(u,a) + d(a,v)` rounds to at most `(1 + u₀)^k` times it, so each
-///    new distance is at least `r·m_v` with `r = ((1 − u₀)/(1 + u₀))^(n−2)`.
-/// 2. The two `n`-term distance sums (index order both) round within
-///    `(1 ± u₀)^(n−1)` of their exact sums, so the true distance term is at
-///    least `((1 − u₀)/(1 + u₀))^(2n−3)` times the bound's.
-/// 3. The edge term `α·w(·)` is summed in [`candidate_cost`]'s
-///    ascending-id order, so it is the true one bit for bit, and it is
-///    non-negative. One more rounding of each total leaves the true price
-///    at least `((1 − u₀)/(1 + u₀))^(2n−2)` times the bound: the bound
-///    exceeds the true price by at most a factor of about `1 + 2nε`.
-///
-/// The product with the margin rounds up by at most `1 + u₀`, so the test
-/// is sound whenever the margin is at most
-/// `((1 − u₀)/(1 + u₀))^(2n−2)/(1 + u₀) ≥ 1 − (4n − 3)u₀ = 1 − (2n − 1.5)ε`.
-/// `1 − 8nε` is exact in `f64` and below that for every `n ≥ 1`, so a
-/// move whose bound passes the test prices at or above `fl(c − EPS)`,
-/// which is exactly when [`strictly_less`] says it does not improve on
-/// `c`. Infinities need no margin. A bound of `∞` means an infinite edge
-/// term, or a node no finite path of `H + ua` reaches, so the true price
-/// is `∞` too and never improves; and when `c = ∞` only a bound of `∞`
-/// passes the test.
+/// [`MoveBound`] proves, margin and rounding included, that a move whose
+/// bound passes the test prices at or above `fl(c − EPS)`: `δ` is `d(u,·)`
+/// for an add and the delete vector for a swap. That is exactly when
+/// [`strictly_less`] says the move does not improve on `c`.
 pub fn certify_agents_in(
     game: &Game,
     profile: &Profile,
@@ -173,17 +141,16 @@ fn agent_check(
     }
     .total();
     let floor = current - EPS;
-    let margin = 1.0 - 8.0 * game.n() as f64 * f64::EPSILON;
+    let bound = MoveBound::new(game.n());
     // Whether the bound rules out candidate `m`, which gains edge `ua`
     // onto a network whose distances from `u` are `dist`.
     let ruled_out = |m: &Move, a: NodeId, dist: &[f64]| {
-        let w = game.w(u, a);
-        let reach: f64 = dist
-            .iter()
-            .zip(apsp.row(a))
-            .map(|(&x, &y)| x.min(w + y))
-            .sum();
-        (game.alpha() * candidate_edge_sum(game, u, own, m) + reach) * margin >= floor
+        let edge = game.alpha() * candidate_edge_sum(game, u, own, m);
+        bound.rules_out(
+            edge,
+            MoveBound::reach(dist, game.w(u, a), apsp.row(a)),
+            floor,
+        )
     };
     let base = OnceCell::new();
     let mut dijkstras = 0;

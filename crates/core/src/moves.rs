@@ -61,8 +61,8 @@ impl Move {
     /// The order is: one `Add(v)` or `Delete(v)` per other node `v`, in
     /// ascending `v`, then every `Swap(d, a)` grouped by the dropped
     /// edge `d`. So `Add(a)` and `Delete(d)` come before every
-    /// `Swap(d, a)`, which is the order the speculative scan's swap
-    /// pruning and shared removal frames rely on
+    /// `Swap(d, a)`, which is the order the speculative scan's twin
+    /// bounds and shared removal frames rely on
     /// ([`best_move_among_speculative_priced`](crate::response::best_move_among_speculative_priced)).
     /// Any other order is still correct, only slower.
     pub fn greedy_moves(profile: &Profile, agent: NodeId) -> Vec<Move> {

@@ -114,7 +114,7 @@ use gncg_graph::{
 };
 
 use crate::cost::{
-    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown,
+    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown, MoveBound,
 };
 use crate::{Game, Move, Profile};
 
@@ -1166,6 +1166,31 @@ pub enum SpeculativePricing {
 /// dynamics chooses, so tuning it is a byte-stream-breaking change.
 pub const PRICE_HORIZON: usize = 16;
 
+/// The pricing policy a speculative move scan
+/// ([`best_move_among_speculative_priced`]) runs under, with what it reads
+/// besides the agent's own warm vector.
+#[derive(Clone, Copy, Debug)]
+pub enum ScanPricing<'r> {
+    /// [`SpeculativePricing::FullSum`], bound-first: entry `a` of the rows
+    /// must hold agent `a`'s exact distance vector in the scanned network
+    /// (bitwise what a fresh Dijkstra produces — the dynamics engine's
+    /// synced warm vectors), one row per node.
+    FullSum(&'r [DynamicSssp]),
+    /// [`SpeculativePricing::RegionDelta`], which reads no rows and rules
+    /// nothing out.
+    RegionDelta,
+}
+
+impl ScanPricing<'_> {
+    /// The policy, without its rows.
+    pub fn policy(self) -> SpeculativePricing {
+        match self {
+            ScanPricing::FullSum(_) => SpeculativePricing::FullSum,
+            ScanPricing::RegionDelta => SpeculativePricing::RegionDelta,
+        }
+    }
+}
+
 /// [`best_move_among_given_current`] evaluated **speculatively** against
 /// the agent's warm distance vector instead of one masked Dijkstra per
 /// candidate.
@@ -1198,36 +1223,54 @@ pub const PRICE_HORIZON: usize = 16;
 /// A pricing pass computes the candidates' prices; a selection pass then
 /// walks `moves` in their given order and keeps each price that is
 /// [`strictly_less`] than the incumbent — the oracle's rule — so the
-/// order in which prices were computed can never change a tie-break. The
-/// split allows two savings:
+/// order in which prices were computed can never change a tie-break.
+/// Consecutive swaps dropping the same sole-owned edge `(agent, d)` (a
+/// *swap run*) repair the removal once in an outer frame and price each
+/// gained edge in an inner one; a `Delete(d)` listed before such a run is
+/// read off the run's outer frame, and a delete with no run after it
+/// prices in a frame of its own.
 ///
-/// * **One removal repair per owned edge.** Frames nest: a run of
-///   consecutive swaps dropping the same sole-owned edge `(agent, d)`
-///   repairs the removal once in an outer frame and prices each gained
-///   edge in an inner one. A `Delete(d)` listed before such a run is read
-///   off the run's outer frame rather than repeating the repair in a frame
-///   of its own; a delete with no run after it prices in its own frame.
-/// * **Bound-pruned swaps** (under [`SpeculativePricing::FullSum`] only).
-///   `Swap(d, a)` is skipped, with no insert relaxation, when
-///   `α·w(S − d + a) + D_add(a) ≥ floor`. Here `D_add(a)` is the distance
-///   sum already priced for `Add(a)`, and `floor` is the least of
-///   `current` and every price computed so far for a move listed before
-///   the swap. The bound is exact in floating point: `G − ud + ua` is a
-///   subgraph of `G + ua`, so no distance goes down (each is an exact
-///   minimum over left-to-right path prefix sums), and index-order sums
-///   and `+` are monotone, so the swap's price is at least its bound. An
-///   incumbent is never more than `EPS` above the least price listed
-///   before it, so a swap priced at or above `floor` could never displace
-///   it, and skipping it leaves the selection bitwise unchanged.
-///   [`Move::greedy_moves`] lists every `Add(a)` before the swaps; a swap
-///   listed ahead of its `Add` twin is priced in full. RegionDelta prices
-///   are upper bounds, so that policy prices every swap.
+/// # Bound-first pricing
 ///
-/// Under [`SpeculativePricing::FullSum`] this returns exactly what
+/// Under [`ScanPricing::FullSum`] a move is skipped unpriced, with no
+/// frame opened, when a lower bound on its price reaches `floor`: the
+/// least of `current` and every price computed so far for a move listed
+/// before it. An incumbent is never more than `EPS` above the least price
+/// listed before it, so a move priced at or above `floor` could never
+/// displace it, and skipping it leaves the selection bitwise unchanged.
+/// The bounds read the other agents' rows, `d(a,·)`:
+///
+/// * **`Add(a)`**, and a swap dropping a co-owned edge:
+///   `Σ_v min(d(u,v), w(u,a) + d(a,v))`.
+/// * **`Delete(d)`**, before its removal is repaired:
+///   `Σ_v min_{x ∈ N(u)∖d} (w(u,x) + d(x,v))`, over the agent's network
+///   neighbours `N(u)`.
+/// * **`Swap(d, a)`**, before the repair: the same neighbour bound with
+///   `w(u,a) + d(a,v)` added to the min; after it,
+///   `Σ_v min(d_{G−ud}(u,v), w(u,a) + d(a,v))` off the repaired vector.
+///   A swap run skips its repair when its delete and all its swaps are
+///   ruled out; once a survivor makes the repair certain, the run's
+///   remaining swaps wait for the tighter bound after it.
+/// * **Twins.** `Swap(d, a)` is first checked against `Add(a)`:
+///   `α·w(S − d + a) + D_add(a) ≥ floor`, with `D_add(a)` the add's
+///   distance sum when it was priced (`G − ud + ua` is a subgraph of
+///   `G + ua`, so no distance goes down, and index-order sums and `+` are
+///   monotone: the test is exact in floating point), or its bound, with
+///   the margin below, when it was ruled out unpriced.
+///
+/// Each bound is [`MoveBound`]'s, tested with its `1 − 8nε` margin, which
+/// proves it sound under rounding. [`Move::greedy_moves`] lists every
+/// `Add(a)` and `Delete(d)` before the swaps; in any other order a move
+/// is bounded by whatever the scan knows when it reaches it.
+/// [`ScanPricing::RegionDelta`] prices are upper bounds, so that policy
+/// prices every move.
+///
+/// Under [`ScanPricing::FullSum`] this returns exactly what
 /// [`best_move_among_given_current`] returns — the same chosen move and
 /// the same cost bits (debug-asserted against the oracle, alongside the
-/// bitwise restoration of `warm`); see [`SpeculativePricing`] for the
-/// contract of the bounded-horizon mode.
+/// bitwise restoration of `warm` and every row's agreement with a fresh
+/// Dijkstra); see [`SpeculativePricing`] for the contract of the
+/// bounded-horizon mode.
 ///
 /// Every move must be *valid for `profile`* in the [`Move::apply`] sense
 /// (deletes and swap-drops name owned edges, adds and swap-gains name
@@ -1245,13 +1288,14 @@ pub fn best_move_among_speculative_priced(
     agent: NodeId,
     current: f64,
     moves: &[Move],
-    pricing: SpeculativePricing,
+    pricing: ScanPricing<'_>,
 ) -> Option<(Move, f64)> {
     #[cfg(debug_assertions)]
     let before: Vec<f64> = warm.dist().to_vec();
+    let policy = pricing.policy();
     // One O(n) sum for the whole scan under RegionDelta; FullSum keeps
     // its historical lazy reads (degenerate deltas only).
-    let sum0 = match pricing {
+    let sum0 = match policy {
         SpeculativePricing::FullSum => 0.0,
         SpeculativePricing::RegionDelta => warm.sum(),
     };
@@ -1259,7 +1303,7 @@ pub fn best_move_among_speculative_priced(
     // nodes (upper-bound prices); cleared again before the winner's exact
     // re-price below. Only speculation frames consult the budget, so a
     // stray setting could never leak into committed repairs.
-    if pricing == SpeculativePricing::RegionDelta {
+    if policy == SpeculativePricing::RegionDelta {
         warm.set_price_horizon(Some(PRICE_HORIZON));
     }
     let own = profile.strategy(agent);
@@ -1269,16 +1313,16 @@ pub fn best_move_among_speculative_priced(
     // derived at most once.
     let mut base: Option<AdjacencyList> = None;
     // One price per move; once the pricing pass ends, `None` marks a
-    // swap its bound ruled out.
+    // move a bound ruled out.
     let mut prices: Vec<Option<f64>> = vec![None; moves.len()];
-    // FullSum only: `Add(a)`'s distance sum, the swap bound's lower term.
-    let mut add_dist: Vec<Option<f64>> = vec![None; n];
+    let mut bounds = match pricing {
+        ScanPricing::FullSum(rows) => Some(ScanBounds::new(network, rows)),
+        ScanPricing::RegionDelta => None,
+    };
     // The position of a sole-owned `Delete(d)` awaiting the outer frame
-    // of the next swap run dropping `d`.
-    let mut deferred: Vec<Option<usize>> = vec![None; n];
+    // of the next swap run dropping `d`, and the floor at that position.
+    let mut deferred: Vec<Option<(usize, f64)>> = vec![None; n];
     let mut floor = current;
-    let ruled_out =
-        |add: Option<f64>, edge: f64, floor: f64| add.is_some_and(|d| edge + d >= floor);
     let mut i = 0;
     while i < moves.len() {
         match moves[i] {
@@ -1293,6 +1337,36 @@ pub fn best_move_among_speculative_priced(
                     .iter()
                     .take_while(|m| matches!(m, Move::Swap(dd, _) if *dd == d))
                     .count();
+                let swaps = &moves[i..i + run];
+                let mut delete = deferred[d as usize].take();
+                // Bound-first: the repair runs only when the rows rule out
+                // neither the delete nor every swap of the run; `first`
+                // swaps were ruled out on the way.
+                let mut first = 0;
+                if let Some(b) = bounds.as_mut() {
+                    b.build_hops(network, agent, d);
+                    delete = delete.filter(|&(j, at)| {
+                        let edge = alpha * candidate_edge_sum(game, agent, own, &moves[j]);
+                        !b.bound.rules_out(edge, b.hops.iter().sum(), at)
+                    });
+                    if delete.is_none() {
+                        first = swaps
+                            .iter()
+                            .position(|m| {
+                                let &Move::Swap(_, a) = m else { unreachable!() };
+                                let edge = alpha * candidate_edge_sum(game, agent, own, m);
+                                let row = b.rows[a as usize].dist();
+                                let reach = || MoveBound::reach(&b.hops, game.w(agent, a), row);
+                                !b.twin_rules_out(a, edge, floor)
+                                    && !b.bound.rules_out(edge, reach(), floor)
+                            })
+                            .unwrap_or(run);
+                        if first == run {
+                            i += run;
+                            continue;
+                        }
+                    }
+                }
                 let w = network
                     .edge_weight(agent, d)
                     .expect("sole-owned strategy edge must be in the network");
@@ -1304,26 +1378,33 @@ pub fn best_move_among_speculative_priced(
                 let mark = warm.undo_len();
                 warm.begin_speculation();
                 warm.remove_edge(&view, agent, d, w);
-                let removal = frame_price(warm, pricing, sum0, mark);
-                if let Some(j) = deferred[d as usize].take() {
+                let removal = frame_price(warm, policy, sum0, mark);
+                if let Some((j, _)) = delete {
                     let c = alpha * candidate_edge_sum(game, agent, own, &moves[j]) + removal;
                     prices[j] = Some(c);
                     floor = floor.min(c);
                 }
-                for (k, m) in moves[i..i + run].iter().enumerate() {
+                for (k, m) in swaps.iter().enumerate().skip(first) {
                     let &Move::Swap(_, a) = m else { unreachable!() };
                     let edge = alpha * candidate_edge_sum(game, agent, own, m);
-                    if ruled_out(add_dist[a as usize], edge, floor) {
-                        continue;
+                    // Gained edge already present: the removal repair is
+                    // the whole delta.
+                    let present = network.has_edge(agent, a);
+                    if let Some(b) = &bounds {
+                        let row = b.rows[a as usize].dist();
+                        let reach = || MoveBound::reach(warm.dist(), game.w(agent, a), row);
+                        if b.twin_rules_out(a, edge, floor)
+                            || (!present && b.bound.rules_out(edge, reach(), floor))
+                        {
+                            continue;
+                        }
                     }
-                    let dist = if network.has_edge(agent, a) {
-                        // Gained edge already present: the removal repair
-                        // is the whole delta.
+                    let dist = if present {
                         removal
                     } else {
                         warm.begin_speculation();
                         warm.speculate_insert(&view, agent, a, game.w(agent, a));
-                        let s = frame_price(warm, pricing, sum0, mark);
+                        let s = frame_price(warm, policy, sum0, mark);
                         warm.rollback();
                         s
                     };
@@ -1335,7 +1416,7 @@ pub fn best_move_among_speculative_priced(
                 i += run;
             }
             Move::Delete(d) if !profile.owns(d, agent) && deferred[d as usize].is_none() => {
-                deferred[d as usize] = Some(i);
+                deferred[d as usize] = Some((i, floor));
                 i += 1;
             }
             ref m => {
@@ -1349,16 +1430,24 @@ pub fn best_move_among_speculative_priced(
                     }
                     _ => {
                         let edge = alpha * candidate_edge_sum(game, agent, own, m);
-                        if let Move::Swap(_, a) = *m {
-                            if ruled_out(add_dist[a as usize], edge, floor) {
+                        if let Some(b) = bounds.as_mut() {
+                            if b.rules_out_unrepaired(
+                                game,
+                                network,
+                                warm.dist(),
+                                agent,
+                                m,
+                                edge,
+                                floor,
+                            ) {
                                 continue;
                             }
                         }
                         let dist = speculative_distance_sum(
-                            game, profile, network, warm, agent, m, pricing, sum0,
+                            game, profile, network, warm, agent, m, policy, sum0,
                         );
-                        if let (Move::Add(a), SpeculativePricing::FullSum) = (m, pricing) {
-                            add_dist[*a as usize] = Some(dist);
+                        if let (Move::Add(a), Some(b)) = (m, bounds.as_mut()) {
+                            b.add[*a as usize] = AddSum::Priced(dist);
                         }
                         edge + dist
                     }
@@ -1368,14 +1457,23 @@ pub fn best_move_among_speculative_priced(
             }
         }
     }
-    // A delete with no swap run after it prices in a frame of its own.
-    for j in deferred.into_iter().flatten() {
+    // A delete with no swap run after it prices in a frame of its own,
+    // unless the rows rule it out against the floor at its position.
+    for (d, slot) in deferred.into_iter().enumerate() {
+        let Some((j, at)) = slot else { continue };
         let m = &moves[j];
-        let dist = speculative_distance_sum(game, profile, network, warm, agent, m, pricing, sum0);
-        prices[j] = Some(alpha * candidate_edge_sum(game, agent, own, m) + dist);
+        let edge = alpha * candidate_edge_sum(game, agent, own, m);
+        if let Some(b) = bounds.as_mut() {
+            b.build_hops(network, agent, d as NodeId);
+            if b.bound.rules_out(edge, b.hops.iter().sum(), at) {
+                continue;
+            }
+        }
+        let dist = speculative_distance_sum(game, profile, network, warm, agent, m, policy, sum0);
+        prices[j] = Some(edge + dist);
     }
     // Selection: the oracle's incumbent rule over the moves in their
-    // given order, passing over the swaps their bound ruled out.
+    // given order, passing over the moves a bound ruled out.
     let mut best: Option<(usize, f64)> = None;
     for (j, &c) in prices.iter().enumerate() {
         let Some(c) = c else { continue };
@@ -1390,7 +1488,7 @@ pub fn best_move_among_speculative_priced(
     // with a full sum and re-gated against `current` (a sub-ulp
     // "improvement" that was an artifact of delta re-association must
     // not be reported as improving).
-    if pricing == SpeculativePricing::RegionDelta {
+    if policy == SpeculativePricing::RegionDelta {
         warm.set_price_horizon(None);
         best = best.and_then(|(m, c)| match m {
             // Replace moves were priced exactly by the oracle path.
@@ -1417,7 +1515,7 @@ pub fn best_move_among_speculative_priced(
             warm.dist() == before.as_slice() && warm.depth() == 0 && warm.speculation_depth() == 0,
             "speculative scan must leave the warm vector bitwise untouched"
         );
-        match pricing {
+        match policy {
             SpeculativePricing::FullSum => {
                 let oracle =
                     best_move_among_given_current(game, profile, network, agent, current, moves);
@@ -1449,6 +1547,140 @@ pub fn best_move_among_speculative_priced(
         }
     }
     best
+}
+
+/// What a FullSum scan knows of `Add(a)`'s distance sum.
+#[derive(Clone, Copy, Debug)]
+enum AddSum {
+    /// Nothing yet.
+    Unknown,
+    /// The exact sum: the add was priced.
+    Priced(f64),
+    /// [`MoveBound::reach`] of the add, a lower bound up to the margin.
+    Bound(f64),
+}
+
+/// The FullSum scan's bound state (see "Bound-first pricing" in
+/// [`best_move_among_speculative_priced`]): the rows it reads, what it
+/// knows of each add, and the agent's first-hop tables.
+struct ScanBounds<'r> {
+    rows: &'r [DynamicSssp],
+    bound: MoveBound,
+    add: Vec<AddSum>,
+    /// Per node `v`: the least and second-least `w(u,x) + d(x,v)` over the
+    /// agent's network neighbours `x` (`0` at the agent itself), and the
+    /// `x` attaining the least. Built on first use.
+    least: Vec<f64>,
+    second: Vec<f64>,
+    via: Vec<NodeId>,
+    /// The neighbour bound of the last dropped edge `d`: per node, the
+    /// least first-hop term over `N(u)∖d` ([`ScanBounds::build_hops`]).
+    hops: Vec<f64>,
+}
+
+impl<'r> ScanBounds<'r> {
+    fn new(network: &AdjacencyList, rows: &'r [DynamicSssp]) -> Self {
+        let n = network.n();
+        assert_eq!(rows.len(), n, "a FullSum scan needs one row per node");
+        // A row with pending inserts overestimates distances, which would
+        // make every bound read off it unsound.
+        #[cfg(debug_assertions)]
+        for (a, row) in rows.iter().enumerate() {
+            debug_assert_eq!(
+                row.dist(),
+                gncg_graph::dijkstra::dijkstra(network, a as NodeId).as_slice(),
+                "row {a} read by the scan is not synced"
+            );
+        }
+        ScanBounds {
+            rows,
+            bound: MoveBound::new(n),
+            add: vec![AddSum::Unknown; n],
+            least: Vec::new(),
+            second: Vec::new(),
+            via: Vec::new(),
+            hops: Vec::new(),
+        }
+    }
+
+    /// Whether `Swap(d, a)`, with edge term `edge`, is ruled out by what
+    /// the scan knows of its twin `Add(a)`.
+    fn twin_rules_out(&self, a: NodeId, edge: f64, floor: f64) -> bool {
+        match self.add[a as usize] {
+            AddSum::Unknown => false,
+            AddSum::Priced(sum) => edge + sum >= floor,
+            AddSum::Bound(reach) => self.bound.rules_out(edge, reach, floor),
+        }
+    }
+
+    /// Whether a move that repairs no removal — an add, or a swap dropping
+    /// a co-owned edge — is ruled out; `dist` is the agent's vector.
+    #[allow(clippy::too_many_arguments)]
+    fn rules_out_unrepaired(
+        &mut self,
+        game: &Game,
+        network: &AdjacencyList,
+        dist: &[f64],
+        agent: NodeId,
+        m: &Move,
+        edge: f64,
+        floor: f64,
+    ) -> bool {
+        let a = match *m {
+            Move::Add(a) => a,
+            Move::Swap(_, a) if self.twin_rules_out(a, edge, floor) => return true,
+            Move::Swap(_, a) => a,
+            // Co-owned deletes are read off the vector as they stand.
+            _ => return false,
+        };
+        // Gaining an already-present edge reads the vector as it stands.
+        if network.has_edge(agent, a) {
+            return false;
+        }
+        let reach = match self.add[a as usize] {
+            AddSum::Unknown => {
+                let reach = MoveBound::reach(dist, game.w(agent, a), self.rows[a as usize].dist());
+                self.add[a as usize] = AddSum::Bound(reach);
+                reach
+            }
+            AddSum::Bound(reach) => reach,
+            // The twin test above used the exact sum.
+            AddSum::Priced(_) => return false,
+        };
+        self.bound.rules_out(edge, reach, floor)
+    }
+
+    /// Fills `hops` with the neighbour bound of dropping `(agent, d)`.
+    fn build_hops(&mut self, network: &AdjacencyList, agent: NodeId, d: NodeId) {
+        let n = self.rows.len();
+        if self.via.is_empty() {
+            self.least.resize(n, f64::INFINITY);
+            self.second.resize(n, f64::INFINITY);
+            self.via.resize(n, NodeId::MAX);
+            for &(x, w) in network.neighbors(agent) {
+                for (v, &dx) in self.rows[x as usize].dist().iter().enumerate() {
+                    let c = w + dx;
+                    if c < self.least[v] {
+                        self.second[v] = self.least[v];
+                        self.least[v] = c;
+                        self.via[v] = x;
+                    } else if c < self.second[v] {
+                        self.second[v] = c;
+                    }
+                }
+            }
+            self.least[agent as usize] = 0.0;
+            self.second[agent as usize] = 0.0;
+        }
+        self.hops.clear();
+        self.hops.extend((0..n).map(|v| {
+            if self.via[v] == d {
+                self.second[v]
+            } else {
+                self.least[v]
+            }
+        }));
+    }
 }
 
 /// Reads the current candidate's distance cost off an open speculation
@@ -1577,6 +1809,18 @@ mod tests {
 
     fn unit_game(n: usize, alpha: f64) -> Game {
         Game::new(SymMatrix::filled(n, 1.0), alpha)
+    }
+
+    /// Every node's exact distance vector in `network`: the rows a FullSum
+    /// scan bounds with.
+    fn fresh_rows(network: &AdjacencyList) -> Vec<DynamicSssp> {
+        (0..network.n() as NodeId)
+            .map(|a| {
+                let mut row = DynamicSssp::new();
+                row.reset_from(a, &gncg_graph::dijkstra::dijkstra(network, a));
+                row
+            })
+            .collect()
     }
 
     #[test]
@@ -1737,11 +1981,11 @@ mod tests {
                     p.buy(5, 2); // co-owned: its Delete is a degenerate delta
                 }
                 let network = p.build_network(&game);
+                let rows = fresh_rows(&network);
                 for agent in 0..8u32 {
                     let moves = Move::greedy_moves(&p, agent);
                     let current = agent_cost_in(&game, &p, &network, agent).total();
-                    let mut warm = DynamicSssp::new();
-                    warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
+                    let mut warm = rows[agent as usize].clone();
                     let spec = best_move_among_speculative_priced(
                         &game,
                         &p,
@@ -1750,7 +1994,7 @@ mod tests {
                         agent,
                         current,
                         &moves,
-                        SpeculativePricing::FullSum,
+                        ScanPricing::FullSum(&rows),
                     );
                     let oracle =
                         best_move_among_given_current(&game, &p, &network, agent, current, &moves);
@@ -1790,7 +2034,7 @@ mod tests {
                         agent,
                         current,
                         &moves,
-                        SpeculativePricing::RegionDelta,
+                        ScanPricing::RegionDelta,
                     );
                     let oracle =
                         best_move_among_given_current(&game, &p, &network, agent, current, &moves);
@@ -1820,7 +2064,7 @@ mod tests {
                 agent,
                 current,
                 &moves,
-                SpeculativePricing::RegionDelta,
+                ScanPricing::RegionDelta,
             );
             let oracle = best_move_among_given_current(&game, &p, &network, agent, current, &moves);
             assert_eq!(rd, oracle, "agent {agent}");
@@ -1842,7 +2086,7 @@ mod tests {
             3,
             current,
             &moves,
-            SpeculativePricing::RegionDelta,
+            ScanPricing::RegionDelta,
         );
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);
         assert_eq!(rd, oracle);
@@ -1856,11 +2100,11 @@ mod tests {
         let game = unit_game(4, 0.1);
         let p = Profile::from_owned_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let network = p.build_network(&game);
+        let rows = fresh_rows(&network);
         for agent in 0..4u32 {
             let moves = Move::greedy_moves(&p, agent);
             let current = agent_cost_in(&game, &p, &network, agent).total();
-            let mut warm = DynamicSssp::new();
-            warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
+            let mut warm = rows[agent as usize].clone();
             let spec = best_move_among_speculative_priced(
                 &game,
                 &p,
@@ -1869,7 +2113,7 @@ mod tests {
                 agent,
                 current,
                 &moves,
-                SpeculativePricing::FullSum,
+                ScanPricing::FullSum(&rows),
             );
             let oracle = best_move_among_given_current(&game, &p, &network, agent, current, &moves);
             assert_eq!(spec, oracle, "agent {agent}");
@@ -1882,8 +2126,8 @@ mod tests {
         let moves = Move::greedy_moves(&q, 3);
         let current = agent_cost_in(&game, &q, &network, 3).total();
         assert!(current.is_infinite());
-        let mut warm = DynamicSssp::new();
-        warm.reset_from(3, &gncg_graph::dijkstra::dijkstra(&network, 3));
+        let rows = fresh_rows(&network);
+        let mut warm = rows[3].clone();
         let spec = best_move_among_speculative_priced(
             &game,
             &q,
@@ -1892,7 +2136,7 @@ mod tests {
             3,
             current,
             &moves,
-            SpeculativePricing::FullSum,
+            ScanPricing::FullSum(&rows),
         );
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);
         assert_eq!(spec, oracle);

@@ -47,15 +47,27 @@
 //!   [`EvalContext::reset`] followed by fresh reads, the measured
 //!   baseline of the `dynamics_swap_heavy` bench;
 //! * the greedy rules' per-activation **candidate-move scan** prices each
-//!   candidate *speculatively against the activated agent's warm vector*
-//!   (apply the move's edge delta inside a speculation frame, read the
-//!   cost off the warm sum, roll back —
+//!   candidate *speculatively against a copy of the activated agent's
+//!   warm vector* (apply the move's edge delta inside a speculation
+//!   frame, read the cost off the warm sum, roll back —
 //!   [`best_move_among_speculative_priced`]), then selects the winner in
-//!   move order. Each owned edge's removal is repaired once for its
-//!   delete and all its swaps, and under full-sum pricing a swap whose
-//!   exact lower bound (its edge cost plus its `Add` twin's distance
-//!   sum) cannot beat an earlier price is skipped unpriced. Its
-//!   ancestor, one masked from-scratch Dijkstra per candidate
+//!   move order. Each owned edge's removal is repaired at most once for
+//!   its delete and all its swaps;
+//! * **warm vectors double as rows.** Under full-sum pricing the scan is
+//!   bound-first: it rules out most adds, deletes and swaps off the
+//!   *other* agents' warm vectors `d(a,·)` before any frame opens
+//!   ([`ScanPricing::FullSum`]). A row with pending inserts would
+//!   overestimate distances and make those bounds unsound, so a
+//!   full-sum greedy or add pricing first makes every warm vector
+//!   current, and the pool-parallel scan syncs them all before it prices
+//!   any agent on a worker-local copy of its row, so the rows stay
+//!   shared and read-only. Every vector then replays each committed
+//!   insert on the next activation instead of in a batch: `Θ(n)` vectors
+//!   of `O(n)` each per commit, no more than the full-sum scan's own
+//!   `Θ(n²)` per activation. Horizon pricing and the exact rule read
+//!   only the priced agent's own vector and keep the batched lazy sync.
+//!   The scan's ancestor, one masked
+//!   from-scratch Dijkstra per candidate
 //!   ([`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)),
 //!   is the debug oracle of every scan and the measured baseline of the
 //!   `move_scan` bench;
@@ -80,7 +92,8 @@
 //! ([`EvalContext::apply_strategy_change`]), by [`EvalContext::reset`],
 //! by [`EvalContext::set_pricing`] and by [`Engine::recycle`], and never
 //! rewound. Between two bumps every input of a pricing is unchanged —
-//! the profile, the network, the agent's warm vector, the answers of its
+//! the profile, the network, the distances its warm vectors hold (rows
+//! included: the bounds they feed only skip moves), the answers of its
 //! BR bound tables, the rule and the pricing policy — so a stored answer
 //! whose epoch and rule match is bitwise the fresh one and is returned
 //! as is; only the other agents are warmed and priced. Debug builds
@@ -106,7 +119,9 @@ use rand::SeedableRng;
 
 use std::collections::BTreeSet;
 
-use gncg_core::response::{best_move_among_speculative_priced, BrBoundCache, SpeculativePricing};
+use gncg_core::response::{
+    best_move_among_speculative_priced, BrBoundCache, ScanPricing, SpeculativePricing,
+};
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
 
@@ -396,13 +411,24 @@ fn gain(&(_, before, after): &Change) -> f64 {
     }
 }
 
+/// Whether pricing under `rule` and `pricing` reads the other agents'
+/// rows: the greedy rules' bound-first FullSum scan does
+/// ([`ScanPricing::FullSum`]); RegionDelta pricing and the exact rule
+/// read only the priced agent's own vector.
+fn reads_rows(rule: ResponseRule, pricing: SpeculativePricing) -> bool {
+    rule != ResponseRule::ExactBestResponse && pricing == SpeculativePricing::FullSum
+}
+
 /// The per-agent pricing every activation path shares: agent `u`'s
 /// improving change under `rule` (`None` when `u` is stable), priced off
-/// its current warm vector, which also supplies the current cost. The
-/// greedy rules scan their candidate moves speculatively against `warm`
-/// (borrowed mutably for apply → read → rollback; it comes back bitwise
-/// untouched). The exact rule searches `u`'s persistent bound tables in
-/// `br`, built on first use and brought current here.
+/// `rows`, the warm vectors, whose entry `u` also supplies the current
+/// cost. Every row the pricing reads must be current. The greedy rules
+/// scan their candidate moves speculatively against `spec`, a scratch
+/// copy of `u`'s row (borrowed mutably for apply → read → rollback), so
+/// the rows stay shared and read-only; under FullSum the scan rules moves
+/// out off the other agents' rows first. The exact rule searches `u`'s
+/// persistent bound tables in `br`, built on first use and brought
+/// current here.
 fn pricer<'a>(
     game: &'a Game,
     profile: &'a Profile,
@@ -410,10 +436,17 @@ fn pricer<'a>(
     insert_log: &'a [(NodeId, NodeId, f64)],
     rule: ResponseRule,
     pricing: SpeculativePricing,
-) -> impl Fn(NodeId, &mut DynamicSssp, &mut Option<Box<BrBoundCache>>) -> Option<Change> + Sync + 'a
-{
-    move |u, warm, br| {
-        let current = gncg_core::cost::edge_cost(game, profile, u) + warm.sum();
+) -> impl Fn(
+    NodeId,
+    &[DynamicSssp],
+    &mut DynamicSssp,
+    &mut Option<Box<BrBoundCache>>,
+) -> Option<Change>
+       + Sync
+       + 'a {
+    move |u, rows, spec, br| {
+        let row = &rows[u as usize];
+        let current = gncg_core::cost::edge_cost(game, profile, u) + row.sum();
         let moves = match rule {
             ResponseRule::ExactBestResponse => {
                 let cache = br.get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
@@ -426,10 +459,13 @@ fn pricer<'a>(
             ResponseRule::BestGreedyMove => Move::greedy_moves(profile, u),
             ResponseRule::AddOnly => Move::add_moves(profile, u),
         };
-        best_move_among_speculative_priced(
-            game, profile, network, warm, u, current, &moves, pricing,
-        )
-        .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
+        let scan = match pricing {
+            SpeculativePricing::FullSum => ScanPricing::FullSum(rows),
+            SpeculativePricing::RegionDelta => ScanPricing::RegionDelta,
+        };
+        spec.reset_from(u, row.dist());
+        best_move_among_speculative_priced(game, profile, network, spec, u, current, &moves, scan)
+            .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
     }
 }
 
@@ -481,6 +517,9 @@ pub struct EvalContext {
     /// Scratch for (re)computing a warm vector from scratch.
     scratch: DijkstraScratch,
     dist_buf: Vec<f64>,
+    /// The copy of the activated agent's warm vector its move scan
+    /// speculates on, so every warm vector stays readable as a row.
+    row_copy: DynamicSssp,
     /// Reusable edge-delta buffer for [`EvalContext::apply_strategy_change`].
     delta: NetworkDelta,
     /// Reusable actually-removed buffer for `apply_delta`'s batched
@@ -534,6 +573,7 @@ impl EvalContext {
         // hint must never leak across runs.
         self.weight_class = game.weight_class();
         self.scratch.set_weight_class(self.weight_class);
+        self.row_copy.set_weight_class(self.weight_class);
         for warm in &mut self.warm[..n] {
             warm.set_weight_class(self.weight_class);
         }
@@ -600,23 +640,30 @@ impl EvalContext {
     }
 
     /// Bytes resident in the warm-vector machinery: every per-agent
-    /// [`DynamicSssp`] plus the shared Dijkstra scratch — the dominant
-    /// per-context memory at large `n` (each warm vector holds `Θ(n)`
-    /// floats). Capacity-based, so it reports what the allocator holds,
-    /// not what the current run touches.
+    /// [`DynamicSssp`], the insert log and its sync marks, plus the shared
+    /// scratch (the Dijkstra scratch, its distance buffer and the row
+    /// copy activations speculate on) — the dominant per-context memory
+    /// at large `n` (each warm vector holds `Θ(n)` floats).
+    /// Capacity-based, so it reports what the allocator holds, not what
+    /// the current run touches.
     pub fn warm_resident_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.warm
             .iter()
             .map(DynamicSssp::resident_bytes)
             .sum::<usize>()
-            + self.insert_log.capacity() * std::mem::size_of::<(NodeId, NodeId, f64)>()
-            + self.synced.capacity() * std::mem::size_of::<usize>()
+            + self.insert_log.capacity() * size_of::<(NodeId, NodeId, f64)>()
+            + self.synced.capacity() * size_of::<usize>()
+            + self.scratch.resident_bytes()
+            + self.dist_buf.capacity() * size_of::<f64>()
+            + self.row_copy.resident_bytes()
     }
 
     /// Agent `u`'s improving change under `rule` (`None` when `u` is
     /// stable) — the activation of the run loop and of
     /// [`agent_is_stable_given_current`]. A memo hit returns the stored
-    /// answer; a miss warms `u`'s vector, prices and stores.
+    /// answer; a miss makes every row the pricing reads current, prices
+    /// and stores.
     fn activate(
         &mut self,
         game: &Game,
@@ -625,8 +672,15 @@ impl EvalContext {
         rule: ResponseRule,
     ) -> Option<Change> {
         let i = u as usize;
-        // A no-op on a hit: nothing was committed since `u` was priced.
-        self.ensure_warm(u);
+        let n = game.n();
+        // No-ops on a hit: nothing was committed since `u` was priced.
+        if reads_rows(rule, self.pricing) {
+            for a in 0..n as NodeId {
+                self.ensure_warm(a);
+            }
+        } else {
+            self.ensure_warm(u);
+        }
         let price = pricer(
             game,
             profile,
@@ -635,18 +689,23 @@ impl EvalContext {
             rule,
             self.pricing,
         );
-        let (warm, br) = (&mut self.warm[i], &mut self.br[i]);
-        if memoized(&mut self.priced[i], self.epoch, rule, || price(u, warm, br)) {
+        let (rows, spec, br) = (&self.warm[..n], &mut self.row_copy, &mut self.br[i]);
+        if memoized(&mut self.priced[i], self.epoch, rule, || {
+            price(u, rows, spec, br)
+        }) {
             self.pricings += 1;
         }
         self.priced[i].as_ref().and_then(|p| p.change.clone())
     }
 
     /// Every agent's improving change under `rule`, in agent order, read
-    /// off the memo after one pool-parallel pass over the agents it
-    /// misses: each worker borrows exactly its agent's warm vector, bound
-    /// tables and memo slot, warms the vector and prices. Bitwise
-    /// deterministic at every thread count.
+    /// off the memo after two pool-parallel passes: one makes every row
+    /// the pricing reads current (all of them when the scan reads other
+    /// agents' rows, otherwise those of the agents the memo misses), each
+    /// worker borrowing exactly its agent's warm vector; the other prices
+    /// each missed agent against a worker-local copy of its row, with
+    /// its bound tables and memo slot borrowed and the rows shared
+    /// read-only. Bitwise deterministic at every thread count.
     fn scan(
         &mut self,
         game: &Game,
@@ -656,6 +715,7 @@ impl EvalContext {
         use rayon::prelude::*;
         let n = game.n();
         let epoch = self.epoch;
+        let all_rows = reads_rows(rule, self.pricing);
         let price = pricer(
             game,
             profile,
@@ -665,36 +725,54 @@ impl EvalContext {
             self.pricing,
         );
         let (network, log, class) = (&self.network, &self.insert_log, self.weight_class);
-        let (valid, synced) = (&mut self.valid, &mut self.synced);
-        // Debug builds keep the hits in the pass too, for the re-pricing
-        // oracle in `memoized`; their vectors are already current.
-        let mut agents: Vec<_> = self.warm[..n]
+        let (valid, synced, priced) = (&mut self.valid, &mut self.synced, &self.priced);
+        let mut stale: Vec<_> = self.warm[..n]
             .iter_mut()
-            .zip(&mut self.br[..n])
-            .zip(&mut self.priced[..n])
             .enumerate()
-            .filter(|(_, (_, slot))| cfg!(debug_assertions) || !is_current(slot, epoch, rule))
-            .map(|(u, ((warm, br), slot))| {
+            .filter(|&(u, _)| all_rows || !is_current(&priced[u], epoch, rule))
+            .map(|(u, warm)| {
                 let pending = valid[u].then(|| &log[synced[u]..]);
                 valid[u] = true;
                 synced[u] = log.len();
-                (u as NodeId, pending, warm, br, slot)
+                (u as NodeId, pending, warm)
             })
+            .filter(|(_, pending, _)| pending.is_none_or(|p| !p.is_empty()))
             .collect();
-        let misses = agents
-            .iter()
-            .filter(|(_, _, _, _, slot)| !is_current(slot, epoch, rule))
-            .count();
-        agents.par_chunks_mut(1).for_each_init(
+        stale.par_chunks_mut(1).for_each_init(
             || {
                 let mut scratch = DijkstraScratch::new();
                 scratch.set_weight_class(class);
                 (scratch, Vec::new())
             },
-            |(scratch, buf), agent| {
-                let (u, pending, warm, br, slot) = &mut agent[0];
+            |(scratch, buf), row| {
+                let (u, pending, warm) = &mut row[0];
                 sync_warm(network, *u, warm, *pending, scratch, buf);
-                memoized(slot, epoch, rule, || price(*u, warm, br));
+            },
+        );
+        let rows = &self.warm[..n];
+        // Debug builds keep the hits in the pricing pass too, for the
+        // re-pricing oracle in `memoized`; nothing was committed since
+        // they were priced, so their rows are current.
+        let mut agents: Vec<_> = self.br[..n]
+            .iter_mut()
+            .zip(&mut self.priced[..n])
+            .enumerate()
+            .filter(|(_, (_, slot))| cfg!(debug_assertions) || !is_current(slot, epoch, rule))
+            .map(|(u, (br, slot))| (u as NodeId, br, slot))
+            .collect();
+        let misses = agents
+            .iter()
+            .filter(|(_, _, slot)| !is_current(slot, epoch, rule))
+            .count();
+        agents.par_chunks_mut(1).for_each_init(
+            || {
+                let mut spec = DynamicSssp::new();
+                spec.set_weight_class(class);
+                spec
+            },
+            |spec, agent| {
+                let (u, br, slot) = &mut agent[0];
+                memoized(slot, epoch, rule, || price(*u, rows, spec, br));
             },
         );
         self.pricings += misses as u64;
@@ -1366,6 +1444,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn warm_gauge_counts_the_shared_scratch() {
+        // The gauge is the sum of its parts, the shared scratch included.
+        let game = unit_game(9, 0.6);
+        let mut engine = Engine::new();
+        engine.run(&game, Profile::star(9, 0), &DynamicsConfig::default());
+        let ctx = &engine.ctx;
+        let f64s = std::mem::size_of::<f64>();
+        let scratch = ctx.scratch.resident_bytes()
+            + ctx.dist_buf.capacity() * f64s
+            + ctx.row_copy.resident_bytes();
+        assert!(ctx.scratch.resident_bytes() > 0 && ctx.row_copy.resident_bytes() > 0);
+        assert_eq!(
+            engine.warm_resident_bytes(),
+            ctx.warm
+                .iter()
+                .map(DynamicSssp::resident_bytes)
+                .sum::<usize>()
+                + ctx.insert_log.capacity() * std::mem::size_of::<(NodeId, NodeId, f64)>()
+                + ctx.synced.capacity() * std::mem::size_of::<usize>()
+                + scratch
+        );
     }
 
     #[test]

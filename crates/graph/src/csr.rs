@@ -560,6 +560,20 @@ impl DijkstraScratch {
         }
     }
 
+    /// Approximate resident heap footprint of the scratch buffers, in
+    /// bytes (capacities, as [`DynamicSssp::resident_bytes`] counts them).
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.dist.capacity() * size_of::<f64>()
+            + self.stamp.capacity() * size_of::<u32>()
+            + self.heap.capacity() * size_of::<HeapEntry>()
+            + self
+                .buckets
+                .iter()
+                .map(|b| b.capacity() * size_of::<(NodeId, f64)>())
+                .sum::<usize>()
+    }
+
     /// Copies the distances of the last run into `out` (any length:
     /// unreached or out-of-range nodes get `∞`).
     pub fn write_distances(&self, out: &mut [f64]) {
@@ -660,6 +674,9 @@ pub struct DynamicSssp {
     /// [`DynamicSssp::set_price_horizon`]); `None` relaxes to the exact
     /// fixpoint. Never applies outside a speculation frame.
     price_horizon: Option<usize>,
+    /// Speculation frames opened over this vector's lifetime
+    /// ([`DynamicSssp::frames_opened`]).
+    frames_opened: u64,
 }
 
 impl DynamicSssp {
@@ -728,6 +745,14 @@ impl DynamicSssp {
                 .iter()
                 .map(|b| b.capacity() * size_of::<(NodeId, f64)>())
                 .sum::<usize>()
+    }
+
+    /// How many speculation frames [`DynamicSssp::begin_speculation`] has
+    /// opened on this vector: a plain count that [`DynamicSssp::reset_from`]
+    /// leaves alone, so it totals every frame a reused vector ever opened.
+    /// The move scan's deterministic work counter.
+    pub fn frames_opened(&self) -> u64 {
+        self.frames_opened
     }
 
     /// The current distance vector.
@@ -1050,6 +1075,7 @@ impl DynamicSssp {
             "speculation frames must not interleave with add_edge frames"
         );
         self.spec_marks.push(self.undo.len());
+        self.frames_opened += 1;
     }
 
     /// Reverts the most recent speculation frame, restoring the exact
@@ -1713,6 +1739,26 @@ mod tests {
         inc.rollback();
         assert_eq!(inc.dist(), d0.as_slice());
         assert_eq!((inc.depth(), inc.speculation_depth()), (0, 0));
+    }
+
+    #[test]
+    fn frames_opened_counts_every_frame_across_resets() {
+        let g = diamond();
+        let mut inc = DynamicSssp::new();
+        inc.reset_from(0, &dijkstra(&g, 0));
+        let mask = [(0u32, 1u32)];
+        let view = MaskedEdges::new(&g, &mask);
+        inc.begin_speculation();
+        inc.remove_edge(&view, 0, 1, 1.0);
+        inc.begin_speculation();
+        inc.speculate_insert(&view, 0, 3, 0.25);
+        inc.rollback();
+        inc.rollback();
+        assert_eq!(inc.frames_opened(), 2);
+        inc.reset_from(1, &dijkstra(&g, 1));
+        inc.begin_speculation();
+        inc.rollback();
+        assert_eq!(inc.frames_opened(), 3, "a reset keeps the count");
     }
 
     #[test]

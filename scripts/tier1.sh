@@ -179,14 +179,17 @@ echo "== horizon-policy grid vs committed golden (24 cells, n = 20)" >&2
 # Bounded-horizon pricing at n = 20 > PRICE_HORIZON, where the truncated
 # speculative relaxations genuinely shape move selection: the committed
 # golden locks the constant and the RegionDelta scan byte for byte.
-rm -f target/tier1-horizon.jsonl target/tier1-horizon.manifest
-./target/release/gncg grid \
-  --out target/tier1-horizon.jsonl \
-  --name horizon-policy \
-  --hosts r2,grid,clusters --n 20 --alpha 2.0,4.0 \
-  --rules greedy,add --scheds rr --seeds 0,1 --max-rounds 500 --base-seed 0 \
-  --horizon
-cmp target/tier1-horizon.jsonl tests/golden/horizon_policy_n20.jsonl
+horizon_grid() {
+  rm -f target/tier1-horizon.jsonl target/tier1-horizon.manifest
+  "$GNCG" grid \
+    --out target/tier1-horizon.jsonl \
+    --name horizon-policy \
+    --hosts r2,grid,clusters --n 20 --alpha 2.0,4.0 \
+    --rules greedy,add --scheds rr --seeds 0,1 --max-rounds 500 --base-seed 0 \
+    --horizon
+  cmp target/tier1-horizon.jsonl tests/golden/horizon_policy_n20.jsonl
+}
+horizon_grid
 # Resume re-renders the manifest from the spec it parses back and
 # byte-compares it with the one on disk, so resuming an opt-in grid
 # (horizon_pricing=true here, schema 2 with both observability keys
@@ -221,8 +224,11 @@ echo "== oracle profile (release speed, debug assertions on): goldens + large-n"
 # assertions on, so every debug oracle runs at optimized speed: the cold
 # certifier's masked-scan check on every certified golden cell, the cached
 # best response's bound-admissibility and fresh-search checks on every br
-# activation, and at n = 1024 the warm-vector, cached-network, memo and
-# bucket-queue checks.
+# activation, the bound-first move scan's masked-scan and synced-row
+# checks on every full-sum greedy and add activation, the RegionDelta
+# winner's exact re-price on every horizon-policy activation (a path
+# that must neither sync rows nor bound), and at n = 1024 the
+# warm-vector, cached-network, memo and bucket-queue checks.
 # The golden bytes, and the release build's large-n bytes, must not move.
 cargo build --profile oracle -p gncg-service --bin gncg
 GNCG=./target/oracle/gncg
@@ -231,6 +237,7 @@ br_grid 4
 meter_golden 4
 greedy_hosts 4
 br_hosts 4
+GNCG_THREADS=4 horizon_grid
 rm -f target/tier1-large-n-oracle.jsonl target/tier1-large-n-oracle.manifest
 GNCG_THREADS=4 "$GNCG" grid --out target/tier1-large-n-oracle.jsonl --preset large-n --n 1024
 cmp target/tier1-large-n-oracle.jsonl target/tier1-large-n-1.jsonl

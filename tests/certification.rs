@@ -8,15 +8,24 @@
 //! the number of exact Dijkstras it runs is deterministic, so it is
 //! locked here as a count. NE certification runs one exact best response
 //! per agent, and the number of subsets its branch-and-bound evaluates is
-//! deterministic too, so it is locked the same way.
+//! deterministic too, so it is locked the same way. The engine's
+//! bound-first move scan reads the same kind of bound off its agents'
+//! warm vectors: its result must be the masked scan's too, and the
+//! speculation frames it opens are locked as a count.
 
 use proptest::prelude::*;
 
+use gncg_core::cost::agent_cost_in;
 use gncg_core::equilibrium::{certify_agents_in, MoveSpace};
-use gncg_core::response::{best_add_move, best_greedy_move, exact_best_response_in};
+use gncg_core::response::{
+    best_add_move, best_greedy_move, best_move_among_given_current,
+    best_move_among_speculative_priced, exact_best_response_in, ScanPricing,
+};
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_dynamics::{DynamicsConfig, ResponseRule};
 use gncg_graph::apsp::apsp_parallel;
+use gncg_graph::dijkstra::dijkstra;
+use gncg_graph::{AdjacencyList, DynamicSssp};
 use gncg_suite::scenario::{Runner, ScenarioSpec};
 
 /// splitmix64, for the random owned-edge sets.
@@ -58,6 +67,23 @@ fn profiles(game: &Game, seed: u64) -> Vec<Profile> {
     vec![star, mid, random]
 }
 
+/// Every node's exact distance vector in `network`, from a fresh Dijkstra:
+/// the rows the bound-first scan reads.
+fn fresh_rows(network: &AdjacencyList) -> Vec<DynamicSssp> {
+    (0..network.n() as NodeId)
+        .map(|a| {
+            let mut row = DynamicSssp::new();
+            row.reset_from(a, &dijkstra(network, a));
+            row
+        })
+        .collect()
+}
+
+/// A chosen move with its cost's bits.
+fn bits(best: Option<(Move, f64)>) -> Option<(Move, u64)> {
+    best.map(|(m, c)| (m, c.to_bits()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -83,6 +109,55 @@ proptest! {
                 let (ae, _) =
                     certify_agents_in(&game, &profile, &network, &apsp, &[u], MoveSpace::AddOnly);
                 prop_assert_eq!(ae, best_add_move(&game, &profile, u).is_none());
+            }
+        }
+    }
+
+    /// Per agent, per move space and in two list orders, the bound-first
+    /// scan fed every node's fresh row returns the masked scan's move and
+    /// cost bits, and hands the scanned row back untouched, on all nine
+    /// factory hosts. The random profiles are often disconnected, with
+    /// current costs of `∞`. The shuffled order splits swap runs, lists
+    /// deletes after their runs and swaps ahead of their `Add` twins.
+    #[test]
+    fn bounded_scan_matches_the_masked_scan(
+        host in 0usize..9,
+        n in 4usize..13,
+        alpha in 0.3f64..8.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let game = Game::new(gncg_metrics::factory::build_host(key, n, seed).unwrap(), alpha);
+        let mut x = seed;
+        for profile in profiles(&game, seed) {
+            let network = profile.build_network(&game);
+            let rows = fresh_rows(&network);
+            for u in 0..n as NodeId {
+                let current = agent_cost_in(&game, &profile, &network, u).total();
+                for moves in [Move::greedy_moves(&profile, u), Move::add_moves(&profile, u)] {
+                    let mut shuffled = moves.clone();
+                    for k in (1..shuffled.len()).rev() {
+                        shuffled.swap(k, (mix(&mut x) % (k as u64 + 1)) as usize);
+                    }
+                    for list in [&moves, &shuffled] {
+                        let mut warm = rows[u as usize].clone();
+                        let scan = best_move_among_speculative_priced(
+                            &game,
+                            &profile,
+                            &network,
+                            &mut warm,
+                            u,
+                            current,
+                            list,
+                            ScanPricing::FullSum(&rows),
+                        );
+                        let oracle =
+                            best_move_among_given_current(&game, &profile, &network, u, current, list);
+                        prop_assert_eq!(bits(scan), bits(oracle), "agent {} moves {:?}", u, list);
+                        let bitwise = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bitwise(warm.dist()), bitwise(rows[u as usize].dist()));
+                    }
+                }
             }
         }
     }
@@ -120,6 +195,42 @@ fn swap_heavy_certification_work_is_locked() {
     assert_eq!(masked, 29_424);
     assert_eq!(dijkstras, 1_048);
     assert!(20 * dijkstras <= masked);
+}
+
+/// Scanning every agent of the swap-heavy preset's 36 final profiles (all
+/// converged GE) with the engine's bound-first move scan, each node's row
+/// from a fresh Dijkstra, finds no improving move and opens a fixed
+/// number of speculation frames: one per exact pricing and per removal
+/// repair that the rows fail to rule out. The scan that bounded swaps
+/// only off their `Add` twins opened 13,989 frames on these profiles; the
+/// bound-first scan must open at most a tenth of that.
+#[test]
+fn swap_heavy_scan_work_is_locked() {
+    let mut runner = Runner::new();
+    let mut warm = DynamicSssp::new();
+    for cell in ScenarioSpec::swap_heavy().expand() {
+        let (_, game, run) = runner.run_cell_full(&cell);
+        let network = run.profile.build_network(&game);
+        let rows = fresh_rows(&network);
+        for u in 0..game.n() as NodeId {
+            warm.reset_from(u, rows[u as usize].dist());
+            let current = agent_cost_in(&game, &run.profile, &network, u).total();
+            let moves = Move::greedy_moves(&run.profile, u);
+            let best = best_move_among_speculative_priced(
+                &game,
+                &run.profile,
+                &network,
+                &mut warm,
+                u,
+                current,
+                &moves,
+                ScanPricing::FullSum(&rows),
+            );
+            assert_eq!(best, None, "cell {} agent {u}", cell.index);
+        }
+    }
+    assert_eq!(warm.frames_opened(), 194);
+    assert!(10 * warm.frames_opened() <= 13_989);
 }
 
 /// Certifying the br-grid preset's 36 final profiles (all converged NE)

@@ -172,12 +172,14 @@ proptest! {
     /// The speculative move scan must agree with the masked-Dijkstra
     /// oracle **bitwise** — same chosen move, same priced total — at
     /// every activation of a random improving-move sequence over every
-    /// factory host, under both greedy rules; and every scan must leave
-    /// the warm vector bitwise untouched with both log depths at zero
-    /// (the speculation-frame rollback contract). Each activation is
-    /// checked twice: on the enumerated move list, and on a copy shuffled
-    /// by `order`, which puts deletes after their swap runs, splits runs
-    /// and lists swaps ahead of their `Add` twins.
+    /// factory host, under both greedy rules, bounding its moves off
+    /// every node's fresh row; and every scan must leave the warm vector
+    /// bitwise untouched with both log depths at zero (the
+    /// speculation-frame rollback contract). Each activation is checked
+    /// twice: on the enumerated move list, and on a copy shuffled by
+    /// `order`, which puts deletes after their swap runs, splits runs and
+    /// lists swaps ahead of their `Add` twins, so the bounds see their
+    /// inputs in every order.
     #[test]
     fn speculative_move_scan_matches_masked_oracle(
         agents in proptest::collection::vec(0u32..8, 10),
@@ -186,7 +188,7 @@ proptest! {
         order in 0u64..1_000,
     ) {
         use gncg_core::response::{
-            best_move_among_given_current, best_move_among_speculative_priced, SpeculativePricing,
+            best_move_among_given_current, best_move_among_speculative_priced, ScanPricing,
         };
         use gncg_core::Move;
         use gncg_graph::DynamicSssp;
@@ -209,13 +211,19 @@ proptest! {
                 let mut shuffled = moves.clone();
                 shuffled.shuffle(&mut rng);
                 let current = gncg_core::cost::agent_cost_in(&game, &p, &network, u).total();
-                let mut warm = DynamicSssp::new();
-                warm.reset_from(u, &gncg_graph::dijkstra::dijkstra(&network, u));
+                let rows: Vec<DynamicSssp> = (0..n as u32)
+                    .map(|a| {
+                        let mut row = DynamicSssp::new();
+                        row.reset_from(a, &gncg_graph::dijkstra::dijkstra(&network, a));
+                        row
+                    })
+                    .collect();
+                let mut warm = rows[u as usize].clone();
                 let before = warm.dist().to_vec();
                 let mut chosen = None;
                 for list in [&moves, &shuffled] {
                     let spec = best_move_among_speculative_priced(
-                        &game, &p, &network, &mut warm, u, current, list, SpeculativePricing::FullSum,
+                        &game, &p, &network, &mut warm, u, current, list, ScanPricing::FullSum(&rows),
                     );
                     let oracle =
                         best_move_among_given_current(&game, &p, &network, u, current, list);
