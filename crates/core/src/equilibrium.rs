@@ -135,6 +135,8 @@ fn agent_check(
     space: MoveSpace,
 ) -> (bool, u64) {
     let own = profile.strategy(u);
+    // `(x, w(u, x))` per owned target, ascending: the edge terms' table.
+    let pairs: Vec<(NodeId, f64)> = own.iter().map(|&x| (x, game.w(u, x))).collect();
     let current = CostBreakdown {
         edge_cost: edge_cost(game, profile, u),
         distance_cost: apsp.distance_cost(u),
@@ -145,7 +147,7 @@ fn agent_check(
     // Whether the bound rules out candidate `m`, which gains edge `ua`
     // onto a network whose distances from `u` are `dist`.
     let ruled_out = |m: &Move, a: NodeId, dist: &[f64]| {
-        let edge = game.alpha() * candidate_edge_sum(game, u, own, m);
+        let edge = game.alpha() * candidate_edge_sum(game, u, &pairs, m);
         bound.rules_out(
             edge,
             MoveBound::reach(dist, game.w(u, a), apsp.row(a)),

@@ -8,9 +8,9 @@
 
 use std::collections::BTreeSet;
 
-use gncg_graph::NodeId;
+use gncg_graph::{AdjacencyList, NodeId};
 
-use crate::Profile;
+use crate::{Game, Profile};
 
 /// A strategy change of a single agent.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -66,37 +66,204 @@ impl Move {
     /// ([`best_move_among_speculative_priced`](crate::response::best_move_among_speculative_priced)).
     /// Any other order is still correct, only slower.
     pub fn greedy_moves(profile: &Profile, agent: NodeId) -> Vec<Move> {
-        let n = profile.n() as NodeId;
-        let own = profile.strategy(agent);
         let mut out = Vec::new();
-        for v in 0..n {
-            if v == agent {
-                continue;
-            }
-            if own.contains(&v) {
-                out.push(Move::Delete(v));
-            } else {
-                out.push(Move::Add(v));
-            }
-        }
-        for &d in own {
-            for a in 0..n {
-                if a != agent && !own.contains(&a) {
-                    out.push(Move::Swap(d, a));
-                }
-            }
-        }
+        Move::greedy_moves_into(
+            &NodeSet::of(profile.strategy(agent), profile.n()),
+            agent,
+            &mut out,
+        );
         out
+    }
+
+    /// [`Move::greedy_moves`] off the agent's ownership bitmap (`owned`,
+    /// over all `n` nodes), into `out`, which is cleared first so one
+    /// buffer serves every activation.
+    pub fn greedy_moves_into(owned: &NodeSet, agent: NodeId, out: &mut Vec<Move>) {
+        out.clear();
+        let n = owned.universe() as NodeId;
+        for v in (0..n).filter(|&v| v != agent) {
+            out.push(if owned.contains(v) {
+                Move::Delete(v)
+            } else {
+                Move::Add(v)
+            });
+        }
+        for d in (0..n).filter(|&d| owned.contains(d)) {
+            out.extend(
+                (0..n)
+                    .filter(|&a| a != agent && !owned.contains(a))
+                    .map(|a| Move::Swap(d, a)),
+            );
+        }
     }
 
     /// Enumerates only the `Add` moves (for Add-only Equilibrium checks).
     pub fn add_moves(profile: &Profile, agent: NodeId) -> Vec<Move> {
-        let n = profile.n() as NodeId;
+        let mut out = Vec::new();
+        Move::add_moves_into(
+            &NodeSet::of(profile.strategy(agent), profile.n()),
+            agent,
+            &mut out,
+        );
+        out
+    }
+
+    /// [`Move::add_moves`] off the agent's ownership bitmap, into the
+    /// cleared buffer `out`.
+    pub fn add_moves_into(owned: &NodeSet, agent: NodeId, out: &mut Vec<Move>) {
+        out.clear();
+        let n = owned.universe() as NodeId;
+        out.extend(
+            (0..n)
+                .filter(|&v| v != agent && !owned.contains(v))
+                .map(Move::Add),
+        );
+    }
+}
+
+/// A set of node ids out of `0..universe`, one bit per node.
+#[derive(Clone, Debug, Default)]
+pub struct NodeSet {
+    words: Vec<u64>,
+    universe: usize,
+}
+
+impl NodeSet {
+    /// `set` as a bitmap over `0..universe`.
+    pub(crate) fn of(set: &BTreeSet<NodeId>, universe: usize) -> Self {
+        let mut bits = NodeSet::default();
+        bits.reset(universe);
+        for &v in set {
+            bits.insert(v);
+        }
+        bits
+    }
+
+    /// Empties the set and sizes it for `0..universe`, keeping its
+    /// allocation.
+    pub(crate) fn reset(&mut self, universe: usize) {
+        self.universe = universe;
+        self.words.clear();
+        self.words.resize(universe.div_ceil(64), 0);
+    }
+
+    /// The size of the id range the set ranges over.
+    pub fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// Adds `v`.
+    #[inline]
+    pub(crate) fn insert(&mut self, v: NodeId) {
+        self.words[v as usize / 64] |= 1 << (v % 64);
+    }
+
+    /// Whether `v` is in the set.
+    #[inline]
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.words[v as usize / 64] >> (v % 64) & 1 != 0
+    }
+
+    /// Bytes the set holds.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+/// One agent's strategy, read once into flat tables that a whole
+/// activation shares: the move enumeration ([`Move::greedy_moves_into`]
+/// off [`StrategyTables::owned`]), the scan's edge terms
+/// ([`StrategyTables::pairs`]) and its network probes. Refilled in place
+/// by [`StrategyTables::load`], so an activation allocates nothing once
+/// the tables have grown.
+#[derive(Clone, Debug, Default)]
+pub struct StrategyTables {
+    agent: NodeId,
+    /// `(x, w(agent, x))` for every owned target `x`, ascending in `x`:
+    /// the `BTreeSet` iteration order, so edge sums over it keep their
+    /// bits.
+    pairs: Vec<(NodeId, f64)>,
+    /// The targets the agent owns.
+    owned: NodeSet,
+    /// The agent's network neighbours.
+    neighbours: NodeSet,
+    /// The owned targets that also own their edge to the agent.
+    co_owned: NodeSet,
+}
+
+impl StrategyTables {
+    /// Reads `agent`'s strategy in `profile`, and its neighbours in
+    /// `network` (the profile's built network), into the tables.
+    pub fn load(&mut self, game: &Game, profile: &Profile, network: &AdjacencyList, agent: NodeId) {
+        let n = profile.n();
+        self.agent = agent;
+        self.pairs.clear();
+        self.owned.reset(n);
+        self.co_owned.reset(n);
+        for &x in profile.strategy(agent) {
+            self.pairs.push((x, game.w(agent, x)));
+            self.owned.insert(x);
+            if profile.owns(x, agent) {
+                self.co_owned.insert(x);
+            }
+        }
+        self.neighbours.reset(n);
+        for &(x, _) in network.neighbors(agent) {
+            self.neighbours.insert(x);
+        }
+    }
+
+    /// The agent the tables were loaded for.
+    pub(crate) fn agent(&self) -> NodeId {
+        self.agent
+    }
+
+    /// `(x, w(agent, x))` per owned target, ascending in `x`.
+    pub fn pairs(&self) -> &[(NodeId, f64)] {
+        &self.pairs
+    }
+
+    /// The ownership bitmap.
+    pub fn owned(&self) -> &NodeSet {
+        &self.owned
+    }
+
+    /// Whether edge `(agent, v)` is in the network.
+    #[inline]
+    pub fn has_edge(&self, v: NodeId) -> bool {
+        self.neighbours.contains(v)
+    }
+
+    /// Whether the agent and `v` both buy the edge between them, so the
+    /// agent dropping it leaves the network unchanged.
+    #[inline]
+    pub fn is_co_owned(&self, v: NodeId) -> bool {
+        self.co_owned.contains(v)
+    }
+
+    /// Whether the tables are `agent`'s in `profile` and `network`.
+    pub(crate) fn matches(
+        &self,
+        profile: &Profile,
+        network: &AdjacencyList,
+        agent: NodeId,
+    ) -> bool {
         let own = profile.strategy(agent);
-        (0..n)
-            .filter(|&v| v != agent && !own.contains(&v))
-            .map(Move::Add)
-            .collect()
+        self.agent == agent
+            && self.pairs.iter().map(|p| p.0).eq(own.iter().copied())
+            && (0..profile.n() as NodeId).all(|v| {
+                self.owned.contains(v) == own.contains(&v)
+                    && self.is_co_owned(v) == (own.contains(&v) && profile.owns(v, agent))
+                    && self.has_edge(v) == network.has_edge(agent, v)
+            })
+    }
+
+    /// Bytes the tables hold.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.pairs.capacity() * std::mem::size_of::<(NodeId, f64)>()
+            + self.owned.resident_bytes()
+            + self.neighbours.resident_bytes()
+            + self.co_owned.resident_bytes()
     }
 }
 

@@ -116,6 +116,7 @@ use gncg_graph::{
 use crate::cost::{
     agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown, MoveBound,
 };
+use crate::moves::StrategyTables;
 use crate::{Game, Move, Profile};
 
 /// Result of a best-response computation.
@@ -1191,6 +1192,47 @@ impl ScanPricing<'_> {
     }
 }
 
+/// The buffers a [`best_move_among_speculative_priced`] call works in,
+/// kept across calls so that a scan allocates nothing once they have
+/// grown: the scanned agent's [`StrategyTables`], one price per move, the
+/// deletes awaiting their swap run, and the FullSum bound tables.
+///
+/// An activation loads the tables once ([`ScanScratch::load`]),
+/// enumerates its moves off them ([`Move::greedy_moves_into`] /
+/// [`Move::add_moves_into`] over [`StrategyTables::owned`]) and scans
+/// with the same scratch.
+#[derive(Debug, Default)]
+pub struct ScanScratch {
+    tables: StrategyTables,
+    prices: Vec<Option<f64>>,
+    deferred: Vec<Option<(usize, f64)>>,
+    bounds: BoundTables,
+}
+
+impl ScanScratch {
+    /// Reads `agent`'s strategy in `profile`, and its neighbours in
+    /// `network`, into the scratch's tables ([`StrategyTables::load`]).
+    pub fn load(
+        &mut self,
+        game: &Game,
+        profile: &Profile,
+        network: &AdjacencyList,
+        agent: NodeId,
+    ) -> &StrategyTables {
+        self.tables.load(game, profile, network, agent);
+        &self.tables
+    }
+
+    /// Bytes the scratch holds.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.tables.resident_bytes()
+            + self.prices.capacity() * size_of::<Option<f64>>()
+            + self.deferred.capacity() * size_of::<Option<(usize, f64)>>()
+            + self.bounds.resident_bytes()
+    }
+}
+
 /// [`best_move_among_given_current`] evaluated **speculatively** against
 /// the agent's warm distance vector instead of one masked Dijkstra per
 /// candidate.
@@ -1208,8 +1250,9 @@ impl ScanPricing<'_> {
 ///    logged source-incident relaxation;
 /// 2. **read** — the candidate's distance cost is the warm sum, in the
 ///    same index order the oracle sums its Dijkstra vector, and its edge
-///    cost re-accumulates in ascending node-id order, matching
-///    [`candidate_cost`]'s `BTreeSet` iteration bit for bit;
+///    cost is [`candidate_edge_sum`] over the agent's pair table, which
+///    sums the same weights in the same ascending node-id order as
+///    [`candidate_cost`]'s `BTreeSet` iteration, bit for bit;
 /// 3. **rollback** — the frame restores the pre-move vector bitwise, so
 ///    the next candidate starts from the same warm state.
 ///
@@ -1217,6 +1260,18 @@ impl ScanPricing<'_> {
 /// already-present one) change no distances and read the current sum
 /// directly. [`Move::Replace`] candidates are not single-edge deltas and
 /// fall back to the oracle's [`candidate_cost`] pricing.
+///
+/// # Tables and scratch
+///
+/// The scan reads the agent's strategy only through `scratch`'s
+/// [`StrategyTables`], which must be loaded for `agent` in `profile` and
+/// `network` ([`ScanScratch::load`]; debug builds check it). Edge terms
+/// walk the `(x, w(agent, x))` pair table, and whether a dropped edge is
+/// co-owned or a gained edge already present is one bit of the co-owner
+/// or neighbour bitmap. The prices, the deferred deletes and the bound
+/// tables live in the same scratch, so once they have grown a scan
+/// allocates nothing. The dynamics engine loads the tables once per
+/// activation and enumerates the moves off their ownership bitmap.
 ///
 /// # Price first, select second
 ///
@@ -1289,7 +1344,19 @@ pub fn best_move_among_speculative_priced(
     current: f64,
     moves: &[Move],
     pricing: ScanPricing<'_>,
+    scratch: &mut ScanScratch,
 ) -> Option<(Move, f64)> {
+    let ScanScratch {
+        tables,
+        prices,
+        deferred,
+        bounds: bound_tables,
+    } = scratch;
+    let tables = &*tables;
+    debug_assert!(
+        tables.matches(profile, network, agent),
+        "the scan's tables are not agent {agent}'s"
+    );
     #[cfg(debug_assertions)]
     let before: Vec<f64> = warm.dist().to_vec();
     let policy = pricing.policy();
@@ -1306,22 +1373,24 @@ pub fn best_move_among_speculative_priced(
     if policy == SpeculativePricing::RegionDelta {
         warm.set_price_horizon(Some(PRICE_HORIZON));
     }
-    let own = profile.strategy(agent);
     let alpha = game.alpha();
     let n = profile.n();
+    let edge_term = |m: &Move| alpha * candidate_edge_sum(game, agent, tables.pairs(), m);
     // Replace moves price through the oracle path; its base graph is
     // derived at most once.
     let mut base: Option<AdjacencyList> = None;
     // One price per move; once the pricing pass ends, `None` marks a
     // move a bound ruled out.
-    let mut prices: Vec<Option<f64>> = vec![None; moves.len()];
+    prices.clear();
+    prices.resize(moves.len(), None);
     let mut bounds = match pricing {
-        ScanPricing::FullSum(rows) => Some(ScanBounds::new(network, rows)),
+        ScanPricing::FullSum(rows) => Some(ScanBounds::new(network, rows, bound_tables)),
         ScanPricing::RegionDelta => None,
     };
     // The position of a sole-owned `Delete(d)` awaiting the outer frame
     // of the next swap run dropping `d`, and the floor at that position.
-    let mut deferred: Vec<Option<(usize, f64)>> = vec![None; n];
+    deferred.clear();
+    deferred.resize(n, None);
     let mut floor = current;
     let mut i = 0;
     while i < moves.len() {
@@ -1332,7 +1401,7 @@ pub fn best_move_among_speculative_priced(
             // an outer frame and each add target is an inner insert +
             // rollback — `k` removals for `k·(n−1−k)` swap candidates and
             // their `k` deletes, not one each.
-            Move::Swap(d, _) if !profile.owns(d, agent) => {
+            Move::Swap(d, _) if !tables.is_co_owned(d) => {
                 let run = moves[i..]
                     .iter()
                     .take_while(|m| matches!(m, Move::Swap(dd, _) if *dd == d))
@@ -1346,17 +1415,17 @@ pub fn best_move_among_speculative_priced(
                 if let Some(b) = bounds.as_mut() {
                     b.build_hops(network, agent, d);
                     delete = delete.filter(|&(j, at)| {
-                        let edge = alpha * candidate_edge_sum(game, agent, own, &moves[j]);
-                        !b.bound.rules_out(edge, b.hops.iter().sum(), at)
+                        !b.bound
+                            .rules_out(edge_term(&moves[j]), b.hops.iter().sum(), at)
                     });
                     if delete.is_none() {
                         first = swaps
                             .iter()
                             .position(|m| {
                                 let &Move::Swap(_, a) = m else { unreachable!() };
-                                let edge = alpha * candidate_edge_sum(game, agent, own, m);
+                                let edge = edge_term(m);
                                 let row = b.rows[a as usize].dist();
-                                let reach = || MoveBound::reach(&b.hops, game.w(agent, a), row);
+                                let reach = || MoveBound::reach(b.hops, game.w(agent, a), row);
                                 !b.twin_rules_out(a, edge, floor)
                                     && !b.bound.rules_out(edge, reach(), floor)
                             })
@@ -1380,16 +1449,16 @@ pub fn best_move_among_speculative_priced(
                 warm.remove_edge(&view, agent, d, w);
                 let removal = frame_price(warm, policy, sum0, mark);
                 if let Some((j, _)) = delete {
-                    let c = alpha * candidate_edge_sum(game, agent, own, &moves[j]) + removal;
+                    let c = edge_term(&moves[j]) + removal;
                     prices[j] = Some(c);
                     floor = floor.min(c);
                 }
                 for (k, m) in swaps.iter().enumerate().skip(first) {
                     let &Move::Swap(_, a) = m else { unreachable!() };
-                    let edge = alpha * candidate_edge_sum(game, agent, own, m);
+                    let edge = edge_term(m);
                     // Gained edge already present: the removal repair is
                     // the whole delta.
-                    let present = network.has_edge(agent, a);
+                    let present = tables.has_edge(a);
                     if let Some(b) = &bounds {
                         let row = b.rows[a as usize].dist();
                         let reach = || MoveBound::reach(warm.dist(), game.w(agent, a), row);
@@ -1415,7 +1484,7 @@ pub fn best_move_among_speculative_priced(
                 warm.rollback();
                 i += run;
             }
-            Move::Delete(d) if !profile.owns(d, agent) && deferred[d as usize].is_none() => {
+            Move::Delete(d) if !tables.is_co_owned(d) && deferred[d as usize].is_none() => {
                 deferred[d as usize] = Some((i, floor));
                 i += 1;
             }
@@ -1429,23 +1498,14 @@ pub fn best_move_among_speculative_priced(
                         candidate_cost(game, base, agent, cand).total()
                     }
                     _ => {
-                        let edge = alpha * candidate_edge_sum(game, agent, own, m);
+                        let edge = edge_term(m);
                         if let Some(b) = bounds.as_mut() {
-                            if b.rules_out_unrepaired(
-                                game,
-                                network,
-                                warm.dist(),
-                                agent,
-                                m,
-                                edge,
-                                floor,
-                            ) {
+                            if b.rules_out_unrepaired(game, tables, warm.dist(), m, edge, floor) {
                                 continue;
                             }
                         }
-                        let dist = speculative_distance_sum(
-                            game, profile, network, warm, agent, m, policy, sum0,
-                        );
+                        let dist =
+                            speculative_distance_sum(game, tables, network, warm, m, policy, sum0);
                         if let (Move::Add(a), Some(b)) = (m, bounds.as_mut()) {
                             b.add[*a as usize] = AddSum::Priced(dist);
                         }
@@ -1459,17 +1519,19 @@ pub fn best_move_among_speculative_priced(
     }
     // A delete with no swap run after it prices in a frame of its own,
     // unless the rows rule it out against the floor at its position.
-    for (d, slot) in deferred.into_iter().enumerate() {
-        let Some((j, at)) = slot else { continue };
+    for (d, slot) in deferred.iter_mut().enumerate() {
+        let Some((j, at)) = slot.take() else {
+            continue;
+        };
         let m = &moves[j];
-        let edge = alpha * candidate_edge_sum(game, agent, own, m);
+        let edge = edge_term(m);
         if let Some(b) = bounds.as_mut() {
             b.build_hops(network, agent, d as NodeId);
             if b.bound.rules_out(edge, b.hops.iter().sum(), at) {
                 continue;
             }
         }
-        let dist = speculative_distance_sum(game, profile, network, warm, agent, m, policy, sum0);
+        let dist = speculative_distance_sum(game, tables, network, warm, m, policy, sum0);
         prices[j] = Some(edge + dist);
     }
     // Selection: the oracle's incumbent rule over the moves in their
@@ -1496,15 +1558,14 @@ pub fn best_move_among_speculative_priced(
             _ => {
                 let dist = speculative_distance_sum(
                     game,
-                    profile,
+                    tables,
                     network,
                     warm,
-                    agent,
                     &m,
                     SpeculativePricing::FullSum,
                     0.0,
                 );
-                let exact = alpha * candidate_edge_sum(game, agent, own, &m) + dist;
+                let exact = edge_term(&m) + dist;
                 strictly_less(exact, current).then_some((m, exact))
             }
         });
@@ -1560,26 +1621,48 @@ enum AddSum {
     Bound(f64),
 }
 
-/// The FullSum scan's bound state (see "Bound-first pricing" in
-/// [`best_move_among_speculative_priced`]): the rows it reads, what it
-/// knows of each add, and the agent's first-hop tables.
-struct ScanBounds<'r> {
-    rows: &'r [DynamicSssp],
-    bound: MoveBound,
+/// The FullSum bound tables a [`ScanScratch`] keeps across scans (see
+/// [`ScanBounds`]).
+#[derive(Debug, Default)]
+struct BoundTables {
     add: Vec<AddSum>,
-    /// Per node `v`: the least and second-least `w(u,x) + d(x,v)` over the
-    /// agent's network neighbours `x` (`0` at the agent itself), and the
-    /// `x` attaining the least. Built on first use.
     least: Vec<f64>,
     second: Vec<f64>,
     via: Vec<NodeId>,
-    /// The neighbour bound of the last dropped edge `d`: per node, the
-    /// least first-hop term over `N(u)∖d` ([`ScanBounds::build_hops`]).
     hops: Vec<f64>,
 }
 
-impl<'r> ScanBounds<'r> {
-    fn new(network: &AdjacencyList, rows: &'r [DynamicSssp]) -> Self {
+impl BoundTables {
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.add.capacity() * size_of::<AddSum>()
+            + (self.least.capacity() + self.second.capacity() + self.hops.capacity())
+                * size_of::<f64>()
+            + self.via.capacity() * size_of::<NodeId>()
+    }
+}
+
+/// The FullSum scan's bound state (see "Bound-first pricing" in
+/// [`best_move_among_speculative_priced`]): the rows it reads, what it
+/// knows of each add, and the agent's first-hop tables, borrowed from the
+/// scan's [`ScanScratch`].
+struct ScanBounds<'r, 's> {
+    rows: &'r [DynamicSssp],
+    bound: MoveBound,
+    add: &'s mut Vec<AddSum>,
+    /// Per node `v`: the least and second-least `w(u,x) + d(x,v)` over the
+    /// agent's network neighbours `x` (`0` at the agent itself), and the
+    /// `x` attaining the least. Built on first use.
+    least: &'s mut Vec<f64>,
+    second: &'s mut Vec<f64>,
+    via: &'s mut Vec<NodeId>,
+    /// The neighbour bound of the last dropped edge `d`: per node, the
+    /// least first-hop term over `N(u)∖d` ([`ScanBounds::build_hops`]).
+    hops: &'s mut Vec<f64>,
+}
+
+impl<'r, 's> ScanBounds<'r, 's> {
+    fn new(network: &AdjacencyList, rows: &'r [DynamicSssp], tables: &'s mut BoundTables) -> Self {
         let n = network.n();
         assert_eq!(rows.len(), n, "a FullSum scan needs one row per node");
         // A row with pending inserts overestimates distances, which would
@@ -1592,14 +1675,25 @@ impl<'r> ScanBounds<'r> {
                 "row {a} read by the scan is not synced"
             );
         }
+        let BoundTables {
+            add,
+            least,
+            second,
+            via,
+            hops,
+        } = tables;
+        add.clear();
+        add.resize(n, AddSum::Unknown);
+        // An empty `via` marks the first-hop tables unbuilt.
+        via.clear();
         ScanBounds {
             rows,
             bound: MoveBound::new(n),
-            add: vec![AddSum::Unknown; n],
-            least: Vec::new(),
-            second: Vec::new(),
-            via: Vec::new(),
-            hops: Vec::new(),
+            add,
+            least,
+            second,
+            via,
+            hops,
         }
     }
 
@@ -1615,13 +1709,11 @@ impl<'r> ScanBounds<'r> {
 
     /// Whether a move that repairs no removal — an add, or a swap dropping
     /// a co-owned edge — is ruled out; `dist` is the agent's vector.
-    #[allow(clippy::too_many_arguments)]
     fn rules_out_unrepaired(
         &mut self,
         game: &Game,
-        network: &AdjacencyList,
+        tables: &StrategyTables,
         dist: &[f64],
-        agent: NodeId,
         m: &Move,
         edge: f64,
         floor: f64,
@@ -1634,12 +1726,13 @@ impl<'r> ScanBounds<'r> {
             _ => return false,
         };
         // Gaining an already-present edge reads the vector as it stands.
-        if network.has_edge(agent, a) {
+        if tables.has_edge(a) {
             return false;
         }
         let reach = match self.add[a as usize] {
             AddSum::Unknown => {
-                let reach = MoveBound::reach(dist, game.w(agent, a), self.rows[a as usize].dist());
+                let w = game.w(tables.agent(), a);
+                let reach = MoveBound::reach(dist, w, self.rows[a as usize].dist());
                 self.add[a as usize] = AddSum::Bound(reach);
                 reach
             }
@@ -1654,7 +1747,9 @@ impl<'r> ScanBounds<'r> {
     fn build_hops(&mut self, network: &AdjacencyList, agent: NodeId, d: NodeId) {
         let n = self.rows.len();
         if self.via.is_empty() {
+            self.least.clear();
             self.least.resize(n, f64::INFINITY);
+            self.second.clear();
             self.second.resize(n, f64::INFINITY);
             self.via.resize(n, NodeId::MAX);
             for &(x, w) in network.neighbors(agent) {
@@ -1707,25 +1802,24 @@ fn frame_price(warm: &mut DynamicSssp, pricing: SpeculativePricing, sum0: f64, m
 /// edge leaves the network only when the other endpoint does not also own
 /// it; a new edge enters only when not already present — the same rules
 /// the dynamics engine applies to committed moves).
-#[allow(clippy::too_many_arguments)]
 fn speculative_distance_sum(
     game: &Game,
-    profile: &Profile,
+    tables: &StrategyTables,
     network: &AdjacencyList,
     warm: &mut DynamicSssp,
-    agent: NodeId,
     m: &Move,
     pricing: SpeculativePricing,
     sum0: f64,
 ) -> f64 {
+    let agent = tables.agent();
     let (dropped, gained) = match *m {
         Move::Add(v) => (None, Some(v)),
         Move::Delete(v) => (Some(v), None),
         Move::Swap(d, a) => (Some(d), Some(a)),
         Move::Replace(_) => unreachable!("Replace moves are priced by the oracle path"),
     };
-    let dropped = dropped.filter(|&v| !profile.owns(v, agent));
-    let gained = gained.filter(|&v| !network.has_edge(agent, v));
+    let dropped = dropped.filter(|&v| !tables.is_co_owned(v));
+    let gained = gained.filter(|&v| !tables.has_edge(v));
     if dropped.is_none() && gained.is_none() {
         // Degenerate delta: the network (hence the vector) is unchanged,
         // so the pre-scan sum *is* the exact price under either policy.
@@ -1759,40 +1853,29 @@ fn speculative_distance_sum(
     sum
 }
 
-/// `Σ w(agent, x)` over the candidate set `m` produces from `own`,
-/// accumulated in ascending node-id order — the `BTreeSet` iteration
-/// order [`candidate_cost`]'s edge term uses, so totals agree bitwise
+/// `Σ w(agent, x)` over the candidate set `m` produces from the strategy
+/// whose `(x, w(agent, x))` pairs are `pairs`, ascending in `x`
+/// ([`StrategyTables::pairs`]). The weights are summed in ascending
+/// node-id order with `Iterator::sum`, exactly as [`candidate_cost`] sums
+/// its candidate `BTreeSet`, so the two edge terms agree bit for bit
 /// (f64 addition is order-sensitive).
-pub(crate) fn candidate_edge_sum(
-    game: &Game,
-    agent: NodeId,
-    own: &BTreeSet<NodeId>,
-    m: &Move,
-) -> f64 {
+pub fn candidate_edge_sum(game: &Game, agent: NodeId, pairs: &[(NodeId, f64)], m: &Move) -> f64 {
     let (drop, add) = match *m {
         Move::Add(v) => (None, Some(v)),
         Move::Delete(v) => (Some(v), None),
         Move::Swap(d, a) => (Some(d), Some(a)),
         Move::Replace(_) => unreachable!("Replace moves are priced by the oracle path"),
     };
-    let mut sum = 0.0;
-    let mut pending = add;
-    for &x in own {
-        if Some(x) == drop {
-            continue;
-        }
-        if let Some(a) = pending {
-            if a < x {
-                sum += game.w(agent, a);
-                pending = None;
-            }
-        }
-        sum += game.w(agent, x);
-    }
-    if let Some(a) = pending {
-        sum += game.w(agent, a);
-    }
-    sum
+    let gained = add.map(|a| (a, game.w(agent, a)));
+    // Where the gained target sorts among the owned ones.
+    let at = add.map_or(pairs.len(), |a| pairs.partition_point(|&(x, _)| x < a));
+    pairs[..at]
+        .iter()
+        .chain(gained.as_ref())
+        .chain(&pairs[at..])
+        .filter(|&&(x, _)| Some(x) != drop)
+        .map(|&(_, w)| w)
+        .sum()
 }
 
 /// Prices an explicit move without applying it.
@@ -1821,6 +1904,34 @@ mod tests {
                 row
             })
             .collect()
+    }
+
+    /// [`best_move_among_speculative_priced`] with a fresh scratch loaded
+    /// for `agent`.
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
+        game: &Game,
+        profile: &Profile,
+        network: &AdjacencyList,
+        warm: &mut DynamicSssp,
+        agent: NodeId,
+        current: f64,
+        moves: &[Move],
+        pricing: ScanPricing<'_>,
+    ) -> Option<(Move, f64)> {
+        let mut scratch = ScanScratch::default();
+        scratch.load(game, profile, network, agent);
+        best_move_among_speculative_priced(
+            game,
+            profile,
+            network,
+            warm,
+            agent,
+            current,
+            moves,
+            pricing,
+            &mut scratch,
+        )
     }
 
     #[test]
@@ -1986,7 +2097,7 @@ mod tests {
                     let moves = Move::greedy_moves(&p, agent);
                     let current = agent_cost_in(&game, &p, &network, agent).total();
                     let mut warm = rows[agent as usize].clone();
-                    let spec = best_move_among_speculative_priced(
+                    let spec = scan(
                         &game,
                         &p,
                         &network,
@@ -2026,7 +2137,7 @@ mod tests {
                     let mut warm = DynamicSssp::new();
                     warm.set_weight_class(game.weight_class());
                     warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-                    let rd = best_move_among_speculative_priced(
+                    let rd = scan(
                         &game,
                         &p,
                         &network,
@@ -2056,7 +2167,7 @@ mod tests {
             let current = agent_cost_in(&game, &p, &network, agent).total();
             let mut warm = DynamicSssp::new();
             warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-            let rd = best_move_among_speculative_priced(
+            let rd = scan(
                 &game,
                 &p,
                 &network,
@@ -2078,7 +2189,7 @@ mod tests {
         let current = agent_cost_in(&game, &q, &network, 3).total();
         let mut warm = DynamicSssp::new();
         warm.reset_from(3, &gncg_graph::dijkstra::dijkstra(&network, 3));
-        let rd = best_move_among_speculative_priced(
+        let rd = scan(
             &game,
             &q,
             &network,
@@ -2105,7 +2216,7 @@ mod tests {
             let moves = Move::greedy_moves(&p, agent);
             let current = agent_cost_in(&game, &p, &network, agent).total();
             let mut warm = rows[agent as usize].clone();
-            let spec = best_move_among_speculative_priced(
+            let spec = scan(
                 &game,
                 &p,
                 &network,
@@ -2128,7 +2239,7 @@ mod tests {
         assert!(current.is_infinite());
         let rows = fresh_rows(&network);
         let mut warm = rows[3].clone();
-        let spec = best_move_among_speculative_priced(
+        let spec = scan(
             &game,
             &q,
             &network,

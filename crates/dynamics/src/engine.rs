@@ -52,7 +52,14 @@
 //!   frame, read the cost off the warm sum, roll back —
 //!   [`best_move_among_speculative_priced`]), then selects the winner in
 //!   move order. Each owned edge's removal is repaired at most once for
-//!   its delete and all its swaps;
+//!   its delete and all its swaps. An activation reads the agent's
+//!   strategy once, into flat tables: its `(id, w(u, id))` pairs,
+//!   ascending, which every edge term walks, and bitmaps of its owned
+//!   targets, network neighbours and co-owned edges, off which it
+//!   enumerates its moves and answers the scan's probes. The tables, the
+//!   move list and the scan's per-call buffers live in one reused
+//!   scratch beside the row copy (one per worker in the pool-parallel
+//!   scan), so an activation allocates nothing once they have grown;
 //! * **warm vectors double as rows.** Under full-sum pricing the scan is
 //!   bound-first: it rules out most adds, deletes and swaps off the
 //!   *other* agents' warm vectors `d(a,·)` before any frame opens
@@ -61,13 +68,16 @@
 //!   full-sum greedy or add pricing first makes every warm vector
 //!   current, and the pool-parallel scan syncs them all before it prices
 //!   any agent on a worker-local copy of its row, so the rows stay
-//!   shared and read-only. Every vector then replays each committed
-//!   insert on the next activation instead of in a batch: `Θ(n)` vectors
-//!   of `O(n)` each per commit, no more than the full-sum scan's own
-//!   `Θ(n²)` per activation. Horizon pricing and the exact rule read
-//!   only the priced agent's own vector and keep the batched lazy sync.
-//!   The scan's ancestor, one masked
-//!   from-scratch Dijkstra per candidate
+//!   shared and read-only. The context records the commit epoch at which
+//!   it last made every row current; nothing can leave a row stale
+//!   within an epoch, so only the first such pricing after a commit
+//!   syncs, and the others skip the `n` checks. Every vector then
+//!   replays each committed insert on the next activation instead of in
+//!   a batch: `Θ(n)` vectors of `O(n)` each per commit, no more than the
+//!   full-sum scan's own `Θ(n²)` per activation. Horizon pricing and
+//!   the exact rule read only the priced agent's own vector and keep the
+//!   batched lazy sync. The scan's ancestor, one masked from-scratch
+//!   Dijkstra per candidate
 //!   ([`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)),
 //!   is the debug oracle of every scan and the measured baseline of the
 //!   `move_scan` bench;
@@ -120,7 +130,7 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 
 use gncg_core::response::{
-    best_move_among_speculative_priced, BrBoundCache, ScanPricing, SpeculativePricing,
+    best_move_among_speculative_priced, BrBoundCache, ScanPricing, ScanScratch, SpeculativePricing,
 };
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
@@ -419,16 +429,42 @@ fn reads_rows(rule: ResponseRule, pricing: SpeculativePricing) -> bool {
     rule != ResponseRule::ExactBestResponse && pricing == SpeculativePricing::FullSum
 }
 
+/// What one pricer works in, reused from agent to agent: the copy of the
+/// priced agent's row its move scan speculates on, so every warm vector
+/// stays readable as a row; the scan's tables and buffers; and the move
+/// list it enumerates.
+#[derive(Debug, Default)]
+struct PricerScratch {
+    row_copy: DynamicSssp,
+    scan: ScanScratch,
+    moves: Vec<Move>,
+}
+
+impl PricerScratch {
+    fn new(weight_class: Option<(f64, f64)>) -> Self {
+        let mut scratch = PricerScratch::default();
+        scratch.row_copy.set_weight_class(weight_class);
+        scratch
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.row_copy.resident_bytes()
+            + self.scan.resident_bytes()
+            + self.moves.capacity() * std::mem::size_of::<Move>()
+    }
+}
+
 /// The per-agent pricing every activation path shares: agent `u`'s
 /// improving change under `rule` (`None` when `u` is stable), priced off
 /// `rows`, the warm vectors, whose entry `u` also supplies the current
 /// cost. Every row the pricing reads must be current. The greedy rules
-/// scan their candidate moves speculatively against `spec`, a scratch
-/// copy of `u`'s row (borrowed mutably for apply → read → rollback), so
-/// the rows stay shared and read-only; under FullSum the scan rules moves
-/// out off the other agents' rows first. The exact rule searches `u`'s
-/// persistent bound tables in `br`, built on first use and brought
-/// current here.
+/// read `u`'s strategy once into the scratch's tables, enumerate their
+/// candidate moves off them into the scratch's move list, and scan them
+/// speculatively against the scratch's copy of `u`'s row (borrowed
+/// mutably for apply → read → rollback), so the rows stay shared and
+/// read-only; under FullSum the scan rules moves out off the other
+/// agents' rows first. The exact rule searches `u`'s persistent bound
+/// tables in `br`, built on first use and brought current here.
 fn pricer<'a>(
     game: &'a Game,
     profile: &'a Profile,
@@ -439,15 +475,15 @@ fn pricer<'a>(
 ) -> impl Fn(
     NodeId,
     &[DynamicSssp],
-    &mut DynamicSssp,
+    &mut PricerScratch,
     &mut Option<Box<BrBoundCache>>,
 ) -> Option<Change>
        + Sync
        + 'a {
-    move |u, rows, spec, br| {
+    move |u, rows, scratch, br| {
         let row = &rows[u as usize];
         let current = gncg_core::cost::edge_cost(game, profile, u) + row.sum();
-        let moves = match rule {
+        let enumerate = match rule {
             ResponseRule::ExactBestResponse => {
                 let cache = br.get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
                 cache.ensure(game, profile, network, insert_log);
@@ -456,16 +492,28 @@ fn pricer<'a>(
                     .improves()
                     .then_some((br.strategy, br.current_cost, br.cost));
             }
-            ResponseRule::BestGreedyMove => Move::greedy_moves(profile, u),
-            ResponseRule::AddOnly => Move::add_moves(profile, u),
+            ResponseRule::BestGreedyMove => Move::greedy_moves_into,
+            ResponseRule::AddOnly => Move::add_moves_into,
         };
+        let tables = scratch.scan.load(game, profile, network, u);
+        enumerate(tables.owned(), u, &mut scratch.moves);
         let scan = match pricing {
             SpeculativePricing::FullSum => ScanPricing::FullSum(rows),
             SpeculativePricing::RegionDelta => ScanPricing::RegionDelta,
         };
-        spec.reset_from(u, row.dist());
-        best_move_among_speculative_priced(game, profile, network, spec, u, current, &moves, scan)
-            .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
+        scratch.row_copy.reset_from(u, row.dist());
+        best_move_among_speculative_priced(
+            game,
+            profile,
+            network,
+            &mut scratch.row_copy,
+            u,
+            current,
+            &scratch.moves,
+            scan,
+            &mut scratch.scan,
+        )
+        .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
     }
 }
 
@@ -517,9 +565,10 @@ pub struct EvalContext {
     /// Scratch for (re)computing a warm vector from scratch.
     scratch: DijkstraScratch,
     dist_buf: Vec<f64>,
-    /// The copy of the activated agent's warm vector its move scan
-    /// speculates on, so every warm vector stays readable as a row.
-    row_copy: DynamicSssp,
+    /// What the activations' pricer works in: the copy of the activated
+    /// agent's warm vector its move scan speculates on, the scan's
+    /// tables and buffers, and its move list.
+    pricer: PricerScratch,
     /// Reusable edge-delta buffer for [`EvalContext::apply_strategy_change`].
     delta: NetworkDelta,
     /// Reusable actually-removed buffer for `apply_delta`'s batched
@@ -544,6 +593,11 @@ pub struct EvalContext {
     /// [`EvalContext::set_pricing`] and [`Engine::recycle`], never rewound,
     /// so no pricing from before any of them can match again.
     epoch: u64,
+    /// The epoch at which every warm vector was last made current: within
+    /// it, nothing can leave a row stale, so an activation that reads
+    /// every row syncs none. `0` is never live (a context's first reset
+    /// bumps the epoch to 1).
+    rows_epoch: u64,
     /// The pricing memo: `priced[u]` is agent `u`'s last pricing.
     priced: Vec<Option<Priced>>,
     /// Pricer runs for memo misses ([`EvalContext::pricings`]).
@@ -573,7 +627,7 @@ impl EvalContext {
         // hint must never leak across runs.
         self.weight_class = game.weight_class();
         self.scratch.set_weight_class(self.weight_class);
-        self.row_copy.set_weight_class(self.weight_class);
+        self.pricer.row_copy.set_weight_class(self.weight_class);
         for warm in &mut self.warm[..n] {
             warm.set_weight_class(self.weight_class);
         }
@@ -641,9 +695,10 @@ impl EvalContext {
 
     /// Bytes resident in the warm-vector machinery: every per-agent
     /// [`DynamicSssp`], the insert log and its sync marks, plus the shared
-    /// scratch (the Dijkstra scratch, its distance buffer and the row
-    /// copy activations speculate on) — the dominant per-context memory
-    /// at large `n` (each warm vector holds `Θ(n)` floats).
+    /// scratch (the Dijkstra scratch, its distance buffer, and the
+    /// pricer's row copy, scan tables and buffers and move list) — the
+    /// dominant per-context memory at large `n` (each warm vector holds
+    /// `Θ(n)` floats).
     /// Capacity-based, so it reports what the allocator holds, not what
     /// the current run touches.
     pub fn warm_resident_bytes(&self) -> usize {
@@ -656,14 +711,15 @@ impl EvalContext {
             + self.synced.capacity() * size_of::<usize>()
             + self.scratch.resident_bytes()
             + self.dist_buf.capacity() * size_of::<f64>()
-            + self.row_copy.resident_bytes()
+            + self.pricer.resident_bytes()
     }
 
     /// Agent `u`'s improving change under `rule` (`None` when `u` is
     /// stable) — the activation of the run loop and of
     /// [`agent_is_stable_given_current`]. A memo hit returns the stored
     /// answer; a miss makes every row the pricing reads current, prices
-    /// and stores.
+    /// and stores. A pricing that reads every row syncs them only on the
+    /// first activation of a commit epoch.
     fn activate(
         &mut self,
         game: &Game,
@@ -674,12 +730,13 @@ impl EvalContext {
         let i = u as usize;
         let n = game.n();
         // No-ops on a hit: nothing was committed since `u` was priced.
-        if reads_rows(rule, self.pricing) {
+        if !reads_rows(rule, self.pricing) {
+            self.ensure_warm(u);
+        } else if self.rows_epoch != self.epoch {
             for a in 0..n as NodeId {
                 self.ensure_warm(a);
             }
-        } else {
-            self.ensure_warm(u);
+            self.rows_epoch = self.epoch;
         }
         let price = pricer(
             game,
@@ -689,9 +746,9 @@ impl EvalContext {
             rule,
             self.pricing,
         );
-        let (rows, spec, br) = (&self.warm[..n], &mut self.row_copy, &mut self.br[i]);
+        let (rows, scratch, br) = (&self.warm[..n], &mut self.pricer, &mut self.br[i]);
         if memoized(&mut self.priced[i], self.epoch, rule, || {
-            price(u, rows, spec, br)
+            price(u, rows, scratch, br)
         }) {
             self.pricings += 1;
         }
@@ -749,6 +806,9 @@ impl EvalContext {
                 sync_warm(network, *u, warm, *pending, scratch, buf);
             },
         );
+        if all_rows {
+            self.rows_epoch = epoch;
+        }
         let rows = &self.warm[..n];
         // Debug builds keep the hits in the pricing pass too, for the
         // re-pricing oracle in `memoized`; nothing was committed since
@@ -765,14 +825,10 @@ impl EvalContext {
             .filter(|(_, _, slot)| !is_current(slot, epoch, rule))
             .count();
         agents.par_chunks_mut(1).for_each_init(
-            || {
-                let mut spec = DynamicSssp::new();
-                spec.set_weight_class(class);
-                spec
-            },
-            |spec, agent| {
+            || PricerScratch::new(class),
+            |scratch, agent| {
                 let (u, br, slot) = &mut agent[0];
-                memoized(slot, epoch, rule, || price(*u, rows, spec, br));
+                memoized(slot, epoch, rule, || price(*u, rows, scratch, br));
             },
         );
         self.pricings += misses as u64;
@@ -1077,8 +1133,7 @@ impl Engine {
         let n = game.n();
         let mut profile = start;
         self.ctx.reset(game, &profile);
-        self.detector.clear();
-        self.detector.observe(&profile);
+        self.detector.start(&profile);
         let mut rng = match cfg.scheduler {
             Scheduler::RandomOrder { seed } => Some(StdRng::seed_from_u64(seed)),
             _ => None,
@@ -1134,7 +1189,7 @@ impl Engine {
                             strategy_size: profile.strategy(u).len(),
                         });
                     }
-                    if let Some(rec) = self.detector.observe(&profile) {
+                    if let Some(rec) = self.detector.observe(&profile, [(u, &old)]) {
                         // A recurrence aborts mid-round: the series and
                         // checkpoints cover the completed rounds only.
                         return RunResult {
@@ -1448,16 +1503,21 @@ mod tests {
 
     #[test]
     fn warm_gauge_counts_the_shared_scratch() {
-        // The gauge is the sum of its parts, the shared scratch included.
+        // The gauge is the sum of its parts, the shared scratch included:
+        // the pricer's row copy, its scan tables and buffers, and its move
+        // list, all grown by the greedy run.
         let game = unit_game(9, 0.6);
         let mut engine = Engine::new();
         engine.run(&game, Profile::star(9, 0), &DynamicsConfig::default());
         let ctx = &engine.ctx;
-        let f64s = std::mem::size_of::<f64>();
+        let pricer = &ctx.pricer;
+        assert!(ctx.scratch.resident_bytes() > 0 && pricer.row_copy.resident_bytes() > 0);
+        assert!(pricer.scan.resident_bytes() > 0 && pricer.moves.capacity() > 0);
         let scratch = ctx.scratch.resident_bytes()
-            + ctx.dist_buf.capacity() * f64s
-            + ctx.row_copy.resident_bytes();
-        assert!(ctx.scratch.resident_bytes() > 0 && ctx.row_copy.resident_bytes() > 0);
+            + ctx.dist_buf.capacity() * std::mem::size_of::<f64>()
+            + pricer.row_copy.resident_bytes()
+            + pricer.scan.resident_bytes()
+            + pricer.moves.capacity() * std::mem::size_of::<Move>();
         assert_eq!(
             engine.warm_resident_bytes(),
             ctx.warm
@@ -1510,7 +1570,7 @@ mod tests {
         let mut profile = start.clone();
         let mut ctx = EvalContext::new(game, &profile);
         let mut detector = CycleDetector::new();
-        detector.observe(&profile);
+        detector.start(&profile);
         let mut rng = StdRng::seed_from_u64(match cfg.scheduler {
             Scheduler::RandomOrder { seed } => seed,
             _ => 0,
@@ -1540,7 +1600,7 @@ mod tests {
                     commit(&profile, &mut ctx, u, &old);
                     moves += 1;
                     moved = true;
-                    if let Some(recurrence) = detector.observe(&profile) {
+                    if let Some(recurrence) = detector.observe(&profile, [(u, &old)]) {
                         return (profile, Outcome::Cycle { recurrence }, moves);
                     }
                 }

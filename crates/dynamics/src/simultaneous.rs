@@ -55,7 +55,7 @@ pub fn run_simultaneous(
     let n = game.n();
     let mut profile = start;
     let mut detector = CycleDetector::new();
-    detector.observe(&profile);
+    detector.start(&profile);
     let mut moves = 0usize;
     for round in 0..max_rounds {
         // All agents respond to the same snapshot, so one network build
@@ -92,11 +92,13 @@ pub fn run_simultaneous(
                 moves,
             };
         }
+        let mut previous = Vec::with_capacity(changes.len());
         for (u, s) in changes {
+            previous.push((u, profile.strategy(u).clone()));
             profile.set_strategy(u, s);
             moves += 1;
         }
-        if let Some(rec) = detector.observe(&profile) {
+        if let Some(rec) = detector.observe(&profile, previous.iter().map(|(u, s)| (*u, s))) {
             return SimResult {
                 profile,
                 outcome: SimOutcome::Cycle { recurrence: rec },

@@ -145,7 +145,7 @@ fn reference_run(game: &Game, start: Profile, cfg: &DynamicsConfig) -> Summary {
     let n = game.n() as NodeId;
     let mut profile = start;
     let mut detector = CycleDetector::new();
-    detector.observe(&profile);
+    detector.start(&profile);
     let mut rng = StdRng::seed_from_u64(match cfg.scheduler {
         Scheduler::RandomOrder { seed } => seed,
         _ => 0,
@@ -171,10 +171,11 @@ fn reference_run(game: &Game, start: Profile, cfg: &DynamicsConfig) -> Summary {
         let mut moved = false;
         for u in order {
             if let Some((strategy, _)) = oracle_change(game, &profile, u, cfg.rule) {
+                let old = profile.strategy(u).clone();
                 profile.set_strategy(u, strategy);
                 moves += 1;
                 moved = true;
-                if let Some(recurrence) = detector.observe(&profile) {
+                if let Some(recurrence) = detector.observe(&profile, [(u, &old)]) {
                     (outcome, rounds) = (Outcome::Cycle { recurrence }, round + 1);
                     break 'run;
                 }

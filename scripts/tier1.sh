@@ -24,6 +24,12 @@ cargo build --release
 echo "== cargo test" >&2
 cargo test -q
 
+echo "== allocation lock (release build)" >&2
+# tests/allocations.rs counts the heap allocations of the swap-heavy
+# preset's run loop. Debug builds skip it: their oracles allocate on
+# every activation.
+cargo test --release -q --test allocations
+
 echo "== e2ebench unit tests (its own cargo workspace)" >&2
 # e2ebench/ is a separate workspace, so the root build never compiles it:
 # without this step an engine API change could break the benchmark

@@ -15,11 +15,13 @@
 
 use proptest::prelude::*;
 
-use gncg_core::cost::agent_cost_in;
+use gncg_core::cost::{agent_cost_in, base_graph_from, candidate_cost};
 use gncg_core::equilibrium::{certify_agents_in, MoveSpace};
+use gncg_core::moves::StrategyTables;
 use gncg_core::response::{
     best_add_move, best_greedy_move, best_move_among_given_current,
-    best_move_among_speculative_priced, exact_best_response_in, ScanPricing,
+    best_move_among_speculative_priced, candidate_edge_sum, exact_best_response_in, ScanPricing,
+    ScanScratch,
 };
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_dynamics::{DynamicsConfig, ResponseRule};
@@ -65,6 +67,23 @@ fn profiles(game: &Game, seed: u64) -> Vec<Profile> {
         }
     }
     vec![star, mid, random]
+}
+
+/// A random profile in which each agent owns between 0 and `n − 1`
+/// targets, sizes drawn uniformly, so dense agents share co-owned edges.
+fn ragged_profile(n: usize, x: &mut u64) -> Profile {
+    let mut profile = Profile::empty(n);
+    for u in 0..n as NodeId {
+        let mut others: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != u).collect();
+        for k in (1..others.len()).rev() {
+            others.swap(k, (mix(x) % (k as u64 + 1)) as usize);
+        }
+        let size = (mix(x) % n as u64) as usize;
+        for &v in &others[..size] {
+            profile.buy(u, v);
+        }
+    }
+    profile
 }
 
 /// Every node's exact distance vector in `network`, from a fresh Dijkstra:
@@ -129,11 +148,13 @@ proptest! {
         let key = gncg_metrics::factory::keys()[host];
         let game = Game::new(gncg_metrics::factory::build_host(key, n, seed).unwrap(), alpha);
         let mut x = seed;
+        let mut scratch = ScanScratch::default();
         for profile in profiles(&game, seed) {
             let network = profile.build_network(&game);
             let rows = fresh_rows(&network);
             for u in 0..n as NodeId {
                 let current = agent_cost_in(&game, &profile, &network, u).total();
+                scratch.load(&game, &profile, &network, u);
                 for moves in [Move::greedy_moves(&profile, u), Move::add_moves(&profile, u)] {
                     let mut shuffled = moves.clone();
                     for k in (1..shuffled.len()).rev() {
@@ -150,6 +171,7 @@ proptest! {
                             current,
                             list,
                             ScanPricing::FullSum(&rows),
+                            &mut scratch,
                         );
                         let oracle =
                             best_move_among_given_current(&game, &profile, &network, u, current, list);
@@ -157,6 +179,59 @@ proptest! {
                         let bitwise = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                         prop_assert_eq!(bitwise(warm.dist()), bitwise(rows[u as usize].dist()));
                     }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Per agent, the strategy tables an activation reads once serve the
+    /// whole scan: every greedy move's edge term off the pair table, times
+    /// `α`, is bitwise the masked scan's `candidate_cost` edge cost; the
+    /// moves enumerated off the ownership bitmap into a dirty reused buffer
+    /// are `Move::greedy_moves` / `Move::add_moves`; and the neighbour and
+    /// co-owner bitmaps answer the network and ownership probes. On all
+    /// nine factory hosts (`oneinf`'s `∞` weights included), over ragged
+    /// random profiles whose agents own 0 to `n − 1` targets, with co-owned
+    /// edges, and the star, mid-dynamics and sparse random profiles.
+    #[test]
+    fn edge_terms_match_the_masked_scan(
+        host in 0usize..9,
+        n in 4usize..13,
+        alpha in 0.3f64..8.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let game = Game::new(gncg_metrics::factory::build_host(key, n, seed).unwrap(), alpha);
+        let mut x = seed;
+        let mut tables = StrategyTables::default();
+        let mut buffer = vec![Move::Swap(1, 2); 3 * n];
+        let mut all = profiles(&game, seed);
+        all.extend([ragged_profile(n, &mut x), ragged_profile(n, &mut x)]);
+        for profile in all {
+            let network = profile.build_network(&game);
+            for u in 0..n as NodeId {
+                tables.load(&game, &profile, &network, u);
+                for v in 0..n as NodeId {
+                    prop_assert_eq!(tables.has_edge(v), network.has_edge(u, v));
+                    prop_assert_eq!(
+                        tables.is_co_owned(v),
+                        profile.owns(u, v) && profile.owns(v, u)
+                    );
+                }
+                Move::add_moves_into(tables.owned(), u, &mut buffer);
+                prop_assert_eq!(&buffer, &Move::add_moves(&profile, u));
+                Move::greedy_moves_into(tables.owned(), u, &mut buffer);
+                prop_assert_eq!(&buffer, &Move::greedy_moves(&profile, u));
+                let base = base_graph_from(&network, &profile, u);
+                for m in &buffer {
+                    let edge = alpha * candidate_edge_sum(&game, u, tables.pairs(), m);
+                    let candidate = m.apply(u, profile.strategy(u));
+                    let masked = candidate_cost(&game, &base, u, &candidate).edge_cost;
+                    prop_assert_eq!(edge.to_bits(), masked.to_bits(), "agent {} move {:?}", u, m);
                 }
             }
         }
@@ -208,6 +283,7 @@ fn swap_heavy_certification_work_is_locked() {
 fn swap_heavy_scan_work_is_locked() {
     let mut runner = Runner::new();
     let mut warm = DynamicSssp::new();
+    let mut scratch = ScanScratch::default();
     for cell in ScenarioSpec::swap_heavy().expand() {
         let (_, game, run) = runner.run_cell_full(&cell);
         let network = run.profile.build_network(&game);
@@ -216,6 +292,7 @@ fn swap_heavy_scan_work_is_locked() {
             warm.reset_from(u, rows[u as usize].dist());
             let current = agent_cost_in(&game, &run.profile, &network, u).total();
             let moves = Move::greedy_moves(&run.profile, u);
+            scratch.load(&game, &run.profile, &network, u);
             let best = best_move_among_speculative_priced(
                 &game,
                 &run.profile,
@@ -225,6 +302,7 @@ fn swap_heavy_scan_work_is_locked() {
                 current,
                 &moves,
                 ScanPricing::FullSum(&rows),
+                &mut scratch,
             );
             assert_eq!(best, None, "cell {} agent {u}", cell.index);
         }

@@ -189,6 +189,7 @@ proptest! {
     ) {
         use gncg_core::response::{
             best_move_among_given_current, best_move_among_speculative_priced, ScanPricing,
+            ScanScratch,
         };
         use gncg_core::Move;
         use gncg_graph::DynamicSssp;
@@ -221,9 +222,19 @@ proptest! {
                 let mut warm = rows[u as usize].clone();
                 let before = warm.dist().to_vec();
                 let mut chosen = None;
+                let mut scratch = ScanScratch::default();
+                scratch.load(&game, &p, &network, u);
                 for list in [&moves, &shuffled] {
                     let spec = best_move_among_speculative_priced(
-                        &game, &p, &network, &mut warm, u, current, list, ScanPricing::FullSum(&rows),
+                        &game,
+                        &p,
+                        &network,
+                        &mut warm,
+                        u,
+                        current,
+                        list,
+                        ScanPricing::FullSum(&rows),
+                        &mut scratch,
                     );
                     let oracle =
                         best_move_among_given_current(&game, &p, &network, u, current, list);
