@@ -100,8 +100,9 @@ fn bench_swap_heavy(c: &mut Criterion) {
 /// br-grid cells spend their wall clock — runs converge within a few
 /// rounds and the bill after that is stability probing, where
 /// branch-and-bound pruning is sharp and the dominant cost of a probe
-/// is building the bound tables (candidate sort + n + 1 Dijkstras for
-/// the `d0` and remainder vectors). With `rebuild`, every probe pays that build in
+/// is building the search state (candidate sort, a Dijkstra for `d0`
+/// and the star relaxations that grow the bound table). With `rebuild`,
+/// every probe pays that build in
 /// the from-scratch [`exact_best_response_given_current`]; otherwise a
 /// probe pays only delta maintenance plus the DFS on the persistent
 /// tables, and the commit-free second sweep is answered by the engine's

@@ -59,10 +59,11 @@ impl Profile {
         &self.strategies[u as usize]
     }
 
-    /// Replaces agent `u`'s strategy wholesale.
-    pub fn set_strategy(&mut self, u: NodeId, s: BTreeSet<NodeId>) {
+    /// Replaces agent `u`'s strategy wholesale, returning the strategy it
+    /// replaced.
+    pub fn set_strategy(&mut self, u: NodeId, s: BTreeSet<NodeId>) -> BTreeSet<NodeId> {
         assert!(!s.contains(&u), "an agent cannot buy an edge to itself");
-        self.strategies[u as usize] = s;
+        std::mem::replace(&mut self.strategies[u as usize], s)
     }
 
     /// Agent `u` buys an edge towards `v`. Idempotent.

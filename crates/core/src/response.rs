@@ -36,56 +36,72 @@
 //! every edge at `u` removed, and
 //!
 //! `LB = α·(w(chosen) + cand_w[idx]) + Σ_x min(D[x], via[idx][x])`,
-//! `via[idx][x] = min_{i ≥ idx} (cand_w[i] + d_{G−u}(candidates[i], x))`.
+//! `via[idx][x] = d(u, x)` in `G − u + star(R)`,
 //!
-//! In exact arithmetic `LB ≤ cost(S)`, term by term:
+//! the distance from `u` when its only edges are the remaining candidate
+//! edges `(u, candidates[i])`, `i ≥ idx`. In exact arithmetic
+//! `LB ≤ cost(S)`, term by term:
 //!
 //! 1. **The next edge's price.** `S` buys every edge of `chosen` and at
 //!    least one of `R`. Candidates are sorted by weight, weights are
 //!    `≥ 0` and `α > 0` ([`Game::new`] asserts both), so
 //!    `α·w(S) ≥ α·(w(chosen) + cand_w[idx])`.
-//! 2. **Remainders in `G − u`.** A shortest path from `u` to `x` in `S`'s
-//!    network visits `u` once, so only its first edge is at `u`. Every
-//!    other edge is a network edge not at `u`: the rest of the path lies
-//!    in `G − u`. If the first edge is in `base ∪ star(chosen)`, so is the
-//!    whole path, and it is no shorter than `D[x]`. Otherwise it is a new
-//!    edge `(u, candidates[i])` with `i ≥ idx`, and the path is no shorter
-//!    than `cand_w[i] + d_{G−u}(candidates[i], x)`.
+//! 2. **Paths through a new edge.** A shortest path from `u` to `x` in
+//!    `S`'s network visits `u` once, so only its first edge is at `u`.
+//!    Every other edge is a network edge not at `u`: the rest of the path
+//!    lies in `G − u`. If the first edge is in `base ∪ star(chosen)`, so
+//!    is the whole path, and it is no shorter than `D[x]`. Otherwise it is
+//!    a new edge `(u, candidates[i])` with `i ≥ idx`, so the whole path
+//!    lies in `G − u + star(R)` and is no shorter than `via[idx][x]`.
 //!
 //! Each term of the distance sum is the length of some host path from
 //! `u` to `x`, so the bound is at least the host-closure bound the
 //! reference engine prunes with, and the live `D` tightens it as the DFS
 //! descends. `via[idx]` depends only on `idx` (the remaining candidates
-//! are a suffix), so it is one suffix-min table per search, and the bound
-//! costs `O(n)` per node.
+//! are a suffix), so it is one table of `len` rows per search, and the
+//! bound costs `O(n)` per node. The agent's own entry `via[idx][u]` is 0,
+//! its distance to itself; `D[u] = 0` too, so the entry is inert.
+//!
+//! # Building the table
+//!
+//! Row `idx` extends row `idx + 1` by one star edge, so one vector grows
+//! the whole table back to front. It starts with `u` at 0 and every other
+//! node at `∞` (the distances in `G − u`); for `i = len − 1, …, 0` it
+//! relaxes the star edge `(u, candidates[i])` decrease-only and is copied
+//! into row `i`. The relaxation runs over the agent's base graph itself,
+//! edges at `u` included: `u` stays at 0, which no relaxation lowers, so
+//! `u` is never scanned and its edges never carry a path (the contract of
+//! [`DynamicSssp::relax_insert`] for an edge at the source). One
+//! decrease-only relaxation per candidate, each touching only the nodes
+//! its edge brings closer, replaces the `n − 1` Dijkstras on a copy of
+//! `G − u` that [`bound_table_reference`] folds; that fold stays as the
+//! table's oracle.
 //!
 //! # Rounding
 //!
 //! Every distance is the exact minimum over paths of their left-to-right
-//! `f64` prefix sums (see `gncg_graph::csr`), but `LB` associates
-//! differently: `cand_w[i] + d_{G−u}(…)` sums a path from its second
-//! node, and the DFS accumulates `w(chosen)` in include order where
-//! [`candidate_cost`] sums ascending node ids. So `LB` bounds `cost(S)`
-//! only up to rounding. With `ε` = [`f64::EPSILON`], `u₀ = ε/2`,
+//! `f64` prefix sums (see `gncg_graph::csr`). So is each `via` term: a
+//! path through a new edge is summed from `u`, left to right, exactly as
+//! `S`'s own Dijkstra sums it. Both cases of step 2 therefore hold bit
+//! for bit, `min(D[x], via[idx][x]) ≤ d_S(u, x)` in `f64`, and since
+//! rounded addition is monotone, the bound's index-order distance sum is
+//! at most `S`'s. The edge term associates differently: the DFS
+//! accumulates `w(chosen)` in include order where [`candidate_cost`]
+//! sums ascending node ids, so `LB` bounds `cost(S)` only up to
+//! rounding. With `ε` = [`f64::EPSILON`], `u₀ = ε/2`,
 //! `γ = (1 + u₀)/(1 − u₀)`, and every finite sum below `f64::MAX`:
 //!
-//! * a path of `k ≤ n − 1` edges sums to at least `(1 − u₀)^(k−1)` times
-//!   its exact length, and its bound term to at most `(1 + u₀)^(k−1)`
-//!   times it, so each term of the bound's distance sum is at most
-//!   `γ^(n−2)` times the matching distance of `S`;
-//! * the two `n`-term distance sums (index order both) round within
-//!   `(1 ± u₀)^(n−1)` of their exact sums, so the bound's distance term is
-//!   at most `γ^(2n−3)` times `S`'s;
 //! * both edge sums have at most `n − 1` terms, and the product with `α`
 //!   rounds once on each side, so the bound's edge term is at most
 //!   `γ^(n−1)` times `S`'s;
-//! * one more rounding of each total gives `LB ≤ γ^(2n−2)·cost(S)`.
+//! * one more rounding of each total gives `LB ≤ γ^n·cost(S)`.
 //!
-//! That is the factor [`certify_agents_in`](crate::equilibrium::certify_agents_in)
-//! proves its `1 − 8nε` margin against, and the same margin serves here:
-//! a node is pruned when `LB·(1 − 8nε) ≥ best − EPS`, which puts every
-//! `S` below it at or above `fl(best − EPS)`, where [`strictly_less`] says
-//! it cannot replace the incumbent `best`. Infinities need no margin:
+//! [`certify_agents_in`](crate::equilibrium::certify_agents_in) proves
+//! its `1 − 8nε` margin against the larger factor `γ^(2n−2)`, so the same
+//! margin serves here: a node is pruned when `LB·(1 − 8nε) ≥ best − EPS`,
+//! which puts every `S` below it at or above `fl(best − EPS)`, where
+//! [`strictly_less`] says it cannot replace the incumbent `best`.
+//! Infinities need no margin:
 //! `LB = ∞` means an infinite edge term (every remaining candidate's
 //! weight is `∞` once `cand_w[idx]` is) or a node no subset below reaches
 //! at finite length, so every `S` below prices at `∞` too.
@@ -156,9 +172,9 @@ struct BrSearch<'g> {
     cand_w: Vec<f64>,
     /// Distances from the agent in the bare base graph.
     d0: Vec<f64>,
-    /// Suffix-min table of the pruning bound (module docs):
-    /// `via[idx·n + x] = min_{i ≥ idx} (cand_w[i] + d_{G−u}(candidates[i], x))`,
-    /// with row `len` all-∞ (no candidates left).
+    /// The pruning bound's table (module docs), `len` rows of `n`:
+    /// `via[idx·n + x]` is the distance from the agent to `x` in
+    /// `G − u + star(candidates[idx..])`.
     via: Vec<f64>,
     /// The host's weight class, installed as the bucket-queue hint on
     /// every SSSP engine this search spawns ([`Game::weight_class`]).
@@ -269,9 +285,8 @@ impl<'g> BrSearch<'g> {
     /// Builds the shared search state from a prebuilt base graph.
     fn new(game: &'g Game, agent: NodeId, base: &AdjacencyList) -> Self {
         let n = game.n();
-        let mut candidates: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != agent).collect();
-        candidates.sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
-        let cand_w: Vec<f64> = candidates.iter().map(|&v| game.w(agent, v)).collect();
+        let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
+        sort_candidates(game, agent, &mut candidates, &mut cand_w);
 
         let weight_class = game.weight_class();
         let csr = Csr::from_adjacency(base);
@@ -280,19 +295,17 @@ impl<'g> BrSearch<'g> {
         scratch.run(&csr, agent, &[]);
         let d0 = scratch.to_vec(n);
 
-        // Suffix-min bound table over the remainders in G − u, built back
-        // to front.
-        let g_minus_u = Csr::from_adjacency(&without_edges_at(base, agent));
-        let len = candidates.len();
-        let mut via = vec![f64::INFINITY; (len + 1) * n];
-        for i in (0..len).rev() {
-            scratch.run(&g_minus_u, candidates[i], &[]);
-            let (lo, hi) = (i * n, (i + 1) * n);
-            for x in 0..n {
-                let through = cand_w[i] + scratch.dist(x as NodeId);
-                via[lo + x] = through.min(via[hi + x]);
-            }
+        // The bound table, grown back to front over the base graph
+        // (module docs, "Building the table").
+        let mut grow = DynamicSssp::new();
+        grow.reset_from(agent, &alone(n, agent));
+        let mut via = vec![f64::INFINITY; candidates.len() * n];
+        for (i, row) in via.chunks_exact_mut(n).enumerate().rev() {
+            grow.relax_insert(&csr, agent, candidates[i], cand_w[i]);
+            row.copy_from_slice(grow.dist());
         }
+        #[cfg(debug_assertions)]
+        assert_table_matches_fold(&via, &bound_table_reference(game, base, agent), n, agent);
 
         BrSearch {
             game,
@@ -308,6 +321,30 @@ impl<'g> BrSearch<'g> {
     }
 }
 
+/// Refills `candidates` with the agent's candidate targets, every other
+/// node sorted by increasing host weight from it, and `cand_w` with those
+/// weights.
+fn sort_candidates(
+    game: &Game,
+    agent: NodeId,
+    candidates: &mut Vec<NodeId>,
+    cand_w: &mut Vec<f64>,
+) {
+    candidates.clear();
+    candidates.extend((0..game.n() as NodeId).filter(|&v| v != agent));
+    candidates.sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
+    cand_w.clear();
+    cand_w.extend(candidates.iter().map(|&v| game.w(agent, v)));
+}
+
+/// The distances from `agent` with no edges at all: 0 at the agent, `∞`
+/// elsewhere. The seed the bound table grows from.
+fn alone(n: usize, agent: NodeId) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; n];
+    dist[agent as usize] = 0.0;
+    dist
+}
+
 /// `g` with every edge at `u` removed: `G − u` when `g` is the network or
 /// a base graph of `u`, which differ from it only in edges at `u`.
 fn without_edges_at(g: &AdjacencyList, u: NodeId) -> AdjacencyList {
@@ -316,6 +353,65 @@ fn without_edges_at(g: &AdjacencyList, u: NodeId) -> AdjacencyList {
         rest.remove_edge(u, v);
     }
     rest
+}
+
+/// The pruning bound's table for `agent` on its base graph `base`, as the
+/// exact best response builds it (module docs): `len = n − 1` rows of
+/// `n`, row `i` the distances from `agent` in
+/// `G − u + star(candidates[i..])`, with candidates sorted by increasing
+/// weight from the agent.
+pub fn bound_table(game: &Game, base: &AdjacencyList, agent: NodeId) -> Vec<f64> {
+    BrSearch::new(game, agent, base).via
+}
+
+/// The table [`bound_table`] grows, folded the slow way: one Dijkstra per
+/// candidate `c_i` on a copy of `G − u`, and row
+/// `i = min(cand_w[i] + d_{G−u}(c_i, ·), row i + 1)`, back to front. It
+/// sums each path from its second node, so its entries match the grown
+/// ones within rounding only, and its agent column is `∞` where the grown
+/// table's is 0 (`u` is isolated in `G − u`). Kept as the grown table's
+/// oracle: debug builds compare every table the search builds with it.
+pub fn bound_table_reference(game: &Game, base: &AdjacencyList, agent: NodeId) -> Vec<f64> {
+    let n = game.n();
+    let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
+    sort_candidates(game, agent, &mut candidates, &mut cand_w);
+    let g_minus_u = without_edges_at(base, agent);
+    let mut scratch = DijkstraScratch::new();
+    let mut via = vec![f64::INFINITY; (candidates.len() + 1) * n];
+    for i in (0..candidates.len()).rev() {
+        scratch.run(&g_minus_u, candidates[i], &[]);
+        // Row `i` folds over row `i + 1`, laid out right behind it.
+        let (row, next) = via[i * n..(i + 2) * n].split_at_mut(n);
+        for (x, (slot, &suffix)) in row.iter_mut().zip(next.iter()).enumerate() {
+            *slot = (cand_w[i] + scratch.dist(x as NodeId)).min(suffix);
+        }
+    }
+    // Drop the all-∞ row the fold started from.
+    via.truncate(candidates.len() * n);
+    via
+}
+
+/// The debug oracle of the grown table: every entry `g` off the agent's
+/// column sits within the `1 − 8nε` margin of the fold's `f` both ways
+/// (`g·(1 − 8nε) ≤ f` and `f·(1 − 8nε) ≤ g`), and is `∞` exactly where
+/// `f` is. Both are minima over the same paths, summed from `u` or from
+/// the path's second node, so they differ by at most `γ^(n−2)` (module
+/// docs, "Rounding").
+#[cfg(debug_assertions)]
+fn assert_table_matches_fold(grown: &[f64], fold: &[f64], n: usize, agent: NodeId) {
+    assert_eq!(grown.len(), fold.len());
+    let margin = 1.0 - 8.0 * n as f64 * f64::EPSILON;
+    for (i, (&g, &f)) in grown.iter().zip(fold).enumerate() {
+        if i % n == agent as usize {
+            continue;
+        }
+        assert!(
+            g.is_infinite() == f.is_infinite() && g * margin <= f && f * margin <= g,
+            "bound table of agent {agent}: row {} node {} grew to {g}, the fold reads {f}",
+            i / n,
+            i % n
+        );
+    }
 }
 
 impl BrSearchView<'_> {
@@ -432,21 +528,22 @@ pub fn exact_best_response_given_current(
 /// before its next activation triggers a full bound-table rebuild.
 ///
 /// Each removal the cache leaves unrepaired keeps one *phantom* edge in
-/// the envelope graph its remainder vectors are exact for, which can only
-/// make the pruning bound *lower* — weaker pruning, never a wrong
-/// answer — so the budget trades rebuild Dijkstras against DFS nodes. The
+/// the envelope graph its bound rows are exact for, which can only make
+/// the pruning bound *lower* — weaker pruning, never a wrong answer — so
+/// the budget trades table rebuilds against DFS nodes. The
 /// value is a plain constant, not a tuning surface: results are bitwise
 /// identical at any budget (see `tests/br_cache.rs`).
 pub const BR_STALENESS_BUDGET: usize = 16;
 
 /// Persistent per-agent branch-and-bound state for
 /// [`exact_best_response`]: the sorted candidate list, the exact base
-/// distances `d0`, and the per-candidate remainder vectors (distances in
-/// `G − u`, the network without the agent's edges) backing the suffix-min
-/// `via` bound table survive from activation to activation and are
+/// distances `d0`, and the per-suffix bound rows behind the `via` table
+/// (row `i` the distances from the agent in `G − u + star(candidates[i..])`,
+/// module docs) survive from activation to activation and are
 /// delta-maintained through the same committed `NetworkDelta` staging
 /// that keeps the dynamics engine's warm vectors alive — replacing the
-/// `n` full Dijkstras + CSR snapshots `BrSearch` pays per activation.
+/// Dijkstra, the table growth and the CSR snapshot `BrSearch` pays per
+/// activation.
 ///
 /// # What is exact and what is merely admissible
 ///
@@ -461,20 +558,24 @@ pub const BR_STALENESS_BUDGET: usize = 16;
 ///   eagerly by the [`BrBoundCache::gain_co_owned`] /
 ///   [`BrBoundCache::lose_co_owned`] hooks.
 ///
-/// * **The remainder vectors only feed the pruning bound**, so they never
-///   need to track the live `G − u` exactly — but "stale yet admissible"
-///   is subtler than leaving removal repairs undone. A decrease-only
-///   insert replay into a vector that is merely *below* the truth can
-///   stop propagating at a stale-low node and leave some *other* node
+/// * **The bound rows only feed the pruning bound**, so they never need
+///   to track the live `G − u` exactly — but "stale yet admissible" is
+///   subtler than leaving removal repairs undone. A decrease-only insert
+///   replay into a vector that is merely *below* the truth can stop
+///   propagating at a stale-low node and leave some *other* node
 ///   **above** the truth — an inadmissible bound. The cache therefore
-///   keeps every remainder vector **exact for the envelope graph**
-///   `Ĝ = (G − u)(at last rebuild) ∪ {inserts since}`: insert replays
-///   stay on [`DynamicSssp::relax_inserts`]'s exactness contract, and
-///   removals simply *keep* the removed edge in `Ĝ` (a *phantom* edge).
-///   Since the live `G − u` is always a subgraph of `Ĝ`, `d_Ĝ ≤ d_{G−u}`
-///   pointwise and the bound stays admissible — each phantom edge just
-///   makes it lower, hence weaker. Past [`BR_STALENESS_BUDGET`] phantoms
-///   the next activation rebuilds the tables from scratch.
+///   keeps row `i` **exact for** `Ĝ + star(candidates[i..])`, with the
+///   **envelope graph** `Ĝ = (G − u)(at last rebuild) ∪ {inserts since}`:
+///   a rebuild grows the rows over `Ĝ` as a fresh search grows its table,
+///   insert replays relax each batch into every row over `Ĝ` alone (the
+///   star edges are at the rows' source, which
+///   [`DynamicSssp::relax_inserts`]'s exactness contract lets `Ĝ` omit),
+///   and removals simply *keep* the removed edge in `Ĝ` (a *phantom*
+///   edge). Since the live `G − u` is always a subgraph of `Ĝ`, each row
+///   is pointwise at most its fresh counterpart and the bound stays
+///   admissible — each phantom edge just makes it lower, hence weaker.
+///   Past [`BR_STALENESS_BUDGET`] phantoms the next activation rebuilds
+///   the tables from scratch.
 ///
 /// * **`G − u` does not change when an edge at the agent does.** The
 ///   agent's own purchases and drops, other agents' edges to it, and
@@ -514,20 +615,20 @@ pub struct BrBoundCache {
     d0: DynamicSssp,
     /// How many engine insert-log entries `d0` already reflects.
     d0_synced: usize,
-    /// The envelope graph `Ĝ` the remainder vectors are exact for (see
-    /// the type docs): monotonically grown by insert replays, never
-    /// shrunk, and never holding an edge at the agent.
+    /// The envelope graph `Ĝ` the bound rows are exact for (see the type
+    /// docs): monotonically grown by insert replays, never shrunk, and
+    /// never holding an edge at the agent.
     ghat: AdjacencyList,
     /// Edges of `Ĝ` no longer in the live network (normalized pairs) —
     /// the staleness the budget counts.
     phantom: Vec<(NodeId, NodeId)>,
-    /// Per-candidate remainder vectors (`remainders[i]` from source
-    /// `candidates[i]`), exact for `Ĝ`.
-    remainders: Vec<DynamicSssp>,
-    /// How many engine insert-log entries the remainder vectors reflect.
-    remainders_synced: usize,
-    /// Suffix-min bound table derived from `remainders` (same layout as
-    /// [`BrSearch::via`]); refreshed in one `O(n²)` pass when dirty.
+    /// Per-suffix bound rows (`rows[i]` from source `agent`), row `i`
+    /// exact for `Ĝ + star(candidates[i..])`.
+    rows: Vec<DynamicSssp>,
+    /// How many engine insert-log entries the bound rows reflect.
+    rows_synced: usize,
+    /// The rows, copied flat for the DFS (same layout as
+    /// [`BrSearch::via`]); refreshed in one `O(n²)` copy when dirty.
     via: Vec<f64>,
     via_dirty: bool,
     /// Reusable DFS worker (live vector, chosen stack, incumbent).
@@ -555,8 +656,8 @@ impl BrBoundCache {
             d0_synced: 0,
             ghat: AdjacencyList::default(),
             phantom: Vec::new(),
-            remainders: Vec::new(),
-            remainders_synced: 0,
+            rows: Vec::new(),
+            rows_synced: 0,
             via: Vec::new(),
             via_dirty: false,
             worker: BrWorker::new(),
@@ -586,12 +687,12 @@ impl BrBoundCache {
         self.built = false;
     }
 
-    /// Bytes resident in the cache's tables — the remainder vectors
-    /// dominate (`n − 1` SSSP engines of `Θ(n)` floats each).
+    /// Bytes resident in the cache's tables — the bound rows dominate
+    /// (`n − 1` SSSP engines of `Θ(n)` floats each).
     pub fn resident_bytes(&self) -> usize {
         self.d0.resident_bytes()
             + self
-                .remainders
+                .rows
                 .iter()
                 .map(DynamicSssp::resident_bytes)
                 .sum::<usize>()
@@ -602,7 +703,7 @@ impl BrBoundCache {
     /// Makes the tables current for the live `network`: a full rebuild
     /// when unbuilt or past the staleness budget, otherwise one lazy
     /// replay of the pending committed-insert suffix into `d0` and the
-    /// remainder vectors.
+    /// bound rows.
     pub fn ensure(
         &mut self,
         game: &Game,
@@ -615,7 +716,7 @@ impl BrBoundCache {
             return;
         }
         self.flush_d0(insert_log);
-        self.sync_remainders(network, insert_log);
+        self.sync_rows(network, insert_log);
     }
 
     /// Rebuilds every table from the live network — the same
@@ -627,14 +728,7 @@ impl BrBoundCache {
         self.weight_class = game.weight_class();
         self.scratch.set_weight_class(self.weight_class);
 
-        self.candidates.clear();
-        self.candidates
-            .extend((0..n as NodeId).filter(|&v| v != agent));
-        self.candidates
-            .sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
-        self.cand_w.clear();
-        self.cand_w
-            .extend(self.candidates.iter().map(|&v| game.w(agent, v)));
+        sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
 
         self.base = base_graph_from(network, profile, agent);
         self.csr = Csr::from_adjacency(&self.base);
@@ -650,42 +744,36 @@ impl BrBoundCache {
         self.ghat = without_edges_at(&self.base, agent);
         self.phantom.clear();
 
+        // The rows grow back to front over Ĝ, as BrSearch grows its
+        // table, in the DFS's live vector (every search re-arms it), so
+        // only the live vector's heap grows with the relaxations.
         let len = self.candidates.len();
-        if self.remainders.len() < len {
-            self.remainders.resize_with(len, DynamicSssp::new);
+        if self.rows.len() < len {
+            self.rows.resize_with(len, DynamicSssp::new);
         }
-        for (i, &c) in self.candidates.iter().enumerate() {
-            self.scratch.run(&self.ghat, c, &[]);
-            self.dist_buf.clear();
-            self.dist_buf.resize(n, f64::INFINITY);
-            self.scratch.write_distances(&mut self.dist_buf);
-            self.remainders[i].set_weight_class(self.weight_class);
-            self.remainders[i].reset_from(c, &self.dist_buf);
+        self.dist_buf.clear();
+        self.dist_buf.resize(n, f64::INFINITY);
+        self.dist_buf[agent as usize] = 0.0;
+        let grow = &mut self.worker.inc;
+        grow.reset_from(agent, &self.dist_buf);
+        for i in (0..len).rev() {
+            grow.relax_insert(&self.ghat, agent, self.candidates[i], self.cand_w[i]);
+            self.rows[i].reset_from(agent, grow.dist());
         }
         self.rebuild_via();
 
         self.d0_synced = log_len;
-        self.remainders_synced = log_len;
+        self.rows_synced = log_len;
         self.built = true;
     }
 
-    /// Refreshes the suffix-min `via` table from the resident remainder
-    /// vectors — the same back-to-front fold as [`BrSearch::new`], so a
+    /// Refreshes the flat `via` table from the resident rows: a copy, so a
     /// phantom-free cache reproduces the fresh table bit for bit.
     fn rebuild_via(&mut self) {
-        let n = self.n;
         let len = self.candidates.len();
         self.via.clear();
-        self.via.resize((len + 1) * n, f64::INFINITY);
-        for i in (0..len).rev() {
-            let dist = self.remainders[i].dist();
-            let w = self.cand_w[i];
-            let lo = i * n;
-            // Row `i` folds over row `i + 1`, laid out right behind it.
-            let (row, next) = self.via[lo..lo + 2 * n].split_at_mut(n);
-            for ((slot, &d), &suffix) in row.iter_mut().zip(dist).zip(next.iter()) {
-                *slot = (w + d).min(suffix);
-            }
+        for row in &self.rows[..len] {
+            self.via.extend_from_slice(row.dist());
         }
         self.via_dirty = false;
     }
@@ -714,17 +802,18 @@ impl BrBoundCache {
         self.d0_synced = insert_log.len();
     }
 
-    /// Lazily replays pending committed inserts into the remainder
-    /// vectors: each genuinely new edge enters the envelope graph `Ĝ` and
-    /// is relaxed — exactly — into every resident vector in one batch; an
-    /// edge `Ĝ` kept through an interim removal merely stops being
-    /// phantom (the vectors are already exact for it).
-    fn sync_remainders(&mut self, network: &AdjacencyList, insert_log: &[(NodeId, NodeId, f64)]) {
-        if self.remainders_synced >= insert_log.len() {
+    /// Lazily replays pending committed inserts into the bound rows: each
+    /// genuinely new edge enters the envelope graph `Ĝ` and is relaxed —
+    /// exactly — into every row in one batch, over `Ĝ` alone (a row's
+    /// star edges are at its source); an edge `Ĝ` kept through an interim
+    /// removal merely stops being phantom (the rows are already exact for
+    /// it).
+    fn sync_rows(&mut self, network: &AdjacencyList, insert_log: &[(NodeId, NodeId, f64)]) {
+        if self.rows_synced >= insert_log.len() {
             return;
         }
         self.batch.clear();
-        for &(a, b, w) in &insert_log[self.remainders_synced..] {
+        for &(a, b, w) in &insert_log[self.rows_synced..] {
             if a == self.agent || b == self.agent {
                 // Edges at the agent are not in G − u.
                 continue;
@@ -744,12 +833,12 @@ impl BrBoundCache {
         }
         if !self.batch.is_empty() {
             let len = self.candidates.len();
-            for inc in &mut self.remainders[..len] {
-                inc.relax_inserts(&self.ghat, &self.batch);
+            for row in &mut self.rows[..len] {
+                row.relax_inserts(&self.ghat, &self.batch);
             }
             self.via_dirty = true;
         }
-        self.remainders_synced = insert_log.len();
+        self.rows_synced = insert_log.len();
     }
 
     /// Notes a committed edge-insertion batch by `mover` (the edges are
@@ -771,9 +860,9 @@ impl BrBoundCache {
 
     /// Notes committed removals by `mover`, already applied to the
     /// network; [`BrBoundCache::flush_d0`] must have run first. `d0` is
-    /// repaired exactly in one batched affected-region pass; the
-    /// remainder vectors instead keep each removed edge in `Ĝ` as a
-    /// phantom (admissible staleness — see the type docs). A batch by the
+    /// repaired exactly in one batched affected-region pass; the bound
+    /// rows instead keep each removed edge in `Ĝ` as a phantom
+    /// (admissible staleness — see the type docs). A batch by the
     /// cache's own agent is a no-op (sole-owned drops were never in the
     /// base graph, and edges at the agent are never in `Ĝ`).
     pub fn on_removals(&mut self, removed: &[(NodeId, NodeId, f64)], mover: NodeId) {
@@ -836,7 +925,7 @@ impl BrBoundCache {
 
     /// The exact best response off the resident tables — the same DFS as
     /// [`exact_best_response_given_current`], minus its per-activation
-    /// CSR snapshots and `n + 1` Dijkstras. Requires a prior
+    /// CSR snapshot, Dijkstra and table growth. Requires a prior
     /// [`BrBoundCache::ensure`] against the same network and insert log;
     /// `current` must be the agent's exact current cost (it seeds the
     /// incumbent). Under `debug_assertions` every call re-derives the
@@ -889,8 +978,9 @@ impl BrBoundCache {
     /// scratch and require (a) the lock-step base graph, (b) a bitwise
     /// `d0`, (c) per-node bound admissibility (cached `via` ≤ fresh
     /// `via` — the fresh table is exact for the live `G − u`, so `≤`
-    /// *is* admissibility), and (d) a bitwise-identical chosen strategy
-    /// and cost.
+    /// *is* admissibility), bitwise equality while no phantom is held
+    /// (`Ĝ` is then the live `G − u`), and (d) a bitwise-identical chosen
+    /// strategy and cost.
     #[cfg(debug_assertions)]
     fn assert_matches_fresh(
         &self,
@@ -922,6 +1012,14 @@ impl BrBoundCache {
             assert!(
                 cached <= fresh,
                 "inadmissible cached bound for agent {}: via[{}] = {} > fresh {}",
+                self.agent,
+                i,
+                cached,
+                fresh
+            );
+            assert!(
+                !self.phantom.is_empty() || cached.to_bits() == fresh.to_bits(),
+                "phantom-free cached bound for agent {}: via[{}] = {} != fresh {}",
                 self.agent,
                 i,
                 cached,

@@ -13,7 +13,10 @@
 
 use proptest::prelude::*;
 
-use gncg_core::response::{exact_best_response, exact_best_response_reference};
+use gncg_core::cost::base_graph_from;
+use gncg_core::response::{
+    bound_table, bound_table_reference, exact_best_response, exact_best_response_reference,
+};
 use gncg_core::{Game, Profile};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_reference};
 use gncg_graph::{AdjacencyList, Csr, DijkstraScratch, NodeId};
@@ -168,6 +171,70 @@ proptest! {
                 refr.cost
             );
             prop_assert_eq!(bnb.improves(), refr.improves());
+        }
+    }
+
+    /// On all nine factory hosts, empty-based (often disconnected)
+    /// profiles included, each agent's bound table as the search grows
+    /// it has row `i` bitwise the Dijkstra vector from the agent in
+    /// `G − u` plus the star of the candidates from `i` on, and matches
+    /// the per-candidate fold it replaced: 0 on the agent's own column
+    /// where the fold reads ∞, elsewhere within the `1 − 8nε` margin both
+    /// ways and ∞ exactly where the fold is.
+    #[test]
+    fn bound_table_matches_the_fold_on_factory_hosts(
+        host in 0usize..9,
+        n in 5usize..10,
+        ln_alpha in 0.05f64.ln()..40f64.ln(),
+        star in proptest::bool::ANY,
+        seed in 0u64..1 << 32,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let g = Game::new(
+            gncg_metrics::factory::build_host(key, n, seed).expect("registry key"),
+            ln_alpha.exp(),
+        );
+        let p = with_extras(n, star, seed);
+        let network = p.build_network(&g);
+        let margin = 1.0 - 8.0 * n as f64 * f64::EPSILON;
+        for agent in 0..n as NodeId {
+            let base = base_graph_from(&network, &p, agent);
+            let grown = bound_table(&g, &base, agent);
+            let fold = bound_table_reference(&g, &base, agent);
+            prop_assert_eq!(grown.len(), (n - 1) * n);
+            prop_assert_eq!(fold.len(), grown.len());
+            let mut candidates: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != agent).collect();
+            candidates.sort_by(|&a, &b| g.w(agent, a).total_cmp(&g.w(agent, b)));
+            let mut g_minus_u = base.clone();
+            for &(v, _) in base.neighbors(agent) {
+                g_minus_u.remove_edge(agent, v);
+            }
+            for (i, (row, folded)) in grown.chunks(n).zip(fold.chunks(n)).enumerate() {
+                let mut with_star = g_minus_u.clone();
+                for &c in &candidates[i..] {
+                    with_star.add_edge(agent, c, g.w(agent, c));
+                }
+                let exact = dijkstra(&with_star, agent);
+                for x in 0..n {
+                    let (gr, f) = (row[x], folded[x]);
+                    prop_assert_eq!(
+                        gr.to_bits(),
+                        exact[x].to_bits(),
+                        "{} agent {} row {} node {}: grew {}, Dijkstra {}",
+                        key, agent, i, x, gr, exact[x]
+                    );
+                    if x == agent as usize {
+                        prop_assert_eq!(gr, 0.0);
+                        prop_assert!(f.is_infinite());
+                        continue;
+                    }
+                    prop_assert!(
+                        gr.is_infinite() == f.is_infinite() && gr * margin <= f && f * margin <= gr,
+                        "{} agent {} row {} node {}: grew {}, folded {}",
+                        key, agent, i, x, gr, f
+                    );
+                }
+            }
         }
     }
 }

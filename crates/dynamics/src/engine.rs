@@ -1084,6 +1084,8 @@ impl EvalContext {
 pub struct Engine {
     ctx: EvalContext,
     detector: CycleDetector,
+    /// The round's activation order, refilled each round.
+    order: Vec<NodeId>,
 }
 
 impl Engine {
@@ -1154,29 +1156,35 @@ impl Engine {
             let mut moved_this_round = false;
             // MaxGain prices every agent to pick its winner; the winner's
             // change is applied as priced instead of being recomputed.
-            let scheduled: Vec<(NodeId, Option<Change>)> = match cfg.scheduler {
-                Scheduler::RoundRobin => (0..n as NodeId).map(|u| (u, None)).collect(),
+            let mut priced: Option<Change> = None;
+            self.order.clear();
+            match cfg.scheduler {
+                Scheduler::RoundRobin => self.order.extend(0..n as NodeId),
                 Scheduler::RandomOrder { .. } => {
-                    let mut v: Vec<NodeId> = (0..n as NodeId).collect();
-                    v.shuffle(rng.as_mut().expect("rng set for RandomOrder"));
-                    v.into_iter().map(|u| (u, None)).collect()
+                    self.order.extend(0..n as NodeId);
+                    self.order
+                        .shuffle(rng.as_mut().expect("rng set for RandomOrder"));
                 }
-                Scheduler::MaxGain => self
-                    .ctx
-                    .scan(game, &profile, cfg.rule)
-                    .enumerate()
-                    .filter_map(|(u, change)| change.map(|c| (u as NodeId, gain(c), c)))
-                    // Strictly greater keeps the smaller id on ties.
-                    .reduce(|best, next| if next.1 > best.1 { next } else { best })
-                    .map(|(u, _, change)| (u, Some(change.clone())))
-                    .into_iter()
-                    .collect(),
-            };
-            for (u, priced) in scheduled {
-                let change = priced.or_else(|| self.ctx.activate(game, &profile, u, cfg.rule));
+                Scheduler::MaxGain => {
+                    if let Some((u, _, change)) = self
+                        .ctx
+                        .scan(game, &profile, cfg.rule)
+                        .enumerate()
+                        .filter_map(|(u, change)| change.map(|c| (u as NodeId, gain(c), c)))
+                        // Strictly greater keeps the smaller id on ties.
+                        .reduce(|best, next| if next.1 > best.1 { next } else { best })
+                    {
+                        self.order.push(u);
+                        priced = Some(change.clone());
+                    }
+                }
+            }
+            for &u in &self.order {
+                let change = priced
+                    .take()
+                    .or_else(|| self.ctx.activate(game, &profile, u, cfg.rule));
                 if let Some((new_strategy, before, after)) = change {
-                    let old = profile.strategy(u).clone();
-                    profile.set_strategy(u, new_strategy);
+                    let old = profile.set_strategy(u, new_strategy);
                     self.ctx.apply_strategy_change(game, &profile, u, &old);
                     moves += 1;
                     moved_this_round = true;

@@ -859,6 +859,24 @@ impl DynamicSssp {
     /// here. Multiple insertions may be applied one at a time in any
     /// order, provided `g` already holds all of them.
     ///
+    /// # Edges at the source
+    ///
+    /// An edge at the source `s` need not be in `g`, and `g`'s own edges
+    /// at `s` never matter. Precisely, with `g − s` the graph `g` without
+    /// its edges at `s`, `S` any set of edges at `s` (some, all or none of
+    /// `g`'s among them), and non-negative weights: if `(a, b)` is in `g`
+    /// or at `s`, and the vector is exact for `(g − s) ∪ S` without
+    /// `(a, b)`, then after the call it is exact for `(g − s) ∪ S` plus
+    /// `(a, b)`. The source sits at 0, which no relaxation lowers, so it
+    /// is never scanned and its edges in `g` carry nothing; a shortest
+    /// path visits its source only first, so a path the new edge shortens
+    /// runs on from it inside `g − s` and needs no edge of `S`. (The
+    /// contract above is the case `S` = `g`'s edges at `s`.) So a vector
+    /// grown from "the source alone" (0 at `s`, `∞` elsewhere: exact for
+    /// `g − s`) by one source-incident edge per call holds, after each
+    /// call, the distances in `g − s` plus the star of edges relaxed so
+    /// far.
+    ///
     /// Not undoable. Edge *deletions* have their own in-place update —
     /// [`DynamicSssp::remove_edge`] — so callers no longer re-seed with
     /// [`DynamicSssp::reset_from`] when an edge leaves.
@@ -895,7 +913,10 @@ impl DynamicSssp {
     ///
     /// Same contract as [`DynamicSssp::relax_insert`]: `g` must be the
     /// live graph already containing every edge of `edges` (and all other
-    /// current edges), weights positive, no speculation frame open. The
+    /// current edges), weights positive, no speculation frame open — up to
+    /// edges at the source, which `g` may omit or hold at will (see
+    /// "Edges at the source" there: a vector exact for `(g − s) ∪ S`
+    /// without the batch ends exact for it with the batch). The
     /// result is the same exact — hence bitwise-identical — fixpoint the
     /// one-at-a-time replay reaches, but a node improved by `k` of the
     /// batched edges is settled once instead of up to `k` times, which is

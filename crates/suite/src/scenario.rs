@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use gncg_core::equilibrium::{self, MoveSpace};
-use gncg_core::response::exact_best_response_in;
+use gncg_core::response::exact_best_response_given_current;
 use gncg_core::{cost, Game, NodeId, Profile};
 use gncg_dynamics::{
     Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult, Scheduler,
@@ -926,7 +926,9 @@ impl Runner {
 /// cold off the profile's built `network` and its all-pairs table `apsp`:
 /// the greedy and add rules by
 /// [`certify_agents_in`](equilibrium::certify_agents_in), the br rule by
-/// one exact best response per agent.
+/// one exact best response per agent. Both read each agent's current cost
+/// off `apsp`, whose rows are bitwise the Dijkstra vectors
+/// [`cost::agent_cost_in`] would sum.
 fn certify(
     cell: &Cell,
     game: &Game,
@@ -942,9 +944,21 @@ fn certify(
     let cold =
         |space| equilibrium::certify_agents_in(game, profile, network, apsp, &agents, space).0;
     match cell.rule {
-        RuleSpec::Br => agents
-            .par_iter()
-            .all(|&u| !exact_best_response_in(game, profile, network, u).improves()),
+        RuleSpec::Br => agents.par_iter().all(|&u| {
+            let current = cost::CostBreakdown {
+                edge_cost: cost::edge_cost(game, profile, u),
+                distance_cost: apsp.distance_cost(u),
+            }
+            .total();
+            debug_assert_eq!(
+                current.to_bits(),
+                cost::agent_cost_in(game, profile, network, u)
+                    .total()
+                    .to_bits(),
+                "agent {u}'s cost off the all-pairs table drifted from its Dijkstra"
+            );
+            !exact_best_response_given_current(game, profile, network, u, current).improves()
+        }),
         RuleSpec::Greedy => cold(MoveSpace::Greedy),
         RuleSpec::Add => cold(MoveSpace::AddOnly),
     }

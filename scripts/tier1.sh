@@ -110,7 +110,8 @@ GNCG_THREADS=1 swap_heavy_grid
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # Exact best responses priced off the persistent per-agent bound tables
-# (BrBoundCache): delta-maintained d0 and G − u remainder vectors and
+# (BrBoundCache): delta-maintained d0 and per-suffix bound rows (exact
+# for G − u plus the star of the remaining candidates) and
 # stale-admissible removals; a re-probe with no commit since the agent
 # was last priced is answered by the engine's pricing memo, which serves
 # all three rules.
@@ -230,7 +231,11 @@ echo "== oracle profile (release speed, debug assertions on): goldens + large-n"
 # assertions on, so every debug oracle runs at optimized speed: the cold
 # certifier's masked-scan check on every certified golden cell, the cached
 # best response's bound-admissibility and fresh-search checks on every br
-# activation, the bound-first move scan's masked-scan and synced-row
+# activation, every fresh bound table (engine oracle and br
+# certification) against the per-candidate fold it is grown instead of,
+# within the 1 − 8nε margin, on all 108 golden br cells, the br
+# certificate's all-pairs current cost against its Dijkstra, the
+# bound-first move scan's masked-scan and synced-row
 # checks on every full-sum greedy and add activation, the RegionDelta
 # winner's exact re-price on every horizon-policy activation (a path
 # that must neither sync rows nor bound), and at n = 1024 the

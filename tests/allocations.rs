@@ -1,17 +1,20 @@
-//! Heap allocations of the greedy run loop, counted exactly.
+//! Heap allocations of the run loop and of exact best responses, counted
+//! exactly.
 //!
 //! A counting global allocator keeps a per-thread tally, so the count
 //! covers exactly what the calling thread allocates. Round-robin runs
 //! without the regret meter never touch the worker pool, so every
 //! allocation of `Engine::run` lands on the calling thread and the count
-//! is deterministic: a lock that host noise cannot move. Debug builds run
-//! oracles that allocate on every activation, so the lock is checked in
+//! is deterministic: a lock that host noise cannot move. The same holds
+//! for best responses called one agent at a time. Debug builds run
+//! oracles that allocate on every activation, so the locks are checked in
 //! release builds only (`cargo test --release --test allocations`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gncg_core::{Game, Profile};
+use gncg_core::response::exact_best_response_in;
+use gncg_core::{Game, NodeId, Profile};
 use gncg_dynamics::{DynamicsConfig, Engine, SpeculativePricing};
 use gncg_suite::scenario::ScenarioSpec;
 
@@ -60,10 +63,13 @@ static GLOBAL: Counting = Counting;
 
 /// The 36 swap-heavy preset cells, run back to back on one engine as a
 /// grid worker runs them: the allocations inside `Engine::run` (host
-/// construction and the start profile excluded) stay at or below a tenth
-/// of the 190,569 the run loop made when every activation enumerated its
-/// moves into a fresh vector, allocated its scan tables per call, and
-/// every commit cloned the whole profile into the cycle detector.
+/// construction and the start profile excluded). The run loop made
+/// 190,569 when every activation enumerated its moves into a fresh
+/// vector, allocated its scan tables per call, and every commit cloned
+/// the whole profile into the cycle detector; the lock was set at a tenth
+/// of that, 19,057, over 13,095. Reusing the round's activation order
+/// and taking each mover's old strategy out of the profile instead of
+/// cloning it saved 2,659 more, and the lock fell in proportion.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -96,5 +102,55 @@ fn swap_heavy_run_allocations_are_locked() {
     }
     eprintln!("swap-heavy: {counted} allocations, {activations} activations, {moves} moves");
     assert_eq!(activations, 13_300);
-    assert!(counted <= 19_057, "{counted} allocations");
+    assert!(counted <= 15_187, "{counted} allocations");
+}
+
+/// The 36 br-grid preset cells on one engine. Two counts: the allocations
+/// inside `Engine::run`, and those of one `exact_best_response_in` per
+/// agent of each final profile (certification's per-agent search, here
+/// on the calling thread). They were 39,118 and 35,317 when each search
+/// folded its bound table from one Dijkstra per candidate on a copy of
+/// `G − u`, and the run loop allocated its activation order every round
+/// and cloned each mover's old strategy. The run loop stays at or below
+/// nineteen twentieths of its count, the searches at or below three
+/// quarters of theirs.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug oracles allocate on every activation; run with --release"
+)]
+fn br_grid_allocations_are_locked() {
+    let mut engine = Engine::new();
+    let (mut run_loop, mut searches, mut agents) = (0, 0, 0);
+    for cell in ScenarioSpec::br_grid().expand() {
+        let host = gncg_metrics::factory::build_host(&cell.host, cell.n, cell.cell_seed)
+            .expect("preset hosts are registered");
+        let game = Game::new(host, cell.alpha);
+        let cfg = DynamicsConfig {
+            rule: cell.rule.rule(),
+            scheduler: cell.scheduler.scheduler(cell.cell_seed),
+            max_rounds: cell.max_rounds,
+            ..DynamicsConfig::default()
+        };
+        engine
+            .context_mut()
+            .set_pricing(SpeculativePricing::FullSum);
+        let start = Profile::star(game.n(), 0);
+        let before = allocations();
+        let run = engine.run(&game, start, &cfg);
+        run_loop += allocations() - before;
+        assert!(run.converged(), "cell {}", cell.index);
+        let network = run.profile.build_network(&game);
+        let before = allocations();
+        for u in 0..game.n() as NodeId {
+            let br = exact_best_response_in(&game, &run.profile, &network, u);
+            assert!(!br.improves(), "cell {} agent {u}", cell.index);
+        }
+        searches += allocations() - before;
+        agents += game.n();
+    }
+    eprintln!("br-grid: run loop {run_loop} allocations, {agents} agents searched with {searches}");
+    assert_eq!(agents, 468);
+    assert!(run_loop <= 37_162, "run loop: {run_loop} allocations");
+    assert!(searches <= 26_487, "searches: {searches} allocations");
 }
