@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use gncg_graph::apsp::{apsp_parallel, DistanceMatrix};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_with_extra};
-use gncg_graph::{AdjacencyList, NetworkDelta, NodeId};
+use gncg_graph::{AdjacencyList, NodeId};
 
 use crate::{Game, Profile};
 
@@ -69,20 +69,30 @@ pub fn base_graph_without(game: &Game, profile: &Profile, u: NodeId) -> Adjacenc
 
 /// [`base_graph_without`] when the built network is already at hand —
 /// avoids rebuilding `G(s)` from scratch just to strip one agent's edges.
-/// The strip is expressed as a [`NetworkDelta`] of removals, the same
-/// batched edge-change description the dynamics engine's move
-/// application flows through.
 pub fn base_graph_from(network: &AdjacencyList, profile: &Profile, u: NodeId) -> AdjacencyList {
-    let mut delta = NetworkDelta::new();
-    for (a, b) in profile.sole_owned_edges(u) {
-        let w = network
-            .edge_weight(a, b)
-            .expect("sole-owned edge must be in the built network");
-        delta.remove(a, b, w);
-    }
-    let mut g = network.clone();
-    delta.apply_to(&mut g);
+    let mut g = AdjacencyList::default();
+    refill_base_graph(&mut g, network, profile, u);
     g
+}
+
+/// [`base_graph_from`] into `out`, refilled in place: a copy of `network`
+/// that keeps `out`'s allocations, less `u`'s sole-owned edges, removed
+/// in strategy order.
+pub(crate) fn refill_base_graph(
+    out: &mut AdjacencyList,
+    network: &AdjacencyList,
+    profile: &Profile,
+    u: NodeId,
+) {
+    out.clone_from(network);
+    for &v in profile.strategy(u) {
+        if !profile.owns(v, u) {
+            assert!(
+                out.remove_edge(u, v),
+                "sole-owned edge must be in the built network"
+            );
+        }
+    }
 }
 
 /// Prices candidate strategy `candidate` for agent `u` against a
@@ -170,9 +180,12 @@ pub(crate) fn candidate_cost_from(
 ///    new distance is at least `r·m_v` with `r = ((1 − u₀)/(1 + u₀))^(n−2)`
 ///    (a path that avoids the new edge is a path of `H`, no shorter than
 ///    `δ(v)`).
-/// 2. The two `n`-term distance sums (index order both) round within
-///    `(1 ± u₀)^(n−1)` of their exact sums, so the true distance term is at
-///    least `((1 − u₀)/(1 + u₀))^(2n−3)` times the bound's.
+/// 2. The two `n`-term distance sums round within `(1 ± u₀)^(n−1)` of
+///    their exact sums in any summation order, the price's index order and
+///    the bound's four lanes ([`MoveBound::sum`]) alike: their terms are
+///    non-negative and each passes through at most `n − 1` additions. So
+///    the true distance term is at least `((1 − u₀)/(1 + u₀))^(2n−3)`
+///    times the bound's.
 /// 3. The edge term is the true one bit for bit, and it is non-negative.
 ///    One more rounding of each total leaves the true price at least
 ///    `((1 − u₀)/(1 + u₀))^(2n−2)` times the bound: the bound exceeds the
@@ -201,9 +214,29 @@ impl MoveBound {
 
     /// `Σ_v min(first[v], w + row[v])`: the distance bound of a move that
     /// gains an edge of weight `w` to the node whose distances are `row`,
-    /// onto first hops whose bound is `first`.
+    /// onto first hops whose bound is `first`. Added in four lanes, as
+    /// [`MoveBound::sum`] adds.
     pub fn reach(first: &[f64], w: f64, row: &[f64]) -> f64 {
-        first.iter().zip(row).map(|(&x, &y)| x.min(w + y)).sum()
+        let len = first.len().min(row.len());
+        // A compare and a select: distances are never NaN, so the NaN
+        // handling of `f64::min` would be wasted work.
+        four_lanes(&first[..len], &row[..len], |x, y| {
+            let via = w + y;
+            if via < x {
+                via
+            } else {
+                x
+            }
+        })
+    }
+
+    /// `Σ terms`, added in four independent lanes (the terms at indices
+    /// `0, 1, 2, 3 mod 4`, the tail of fewer than four in a fifth) that are
+    /// folded only at the end, so no addition waits on the one before it.
+    /// Any summation order rounds a bound within the margin ("Rounding",
+    /// step 2).
+    pub fn sum(terms: &[f64]) -> f64 {
+        four_lanes(terms, terms, |x, _| x)
     }
 
     /// Whether a move with edge term `edge` and distance bound `reach`
@@ -211,6 +244,25 @@ impl MoveBound {
     pub fn rules_out(self, edge: f64, reach: f64, floor: f64) -> bool {
         (edge + reach) * self.margin >= floor
     }
+}
+
+/// `Σ_i term(a[i], b[i])` over two slices of one length, in
+/// [`MoveBound::sum`]'s four lanes.
+#[inline(always)]
+fn four_lanes(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
+    let (a4, a_tail) = a.as_chunks::<4>();
+    let (b4, b_tail) = b.as_chunks::<4>();
+    let mut lanes = [0.0; 4];
+    for (x, y) in a4.iter().zip(b4) {
+        for ((lane, &x), &y) in lanes.iter_mut().zip(x).zip(y) {
+            *lane += term(x, y);
+        }
+    }
+    let mut tail = 0.0;
+    for (&x, &y) in a_tail.iter().zip(b_tail) {
+        tail += term(x, y);
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
 /// Social cost of a profile: `Σ_u cost(u)` — equivalently

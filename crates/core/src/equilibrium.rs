@@ -38,14 +38,7 @@ use crate::response::{
 };
 use crate::{Game, Move, Profile};
 
-/// The single-edge move space a cold certificate covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MoveSpace {
-    /// Adds, deletes and swaps: the Greedy Equilibrium check.
-    Greedy,
-    /// Adds only: the Add-only Equilibrium check.
-    AddOnly,
-}
+pub use crate::moves::MoveSpace;
 
 /// Whether `profile` is an Add-only Equilibrium.
 pub fn is_add_only_equilibrium(game: &Game, profile: &Profile) -> bool {

@@ -4,7 +4,8 @@
 //! defined by the absence of improving *single-edge* moves: buying one
 //! edge, deleting one owned edge, or swapping one owned edge for another.
 //! Arbitrary strategy replacements (the full Nash deviation space) are
-//! represented by [`Move::Replace`].
+//! represented by [`Move::Replace`]. [`MoveSpace`] names the two
+//! single-edge spaces the dynamics scan and the certificates cover.
 
 use std::collections::BTreeSet;
 
@@ -58,98 +59,77 @@ impl Move {
     /// (all valid adds, deletes and swaps). `Replace` moves are not
     /// enumerable and are produced by the best-response solvers instead.
     ///
-    /// The order is: one `Add(v)` or `Delete(v)` per other node `v`, in
-    /// ascending `v`, then every `Swap(d, a)` grouped by the dropped
-    /// edge `d`. So `Add(a)` and `Delete(d)` come before every
-    /// `Swap(d, a)`, which is the order the speculative scan's twin
-    /// bounds and shared removal frames rely on
-    /// ([`best_move_among_speculative_priced`](crate::response::best_move_among_speculative_priced)).
-    /// Any other order is still correct, only slower.
+    /// The order is canonical: one `Add(v)` or `Delete(v)` per other node
+    /// `v`, in ascending `v`, then every `Swap(d, a)` grouped by the
+    /// dropped edge `d`, both ascending. The speculative scan
+    /// ([`best_move_among_speculative_priced`](crate::response::best_move_among_speculative_priced))
+    /// walks the same space at the same positions
+    /// ([`StrategyTables::move_at`]) and breaks ties in this order.
     pub fn greedy_moves(profile: &Profile, agent: NodeId) -> Vec<Move> {
-        let mut out = Vec::new();
-        Move::greedy_moves_into(
-            &NodeSet::of(profile.strategy(agent), profile.n()),
-            agent,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Move::greedy_moves`] off the agent's ownership bitmap (`owned`,
-    /// over all `n` nodes), into `out`, which is cleared first so one
-    /// buffer serves every activation.
-    pub fn greedy_moves_into(owned: &NodeSet, agent: NodeId, out: &mut Vec<Move>) {
-        out.clear();
-        let n = owned.universe() as NodeId;
-        for v in (0..n).filter(|&v| v != agent) {
-            out.push(if owned.contains(v) {
-                Move::Delete(v)
-            } else {
-                Move::Add(v)
-            });
-        }
-        for d in (0..n).filter(|&d| owned.contains(d)) {
+        let own = profile.strategy(agent);
+        let others = || (0..profile.n() as NodeId).filter(move |&v| v != agent);
+        let mut out: Vec<Move> = others()
+            .map(|v| {
+                if own.contains(&v) {
+                    Move::Delete(v)
+                } else {
+                    Move::Add(v)
+                }
+            })
+            .collect();
+        for &d in own {
             out.extend(
-                (0..n)
-                    .filter(|&a| a != agent && !owned.contains(a))
+                others()
+                    .filter(|a| !own.contains(a))
                     .map(|a| Move::Swap(d, a)),
             );
         }
-    }
-
-    /// Enumerates only the `Add` moves (for Add-only Equilibrium checks).
-    pub fn add_moves(profile: &Profile, agent: NodeId) -> Vec<Move> {
-        let mut out = Vec::new();
-        Move::add_moves_into(
-            &NodeSet::of(profile.strategy(agent), profile.n()),
-            agent,
-            &mut out,
-        );
         out
     }
 
-    /// [`Move::add_moves`] off the agent's ownership bitmap, into the
-    /// cleared buffer `out`.
-    pub fn add_moves_into(owned: &NodeSet, agent: NodeId, out: &mut Vec<Move>) {
-        out.clear();
-        let n = owned.universe() as NodeId;
-        out.extend(
-            (0..n)
-                .filter(|&v| v != agent && !owned.contains(v))
-                .map(Move::Add),
-        );
+    /// Enumerates only the `Add` moves (for Add-only Equilibrium checks),
+    /// in ascending target order.
+    pub fn add_moves(profile: &Profile, agent: NodeId) -> Vec<Move> {
+        let own = profile.strategy(agent);
+        (0..profile.n() as NodeId)
+            .filter(|&v| v != agent && !own.contains(&v))
+            .map(Move::Add)
+            .collect()
     }
 }
 
-/// A set of node ids out of `0..universe`, one bit per node.
+/// The single-edge move space a move scan or a cold certificate covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MoveSpace {
+    /// Adds, deletes and swaps: the Greedy Equilibrium check.
+    Greedy,
+    /// Adds only: the Add-only Equilibrium check.
+    AddOnly,
+}
+
+impl MoveSpace {
+    /// The space's moves for `agent` in `profile`, in canonical order:
+    /// [`Move::greedy_moves`] or [`Move::add_moves`].
+    pub fn moves(self, profile: &Profile, agent: NodeId) -> Vec<Move> {
+        match self {
+            MoveSpace::Greedy => Move::greedy_moves(profile, agent),
+            MoveSpace::AddOnly => Move::add_moves(profile, agent),
+        }
+    }
+}
+
+/// A set of node ids, one bit per node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
-    universe: usize,
 }
 
 impl NodeSet {
-    /// `set` as a bitmap over `0..universe`.
-    pub(crate) fn of(set: &BTreeSet<NodeId>, universe: usize) -> Self {
-        let mut bits = NodeSet::default();
-        bits.reset(universe);
-        for &v in set {
-            bits.insert(v);
-        }
-        bits
-    }
-
     /// Empties the set and sizes it for `0..universe`, keeping its
     /// allocation.
     pub(crate) fn reset(&mut self, universe: usize) {
-        self.universe = universe;
         self.words.clear();
         self.words.resize(universe.div_ceil(64), 0);
-    }
-
-    /// The size of the id range the set ranges over.
-    pub fn universe(&self) -> usize {
-        self.universe
     }
 
     /// Adds `v`.
@@ -171,11 +151,19 @@ impl NodeSet {
 }
 
 /// One agent's strategy, read once into flat tables that a whole
-/// activation shares: the move enumeration ([`Move::greedy_moves_into`]
-/// off [`StrategyTables::owned`]), the scan's edge terms
-/// ([`StrategyTables::pairs`]) and its network probes. Refilled in place
-/// by [`StrategyTables::load`], so an activation allocates nothing once
-/// the tables have grown.
+/// activation shares: the move space the scan walks ([`StrategyTables::pairs`]
+/// and [`StrategyTables::free`]), its edge terms, and its network probes.
+/// Refilled in place by [`StrategyTables::load`], so an activation
+/// allocates nothing once the tables have grown.
+///
+/// # Positions
+///
+/// With `k` owned targets and `m = n − 1 − k` free nodes, the canonical
+/// order of [`Move::greedy_moves`] puts `Add(v)` or `Delete(v)` at
+/// position `v − [v > u]` and `Swap(d, a)` at `(n − 1) + r·m + t`, where
+/// `r` is `d`'s index in [`StrategyTables::pairs`] and `t` is `a`'s in
+/// [`StrategyTables::free`]; [`Move::add_moves`] puts `Add(a)` at `t`.
+/// [`StrategyTables::move_at`] names the move at a position.
 #[derive(Clone, Debug, Default)]
 pub struct StrategyTables {
     agent: NodeId,
@@ -183,8 +171,10 @@ pub struct StrategyTables {
     /// the `BTreeSet` iteration order, so edge sums over it keep their
     /// bits.
     pairs: Vec<(NodeId, f64)>,
-    /// The targets the agent owns.
-    owned: NodeSet,
+    /// `(a, w(agent, a))` for every other node `a` the agent does not
+    /// own, ascending in `a`: the targets of its adds and of its swaps'
+    /// new edges.
+    free: Vec<(NodeId, f64)>,
     /// The agent's network neighbours.
     neighbours: NodeSet,
     /// The owned targets that also own their edge to the agent.
@@ -198,13 +188,18 @@ impl StrategyTables {
         let n = profile.n();
         self.agent = agent;
         self.pairs.clear();
-        self.owned.reset(n);
         self.co_owned.reset(n);
         for &x in profile.strategy(agent) {
             self.pairs.push((x, game.w(agent, x)));
-            self.owned.insert(x);
             if profile.owns(x, agent) {
                 self.co_owned.insert(x);
+            }
+        }
+        self.free.clear();
+        let mut owned = self.pairs.iter().map(|p| p.0).peekable();
+        for v in (0..n as NodeId).filter(|&v| v != agent) {
+            if owned.next_if_eq(&v).is_none() {
+                self.free.push((v, game.w(agent, v)));
             }
         }
         self.neighbours.reset(n);
@@ -223,9 +218,50 @@ impl StrategyTables {
         &self.pairs
     }
 
-    /// The ownership bitmap.
-    pub fn owned(&self) -> &NodeSet {
-        &self.owned
+    /// `(a, w(agent, a))` per other node the agent does not own,
+    /// ascending in `a`.
+    pub fn free(&self) -> &[(NodeId, f64)] {
+        &self.free
+    }
+
+    /// How many owned targets sort below `free()[t]`: the other nodes
+    /// below it, less the free ones. The index of
+    /// [`StrategyTables::pairs`] before which its weight enters an edge
+    /// sum.
+    #[inline]
+    pub(crate) fn owned_below(&self, t: usize) -> usize {
+        let a = self.free[t].0;
+        a as usize - usize::from(a > self.agent) - t
+    }
+
+    /// How many moves `space` holds (type docs, "Positions").
+    pub fn space_len(&self, space: MoveSpace) -> usize {
+        let (k, m) = (self.pairs.len(), self.free.len());
+        match space {
+            MoveSpace::Greedy => k + m + k * m,
+            MoveSpace::AddOnly => m,
+        }
+    }
+
+    /// The move at position `j` of `space`, entry `j` of
+    /// [`MoveSpace::moves`] (type docs, "Positions").
+    pub fn move_at(&self, space: MoveSpace, j: usize) -> Move {
+        let (k, m) = (self.pairs.len(), self.free.len());
+        match space {
+            MoveSpace::AddOnly => Move::Add(self.free[j].0),
+            MoveSpace::Greedy if j < k + m => {
+                let v = (j + usize::from(j >= self.agent as usize)) as NodeId;
+                if self.pairs.binary_search_by_key(&v, |p| p.0).is_ok() {
+                    Move::Delete(v)
+                } else {
+                    Move::Add(v)
+                }
+            }
+            MoveSpace::Greedy => {
+                let (r, t) = ((j - k - m) / m, (j - k - m) % m);
+                Move::Swap(self.pairs[r].0, self.free[t].0)
+            }
+        }
     }
 
     /// Whether edge `(agent, v)` is in the network.
@@ -249,19 +285,23 @@ impl StrategyTables {
         agent: NodeId,
     ) -> bool {
         let own = profile.strategy(agent);
+        let others = (0..profile.n() as NodeId).filter(|&v| v != agent);
         self.agent == agent
             && self.pairs.iter().map(|p| p.0).eq(own.iter().copied())
+            && self
+                .free
+                .iter()
+                .map(|p| p.0)
+                .eq(others.filter(|v| !own.contains(v)))
             && (0..profile.n() as NodeId).all(|v| {
-                self.owned.contains(v) == own.contains(&v)
-                    && self.is_co_owned(v) == (own.contains(&v) && profile.owns(v, agent))
+                self.is_co_owned(v) == (own.contains(&v) && profile.owns(v, agent))
                     && self.has_edge(v) == network.has_edge(agent, v)
             })
     }
 
     /// Bytes the tables hold.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.pairs.capacity() * std::mem::size_of::<(NodeId, f64)>()
-            + self.owned.resident_bytes()
+        (self.pairs.capacity() + self.free.capacity()) * std::mem::size_of::<(NodeId, f64)>()
             + self.neighbours.resident_bytes()
             + self.co_owned.resident_bytes()
     }

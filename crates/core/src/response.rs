@@ -130,9 +130,10 @@ use gncg_graph::{
 };
 
 use crate::cost::{
-    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown, MoveBound,
+    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, refill_base_graph,
+    CostBreakdown, MoveBound,
 };
-use crate::moves::StrategyTables;
+use crate::moves::{MoveSpace, StrategyTables};
 use crate::{Game, Move, Profile};
 
 /// Result of a best-response computation.
@@ -345,14 +346,14 @@ fn alone(n: usize, agent: NodeId) -> Vec<f64> {
     dist
 }
 
-/// `g` with every edge at `u` removed: `G − u` when `g` is the network or
-/// a base graph of `u`, which differ from it only in edges at `u`.
-fn without_edges_at(g: &AdjacencyList, u: NodeId) -> AdjacencyList {
-    let mut rest = g.clone();
+/// Refills `out` with `g` less every edge at `u`, keeping `out`'s
+/// allocations: `G − u` when `g` is the network or a base graph of `u`,
+/// which differ from it only in edges at `u`.
+fn refill_without_edges_at(out: &mut AdjacencyList, g: &AdjacencyList, u: NodeId) {
+    out.clone_from(g);
     for &(v, _) in g.neighbors(u) {
-        rest.remove_edge(u, v);
+        out.remove_edge(u, v);
     }
-    rest
 }
 
 /// The pruning bound's table for `agent` on its base graph `base`, as the
@@ -375,7 +376,8 @@ pub fn bound_table_reference(game: &Game, base: &AdjacencyList, agent: NodeId) -
     let n = game.n();
     let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
     sort_candidates(game, agent, &mut candidates, &mut cand_w);
-    let g_minus_u = without_edges_at(base, agent);
+    let mut g_minus_u = AdjacencyList::default();
+    refill_without_edges_at(&mut g_minus_u, base, agent);
     let mut scratch = DijkstraScratch::new();
     let mut via = vec![f64::INFINITY; (candidates.len() + 1) * n];
     for i in (0..candidates.len()).rev() {
@@ -607,7 +609,7 @@ pub struct BrBoundCache {
     /// The agent's base graph (network minus its sole-owned edges),
     /// maintained in lock-step with every committed delta.
     base: AdjacencyList,
-    /// CSR snapshot of `base` for the DFS hot loop; rebuilt lazily when
+    /// CSR snapshot of `base` for the DFS hot loop; refilled lazily when
     /// `base` changed since the last search.
     csr: Csr,
     csr_dirty: bool,
@@ -720,7 +722,9 @@ impl BrBoundCache {
     }
 
     /// Rebuilds every table from the live network — the same
-    /// construction as [`BrSearch::new`], kept as the oracle path.
+    /// construction as [`BrSearch::new`], kept as the oracle path — into
+    /// the cache's own buffers: the base graph, `Ĝ` and the CSR are
+    /// refilled in place.
     fn rebuild(&mut self, game: &Game, profile: &Profile, network: &AdjacencyList, log_len: usize) {
         let n = game.n();
         let agent = self.agent;
@@ -730,8 +734,8 @@ impl BrBoundCache {
 
         sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
 
-        self.base = base_graph_from(network, profile, agent);
-        self.csr = Csr::from_adjacency(&self.base);
+        refill_base_graph(&mut self.base, network, profile, agent);
+        self.csr.refill(&self.base);
         self.csr_dirty = false;
         self.scratch.run(&self.base, agent, &[]);
         self.dist_buf.clear();
@@ -741,7 +745,7 @@ impl BrBoundCache {
         self.d0.reset_from(agent, &self.dist_buf);
 
         // A fresh envelope graph is exactly G − u.
-        self.ghat = without_edges_at(&self.base, agent);
+        refill_without_edges_at(&mut self.ghat, &self.base, agent);
         self.phantom.clear();
 
         // The rows grow back to front over Ĝ, as BrSearch grows its
@@ -940,7 +944,7 @@ impl BrBoundCache {
     ) -> BestResponse {
         debug_assert!(self.built, "best_response on an unbuilt BrBoundCache");
         if self.csr_dirty {
-            self.csr = Csr::from_adjacency(&self.base);
+            self.csr.refill(&self.base);
             self.csr_dirty = false;
         }
         if self.via_dirty {
@@ -1292,12 +1296,11 @@ impl ScanPricing<'_> {
 
 /// The buffers a [`best_move_among_speculative_priced`] call works in,
 /// kept across calls so that a scan allocates nothing once they have
-/// grown: the scanned agent's [`StrategyTables`], one price per move, the
-/// deletes awaiting their swap run, and the FullSum bound tables.
+/// grown: the scanned agent's [`StrategyTables`], one price per position
+/// of the move space, the deletes awaiting their swap run, and the
+/// FullSum bound tables.
 ///
-/// An activation loads the tables once ([`ScanScratch::load`]),
-/// enumerates its moves off them ([`Move::greedy_moves_into`] /
-/// [`Move::add_moves_into`] over [`StrategyTables::owned`]) and scans
+/// An activation loads the tables once ([`ScanScratch::load`]) and scans
 /// with the same scratch.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
@@ -1310,15 +1313,8 @@ pub struct ScanScratch {
 impl ScanScratch {
     /// Reads `agent`'s strategy in `profile`, and its neighbours in
     /// `network`, into the scratch's tables ([`StrategyTables::load`]).
-    pub fn load(
-        &mut self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        agent: NodeId,
-    ) -> &StrategyTables {
+    pub fn load(&mut self, game: &Game, profile: &Profile, network: &AdjacencyList, agent: NodeId) {
         self.tables.load(game, profile, network, agent);
-        &self.tables
     }
 
     /// Bytes the scratch holds.
@@ -1331,14 +1327,15 @@ impl ScanScratch {
     }
 }
 
-/// [`best_move_among_given_current`] evaluated **speculatively** against
-/// the agent's warm distance vector instead of one masked Dijkstra per
-/// candidate.
+/// The best strictly improving move of `agent` in `space` — what
+/// [`best_move_among_given_current`] returns over [`MoveSpace::moves`] —
+/// evaluated **speculatively** against the agent's warm distance vector
+/// instead of one masked Dijkstra per candidate.
 ///
 /// `warm` must hold the agent's exact distance vector in `network`
 /// (source `agent`, bitwise what a fresh Dijkstra produces — e.g. the
 /// dynamics engine's warm per-agent vector), and `current` the agent's
-/// exact current total cost. Each single-edge candidate is priced by the
+/// exact current total cost. Each move is priced by the
 /// speculation-frame lifecycle of `gncg_graph::csr`:
 ///
 /// 1. **apply** — open a frame and stage the move's network-level edge
@@ -1348,50 +1345,51 @@ impl ScanScratch {
 ///    logged source-incident relaxation;
 /// 2. **read** — the candidate's distance cost is the warm sum, in the
 ///    same index order the oracle sums its Dijkstra vector, and its edge
-///    cost is [`candidate_edge_sum`] over the agent's pair table, which
-///    sums the same weights in the same ascending node-id order as
-///    [`candidate_cost`]'s `BTreeSet` iteration, bit for bit;
+///    cost sums the agent's pair table in the same ascending node-id
+///    order as [`candidate_cost`]'s `BTreeSet` iteration, bit for bit;
 /// 3. **rollback** — the frame restores the pre-move vector bitwise, so
 ///    the next candidate starts from the same warm state.
 ///
 /// Degenerate deltas (dropping a co-owned edge, gaining an
 /// already-present one) change no distances and read the current sum
-/// directly. [`Move::Replace`] candidates are not single-edge deltas and
-/// fall back to the oracle's [`candidate_cost`] pricing.
+/// directly.
 ///
-/// # Tables and scratch
+/// # The walk
 ///
 /// The scan reads the agent's strategy only through `scratch`'s
 /// [`StrategyTables`], which must be loaded for `agent` in `profile` and
-/// `network` ([`ScanScratch::load`]; debug builds check it). Edge terms
-/// walk the `(x, w(agent, x))` pair table, and whether a dropped edge is
-/// co-owned or a gained edge already present is one bit of the co-owner
-/// or neighbour bitmap. The prices, the deferred deletes and the bound
-/// tables live in the same scratch, so once they have grown a scan
-/// allocates nothing. The dynamics engine loads the tables once per
-/// activation and enumerates the moves off their ownership bitmap.
+/// `network` ([`ScanScratch::load`]; debug builds check it), and walks
+/// `space` straight off them in its canonical order: the adds and
+/// deletes in ascending node order, a merge of the owned and the free
+/// table, then one *swap run* per owned target over the free nodes. Each
+/// price lands at its move's position ([`StrategyTables`], "Positions");
+/// only the winner is named as a [`Move`], at the end. Whether a dropped
+/// edge is co-owned or a gained edge already present is one bit of the
+/// co-owner or neighbour bitmap. The prices, the deferred deletes and the
+/// bound tables live in the same scratch, so once they have grown a scan
+/// allocates nothing.
 ///
 /// # Price first, select second
 ///
-/// A pricing pass computes the candidates' prices; a selection pass then
-/// walks `moves` in their given order and keeps each price that is
+/// The walk computes the candidates' prices; a selection pass then
+/// visits the positions in order and keeps each price that is
 /// [`strictly_less`] than the incumbent — the oracle's rule — so the
-/// order in which prices were computed can never change a tie-break.
-/// Consecutive swaps dropping the same sole-owned edge `(agent, d)` (a
-/// *swap run*) repair the removal once in an outer frame and price each
-/// gained edge in an inner one; a `Delete(d)` listed before such a run is
-/// read off the run's outer frame, and a delete with no run after it
-/// prices in a frame of its own.
+/// order in which prices were computed can never change a tie-break. A
+/// swap run dropping a sole-owned edge `(agent, d)` repairs the removal
+/// once in an outer frame and prices each gained edge in an inner one;
+/// `Delete(d)` waits for that run and is read off its outer frame. An
+/// agent that owns every other node has no swaps, and each of its
+/// sole-owned deletes prices in a frame of its own.
 ///
 /// # Bound-first pricing
 ///
 /// Under [`ScanPricing::FullSum`] a move is skipped unpriced, with no
 /// frame opened, when a lower bound on its price reaches `floor`: the
-/// least of `current` and every price computed so far for a move listed
-/// before it. An incumbent is never more than `EPS` above the least price
-/// listed before it, so a move priced at or above `floor` could never
-/// displace it, and skipping it leaves the selection bitwise unchanged.
-/// The bounds read the other agents' rows, `d(a,·)`:
+/// least of `current` and every price computed so far for a move at an
+/// earlier position. An incumbent is never more than `EPS` above the
+/// least price before it, so a move priced at or above `floor` could
+/// never displace it, and skipping it leaves the selection bitwise
+/// unchanged. The bounds read the other agents' rows, `d(a,·)`:
 ///
 /// * **`Add(a)`**, and a swap dropping a co-owned edge:
 ///   `Σ_v min(d(u,v), w(u,a) + d(a,v))`.
@@ -1409,29 +1407,19 @@ impl ScanScratch {
 ///   distance sum when it was priced (`G − ud + ua` is a subgraph of
 ///   `G + ua`, so no distance goes down, and index-order sums and `+` are
 ///   monotone: the test is exact in floating point), or its bound, with
-///   the margin below, when it was ruled out unpriced.
+///   the margin below, when it was ruled out unpriced. The walk reaches
+///   every `Add(a)` before the swaps.
 ///
 /// Each bound is [`MoveBound`]'s, tested with its `1 − 8nε` margin, which
-/// proves it sound under rounding. [`Move::greedy_moves`] lists every
-/// `Add(a)` and `Delete(d)` before the swaps; in any other order a move
-/// is bounded by whatever the scan knows when it reaches it.
-/// [`ScanPricing::RegionDelta`] prices are upper bounds, so that policy
-/// prices every move.
+/// proves it sound under rounding. [`ScanPricing::RegionDelta`] prices
+/// are upper bounds, so that policy prices every move.
 ///
 /// Under [`ScanPricing::FullSum`] this returns exactly what
-/// [`best_move_among_given_current`] returns — the same chosen move and
-/// the same cost bits (debug-asserted against the oracle, alongside the
-/// bitwise restoration of `warm` and every row's agreement with a fresh
-/// Dijkstra); see [`SpeculativePricing`] for the contract of the
-/// bounded-horizon mode.
-///
-/// Every move must be *valid for `profile`* in the [`Move::apply`] sense
-/// (deletes and swap-drops name owned edges, adds and swap-gains name
-/// non-owned ones) — the shape [`Move::greedy_moves`] /
-/// [`Move::add_moves`] enumerate. The oracle enforces this with
-/// assertions inside `Move::apply`; this path relies on it (an invalid
-/// move may panic on a missing network edge or price the edge term
-/// differently from a set-based candidate).
+/// [`best_move_among_given_current`] returns over [`MoveSpace::moves`] —
+/// the same chosen move and the same cost bits (debug-asserted against
+/// the oracle, alongside the bitwise restoration of `warm` and every
+/// row's agreement with a fresh Dijkstra); see [`SpeculativePricing`] for
+/// the contract of the bounded-horizon mode.
 #[allow(clippy::too_many_arguments)]
 pub fn best_move_among_speculative_priced(
     game: &Game,
@@ -1440,7 +1428,7 @@ pub fn best_move_among_speculative_priced(
     warm: &mut DynamicSssp,
     agent: NodeId,
     current: f64,
-    moves: &[Move],
+    space: MoveSpace,
     pricing: ScanPricing<'_>,
     scratch: &mut ScanScratch,
 ) -> Option<(Move, f64)> {
@@ -1448,7 +1436,7 @@ pub fn best_move_among_speculative_priced(
         tables,
         prices,
         deferred,
-        bounds: bound_tables,
+        bounds,
     } = scratch;
     let tables = &*tables;
     debug_assert!(
@@ -1471,169 +1459,30 @@ pub fn best_move_among_speculative_priced(
     if policy == SpeculativePricing::RegionDelta {
         warm.set_price_horizon(Some(PRICE_HORIZON));
     }
-    let alpha = game.alpha();
-    let n = profile.n();
-    let edge_term = |m: &Move| alpha * candidate_edge_sum(game, agent, tables.pairs(), m);
-    // Replace moves price through the oracle path; its base graph is
-    // derived at most once.
-    let mut base: Option<AdjacencyList> = None;
-    // One price per move; once the pricing pass ends, `None` marks a
-    // move a bound ruled out.
+    // One price per position; once the walk ends, `None` marks a move a
+    // bound ruled out.
     prices.clear();
-    prices.resize(moves.len(), None);
-    let mut bounds = match pricing {
-        ScanPricing::FullSum(rows) => Some(ScanBounds::new(network, rows, bound_tables)),
-        ScanPricing::RegionDelta => None,
+    prices.resize(tables.space_len(space), None);
+    let mut walk = Walk {
+        tables,
+        network,
+        warm: &mut *warm,
+        bounds: match pricing {
+            ScanPricing::FullSum(rows) => Some(ScanBounds::new(network, rows, bounds)),
+            ScanPricing::RegionDelta => None,
+        },
+        policy,
+        sum0,
+        alpha: game.alpha(),
+        prices,
+        floor: current,
     };
-    // The position of a sole-owned `Delete(d)` awaiting the outer frame
-    // of the next swap run dropping `d`, and the floor at that position.
-    deferred.clear();
-    deferred.resize(n, None);
-    let mut floor = current;
-    let mut i = 0;
-    while i < moves.len() {
-        match moves[i] {
-            // Consecutive swaps dropping the same sole-owned edge (the
-            // shape `Move::greedy_moves` enumerates) share one removal
-            // repair: frames nest, so the dropped edge is repaired once in
-            // an outer frame and each add target is an inner insert +
-            // rollback — `k` removals for `k·(n−1−k)` swap candidates and
-            // their `k` deletes, not one each.
-            Move::Swap(d, _) if !tables.is_co_owned(d) => {
-                let run = moves[i..]
-                    .iter()
-                    .take_while(|m| matches!(m, Move::Swap(dd, _) if *dd == d))
-                    .count();
-                let swaps = &moves[i..i + run];
-                let mut delete = deferred[d as usize].take();
-                // Bound-first: the repair runs only when the rows rule out
-                // neither the delete nor every swap of the run; `first`
-                // swaps were ruled out on the way.
-                let mut first = 0;
-                if let Some(b) = bounds.as_mut() {
-                    b.build_hops(network, agent, d);
-                    delete = delete.filter(|&(j, at)| {
-                        !b.bound
-                            .rules_out(edge_term(&moves[j]), b.hops.iter().sum(), at)
-                    });
-                    if delete.is_none() {
-                        first = swaps
-                            .iter()
-                            .position(|m| {
-                                let &Move::Swap(_, a) = m else { unreachable!() };
-                                let edge = edge_term(m);
-                                let row = b.rows[a as usize].dist();
-                                let reach = || MoveBound::reach(b.hops, game.w(agent, a), row);
-                                !b.twin_rules_out(a, edge, floor)
-                                    && !b.bound.rules_out(edge, reach(), floor)
-                            })
-                            .unwrap_or(run);
-                        if first == run {
-                            i += run;
-                            continue;
-                        }
-                    }
-                }
-                let w = network
-                    .edge_weight(agent, d)
-                    .expect("sole-owned strategy edge must be in the network");
-                let mask = [(agent, d)];
-                let view = MaskedEdges::new(network, &mask);
-                // The mark is taken before the outer removal frame, so a
-                // RegionDelta price covers the removal repair *and* the
-                // inner insert in one undo-log suffix.
-                let mark = warm.undo_len();
-                warm.begin_speculation();
-                warm.remove_edge(&view, agent, d, w);
-                let removal = frame_price(warm, policy, sum0, mark);
-                if let Some((j, _)) = delete {
-                    let c = edge_term(&moves[j]) + removal;
-                    prices[j] = Some(c);
-                    floor = floor.min(c);
-                }
-                for (k, m) in swaps.iter().enumerate().skip(first) {
-                    let &Move::Swap(_, a) = m else { unreachable!() };
-                    let edge = edge_term(m);
-                    // Gained edge already present: the removal repair is
-                    // the whole delta.
-                    let present = tables.has_edge(a);
-                    if let Some(b) = &bounds {
-                        let row = b.rows[a as usize].dist();
-                        let reach = || MoveBound::reach(warm.dist(), game.w(agent, a), row);
-                        if b.twin_rules_out(a, edge, floor)
-                            || (!present && b.bound.rules_out(edge, reach(), floor))
-                        {
-                            continue;
-                        }
-                    }
-                    let dist = if present {
-                        removal
-                    } else {
-                        warm.begin_speculation();
-                        warm.speculate_insert(&view, agent, a, game.w(agent, a));
-                        let s = frame_price(warm, policy, sum0, mark);
-                        warm.rollback();
-                        s
-                    };
-                    let c = edge + dist;
-                    prices[i + k] = Some(c);
-                    floor = floor.min(c);
-                }
-                warm.rollback();
-                i += run;
-            }
-            Move::Delete(d) if !tables.is_co_owned(d) && deferred[d as usize].is_none() => {
-                deferred[d as usize] = Some((i, floor));
-                i += 1;
-            }
-            ref m => {
-                let j = i;
-                i += 1;
-                let c = match *m {
-                    Move::Replace(ref cand) => {
-                        let base =
-                            base.get_or_insert_with(|| base_graph_from(network, profile, agent));
-                        candidate_cost(game, base, agent, cand).total()
-                    }
-                    _ => {
-                        let edge = edge_term(m);
-                        if let Some(b) = bounds.as_mut() {
-                            if b.rules_out_unrepaired(game, tables, warm.dist(), m, edge, floor) {
-                                continue;
-                            }
-                        }
-                        let dist =
-                            speculative_distance_sum(game, tables, network, warm, m, policy, sum0);
-                        if let (Move::Add(a), Some(b)) = (m, bounds.as_mut()) {
-                            b.add[*a as usize] = AddSum::Priced(dist);
-                        }
-                        edge + dist
-                    }
-                };
-                prices[j] = Some(c);
-                floor = floor.min(c);
-            }
-        }
+    match space {
+        MoveSpace::Greedy => walk.greedy(deferred),
+        MoveSpace::AddOnly => walk.adds(),
     }
-    // A delete with no swap run after it prices in a frame of its own,
-    // unless the rows rule it out against the floor at its position.
-    for (d, slot) in deferred.iter_mut().enumerate() {
-        let Some((j, at)) = slot.take() else {
-            continue;
-        };
-        let m = &moves[j];
-        let edge = edge_term(m);
-        if let Some(b) = bounds.as_mut() {
-            b.build_hops(network, agent, d as NodeId);
-            if b.bound.rules_out(edge, b.hops.iter().sum(), at) {
-                continue;
-            }
-        }
-        let dist = speculative_distance_sum(game, tables, network, warm, m, policy, sum0);
-        prices[j] = Some(edge + dist);
-    }
-    // Selection: the oracle's incumbent rule over the moves in their
-    // given order, passing over the moves a bound ruled out.
+    // Selection: the oracle's incumbent rule over the positions in order,
+    // passing over the moves a bound ruled out.
     let mut best: Option<(usize, f64)> = None;
     for (j, &c) in prices.iter().enumerate() {
         let Some(c) = c else { continue };
@@ -1642,7 +1491,7 @@ pub fn best_move_among_speculative_priced(
             best = Some((j, c));
         }
     }
-    let mut best = best.map(|(j, c)| (moves[j].clone(), c));
+    let mut best = best.map(|(j, c)| (tables.move_at(space, j), c));
     // RegionDelta ranked the candidates on approximate prices; the
     // reported cost must be oracle-exact, so the winner is re-priced
     // with a full sum and re-gated against `current` (a sub-ulp
@@ -1650,22 +1499,20 @@ pub fn best_move_among_speculative_priced(
     // not be reported as improving).
     if policy == SpeculativePricing::RegionDelta {
         warm.set_price_horizon(None);
-        best = best.and_then(|(m, c)| match m {
-            // Replace moves were priced exactly by the oracle path.
-            Move::Replace(_) => strictly_less(c, current).then_some((m, c)),
-            _ => {
-                let dist = speculative_distance_sum(
-                    game,
-                    tables,
-                    network,
-                    warm,
-                    &m,
-                    SpeculativePricing::FullSum,
-                    0.0,
-                );
-                let exact = edge_term(&m) + dist;
-                strictly_less(exact, current).then_some((m, exact))
-            }
+        best = best.and_then(|(m, _)| {
+            let (dropped, gained) = single_edge(&m);
+            let gained = gained.map(|a| (a, game.w(agent, a)));
+            let dist = speculative_distance_sum(
+                tables,
+                network,
+                warm,
+                dropped,
+                gained,
+                SpeculativePricing::FullSum,
+                0.0,
+            );
+            let exact = game.alpha() * candidate_edge_sum(game, agent, tables.pairs(), &m) + dist;
+            strictly_less(exact, current).then_some((m, exact))
         });
     }
     #[cfg(debug_assertions)]
@@ -1676,8 +1523,9 @@ pub fn best_move_among_speculative_priced(
         );
         match policy {
             SpeculativePricing::FullSum => {
+                let moves = space.moves(profile, agent);
                 let oracle =
-                    best_move_among_given_current(game, profile, network, agent, current, moves);
+                    best_move_among_given_current(game, profile, network, agent, current, &moves);
                 debug_assert_eq!(
                     best, oracle,
                     "speculative scan drifted from the masked-Dijkstra oracle"
@@ -1706,6 +1554,245 @@ pub fn best_move_among_speculative_priced(
         }
     }
     best
+}
+
+/// One scan's walk over its move space (see "The walk" in
+/// [`best_move_among_speculative_priced`]): what it reads, the prices it
+/// records, and the floor they set.
+struct Walk<'w, 'r> {
+    tables: &'w StrategyTables,
+    network: &'w AdjacencyList,
+    warm: &'w mut DynamicSssp,
+    /// The FullSum bound state; RegionDelta rules nothing out.
+    bounds: Option<ScanBounds<'r, 'w>>,
+    policy: SpeculativePricing,
+    /// The pre-scan full sum (RegionDelta only).
+    sum0: f64,
+    alpha: f64,
+    /// One price per position of the move space.
+    prices: &'w mut [Option<f64>],
+    /// The least of `current` and every price recorded so far: a move at
+    /// a later position whose bound reaches it cannot win the selection.
+    floor: f64,
+}
+
+impl Walk<'_, '_> {
+    /// Records the price of the move at position `j`.
+    fn record(&mut self, j: usize, price: f64) {
+        self.prices[j] = Some(price);
+        self.floor = self.floor.min(price);
+    }
+
+    /// The agent's distance sum as it stands: the price of a delta that
+    /// leaves the network unchanged.
+    fn unchanged(&self) -> f64 {
+        match self.policy {
+            SpeculativePricing::FullSum => self.warm.sum(),
+            SpeculativePricing::RegionDelta => self.sum0,
+        }
+    }
+
+    /// [`MoveSpace::AddOnly`]: `Add(free[t])` at position `t`.
+    fn adds(&mut self) {
+        let tables = self.tables;
+        for (t, &(a, w)) in tables.free().iter().enumerate() {
+            let edge =
+                self.alpha * edge_sum(tables.pairs(), None, Some((tables.owned_below(t), w)));
+            self.gain(t, a, w, edge, true);
+        }
+    }
+
+    /// [`MoveSpace::Greedy`]: the adds and deletes in ascending node
+    /// order, then the swap runs. `deferred` holds each sole-owned
+    /// delete's position and the floor there, by owned index, until a
+    /// frame prices it.
+    fn greedy(&mut self, deferred: &mut Vec<Option<(usize, f64)>>) {
+        let tables = self.tables;
+        let (pairs, free) = (tables.pairs(), tables.free());
+        let (k, m) = (pairs.len(), free.len());
+        deferred.clear();
+        deferred.resize(k, None);
+        // Merging the owned and the free table visits every other node in
+        // ascending order, the node at position `j` with `r` owned
+        // targets below it.
+        let (mut r, mut t) = (0, 0);
+        for j in 0..k + m {
+            if t == m || (r < k && pairs[r].0 < free[t].0) {
+                if tables.is_co_owned(pairs[r].0) {
+                    // Dropping a co-owned edge leaves the network as it is.
+                    let edge = self.alpha * edge_sum(pairs, Some(r), None);
+                    self.record(j, edge + self.unchanged());
+                } else {
+                    deferred[r] = Some((j, self.floor));
+                }
+                r += 1;
+            } else {
+                let (a, w) = free[t];
+                let edge = self.alpha * edge_sum(pairs, None, Some((r, w)));
+                self.gain(j, a, w, edge, true);
+                t += 1;
+            }
+        }
+        for (r, &(d, _)) in pairs.iter().enumerate() {
+            // `Swap(d, free[t])` sits at position `(n − 1) + r·m + t`.
+            let run = k + m + r * m;
+            if tables.is_co_owned(d) {
+                // The dropped edge stays: each swap only gains its edge.
+                for (t, &(a, w)) in free.iter().enumerate() {
+                    let edge =
+                        self.alpha * edge_sum(pairs, Some(r), Some((tables.owned_below(t), w)));
+                    self.gain(run + t, a, w, edge, false);
+                }
+            } else if m > 0 {
+                self.swap_run(r, run, deferred[r].take());
+            }
+        }
+        // Deletes no swap run priced: the agent owns every other node.
+        for (r, slot) in deferred.iter_mut().enumerate() {
+            if let Some((j, at)) = slot.take() {
+                self.lone_delete(r, j, at);
+            }
+        }
+    }
+
+    /// The move at position `j`, with edge term `edge`, that gains the
+    /// edge to free node `a` (weight `w`) and repairs no removal: `Add(a)`
+    /// when `add`, otherwise a swap dropping a co-owned edge. Ruled out
+    /// off the rows, or priced.
+    fn gain(&mut self, j: usize, a: NodeId, w: f64, edge: f64, add: bool) {
+        // Gaining an already-present edge reads the vector as it stands.
+        let present = self.tables.has_edge(a);
+        if let Some(b) = &mut self.bounds {
+            if b.rules_out_gain(self.warm.dist(), a, w, present, edge, self.floor) {
+                return;
+            }
+        }
+        let dist = if present {
+            self.unchanged()
+        } else {
+            speculative_distance_sum(
+                self.tables,
+                self.network,
+                self.warm,
+                None,
+                Some((a, w)),
+                self.policy,
+                self.sum0,
+            )
+        };
+        if let (true, Some(b)) = (add, &mut self.bounds) {
+            b.add[a as usize] = AddSum::Priced(dist);
+        }
+        self.record(j, edge + dist);
+    }
+
+    /// The swaps dropping the sole-owned edge to `d = pairs[r]`, at
+    /// positions `run..run + m`, and `Delete(d)` when `delete` holds its
+    /// position and the floor there. Consecutive swaps dropping the same
+    /// edge share one removal repair: frames nest, so the dropped edge is
+    /// repaired once in an outer frame and each gained edge is an inner
+    /// insert + rollback — `k` removals for `k·m` swaps and their `k`
+    /// deletes, not one each.
+    fn swap_run(&mut self, r: usize, run: usize, delete: Option<(usize, f64)>) {
+        let tables = self.tables;
+        let (pairs, free) = (tables.pairs(), tables.free());
+        let (agent, d) = (tables.agent(), pairs[r].0);
+        let alpha = self.alpha;
+        let edge = |t: usize| {
+            let (_, w) = free[t];
+            alpha * edge_sum(pairs, Some(r), Some((tables.owned_below(t), w)))
+        };
+        let delete_edge = alpha * edge_sum(pairs, Some(r), None);
+        let mut delete = delete;
+        // Bound-first: the repair runs only when the rows rule out neither
+        // the delete nor every swap of the run; `first` swaps were ruled
+        // out on the way.
+        let mut first = 0;
+        if let Some(b) = &mut self.bounds {
+            b.build_hops(self.network, agent, d);
+            let b = &*b;
+            delete = delete
+                .filter(|&(_, at)| !b.bound.rules_out(delete_edge, MoveBound::sum(b.hops), at));
+            if delete.is_none() {
+                let floor = self.floor;
+                first = (0..free.len())
+                    .position(|t| {
+                        let ((a, w), edge) = (free[t], edge(t));
+                        !b.twin_rules_out(a, edge, floor)
+                            && !b.rules_out_reach(b.hops, a, w, edge, floor)
+                    })
+                    .unwrap_or(free.len());
+                if first == free.len() {
+                    return;
+                }
+            }
+        }
+        let network = self.network;
+        let w_d = network
+            .edge_weight(agent, d)
+            .expect("sole-owned strategy edge must be in the network");
+        let mask = [(agent, d)];
+        let view = MaskedEdges::new(network, &mask);
+        // The mark is taken before the outer removal frame, so a
+        // RegionDelta price covers the removal repair *and* the inner
+        // insert in one undo-log suffix.
+        let mark = self.warm.undo_len();
+        self.warm.begin_speculation();
+        self.warm.remove_edge(&view, agent, d, w_d);
+        let removal = frame_price(self.warm, self.policy, self.sum0, mark);
+        if let Some((j, _)) = delete {
+            self.record(j, delete_edge + removal);
+        }
+        for (t, &(a, w)) in free.iter().enumerate().skip(first) {
+            let edge = edge(t);
+            // Gained edge already present: the removal repair is the
+            // whole delta.
+            let present = tables.has_edge(a);
+            if let Some(b) = &self.bounds {
+                if b.twin_rules_out(a, edge, self.floor)
+                    || (!present && b.rules_out_reach(self.warm.dist(), a, w, edge, self.floor))
+                {
+                    continue;
+                }
+            }
+            let dist = if present {
+                removal
+            } else {
+                self.warm.begin_speculation();
+                self.warm.speculate_insert(&view, agent, a, w);
+                let s = frame_price(self.warm, self.policy, self.sum0, mark);
+                self.warm.rollback();
+                s
+            };
+            self.record(run + t, edge + dist);
+        }
+        self.warm.rollback();
+    }
+
+    /// `Delete(pairs[r])` at position `j`, with no swap run to share:
+    /// ruled out off the rows against `at`, the floor at its position, or
+    /// priced in a frame of its own.
+    fn lone_delete(&mut self, r: usize, j: usize, at: f64) {
+        let tables = self.tables;
+        let d = tables.pairs()[r].0;
+        let edge = self.alpha * edge_sum(tables.pairs(), Some(r), None);
+        if let Some(b) = &mut self.bounds {
+            b.build_hops(self.network, tables.agent(), d);
+            if b.bound.rules_out(edge, MoveBound::sum(b.hops), at) {
+                return;
+            }
+        }
+        let dist = speculative_distance_sum(
+            tables,
+            self.network,
+            self.warm,
+            Some(d),
+            None,
+            self.policy,
+            self.sum0,
+        );
+        self.record(j, edge + dist);
+    }
 }
 
 /// What a FullSum scan knows of `Add(a)`'s distance sum.
@@ -1805,31 +1892,35 @@ impl<'r, 's> ScanBounds<'r, 's> {
         }
     }
 
-    /// Whether a move that repairs no removal — an add, or a swap dropping
-    /// a co-owned edge — is ruled out; `dist` is the agent's vector.
-    fn rules_out_unrepaired(
+    /// Whether the reach bound onto first hops `first` rules out a move
+    /// with edge term `edge` that gains the edge to `a`, of weight `w`.
+    fn rules_out_reach(&self, first: &[f64], a: NodeId, w: f64, edge: f64, floor: f64) -> bool {
+        let reach = MoveBound::reach(first, w, self.rows[a as usize].dist());
+        self.bound.rules_out(edge, reach, floor)
+    }
+
+    /// Whether a move that gains the edge to `a`, of weight `w`, and
+    /// repairs no removal — an add, or a swap dropping a co-owned edge —
+    /// is ruled out; `dist` is the agent's vector, `present` whether the
+    /// edge is already in the network.
+    fn rules_out_gain(
         &mut self,
-        game: &Game,
-        tables: &StrategyTables,
         dist: &[f64],
-        m: &Move,
+        a: NodeId,
+        w: f64,
+        present: bool,
         edge: f64,
         floor: f64,
     ) -> bool {
-        let a = match *m {
-            Move::Add(a) => a,
-            Move::Swap(_, a) if self.twin_rules_out(a, edge, floor) => return true,
-            Move::Swap(_, a) => a,
-            // Co-owned deletes are read off the vector as they stand.
-            _ => return false,
-        };
+        if self.twin_rules_out(a, edge, floor) {
+            return true;
+        }
         // Gaining an already-present edge reads the vector as it stands.
-        if tables.has_edge(a) {
+        if present {
             return false;
         }
         let reach = match self.add[a as usize] {
             AddSum::Unknown => {
-                let w = game.w(tables.agent(), a);
                 let reach = MoveBound::reach(dist, w, self.rows[a as usize].dist());
                 self.add[a as usize] = AddSum::Bound(reach);
                 reach
@@ -1841,7 +1932,9 @@ impl<'r, 's> ScanBounds<'r, 's> {
         self.bound.rules_out(edge, reach, floor)
     }
 
-    /// Fills `hops` with the neighbour bound of dropping `(agent, d)`.
+    /// Fills `hops` with the neighbour bound of dropping `(agent, d)`. The
+    /// first-hop tables it picks from are built on first use, with
+    /// selects, not branches.
     fn build_hops(&mut self, network: &AdjacencyList, agent: NodeId, d: NodeId) {
         let n = self.rows.len();
         if self.via.is_empty() {
@@ -1851,28 +1944,46 @@ impl<'r, 's> ScanBounds<'r, 's> {
             self.second.resize(n, f64::INFINITY);
             self.via.resize(n, NodeId::MAX);
             for &(x, w) in network.neighbors(agent) {
-                for (v, &dx) in self.rows[x as usize].dist().iter().enumerate() {
-                    let c = w + dx;
-                    if c < self.least[v] {
-                        self.second[v] = self.least[v];
-                        self.least[v] = c;
-                        self.via[v] = x;
-                    } else if c < self.second[v] {
-                        self.second[v] = c;
-                    }
-                }
+                let row = self.rows[x as usize].dist();
+                fold_first_hop(self.least, self.second, self.via, row, x, w);
             }
             self.least[agent as usize] = 0.0;
             self.second[agent as usize] = 0.0;
         }
         self.hops.clear();
-        self.hops.extend((0..n).map(|v| {
-            if self.via[v] == d {
-                self.second[v]
-            } else {
-                self.least[v]
-            }
-        }));
+        let tables = self
+            .least
+            .iter()
+            .zip(self.second.iter())
+            .zip(self.via.iter());
+        self.hops
+            .extend(tables.map(|((&l, &s), &x)| if x == d { s } else { l }));
+    }
+}
+
+/// Folds the first hop `x`, of weight `w`, whose distances are `row`, into
+/// the first-hop tables ([`ScanBounds::build_hops`]): per node `v`, `c =
+/// w + row[v]` becomes the least term if it is below it, else the second
+/// if it is below that. With selects, not branches, over slices the
+/// compiler knows apart.
+fn fold_first_hop(
+    least: &mut [f64],
+    second: &mut [f64],
+    via: &mut [NodeId],
+    row: &[f64],
+    x: NodeId,
+    w: f64,
+) {
+    let slots = least.iter_mut().zip(second.iter_mut());
+    for ((least, second), (via, &dx)) in slots.zip(via.iter_mut().zip(row)) {
+        // `least ≤ second` throughout, so the new second is the lesser of
+        // the old one and the greater of the old least and `c`.
+        let (c, l, s, v) = (w + dx, *least, *second, *via);
+        let below = c < l;
+        let above = if below { l } else { c };
+        *second = if above < s { above } else { s };
+        *least = if below { c } else { l };
+        *via = if below { x } else { v };
     }
 }
 
@@ -1895,29 +2006,25 @@ fn frame_price(warm: &mut DynamicSssp, pricing: SpeculativePricing, sum0: f64, m
     }
 }
 
-/// The distance cost of single-edge move `m`, read off `warm` after
-/// speculatively applying the move's network-level edge delta (an owned
-/// edge leaves the network only when the other endpoint does not also own
-/// it; a new edge enters only when not already present — the same rules
-/// the dynamics engine applies to committed moves).
+/// The distance cost of the single-edge move that drops the agent's
+/// edge to `dropped` and gains the edge `gained` (target and weight),
+/// read off `warm` after speculatively applying the move's network-level
+/// edge delta (an owned edge leaves the network only when the other
+/// endpoint does not also own it; a new edge enters only when not already
+/// present — the same rules the dynamics engine applies to committed
+/// moves).
 fn speculative_distance_sum(
-    game: &Game,
     tables: &StrategyTables,
     network: &AdjacencyList,
     warm: &mut DynamicSssp,
-    m: &Move,
+    dropped: Option<NodeId>,
+    gained: Option<(NodeId, f64)>,
     pricing: SpeculativePricing,
     sum0: f64,
 ) -> f64 {
     let agent = tables.agent();
-    let (dropped, gained) = match *m {
-        Move::Add(v) => (None, Some(v)),
-        Move::Delete(v) => (Some(v), None),
-        Move::Swap(d, a) => (Some(d), Some(a)),
-        Move::Replace(_) => unreachable!("Replace moves are priced by the oracle path"),
-    };
     let dropped = dropped.filter(|&v| !tables.is_co_owned(v));
-    let gained = gained.filter(|&v| !tables.has_edge(v));
+    let gained = gained.filter(|&(v, _)| !tables.has_edge(v));
     if dropped.is_none() && gained.is_none() {
         // Degenerate delta: the network (hence the vector) is unchanged,
         // so the pre-scan sum *is* the exact price under either policy.
@@ -1943,37 +2050,64 @@ fn speculative_distance_sum(
             .expect("sole-owned strategy edge must be in the network");
         warm.remove_edge(&view, agent, v, w);
     }
-    if let Some(v) = gained {
-        warm.speculate_insert(&view, agent, v, game.w(agent, v));
+    if let Some((v, w)) = gained {
+        warm.speculate_insert(&view, agent, v, w);
     }
     let sum = frame_price(warm, pricing, sum0, mark);
     warm.rollback();
     sum
 }
 
-/// `Σ w(agent, x)` over the candidate set `m` produces from the strategy
-/// whose `(x, w(agent, x))` pairs are `pairs`, ascending in `x`
-/// ([`StrategyTables::pairs`]). The weights are summed in ascending
-/// node-id order with `Iterator::sum`, exactly as [`candidate_cost`] sums
-/// its candidate `BTreeSet`, so the two edge terms agree bit for bit
-/// (f64 addition is order-sensitive).
-pub fn candidate_edge_sum(game: &Game, agent: NodeId, pairs: &[(NodeId, f64)], m: &Move) -> f64 {
-    let (drop, add) = match *m {
+/// The owned target a single-edge move drops, and the node it gains an
+/// edge to.
+fn single_edge(m: &Move) -> (Option<NodeId>, Option<NodeId>) {
+    match *m {
         Move::Add(v) => (None, Some(v)),
         Move::Delete(v) => (Some(v), None),
         Move::Swap(d, a) => (Some(d), Some(a)),
-        Move::Replace(_) => unreachable!("Replace moves are priced by the oracle path"),
-    };
-    let gained = add.map(|a| (a, game.w(agent, a)));
-    // Where the gained target sorts among the owned ones.
-    let at = add.map_or(pairs.len(), |a| pairs.partition_point(|&(x, _)| x < a));
-    pairs[..at]
-        .iter()
-        .chain(gained.as_ref())
-        .chain(&pairs[at..])
-        .filter(|&&(x, _)| Some(x) != drop)
-        .map(|&(_, w)| w)
-        .sum()
+        Move::Replace(_) => unreachable!("a Replace is not a single-edge move"),
+    }
+}
+
+/// `Σ w(agent, x)` over the candidate set `m` produces from the strategy
+/// whose `(x, w(agent, x))` pairs are `pairs`, ascending in `x`
+/// ([`StrategyTables::pairs`]): the scan's own edge sum, one plain
+/// left-to-right fold with the dropped target left out and the gained one
+/// in its place, bit for bit [`candidate_cost`]'s edge sum.
+pub fn candidate_edge_sum(game: &Game, agent: NodeId, pairs: &[(NodeId, f64)], m: &Move) -> f64 {
+    let (dropped, gained) = single_edge(m);
+    let index = |x: NodeId| pairs.partition_point(|&(y, _)| y < x);
+    edge_sum(
+        pairs,
+        dropped.map(index),
+        gained.map(|a| (index(a), game.w(agent, a))),
+    )
+}
+
+/// `Σ w` over the owned `(x, w)` pairs, ascending in `x`, without the
+/// pair at index `drop`, and with the weight `gained.1` entering before
+/// the pair at index `gained.0`: one plain left-to-right fold from
+/// `-0.0`, the fold `Iterator::sum` takes, so it is bit for bit the edge
+/// sum [`candidate_cost`] takes over the candidate set in its ascending
+/// `BTreeSet` order (f64 addition is order-sensitive).
+#[inline]
+fn edge_sum(pairs: &[(NodeId, f64)], drop: Option<usize>, gained: Option<(usize, f64)>) -> f64 {
+    let at = gained.map_or(pairs.len(), |(at, _)| at);
+    let mut sum = -0.0;
+    for (i, &(_, w)) in pairs[..at].iter().enumerate() {
+        if Some(i) != drop {
+            sum += w;
+        }
+    }
+    if let Some((_, w)) = gained {
+        sum += w;
+    }
+    for (i, &(_, w)) in pairs.iter().enumerate().skip(at) {
+        if Some(i) != drop {
+            sum += w;
+        }
+    }
+    sum
 }
 
 /// Prices an explicit move without applying it.
@@ -2004,9 +2138,8 @@ mod tests {
             .collect()
     }
 
-    /// [`best_move_among_speculative_priced`] with a fresh scratch loaded
-    /// for `agent`.
-    #[allow(clippy::too_many_arguments)]
+    /// [`best_move_among_speculative_priced`] over the greedy space, with
+    /// a fresh scratch loaded for `agent`.
     fn scan(
         game: &Game,
         profile: &Profile,
@@ -2014,7 +2147,6 @@ mod tests {
         warm: &mut DynamicSssp,
         agent: NodeId,
         current: f64,
-        moves: &[Move],
         pricing: ScanPricing<'_>,
     ) -> Option<(Move, f64)> {
         let mut scratch = ScanScratch::default();
@@ -2026,7 +2158,7 @@ mod tests {
             warm,
             agent,
             current,
-            moves,
+            MoveSpace::Greedy,
             pricing,
             &mut scratch,
         )
@@ -2202,7 +2334,6 @@ mod tests {
                         &mut warm,
                         agent,
                         current,
-                        &moves,
                         ScanPricing::FullSum(&rows),
                     );
                     let oracle =
@@ -2242,7 +2373,6 @@ mod tests {
                         &mut warm,
                         agent,
                         current,
-                        &moves,
                         ScanPricing::RegionDelta,
                     );
                     let oracle =
@@ -2272,7 +2402,6 @@ mod tests {
                 &mut warm,
                 agent,
                 current,
-                &moves,
                 ScanPricing::RegionDelta,
             );
             let oracle = best_move_among_given_current(&game, &p, &network, agent, current, &moves);
@@ -2294,7 +2423,6 @@ mod tests {
             &mut warm,
             3,
             current,
-            &moves,
             ScanPricing::RegionDelta,
         );
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);
@@ -2321,7 +2449,6 @@ mod tests {
                 &mut warm,
                 agent,
                 current,
-                &moves,
                 ScanPricing::FullSum(&rows),
             );
             let oracle = best_move_among_given_current(&game, &p, &network, agent, current, &moves);
@@ -2344,7 +2471,6 @@ mod tests {
             &mut warm,
             3,
             current,
-            &moves,
             ScanPricing::FullSum(&rows),
         );
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);

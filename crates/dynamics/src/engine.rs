@@ -53,13 +53,14 @@
 //!   [`best_move_among_speculative_priced`]), then selects the winner in
 //!   move order. Each owned edge's removal is repaired at most once for
 //!   its delete and all its swaps. An activation reads the agent's
-//!   strategy once, into flat tables: its `(id, w(u, id))` pairs,
-//!   ascending, which every edge term walks, and bitmaps of its owned
-//!   targets, network neighbours and co-owned edges, off which it
-//!   enumerates its moves and answers the scan's probes. The tables, the
-//!   move list and the scan's per-call buffers live in one reused
-//!   scratch beside the row copy (one per worker in the pool-parallel
-//!   scan), so an activation allocates nothing once they have grown;
+//!   strategy once, into flat tables: its owned and its free
+//!   `(id, w(u, id))` pairs, ascending, whose merge and product are the
+//!   move space the scan walks and whose owned pairs every edge term
+//!   sums, and bitmaps of its network neighbours and co-owned edges,
+//!   which answer the scan's probes. The tables and the scan's per-call
+//!   buffers live in one reused scratch beside the row copy (one per
+//!   worker in the pool-parallel scan), so an activation allocates
+//!   nothing once they have grown;
 //! * **warm vectors double as rows.** Under full-sum pricing the scan is
 //!   bound-first: it rules out most adds, deletes and swaps off the
 //!   *other* agents' warm vectors `d(a,·)` before any frame opens
@@ -129,10 +130,11 @@ use rand::SeedableRng;
 
 use std::collections::BTreeSet;
 
+use gncg_core::moves::MoveSpace;
 use gncg_core::response::{
     best_move_among_speculative_priced, BrBoundCache, ScanPricing, ScanScratch, SpeculativePricing,
 };
-use gncg_core::{Game, Move, NodeId, Profile};
+use gncg_core::{Game, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
 
 use crate::cycle::{CycleDetector, Recurrence};
@@ -431,13 +433,11 @@ fn reads_rows(rule: ResponseRule, pricing: SpeculativePricing) -> bool {
 
 /// What one pricer works in, reused from agent to agent: the copy of the
 /// priced agent's row its move scan speculates on, so every warm vector
-/// stays readable as a row; the scan's tables and buffers; and the move
-/// list it enumerates.
+/// stays readable as a row, and the scan's tables and buffers.
 #[derive(Debug, Default)]
 struct PricerScratch {
     row_copy: DynamicSssp,
     scan: ScanScratch,
-    moves: Vec<Move>,
 }
 
 impl PricerScratch {
@@ -448,9 +448,7 @@ impl PricerScratch {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.row_copy.resident_bytes()
-            + self.scan.resident_bytes()
-            + self.moves.capacity() * std::mem::size_of::<Move>()
+        self.row_copy.resident_bytes() + self.scan.resident_bytes()
     }
 }
 
@@ -458,12 +456,11 @@ impl PricerScratch {
 /// improving change under `rule` (`None` when `u` is stable), priced off
 /// `rows`, the warm vectors, whose entry `u` also supplies the current
 /// cost. Every row the pricing reads must be current. The greedy rules
-/// read `u`'s strategy once into the scratch's tables, enumerate their
-/// candidate moves off them into the scratch's move list, and scan them
-/// speculatively against the scratch's copy of `u`'s row (borrowed
-/// mutably for apply → read → rollback), so the rows stay shared and
-/// read-only; under FullSum the scan rules moves out off the other
-/// agents' rows first. The exact rule searches `u`'s persistent bound
+/// read `u`'s strategy once into the scratch's tables and walk their move
+/// space off them speculatively against the scratch's copy of `u`'s row
+/// (borrowed mutably for apply → read → rollback), so the rows stay
+/// shared and read-only; under FullSum the scan rules moves out off the
+/// other agents' rows first. The exact rule searches `u`'s persistent bound
 /// tables in `br`, built on first use and brought current here.
 fn pricer<'a>(
     game: &'a Game,
@@ -483,7 +480,7 @@ fn pricer<'a>(
     move |u, rows, scratch, br| {
         let row = &rows[u as usize];
         let current = gncg_core::cost::edge_cost(game, profile, u) + row.sum();
-        let enumerate = match rule {
+        let space = match rule {
             ResponseRule::ExactBestResponse => {
                 let cache = br.get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
                 cache.ensure(game, profile, network, insert_log);
@@ -492,11 +489,10 @@ fn pricer<'a>(
                     .improves()
                     .then_some((br.strategy, br.current_cost, br.cost));
             }
-            ResponseRule::BestGreedyMove => Move::greedy_moves_into,
-            ResponseRule::AddOnly => Move::add_moves_into,
+            ResponseRule::BestGreedyMove => MoveSpace::Greedy,
+            ResponseRule::AddOnly => MoveSpace::AddOnly,
         };
-        let tables = scratch.scan.load(game, profile, network, u);
-        enumerate(tables.owned(), u, &mut scratch.moves);
+        scratch.scan.load(game, profile, network, u);
         let scan = match pricing {
             SpeculativePricing::FullSum => ScanPricing::FullSum(rows),
             SpeculativePricing::RegionDelta => ScanPricing::RegionDelta,
@@ -509,7 +505,7 @@ fn pricer<'a>(
             &mut scratch.row_copy,
             u,
             current,
-            &scratch.moves,
+            space,
             scan,
             &mut scratch.scan,
         )
@@ -566,8 +562,8 @@ pub struct EvalContext {
     scratch: DijkstraScratch,
     dist_buf: Vec<f64>,
     /// What the activations' pricer works in: the copy of the activated
-    /// agent's warm vector its move scan speculates on, the scan's
-    /// tables and buffers, and its move list.
+    /// agent's warm vector its move scan speculates on, and the scan's
+    /// tables and buffers.
     pricer: PricerScratch,
     /// Reusable edge-delta buffer for [`EvalContext::apply_strategy_change`].
     delta: NetworkDelta,
@@ -696,7 +692,7 @@ impl EvalContext {
     /// Bytes resident in the warm-vector machinery: every per-agent
     /// [`DynamicSssp`], the insert log and its sync marks, plus the shared
     /// scratch (the Dijkstra scratch, its distance buffer, and the
-    /// pricer's row copy, scan tables and buffers and move list) — the
+    /// pricer's row copy, scan tables and buffers) — the
     /// dominant per-context memory at large `n` (each warm vector holds
     /// `Θ(n)` floats).
     /// Capacity-based, so it reports what the allocator holds, not what
@@ -716,17 +712,21 @@ impl EvalContext {
 
     /// Agent `u`'s improving change under `rule` (`None` when `u` is
     /// stable) — the activation of the run loop and of
-    /// [`agent_is_stable_given_current`]. A memo hit returns the stored
-    /// answer; a miss makes every row the pricing reads current, prices
-    /// and stores. A pricing that reads every row syncs them only on the
-    /// first activation of a commit epoch.
+    /// [`agent_is_stable_given_current`] — in its memo slot. A memo hit
+    /// returns the stored answer; a miss makes every row the pricing
+    /// reads current, prices and stores. A pricing that reads every row
+    /// syncs them only on the first activation of a commit epoch.
+    ///
+    /// The run loop moves a change it commits out of the slot instead of
+    /// cloning it: the commit bumps the epoch, so the emptied slot is
+    /// never read as current again.
     fn activate(
         &mut self,
         game: &Game,
         profile: &Profile,
         u: NodeId,
         rule: ResponseRule,
-    ) -> Option<Change> {
+    ) -> &mut Option<Change> {
         let i = u as usize;
         let n = game.n();
         // No-ops on a hit: nothing was committed since `u` was priced.
@@ -752,7 +752,10 @@ impl EvalContext {
         }) {
             self.pricings += 1;
         }
-        self.priced[i].as_ref().and_then(|p| p.change.clone())
+        &mut self.priced[i]
+            .as_mut()
+            .expect("the memo holds the pricing just looked up")
+            .change
     }
 
     /// Every agent's improving change under `rule`, in agent order, read
@@ -1154,9 +1157,6 @@ impl Engine {
 
         for round in 0..cfg.max_rounds {
             let mut moved_this_round = false;
-            // MaxGain prices every agent to pick its winner; the winner's
-            // change is applied as priced instead of being recomputed.
-            let mut priced: Option<Change> = None;
             self.order.clear();
             match cfg.scheduler {
                 Scheduler::RoundRobin => self.order.extend(0..n as NodeId),
@@ -1166,23 +1166,23 @@ impl Engine {
                         .shuffle(rng.as_mut().expect("rng set for RandomOrder"));
                 }
                 Scheduler::MaxGain => {
-                    if let Some((u, _, change)) = self
+                    // MaxGain prices every agent to pick its winner, whose
+                    // activation below is a memo hit: its change is applied
+                    // as priced instead of being recomputed.
+                    if let Some((u, _)) = self
                         .ctx
                         .scan(game, &profile, cfg.rule)
                         .enumerate()
-                        .filter_map(|(u, change)| change.map(|c| (u as NodeId, gain(c), c)))
+                        .filter_map(|(u, change)| change.map(|c| (u as NodeId, gain(c))))
                         // Strictly greater keeps the smaller id on ties.
                         .reduce(|best, next| if next.1 > best.1 { next } else { best })
                     {
                         self.order.push(u);
-                        priced = Some(change.clone());
                     }
                 }
             }
             for &u in &self.order {
-                let change = priced
-                    .take()
-                    .or_else(|| self.ctx.activate(game, &profile, u, cfg.rule));
+                let change = self.ctx.activate(game, &profile, u, cfg.rule).take();
                 if let Some((new_strategy, before, after)) = change {
                     let old = profile.set_strategy(u, new_strategy);
                     self.ctx.apply_strategy_change(game, &profile, u, &old);
@@ -1284,6 +1284,7 @@ pub fn agent_is_stable_given_current(
 mod tests {
     use super::*;
     use gncg_core::response::{best_add_move, best_greedy_move, best_move_among_given_current};
+    use gncg_core::Move;
     use gncg_graph::SymMatrix;
 
     fn unit_game(n: usize, alpha: f64) -> Game {
@@ -1512,20 +1513,19 @@ mod tests {
     #[test]
     fn warm_gauge_counts_the_shared_scratch() {
         // The gauge is the sum of its parts, the shared scratch included:
-        // the pricer's row copy, its scan tables and buffers, and its move
-        // list, all grown by the greedy run.
+        // the pricer's row copy and its scan tables and buffers, all grown
+        // by the greedy run.
         let game = unit_game(9, 0.6);
         let mut engine = Engine::new();
         engine.run(&game, Profile::star(9, 0), &DynamicsConfig::default());
         let ctx = &engine.ctx;
         let pricer = &ctx.pricer;
         assert!(ctx.scratch.resident_bytes() > 0 && pricer.row_copy.resident_bytes() > 0);
-        assert!(pricer.scan.resident_bytes() > 0 && pricer.moves.capacity() > 0);
+        assert!(pricer.scan.resident_bytes() > 0);
         let scratch = ctx.scratch.resident_bytes()
             + ctx.dist_buf.capacity() * std::mem::size_of::<f64>()
             + pricer.row_copy.resident_bytes()
-            + pricer.scan.resident_bytes()
-            + pricer.moves.capacity() * std::mem::size_of::<Move>();
+            + pricer.scan.resident_bytes();
         assert_eq!(
             engine.warm_resident_bytes(),
             ctx.warm
@@ -1643,7 +1643,7 @@ mod tests {
                 &game,
                 &start,
                 &cfg,
-                |p, ctx, u| ctx.activate(&game, p, u, cfg.rule),
+                |p, ctx, u| ctx.activate(&game, p, u, cfg.rule).clone(),
                 |p, ctx, u, old| {
                     if old.is_subset(p.strategy(u)) {
                         ctx.apply_strategy_change(&game, p, u, old);

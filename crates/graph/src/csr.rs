@@ -199,22 +199,28 @@ pub struct Csr {
 impl Csr {
     /// Snapshots `g` (neighbor order preserved).
     pub fn from_adjacency(g: &AdjacencyList) -> Self {
-        let n = g.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * g.m());
-        let mut weights = Vec::with_capacity(2 * g.m());
-        offsets.push(0);
-        for u in 0..n as NodeId {
+        let mut csr = Csr {
+            offsets: Vec::with_capacity(g.n() + 1),
+            targets: Vec::with_capacity(2 * g.m()),
+            weights: Vec::with_capacity(2 * g.m()),
+        };
+        csr.refill(g);
+        csr
+    }
+
+    /// Re-snapshots `g` in place, keeping the buffers: the same snapshot
+    /// [`Csr::from_adjacency`] takes.
+    pub fn refill(&mut self, g: &AdjacencyList) {
+        self.offsets.clear();
+        self.targets.clear();
+        self.weights.clear();
+        self.offsets.push(0);
+        for u in 0..g.n() as NodeId {
             for &(v, w) in g.neighbors(u) {
-                targets.push(v);
-                weights.push(w);
+                self.targets.push(v);
+                self.weights.push(w);
             }
-            offsets.push(targets.len() as u32);
-        }
-        Csr {
-            offsets,
-            targets,
-            weights,
+            self.offsets.push(self.targets.len() as u32);
         }
     }
 

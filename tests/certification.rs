@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use gncg_core::cost::{agent_cost_in, base_graph_from, candidate_cost};
+use gncg_core::cost::{agent_cost_in, base_graph_from, candidate_cost, MoveBound};
 use gncg_core::equilibrium::{certify_agents_in, MoveSpace};
 use gncg_core::moves::StrategyTables;
 use gncg_core::response::{
@@ -98,6 +98,13 @@ fn fresh_rows(network: &AdjacencyList) -> Vec<DynamicSssp> {
         .collect()
 }
 
+/// The moves the scan's positions name, in position order.
+fn positions(tables: &StrategyTables, space: MoveSpace) -> Vec<Move> {
+    (0..tables.space_len(space))
+        .map(|j| tables.move_at(space, j))
+        .collect()
+}
+
 /// A chosen move with its cost's bits.
 fn bits(best: Option<(Move, f64)>) -> Option<(Move, u64)> {
     best.map(|(m, c)| (m, c.to_bits()))
@@ -132,12 +139,11 @@ proptest! {
         }
     }
 
-    /// Per agent, per move space and in two list orders, the bound-first
-    /// scan fed every node's fresh row returns the masked scan's move and
-    /// cost bits, and hands the scanned row back untouched, on all nine
-    /// factory hosts. The random profiles are often disconnected, with
-    /// current costs of `∞`. The shuffled order splits swap runs, lists
-    /// deletes after their runs and swaps ahead of their `Add` twins.
+    /// Per agent and per move space, the bound-first scan fed every
+    /// node's fresh row returns the masked scan's move and cost bits over
+    /// `Move::greedy_moves` / `Move::add_moves`, and hands the scanned row
+    /// back untouched, on all nine factory hosts. The random profiles are
+    /// often disconnected, with current costs of `∞`.
     #[test]
     fn bounded_scan_matches_the_masked_scan(
         host in 0usize..9,
@@ -147,7 +153,6 @@ proptest! {
     ) {
         let key = gncg_metrics::factory::keys()[host];
         let game = Game::new(gncg_metrics::factory::build_host(key, n, seed).unwrap(), alpha);
-        let mut x = seed;
         let mut scratch = ScanScratch::default();
         for profile in profiles(&game, seed) {
             let network = profile.build_network(&game);
@@ -155,30 +160,25 @@ proptest! {
             for u in 0..n as NodeId {
                 let current = agent_cost_in(&game, &profile, &network, u).total();
                 scratch.load(&game, &profile, &network, u);
-                for moves in [Move::greedy_moves(&profile, u), Move::add_moves(&profile, u)] {
-                    let mut shuffled = moves.clone();
-                    for k in (1..shuffled.len()).rev() {
-                        shuffled.swap(k, (mix(&mut x) % (k as u64 + 1)) as usize);
-                    }
-                    for list in [&moves, &shuffled] {
-                        let mut warm = rows[u as usize].clone();
-                        let scan = best_move_among_speculative_priced(
-                            &game,
-                            &profile,
-                            &network,
-                            &mut warm,
-                            u,
-                            current,
-                            list,
-                            ScanPricing::FullSum(&rows),
-                            &mut scratch,
-                        );
-                        let oracle =
-                            best_move_among_given_current(&game, &profile, &network, u, current, list);
-                        prop_assert_eq!(bits(scan), bits(oracle), "agent {} moves {:?}", u, list);
-                        let bitwise = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        prop_assert_eq!(bitwise(warm.dist()), bitwise(rows[u as usize].dist()));
-                    }
+                for space in [MoveSpace::Greedy, MoveSpace::AddOnly] {
+                    let mut warm = rows[u as usize].clone();
+                    let scan = best_move_among_speculative_priced(
+                        &game,
+                        &profile,
+                        &network,
+                        &mut warm,
+                        u,
+                        current,
+                        space,
+                        ScanPricing::FullSum(&rows),
+                        &mut scratch,
+                    );
+                    let moves = space.moves(&profile, u);
+                    let oracle =
+                        best_move_among_given_current(&game, &profile, &network, u, current, &moves);
+                    prop_assert_eq!(bits(scan), bits(oracle), "agent {} space {:?}", u, space);
+                    let bitwise = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bitwise(warm.dist()), bitwise(rows[u as usize].dist()));
                 }
             }
         }
@@ -191,12 +191,12 @@ proptest! {
     /// Per agent, the strategy tables an activation reads once serve the
     /// whole scan: every greedy move's edge term off the pair table, times
     /// `α`, is bitwise the masked scan's `candidate_cost` edge cost; the
-    /// moves enumerated off the ownership bitmap into a dirty reused buffer
-    /// are `Move::greedy_moves` / `Move::add_moves`; and the neighbour and
-    /// co-owner bitmaps answer the network and ownership probes. On all
-    /// nine factory hosts (`oneinf`'s `∞` weights included), over ragged
-    /// random profiles whose agents own 0 to `n − 1` targets, with co-owned
-    /// edges, and the star, mid-dynamics and sparse random profiles.
+    /// space's positions name `Move::greedy_moves` / `Move::add_moves` in
+    /// order; and the neighbour and co-owner bitmaps answer the network and
+    /// ownership probes. On all nine factory hosts (`oneinf`'s `∞` weights
+    /// included), over ragged random profiles whose agents own 0 to `n − 1`
+    /// targets, with co-owned edges, and the star, mid-dynamics and sparse
+    /// random profiles.
     #[test]
     fn edge_terms_match_the_masked_scan(
         host in 0usize..9,
@@ -208,7 +208,6 @@ proptest! {
         let game = Game::new(gncg_metrics::factory::build_host(key, n, seed).unwrap(), alpha);
         let mut x = seed;
         let mut tables = StrategyTables::default();
-        let mut buffer = vec![Move::Swap(1, 2); 3 * n];
         let mut all = profiles(&game, seed);
         all.extend([ragged_profile(n, &mut x), ragged_profile(n, &mut x)]);
         for profile in all {
@@ -222,12 +221,11 @@ proptest! {
                         profile.owns(u, v) && profile.owns(v, u)
                     );
                 }
-                Move::add_moves_into(tables.owned(), u, &mut buffer);
-                prop_assert_eq!(&buffer, &Move::add_moves(&profile, u));
-                Move::greedy_moves_into(tables.owned(), u, &mut buffer);
-                prop_assert_eq!(&buffer, &Move::greedy_moves(&profile, u));
+                prop_assert_eq!(positions(&tables, MoveSpace::AddOnly), Move::add_moves(&profile, u));
+                let moves = Move::greedy_moves(&profile, u);
+                prop_assert_eq!(positions(&tables, MoveSpace::Greedy), moves.clone());
                 let base = base_graph_from(&network, &profile, u);
-                for m in &buffer {
+                for m in &moves {
                     let edge = alpha * candidate_edge_sum(&game, u, tables.pairs(), m);
                     let candidate = m.apply(u, profile.strategy(u));
                     let masked = candidate_cost(&game, &base, u, &candidate).edge_cost;
@@ -236,6 +234,98 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// `MoveBound::reach` and `MoveBound::sum` add in four lanes, so their
+    /// bits differ from an index-order sum; over `n` non-negative terms
+    /// either sum is within the `1 − 8nε` margin of the other both ways,
+    /// and `∞` exactly where the other is. Lengths 1 to 40, magnitudes
+    /// over 40 binades, with and without `∞` entries and weights.
+    #[test]
+    fn lane_sums_match_index_order_sums(
+        len in 1usize..41,
+        mantissas in proptest::collection::vec(0.0f64..1.0, 120),
+        binades in proptest::collection::vec(0u32..40, 120),
+        holes in proptest::collection::vec(0u32..16, 120),
+        infs in 0u32..4,
+        w in 0.0f64..8.0,
+        w_inf in proptest::bool::weighted(0.1),
+    ) {
+        // Term `i` of vector `k`: a random magnitude, or `∞` in about
+        // `infs` of every 16 entries.
+        let vector = |k: usize| -> Vec<f64> {
+            (k * 40..k * 40 + len)
+                .map(|i| {
+                    if holes[i] < infs {
+                        f64::INFINITY
+                    } else {
+                        mantissas[i] * 2f64.powi(binades[i] as i32 - 20)
+                    }
+                })
+                .collect()
+        };
+        let (first, row, terms) = (vector(0), vector(1), vector(2));
+        let w = if w_inf { f64::INFINITY } else { w };
+        let margin = 1.0 - 8.0 * len as f64 * f64::EPSILON;
+        let within = |lanes: f64, ordered: f64| {
+            lanes.is_infinite() == ordered.is_infinite()
+                && (lanes.is_infinite() || (lanes * margin <= ordered && ordered * margin <= lanes))
+        };
+        let reach = MoveBound::reach(&first, w, &row);
+        let ordered: f64 = first.iter().zip(&row).map(|(&x, &y)| x.min(w + y)).sum();
+        prop_assert!(within(reach, ordered), "reach {} vs {} over {:?}, {}, {:?}", reach, ordered, first, w, row);
+        let sum = MoveBound::sum(&terms);
+        let ordered: f64 = terms.iter().sum();
+        prop_assert!(within(sum, ordered), "sum {} vs {} over {:?}", sum, ordered, terms);
+    }
+}
+
+/// The scan's positions name the canonical move lists in both spaces, for
+/// every agent of a star (its centre owns every other node, so it has no
+/// swaps; its leaves own none), of the complete network bought by both
+/// endpoints of every edge (all of it co-owned), and of two ragged random
+/// profiles.
+#[test]
+fn walk_positions_name_the_canonical_moves() {
+    let n = 7;
+    let game = Game::new(
+        gncg_metrics::factory::build_host("unit", n, 0).unwrap(),
+        1.0,
+    );
+    let mut both = Profile::empty(n);
+    for u in 0..n as NodeId {
+        for v in (0..n as NodeId).filter(|&v| v != u) {
+            both.buy(u, v);
+        }
+    }
+    let mut x = 23;
+    let all = [
+        Profile::star(n, 2),
+        both,
+        ragged_profile(n, &mut x),
+        ragged_profile(n, &mut x),
+    ];
+    let mut tables = StrategyTables::default();
+    let (mut owns_all, mut owns_none) = (false, false);
+    for profile in &all {
+        let network = profile.build_network(&game);
+        for u in 0..n as NodeId {
+            tables.load(&game, profile, &network, u);
+            owns_all |= profile.strategy(u).len() == n - 1;
+            owns_none |= profile.strategy(u).is_empty();
+            for space in [MoveSpace::Greedy, MoveSpace::AddOnly] {
+                assert_eq!(
+                    positions(&tables, space),
+                    space.moves(profile, u),
+                    "agent {u} space {space:?}"
+                );
+            }
+        }
+    }
+    assert!(owns_all && owns_none);
 }
 
 /// Certifying the swap-heavy preset's 36 final profiles (all converged
@@ -291,7 +381,6 @@ fn swap_heavy_scan_work_is_locked() {
         for u in 0..game.n() as NodeId {
             warm.reset_from(u, rows[u as usize].dist());
             let current = agent_cost_in(&game, &run.profile, &network, u).total();
-            let moves = Move::greedy_moves(&run.profile, u);
             scratch.load(&game, &run.profile, &network, u);
             let best = best_move_among_speculative_priced(
                 &game,
@@ -300,7 +389,7 @@ fn swap_heavy_scan_work_is_locked() {
                 &mut warm,
                 u,
                 current,
-                &moves,
+                MoveSpace::Greedy,
                 ScanPricing::FullSum(&rows),
                 &mut scratch,
             );

@@ -170,47 +170,33 @@ proptest! {
     }
 
     /// The speculative move scan must agree with the masked-Dijkstra
-    /// oracle **bitwise** — same chosen move, same priced total — at
-    /// every activation of a random improving-move sequence over every
-    /// factory host, under both greedy rules, bounding its moves off
-    /// every node's fresh row; and every scan must leave the warm vector
-    /// bitwise untouched with both log depths at zero (the
-    /// speculation-frame rollback contract). Each activation is checked
-    /// twice: on the enumerated move list, and on a copy shuffled by
-    /// `order`, which puts deletes after their swap runs, splits runs and
-    /// lists swaps ahead of their `Add` twins, so the bounds see their
-    /// inputs in every order.
+    /// oracle over `Move::greedy_moves` / `Move::add_moves` **bitwise** —
+    /// same chosen move, same priced total — at every activation of a
+    /// random improving-move sequence over every factory host, in both
+    /// move spaces, bounding its moves off every node's fresh row; and
+    /// every scan must leave the warm vector bitwise untouched with both
+    /// log depths at zero (the speculation-frame rollback contract).
     #[test]
     fn speculative_move_scan_matches_masked_oracle(
         agents in proptest::collection::vec(0u32..8, 10),
         seed in 0u64..500,
         greedy in proptest::bool::ANY,
-        order in 0u64..1_000,
     ) {
+        use gncg_core::moves::MoveSpace;
         use gncg_core::response::{
             best_move_among_given_current, best_move_among_speculative_priced, ScanPricing,
             ScanScratch,
         };
-        use gncg_core::Move;
         use gncg_graph::DynamicSssp;
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
         let n = 8usize;
         let alpha = [0.4, 1.5, 6.0][(seed % 3) as usize];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(order);
+        let space = if greedy { MoveSpace::Greedy } else { MoveSpace::AddOnly };
         for key in gncg_metrics::factory::keys() {
             let host = gncg_metrics::factory::build_host(key, n, seed).unwrap();
             let game = Game::new(host, alpha);
             let mut p = Profile::star(n, 0);
             for &u in &agents {
                 let network = p.build_network(&game);
-                let moves = if greedy {
-                    Move::greedy_moves(&p, u)
-                } else {
-                    Move::add_moves(&p, u)
-                };
-                let mut shuffled = moves.clone();
-                shuffled.shuffle(&mut rng);
                 let current = gncg_core::cost::agent_cost_in(&game, &p, &network, u).total();
                 let rows: Vec<DynamicSssp> = (0..n as u32)
                     .map(|a| {
@@ -221,42 +207,37 @@ proptest! {
                     .collect();
                 let mut warm = rows[u as usize].clone();
                 let before = warm.dist().to_vec();
-                let mut chosen = None;
                 let mut scratch = ScanScratch::default();
                 scratch.load(&game, &p, &network, u);
-                for list in [&moves, &shuffled] {
-                    let spec = best_move_among_speculative_priced(
-                        &game,
-                        &p,
-                        &network,
-                        &mut warm,
-                        u,
-                        current,
-                        list,
-                        ScanPricing::FullSum(&rows),
-                        &mut scratch,
-                    );
-                    let oracle =
-                        best_move_among_given_current(&game, &p, &network, u, current, list);
-                    prop_assert_eq!(&spec, &oracle, "host '{}' agent {} moves {:?}", key, u, list);
-                    prop_assert!(
-                        warm.dist() == before.as_slice(),
-                        "host '{}' agent {}: rollback must restore the vector bitwise",
-                        key,
-                        u
-                    );
-                    prop_assert_eq!(
-                        (warm.depth(), warm.speculation_depth()),
-                        (0, 0),
-                        "both log depths must return to zero"
-                    );
-                    chosen = spec;
-                }
-                // Walk the dynamics forward: apply the move chosen from
-                // the shuffled list so later activations scan evolving
-                // profiles (including removal-bearing ones under the
-                // greedy rule).
-                if let Some((m, _)) = chosen {
+                let spec = best_move_among_speculative_priced(
+                    &game,
+                    &p,
+                    &network,
+                    &mut warm,
+                    u,
+                    current,
+                    space,
+                    ScanPricing::FullSum(&rows),
+                    &mut scratch,
+                );
+                let moves = space.moves(&p, u);
+                let oracle = best_move_among_given_current(&game, &p, &network, u, current, &moves);
+                prop_assert_eq!(&spec, &oracle, "host '{}' agent {} space {:?}", key, u, space);
+                prop_assert!(
+                    warm.dist() == before.as_slice(),
+                    "host '{}' agent {}: rollback must restore the vector bitwise",
+                    key,
+                    u
+                );
+                prop_assert_eq!(
+                    (warm.depth(), warm.speculation_depth()),
+                    (0, 0),
+                    "both log depths must return to zero"
+                );
+                // Walk the dynamics forward so later activations scan
+                // evolving profiles (including removal-bearing ones under
+                // the greedy rule).
+                if let Some((m, _)) = spec {
                     let next = m.apply(u, p.strategy(u));
                     p.set_strategy(u, next);
                 }
