@@ -143,7 +143,9 @@ pub(crate) fn candidate_cost_from(
 /// cold certifier ([`certify_agents_in`](crate::equilibrium::certify_agents_in))
 /// and the engine's move scan
 /// ([`best_move_among_speculative_priced`](crate::response::best_move_among_speculative_priced))
-/// both decide through it.
+/// both decide through it. The exact best response's branch-and-bound
+/// prunes through its lane sum and test too, with its own bound
+/// (`response.rs` module docs, "Rounding").
 ///
 /// # The bound
 ///

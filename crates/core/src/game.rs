@@ -22,6 +22,8 @@ pub struct Game {
     /// Only the reference best response's distance lower bound and the
     /// Lemma 1/2 spanner/PoA checks force it.
     host_dist: OnceLock<DistanceMatrix>,
+    /// [`Game::weight_class`], computed once in [`Game::new`].
+    weight_class: Option<(f64, f64)>,
 }
 
 // Manual impl: `OnceLock` derives would demand `DistanceMatrix: Clone`
@@ -37,6 +39,7 @@ impl Clone for Game {
             host: self.host.clone(),
             alpha: self.alpha,
             host_dist,
+            weight_class: self.weight_class,
         }
     }
 }
@@ -49,10 +52,13 @@ impl Game {
     pub fn new(host: SymMatrix, alpha: f64) -> Self {
         assert!(alpha > 0.0, "α must be positive");
         assert!(host.is_nonnegative(), "edge weights must be non-negative");
+        let (lo, hi) = (host.min_weight(), host.max_weight());
+        let weight_class = (lo > 0.0 && hi.is_finite() && hi >= lo).then_some((lo, hi));
         Game {
             host,
             alpha,
             host_dist: OnceLock::new(),
+            weight_class,
         }
     }
 
@@ -118,9 +124,13 @@ impl Game {
     /// minimum or no finite maximum (e.g. a `{1, ∞}` host whose only
     /// finite weight class is degenerate is still returned — infinite
     /// edges never win a relaxation, so they cannot perturb the scan).
+    ///
+    /// [`Game::new`] scans the `n × n` host for it once, so a read is
+    /// `O(1)`: every fresh best response and every bound-table rebuild
+    /// reads it.
+    #[inline]
     pub fn weight_class(&self) -> Option<(f64, f64)> {
-        let (lo, hi) = (self.host.min_weight(), self.host.max_weight());
-        (lo > 0.0 && hi.is_finite() && hi >= lo).then_some((lo, hi))
+        self.weight_class
     }
 }
 

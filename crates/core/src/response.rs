@@ -20,11 +20,28 @@
 //!
 //! * **every partial set is fully priced for free** — the live vector *is*
 //!   the distance cost of the chosen set, so each subset is evaluated at
-//!   the moment its last edge is included (`O(n)` sum, zero Dijkstras at
-//!   leaves) and the incumbent tightens at internal nodes instead of only
-//!   at depth `n−1`;
-//! * the DFS allocates nothing per node (the undo log, heap, and chosen
-//!   stack are reused; only incumbent improvements clone a strategy).
+//!   the moment its last edge is included (zero Dijkstras at leaves) and
+//!   the incumbent tightens at internal nodes instead of only at depth
+//!   `n−1`;
+//! * **pricing and pruning a node take two short vector passes**,
+//!   besides its include relaxation. The DFS keeps an id-indexed weight
+//!   array beside the chosen stack, `w(u, v)` for each chosen `v` and
+//!   `+0.0` elsewhere, set and cleared with the stack. An evaluation sums
+//!   it and the live vector in one index-order loop with two
+//!   accumulators: adding `+0.0` to a non-negative sum changes no bit, so
+//!   the edge sum is [`candidate_cost`]'s, in its ascending-id order, and
+//!   the distance sum is [`DynamicSssp::sum`]'s. The pruning test is one
+//!   pass over the live vector and a `via` row in [`MoveBound`]'s four
+//!   lanes;
+//! * the DFS allocates nothing per node (the undo log, heap, chosen
+//!   stack and incumbent are reused buffers), and a fresh search
+//!   ([`exact_best_response_given_current`]) allocates nothing but its
+//!   result once its thread's buffers have grown: each thread keeps one
+//!   set of them — base graph, CSR, candidates, `d0`, the `via` table and
+//!   the DFS worker — and every search refills them in place, sized to
+//!   its own `n`, so nothing a larger earlier search left behind is read.
+//!   Only that function borrows them, and nothing it calls searches
+//!   again.
 //!
 //! # Why the pruning bound is admissible
 //!
@@ -84,23 +101,30 @@
 //! path through a new edge is summed from `u`, left to right, exactly as
 //! `S`'s own Dijkstra sums it. Both cases of step 2 therefore hold bit
 //! for bit, `min(D[x], via[idx][x]) ≤ d_S(u, x)` in `f64`, and since
-//! rounded addition is monotone, the bound's index-order distance sum is
-//! at most `S`'s. The edge term associates differently: the DFS
-//! accumulates `w(chosen)` in include order where [`candidate_cost`]
-//! sums ascending node ids, so `LB` bounds `cost(S)` only up to
-//! rounding. With `ε` = [`f64::EPSILON`], `u₀ = ε/2`,
-//! `γ = (1 + u₀)/(1 − u₀)`, and every finite sum below `f64::MAX`:
+//! rounded addition is monotone, the index-order sum of these terms is at
+//! most `S`'s distance sum. Neither sum in `LB` is taken in `S`'s order,
+//! so `LB` bounds `cost(S)` only up to rounding. With `ε` =
+//! [`f64::EPSILON`], `u₀ = ε/2`, `γ = (1 + u₀)/(1 − u₀)`, and every finite
+//! sum below `f64::MAX`:
 //!
-//! * both edge sums have at most `n − 1` terms, and the product with `α`
-//!   rounds once on each side, so the bound's edge term is at most
-//!   `γ^(n−1)` times `S`'s;
+//! * the DFS accumulates `w(chosen)` in include order where
+//!   [`candidate_cost`] sums ascending node ids; both edge sums have at
+//!   most `n − 1` terms, and the product with `α` rounds once on each
+//!   side, so the bound's edge term is at most `γ^(n−1)` times `S`'s;
+//! * the bound adds its `n` distance terms in [`MoveBound`]'s four lanes,
+//!   not in index order. Any order of `n` non-negative terms rounds
+//!   within `(1 ± u₀)^(n−1)` of their exact sum ([`MoveBound`]'s
+//!   "Rounding", step 2), so the laned sum is at most `γ^(n−1)` times the
+//!   index-order one, hence `γ^(n−1)` times `S`'s distance sum: the same
+//!   factor as the edge term;
 //! * one more rounding of each total gives `LB ≤ γ^n·cost(S)`.
 //!
 //! [`certify_agents_in`](crate::equilibrium::certify_agents_in) proves
 //! its `1 − 8nε` margin against the larger factor `γ^(2n−2)`, so the same
-//! margin serves here: a node is pruned when `LB·(1 − 8nε) ≥ best − EPS`,
-//! which puts every `S` below it at or above `fl(best − EPS)`, where
-//! [`strictly_less`] says it cannot replace the incumbent `best`.
+//! margin serves here: a node is pruned when `LB·(1 − 8nε) ≥ best − EPS`
+//! ([`MoveBound::rules_out`]), which puts every `S` below it at or above
+//! `fl(best − EPS)`, where [`strictly_less`] says it cannot replace the
+//! incumbent `best`.
 //! Infinities need no margin:
 //! `LB = ∞` means an infinite edge term (every remaining candidate's
 //! weight is `∞` once `cand_w[idx]` is) or a node no subset below reaches
@@ -123,6 +147,7 @@
 //! metrics of the equivalence suites clear the tolerance by orders of
 //! magnitude, which is what licenses the exact `assert_eq!` there.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use gncg_graph::{
@@ -156,16 +181,21 @@ impl BestResponse {
     }
 }
 
-/// Per-activation owned search state: a CSR snapshot of the base graph
-/// plus the candidate/bound tables. The DFS itself runs on the borrowed
-/// [`BrSearchView`], which a persistent [`BrBoundCache`] can also
-/// assemble from its delta-maintained resident tables.
-struct BrSearch<'g> {
-    game: &'g Game,
+/// The buffers of one fresh search, refilled in place for every search by
+/// [`BrSearch::build`]: the agent's base graph and its CSR snapshot, the
+/// candidate and bound tables, and the DFS worker. Each thread keeps one
+/// for [`exact_best_response_given_current`] (module docs, "The
+/// incremental engine"). The DFS itself runs on the borrowed
+/// [`BrSearchView`], which a persistent [`BrBoundCache`] also assembles
+/// from its delta-maintained resident tables.
+#[derive(Debug, Default)]
+struct BrSearch {
     agent: NodeId,
     n: usize,
-    /// CSR snapshot of the base graph (network minus the agent's
-    /// sole-owned edges); all incremental relaxation runs on it.
+    alpha: f64,
+    /// The base graph (network minus the agent's sole-owned edges).
+    base: AdjacencyList,
+    /// CSR snapshot of `base`; all incremental relaxation runs on it.
     csr: Csr,
     /// Candidates sorted by increasing host weight from the agent.
     candidates: Vec<NodeId>,
@@ -178,19 +208,32 @@ struct BrSearch<'g> {
     /// `G − u + star(candidates[idx..])`.
     via: Vec<f64>,
     /// The host's weight class, installed as the bucket-queue hint on
-    /// every SSSP engine this search spawns ([`Game::weight_class`]).
+    /// the search's SSSP engines ([`Game::weight_class`]).
     weight_class: Option<(f64, f64)>,
+    /// Runs the Dijkstra behind `d0`.
+    scratch: DijkstraScratch,
+    /// The DFS state; its live vector also grows `via`.
+    worker: BrWorker,
+}
+
+thread_local! {
+    /// This thread's fresh-search buffers. Only
+    /// [`exact_best_response_given_current`] borrows them, and nothing it
+    /// calls searches again, so the borrow never nests.
+    static SEARCH: RefCell<BrSearch> = RefCell::new(BrSearch::default());
 }
 
 /// Borrowed read-only state shared by every branch of one best-response
-/// search — the immutable half of the engine, split out so the fresh
-/// per-activation path ([`BrSearch`]) and the persistent cached path
-/// ([`BrBoundCache`]) drive the *same* DFS over the same invariants.
+/// search — the immutable half of the engine, split out so the fresh path
+/// ([`BrSearch`]) and the persistent cached path ([`BrBoundCache`]) drive
+/// the *same* DFS over the same invariants.
 #[derive(Clone, Copy)]
 struct BrSearchView<'g> {
-    game: &'g Game,
     agent: NodeId,
     n: usize,
+    alpha: f64,
+    /// The pruning test, with its `1 − 8nε` margin.
+    bound: MoveBound,
     csr: &'g Csr,
     candidates: &'g [NodeId],
     cand_w: &'g [f64],
@@ -199,31 +242,25 @@ struct BrSearchView<'g> {
 
 /// Mutable DFS state of one search: the live vector, the chosen set and
 /// the incumbent.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BrWorker {
     inc: DynamicSssp,
     chosen: Vec<NodeId>,
-    /// Membership bitmap of `chosen` (indexed by node id): evaluation sums
-    /// edge weights in ascending id order, matching the `BTreeSet`
-    /// iteration order of [`candidate_cost`] bit for bit.
-    in_set: Vec<bool>,
+    /// `w(agent, v)` for each chosen `v`, `+0.0` elsewhere, indexed by
+    /// node id. Evaluation sums it in ascending id order beside the live
+    /// vector: adding `+0.0` to a non-negative sum changes no bit, so the
+    /// edge sum is bit for bit [`candidate_cost`]'s, in its `BTreeSet`
+    /// order.
+    chosen_w: Vec<f64>,
     best_cost: f64,
-    best_set: BTreeSet<NodeId>,
+    /// The incumbent's targets, when it is not the agent's current
+    /// strategy (`best_is_current`).
+    best_chosen: Vec<NodeId>,
+    best_is_current: bool,
     evaluated: usize,
 }
 
 impl BrWorker {
-    fn new() -> Self {
-        BrWorker {
-            inc: DynamicSssp::new(),
-            chosen: Vec::new(),
-            in_set: Vec::new(),
-            best_cost: f64::INFINITY,
-            best_set: BTreeSet::new(),
-            evaluated: 0,
-        }
-    }
-
     /// Re-arms the worker for one search: live vector seeded from `d0`,
     /// incumbent seeded from the agent's current strategy and cost.
     fn reset(
@@ -233,35 +270,27 @@ impl BrWorker {
         d0: &[f64],
         weight_class: Option<(f64, f64)>,
         current: f64,
-        current_set: &BTreeSet<NodeId>,
     ) {
         self.chosen.clear();
-        self.in_set.clear();
-        self.in_set.resize(n, false);
+        self.chosen_w.clear();
+        self.chosen_w.resize(n, 0.0);
         self.best_cost = current;
-        self.best_set.clear();
-        self.best_set.extend(current_set.iter().copied());
+        self.best_chosen.clear();
+        self.best_is_current = true;
         self.evaluated = 0;
         self.inc.set_weight_class(weight_class);
         self.inc.reset_from(agent, d0);
     }
 
-    fn fresh(search: &BrSearch<'_>, current: f64, current_set: &BTreeSet<NodeId>) -> Self {
-        let mut worker = BrWorker::new();
-        worker.reset(
-            search.agent,
-            search.n,
-            &search.d0,
-            search.weight_class,
-            current,
-            current_set,
-        );
-        worker
-    }
-
-    fn take_result(&mut self, current: f64) -> BestResponse {
+    /// The search's answer: the incumbent, whose strategy is
+    /// `current_set` unless the search replaced it.
+    fn take_result(&self, current: f64, current_set: &BTreeSet<NodeId>) -> BestResponse {
         BestResponse {
-            strategy: std::mem::take(&mut self.best_set),
+            strategy: if self.best_is_current {
+                current_set.clone()
+            } else {
+                self.best_chosen.iter().copied().collect()
+            },
             cost: self.best_cost,
             current_cost: current,
             evaluated: self.evaluated,
@@ -269,56 +298,60 @@ impl BrWorker {
     }
 }
 
-impl<'g> BrSearch<'g> {
-    /// The borrowed view the DFS runs on.
-    fn view(&self) -> BrSearchView<'_> {
-        BrSearchView {
-            game: self.game,
-            agent: self.agent,
-            n: self.n,
-            csr: &self.csr,
-            candidates: &self.candidates,
-            cand_w: &self.cand_w,
-            via: &self.via,
-        }
-    }
-
-    /// Builds the shared search state from a prebuilt base graph.
-    fn new(game: &'g Game, agent: NodeId, base: &AdjacencyList) -> Self {
+impl BrSearch {
+    /// Refills every table for `agent` from `self.base`, which the caller
+    /// has just refilled with the agent's base graph: the candidates, the
+    /// CSR, `d0`, and the bound table, grown back to front over the base
+    /// graph (module docs, "Building the table") in the worker's live
+    /// vector, which every search re-arms. Debug builds check the table
+    /// against the fold it is grown instead of.
+    fn build(&mut self, game: &Game, agent: NodeId) {
         let n = game.n();
-        let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
-        sort_candidates(game, agent, &mut candidates, &mut cand_w);
+        self.agent = agent;
+        self.n = n;
+        self.alpha = game.alpha();
+        self.weight_class = game.weight_class();
+        sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
 
-        let weight_class = game.weight_class();
-        let csr = Csr::from_adjacency(base);
-        let mut scratch = DijkstraScratch::new();
-        scratch.set_weight_class(weight_class);
-        scratch.run(&csr, agent, &[]);
-        let d0 = scratch.to_vec(n);
+        self.csr.refill(&self.base);
+        self.scratch.set_weight_class(self.weight_class);
+        self.scratch.run(&self.csr, agent, &[]);
+        self.d0.clear();
+        self.d0.resize(n, f64::INFINITY);
+        self.scratch.write_distances(&mut self.d0);
 
-        // The bound table, grown back to front over the base graph
-        // (module docs, "Building the table").
-        let mut grow = DynamicSssp::new();
-        grow.reset_from(agent, &alone(n, agent));
-        let mut via = vec![f64::INFINITY; candidates.len() * n];
-        for (i, row) in via.chunks_exact_mut(n).enumerate().rev() {
-            grow.relax_insert(&csr, agent, candidates[i], cand_w[i]);
+        let grow = &mut self.worker.inc;
+        grow.reset_alone(agent, n);
+        self.via.clear();
+        self.via.resize(self.candidates.len() * n, f64::INFINITY);
+        for (i, row) in self.via.chunks_exact_mut(n).enumerate().rev() {
+            grow.relax_insert(&self.csr, agent, self.candidates[i], self.cand_w[i]);
             row.copy_from_slice(grow.dist());
         }
         #[cfg(debug_assertions)]
-        assert_table_matches_fold(&via, &bound_table_reference(game, base, agent), n, agent);
-
-        BrSearch {
-            game,
-            agent,
+        assert_table_matches_fold(
+            &self.via,
+            &bound_table_reference(game, &self.base, agent),
             n,
-            csr,
-            candidates,
-            cand_w,
-            d0,
-            via,
-            weight_class,
-        }
+            agent,
+        );
+    }
+
+    /// The agent's exact best response off the built tables, the
+    /// incumbent seeded from its `current` cost and strategy.
+    fn run(&mut self, current: f64, current_set: &BTreeSet<NodeId>) -> BestResponse {
+        let worker = &mut self.worker;
+        worker.reset(self.agent, self.n, &self.d0, self.weight_class, current);
+        let view = BrSearchView::new(
+            self.alpha,
+            self.agent,
+            &self.csr,
+            &self.candidates,
+            &self.cand_w,
+            &self.via,
+        );
+        view.search(worker);
+        worker.take_result(current, current_set)
     }
 }
 
@@ -338,14 +371,6 @@ fn sort_candidates(
     cand_w.extend(candidates.iter().map(|&v| game.w(agent, v)));
 }
 
-/// The distances from `agent` with no edges at all: 0 at the agent, `∞`
-/// elsewhere. The seed the bound table grows from.
-fn alone(n: usize, agent: NodeId) -> Vec<f64> {
-    let mut dist = vec![f64::INFINITY; n];
-    dist[agent as usize] = 0.0;
-    dist
-}
-
 /// Refills `out` with `g` less every edge at `u`, keeping `out`'s
 /// allocations: `G − u` when `g` is the network or a base graph of `u`,
 /// which differ from it only in edges at `u`.
@@ -362,7 +387,10 @@ fn refill_without_edges_at(out: &mut AdjacencyList, g: &AdjacencyList, u: NodeId
 /// `G − u + star(candidates[i..])`, with candidates sorted by increasing
 /// weight from the agent.
 pub fn bound_table(game: &Game, base: &AdjacencyList, agent: NodeId) -> Vec<f64> {
-    BrSearch::new(game, agent, base).via
+    let mut search = BrSearch::default();
+    search.base.clone_from(base);
+    search.build(game, agent);
+    search.via
 }
 
 /// The table [`bound_table`] grows, folded the slow way: one Dijkstra per
@@ -416,41 +444,72 @@ fn assert_table_matches_fold(grown: &[f64], fold: &[f64], n: usize, agent: NodeI
     }
 }
 
-impl BrSearchView<'_> {
+impl<'g> BrSearchView<'g> {
+    /// The view of one search's tables, for a game of price `alpha` on
+    /// `csr.n()` nodes.
+    fn new(
+        alpha: f64,
+        agent: NodeId,
+        csr: &'g Csr,
+        candidates: &'g [NodeId],
+        cand_w: &'g [f64],
+        via: &'g [f64],
+    ) -> Self {
+        let n = csr.n();
+        BrSearchView {
+            agent,
+            n,
+            alpha,
+            bound: MoveBound::new(n),
+            csr,
+            candidates,
+            cand_w,
+            via,
+        }
+    }
+
     /// Whether no subset below the node at depth `idx < len` can replace
-    /// the incumbent: the module docs' bound `LB`, shrunk by the
-    /// `1 − 8nε` rounding margin, is at least `best − EPS`.
+    /// the incumbent: the module docs' bound `LB`, its distance sum added
+    /// in [`MoveBound`]'s four lanes and shrunk by the `1 − 8nε` rounding
+    /// margin, is at least `best − EPS`. `MoveBound::reach` with a zero
+    /// weight sums `min(D[x], via[idx][x])`, since `0.0 + via` is `via`.
     #[inline]
     fn prunes(&self, worker: &BrWorker, idx: usize, edge_w_sum: f64) -> bool {
         let via_row = &self.via[idx * self.n..(idx + 1) * self.n];
-        let dist = worker.inc.dist();
-        let mut reach = 0.0;
-        for x in 0..self.n {
-            reach += dist[x].min(via_row[x]);
-        }
-        let lb = self.game.alpha() * (edge_w_sum + self.cand_w[idx]) + reach;
-        let margin = 1.0 - 8.0 * self.n as f64 * f64::EPSILON;
-        lb * margin >= worker.best_cost - gncg_graph::EPS
+        let reach = MoveBound::reach(worker.inc.dist(), 0.0, via_row);
+        let edge = self.alpha * (edge_w_sum + self.cand_w[idx]);
+        self.bound
+            .rules_out(edge, reach, worker.best_cost - gncg_graph::EPS)
     }
 
     /// Prices the worker's current chosen set off the live vector and
-    /// tightens the incumbent. The edge sum is re-accumulated in ascending
-    /// node-id order (not DFS order) so totals match [`candidate_cost`]
-    /// exactly — f64 addition is order-sensitive.
+    /// tightens the incumbent: one index-order pass sums the chosen
+    /// weights (ascending node ids, not DFS order, so totals match
+    /// [`candidate_cost`] exactly — f64 addition is order-sensitive) and
+    /// the live vector (in [`DynamicSssp::sum`]'s order) side by side.
     #[inline]
     fn evaluate_current(&self, worker: &mut BrWorker) {
-        let mut edge_sum = 0.0;
-        for v in 0..self.n {
-            if worker.in_set[v] {
-                edge_sum += self.game.w(self.agent, v as NodeId);
-            }
+        let (mut edge_sum, mut dist_sum) = (0.0, 0.0);
+        for (&w, &d) in worker.chosen_w.iter().zip(worker.inc.dist()) {
+            edge_sum += w;
+            dist_sum += d;
         }
-        let cost = self.game.alpha() * edge_sum + worker.inc.sum();
+        let cost = self.alpha * edge_sum + dist_sum;
         worker.evaluated += 1;
         if strictly_less(cost, worker.best_cost) {
             worker.best_cost = cost;
-            worker.best_set = worker.chosen.iter().copied().collect();
+            worker.best_is_current = false;
+            worker.best_chosen.clear();
+            worker.best_chosen.extend_from_slice(&worker.chosen);
         }
+    }
+
+    /// The whole search, on a worker re-armed for it: the empty set is
+    /// the one subset with no include step, so it is priced here, and the
+    /// DFS prices the rest.
+    fn search(&self, worker: &mut BrWorker) {
+        self.evaluate_current(worker);
+        self.dfs(worker, 0, 0.0);
     }
 
     /// DFS over include/exclude decisions from `idx` onward. The chosen
@@ -467,10 +526,10 @@ impl BrSearchView<'_> {
         // Branch 1: include v — relax incrementally, price the new set.
         worker.inc.add_edge(self.csr, self.agent, v, w);
         worker.chosen.push(v);
-        worker.in_set[v as usize] = true;
+        worker.chosen_w[v as usize] = w;
         self.evaluate_current(worker);
         self.dfs(worker, idx + 1, edge_w_sum + w);
-        worker.in_set[v as usize] = false;
+        worker.chosen_w[v as usize] = 0.0;
         worker.chosen.pop();
         worker.inc.undo();
         // Branch 2: exclude v.
@@ -501,8 +560,10 @@ pub fn exact_best_response_in(
 /// [`exact_best_response_in`] with the agent's current cost supplied by
 /// the caller (e.g. read off a warm distance vector instead of the
 /// Dijkstra `agent_cost_in` would run). It rebuilds the whole search
-/// state per call: the from-scratch ancestor of [`BrBoundCache`], and
-/// the baseline the `br_grid` bench times it against.
+/// state per call, in buffers its thread keeps (module docs, "The
+/// incremental engine"), so once they have grown a call allocates only
+/// its result: the from-scratch ancestor of [`BrBoundCache`], and the
+/// baseline the `br_grid` bench times it against.
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
@@ -514,16 +575,11 @@ pub fn exact_best_response_given_current(
     agent: NodeId,
     current: f64,
 ) -> BestResponse {
-    let base = base_graph_from(network, profile, agent);
-    let search = BrSearch::new(game, agent, &base);
-    let view = search.view();
-
-    let mut worker = BrWorker::fresh(&search, current, profile.strategy(agent));
-    // The empty set is the one subset with no include step: price it here.
-    view.evaluate_current(&mut worker);
-    view.dfs(&mut worker, 0, 0.0);
-
-    worker.take_result(current)
+    SEARCH.with_borrow_mut(|search| {
+        refill_base_graph(&mut search.base, network, profile, agent);
+        search.build(game, agent);
+        search.run(current, profile.strategy(agent))
+    })
 }
 
 /// Committed removals a [`BrBoundCache`] absorbs as bound staleness
@@ -652,7 +708,7 @@ impl BrBoundCache {
             candidates: Vec::new(),
             cand_w: Vec::new(),
             base: AdjacencyList::default(),
-            csr: Csr::from_adjacency(&AdjacencyList::default()),
+            csr: Csr::default(),
             csr_dirty: false,
             d0: DynamicSssp::new(),
             d0_synced: 0,
@@ -662,7 +718,7 @@ impl BrBoundCache {
             rows_synced: 0,
             via: Vec::new(),
             via_dirty: false,
-            worker: BrWorker::new(),
+            worker: BrWorker::default(),
             scratch: DijkstraScratch::new(),
             dist_buf: Vec::new(),
             batch: Vec::new(),
@@ -755,11 +811,8 @@ impl BrBoundCache {
         if self.rows.len() < len {
             self.rows.resize_with(len, DynamicSssp::new);
         }
-        self.dist_buf.clear();
-        self.dist_buf.resize(n, f64::INFINITY);
-        self.dist_buf[agent as usize] = 0.0;
         let grow = &mut self.worker.inc;
-        grow.reset_from(agent, &self.dist_buf);
+        grow.reset_alone(agent, n);
         for i in (0..len).rev() {
             grow.relax_insert(&self.ghat, agent, self.candidates[i], self.cand_w[i]);
             self.rows[i].reset_from(agent, grow.dist());
@@ -957,20 +1010,17 @@ impl BrBoundCache {
             self.d0.dist(),
             self.weight_class,
             current,
-            profile.strategy(self.agent),
         );
-        let view = BrSearchView {
-            game,
-            agent: self.agent,
-            n: self.n,
-            csr: &self.csr,
-            candidates: &self.candidates,
-            cand_w: &self.cand_w,
-            via: &self.via,
-        };
-        view.evaluate_current(worker);
-        view.dfs(worker, 0, 0.0);
-        let result = worker.take_result(current);
+        let view = BrSearchView::new(
+            game.alpha(),
+            self.agent,
+            &self.csr,
+            &self.candidates,
+            &self.cand_w,
+            &self.via,
+        );
+        view.search(worker);
+        let result = worker.take_result(current, profile.strategy(self.agent));
         #[cfg(debug_assertions)]
         self.assert_matches_fresh(game, profile, network, current, &result);
         #[cfg(not(debug_assertions))]
@@ -979,12 +1029,12 @@ impl BrBoundCache {
     }
 
     /// The cache's oracle: rebuild the per-activation search state from
-    /// scratch and require (a) the lock-step base graph, (b) a bitwise
-    /// `d0`, (c) per-node bound admissibility (cached `via` ≤ fresh
-    /// `via` — the fresh table is exact for the live `G − u`, so `≤`
-    /// *is* admissibility), bitwise equality while no phantom is held
-    /// (`Ĝ` is then the live `G − u`), and (d) a bitwise-identical chosen
-    /// strategy and cost.
+    /// scratch, in a search of its own, and require (a) the lock-step
+    /// base graph, (b) a bitwise `d0`, (c) per-node bound admissibility
+    /// (cached `via` ≤ fresh `via` — the fresh table is exact for the
+    /// live `G − u`, so `≤` *is* admissibility), bitwise equality while
+    /// no phantom is held (`Ĝ` is then the live `G − u`), and (d) a
+    /// bitwise-identical chosen strategy and cost.
     #[cfg(debug_assertions)]
     fn assert_matches_fresh(
         &self,
@@ -994,9 +1044,10 @@ impl BrBoundCache {
         current: f64,
         got: &BestResponse,
     ) {
-        let fresh_base = base_graph_from(network, profile, self.agent);
+        let mut search = BrSearch::default();
+        refill_base_graph(&mut search.base, network, profile, self.agent);
         let mut a: Vec<_> = self.base.edges().collect();
-        let mut b: Vec<_> = fresh_base.edges().collect();
+        let mut b: Vec<_> = search.base.edges().collect();
         a.sort_by_key(|e| (e.0, e.1));
         b.sort_by_key(|e| (e.0, e.1));
         assert_eq!(
@@ -1004,7 +1055,7 @@ impl BrBoundCache {
             "BrBoundCache base graph of agent {} drifted from base_graph_from",
             self.agent
         );
-        let search = BrSearch::new(game, self.agent, &fresh_base);
+        search.build(game, self.agent);
         assert_eq!(
             self.d0.dist(),
             search.d0.as_slice(),
@@ -1030,18 +1081,15 @@ impl BrBoundCache {
                 fresh
             );
         }
-        let view = search.view();
-        let mut worker = BrWorker::fresh(&search, current, profile.strategy(self.agent));
-        view.evaluate_current(&mut worker);
-        view.dfs(&mut worker, 0, 0.0);
+        let fresh = search.run(current, profile.strategy(self.agent));
         assert_eq!(
-            got.strategy, worker.best_set,
+            got.strategy, fresh.strategy,
             "cached best response of agent {} diverged from a fresh BrSearch",
             self.agent
         );
         assert_eq!(
             got.cost.to_bits(),
-            worker.best_cost.to_bits(),
+            fresh.cost.to_bits(),
             "cached best-response cost of agent {} diverged from a fresh BrSearch",
             self.agent
         );
@@ -1933,8 +1981,8 @@ impl<'r, 's> ScanBounds<'r, 's> {
     }
 
     /// Fills `hops` with the neighbour bound of dropping `(agent, d)`. The
-    /// first-hop tables it picks from are built on first use, with
-    /// selects, not branches.
+    /// first-hop tables it picks from are built on first use; both passes
+    /// are selects, not branches.
     fn build_hops(&mut self, network: &AdjacencyList, agent: NodeId, d: NodeId) {
         let n = self.rows.len();
         if self.via.is_empty() {
@@ -1951,13 +1999,22 @@ impl<'r, 's> ScanBounds<'r, 's> {
             self.second[agent as usize] = 0.0;
         }
         self.hops.clear();
-        let tables = self
-            .least
-            .iter()
-            .zip(self.second.iter())
-            .zip(self.via.iter());
-        self.hops
-            .extend(tables.map(|((&l, &s), &x)| if x == d { s } else { l }));
+        self.hops.resize(n, 0.0);
+        pick_hops(self.hops, self.least, self.second, self.via, d);
+    }
+}
+
+/// Fills `hops` with the neighbour bound of dropping the edge to `d`: per
+/// node, the least first-hop term, or the second-least where the least
+/// runs through `d` ([`ScanBounds::build_hops`]). A select over slices
+/// the compiler knows apart, as in [`fold_first_hop`], so the loop packs
+/// from four nodes on with no overlap checks. A plain `if` here compiles
+/// to a choice of which table to load from, one node at a time;
+/// `select_unpredictable` keeps both loads.
+fn pick_hops(hops: &mut [f64], least: &[f64], second: &[f64], via: &[NodeId], d: NodeId) {
+    let tables = least.iter().zip(second).zip(via);
+    for (hop, ((&l, &s), &x)) in hops.iter_mut().zip(tables) {
+        *hop = std::hint::select_unpredictable(x == d, s, l);
     }
 }
 

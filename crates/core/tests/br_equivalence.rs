@@ -13,9 +13,10 @@
 
 use proptest::prelude::*;
 
-use gncg_core::cost::base_graph_from;
+use gncg_core::cost::{agent_cost_in, base_graph_from};
 use gncg_core::response::{
-    bound_table, bound_table_reference, exact_best_response, exact_best_response_reference,
+    bound_table, bound_table_reference, exact_best_response, exact_best_response_given_current,
+    exact_best_response_reference, BestResponse,
 };
 use gncg_core::{Game, Profile};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_reference};
@@ -235,6 +236,66 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// A thread's fresh searches refill buffers it keeps, grown by the
+/// largest search so far. On one thread, games of alternating sizes
+/// (n 9, 5, 12, 7) and hosts (`oneinf`'s ∞ weights and `unit`'s ties
+/// among them) are searched agent by agent, in changing agent orders:
+/// each result — strategy, cost bits and evaluated subsets — must equal
+/// the same search made on a fresh thread, whose buffers start empty. A
+/// `via` row, a weight-array entry or a base-graph edge left over from a
+/// larger earlier search would show here.
+#[test]
+fn per_thread_search_buffers_match_fresh_threads() {
+    let bits = |br: &BestResponse| {
+        (
+            br.strategy.clone(),
+            br.cost.to_bits(),
+            br.current_cost.to_bits(),
+            br.evaluated,
+        )
+    };
+    let cases = [
+        ("r2", 9, 1.5),
+        ("oneinf", 5, 0.4),
+        ("unit", 12, 2.5),
+        ("metric", 7, 0.8),
+        ("oneinf", 12, 1.2),
+        ("unit", 5, 0.3),
+        ("clusters", 9, 4.0),
+        ("general", 7, 1.0),
+    ];
+    for (round, &(key, n, alpha)) in cases.iter().enumerate() {
+        let seed = 31 + round as u64;
+        let g = Game::new(
+            gncg_metrics::factory::build_host(key, n, seed).expect("registry key"),
+            alpha,
+        );
+        let p = with_extras(n, round % 3 != 2, seed);
+        let network = p.build_network(&g);
+        // Forward, backward, then odd agents before even ones.
+        let mut agents: Vec<NodeId> = (0..n as NodeId).collect();
+        match round % 3 {
+            0 => {}
+            1 => agents.reverse(),
+            _ => agents.sort_by_key(|&u| (u % 2 == 0, u)),
+        }
+        for agent in agents {
+            let current = agent_cost_in(&g, &p, &network, agent).total();
+            let here = exact_best_response_given_current(&g, &p, &network, agent, current);
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| exact_best_response_given_current(&g, &p, &network, agent, current))
+                    .join()
+                    .expect("the fresh thread's search")
+            });
+            assert_eq!(
+                bits(&here),
+                bits(&fresh),
+                "{key} n {n} agent {agent}: reused buffers diverged from a fresh thread's"
+            );
         }
     }
 }

@@ -59,8 +59,8 @@
 //!   sums, and bitmaps of its network neighbours and co-owned edges,
 //!   which answer the scan's probes. The tables and the scan's per-call
 //!   buffers live in one reused scratch beside the row copy (one per
-//!   worker in the pool-parallel scan), so an activation allocates
-//!   nothing once they have grown;
+//!   pool thread, kept from scan to scan, in the pool-parallel scan), so
+//!   an activation allocates nothing once they have grown;
 //! * **warm vectors double as rows.** Under full-sum pricing the scan is
 //!   bound-first: it rules out most adds, deletes and swaps off the
 //!   *other* agents' warm vectors `d(a,·)` before any frame opens
@@ -128,6 +128,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use gncg_core::moves::MoveSpace;
@@ -441,15 +442,27 @@ struct PricerScratch {
 }
 
 impl PricerScratch {
-    fn new(weight_class: Option<(f64, f64)>) -> Self {
-        let mut scratch = PricerScratch::default();
-        scratch.row_copy.set_weight_class(weight_class);
-        scratch
-    }
-
     fn resident_bytes(&self) -> usize {
         self.row_copy.resident_bytes() + self.scan.resident_bytes()
     }
+}
+
+/// What one pool thread works in during [`EvalContext::scan`]: a
+/// Dijkstra scratch and distance buffer for the rows it syncs, and a
+/// [`PricerScratch`] for the agents it prices.
+#[derive(Debug, Default)]
+struct PoolScratch {
+    sync: DijkstraScratch,
+    buf: Vec<f64>,
+    pricer: PricerScratch,
+}
+
+thread_local! {
+    /// This thread's [`PoolScratch`], kept from scan to scan so that a
+    /// scan allocates nothing once its threads' scratch has grown. Each
+    /// item of a scan's two passes borrows it for its own sync or pricing
+    /// only, which never reaches another scan, so the borrow never nests.
+    static POOL_SCRATCH: RefCell<PoolScratch> = RefCell::new(PoolScratch::default());
 }
 
 /// The per-agent pricing every activation path shares: agent `u`'s
@@ -762,10 +775,14 @@ impl EvalContext {
     /// off the memo after two pool-parallel passes: one makes every row
     /// the pricing reads current (all of them when the scan reads other
     /// agents' rows, otherwise those of the agents the memo misses), each
-    /// worker borrowing exactly its agent's warm vector; the other prices
-    /// each missed agent against a worker-local copy of its row, with
-    /// its bound tables and memo slot borrowed and the rows shared
-    /// read-only. Bitwise deterministic at every thread count.
+    /// item borrowing exactly its agent's warm vector; the other prices
+    /// each missed agent against a copy of its row, with its bound tables
+    /// and memo slot borrowed and the rows shared read-only. Both passes
+    /// work in their thread's [`PoolScratch`] (a Dijkstra scratch for the
+    /// rows, a [`PricerScratch`] for the pricings), kept from scan to
+    /// scan, so a scan allocates nothing once its threads' scratch has
+    /// grown. No pricing depends on what a scratch held before, so the
+    /// result is bitwise deterministic at every thread count.
     fn scan(
         &mut self,
         game: &Game,
@@ -798,17 +815,13 @@ impl EvalContext {
             })
             .filter(|(_, pending, _)| pending.is_none_or(|p| !p.is_empty()))
             .collect();
-        stale.par_chunks_mut(1).for_each_init(
-            || {
-                let mut scratch = DijkstraScratch::new();
-                scratch.set_weight_class(class);
-                (scratch, Vec::new())
-            },
-            |(scratch, buf), row| {
-                let (u, pending, warm) = &mut row[0];
-                sync_warm(network, *u, warm, *pending, scratch, buf);
-            },
-        );
+        stale.par_chunks_mut(1).for_each(|row| {
+            let (u, pending, warm) = &mut row[0];
+            POOL_SCRATCH.with_borrow_mut(|PoolScratch { sync, buf, .. }| {
+                sync.set_weight_class(class);
+                sync_warm(network, *u, warm, *pending, sync, buf);
+            });
+        });
         if all_rows {
             self.rows_epoch = epoch;
         }
@@ -827,13 +840,13 @@ impl EvalContext {
             .iter()
             .filter(|(_, _, slot)| !is_current(slot, epoch, rule))
             .count();
-        agents.par_chunks_mut(1).for_each_init(
-            || PricerScratch::new(class),
-            |scratch, agent| {
-                let (u, br, slot) = &mut agent[0];
-                memoized(slot, epoch, rule, || price(*u, rows, scratch, br));
-            },
-        );
+        agents.par_chunks_mut(1).for_each(|agent| {
+            let (u, br, slot) = &mut agent[0];
+            POOL_SCRATCH.with_borrow_mut(|PoolScratch { pricer, .. }| {
+                pricer.row_copy.set_weight_class(class);
+                memoized(slot, epoch, rule, || price(*u, rows, pricer, br));
+            });
+        });
         self.pricings += misses as u64;
         self.priced[..n]
             .iter()

@@ -196,6 +196,13 @@ pub struct Csr {
     weights: Vec<f64>,
 }
 
+/// The snapshot of the empty graph.
+impl Default for Csr {
+    fn default() -> Self {
+        Csr::from_adjacency(&AdjacencyList::default())
+    }
+}
+
 impl Csr {
     /// Snapshots `g` (neighbor order preserved).
     pub fn from_adjacency(g: &AdjacencyList) -> Self {
@@ -329,6 +336,60 @@ fn bucket_ring(class: Option<(f64, f64)>) -> Option<(f64, usize)> {
     (ring <= BUCKET_RING_CAP).then_some((wmin, ring))
 }
 
+/// A circular bucket window (module docs), reused and drained by every
+/// scan, and the summed capacity of its buckets. A bucket only grows, and
+/// only by a [`BucketRing::push`], which keeps the sum current, so the
+/// memory gauges read it in `O(1)` instead of walking up to
+/// [`BUCKET_RING_CAP`] slots.
+#[derive(Debug, Default)]
+struct BucketRing {
+    slots: Vec<Vec<(NodeId, f64)>>,
+    /// `Σ capacity` over `slots`.
+    capacity: usize,
+}
+
+// A cloned `Vec` does not keep its capacity, so a clone recounts.
+impl Clone for BucketRing {
+    fn clone(&self) -> Self {
+        let slots = self.slots.clone();
+        let capacity = slots.iter().map(Vec::capacity).sum();
+        BucketRing { slots, capacity }
+    }
+}
+
+impl BucketRing {
+    /// Makes the window at least `ring` slots long.
+    fn reserve_slots(&mut self, ring: usize) {
+        if self.slots.len() < ring {
+            self.slots.resize_with(ring, Vec::new);
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, slot: usize, entry: (NodeId, f64)) {
+        let bucket = &mut self.slots[slot];
+        let before = bucket.capacity();
+        bucket.push(entry);
+        self.capacity += bucket.capacity() - before;
+    }
+
+    #[inline]
+    fn pop(&mut self, slot: usize) -> Option<(NodeId, f64)> {
+        self.slots[slot].pop()
+    }
+
+    /// The buckets' capacity in bytes (the window's slot headers are not
+    /// counted).
+    fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(
+            self.capacity,
+            self.slots.iter().map(Vec::capacity).sum::<usize>(),
+            "the bucket ring's running capacity drifted from its buckets"
+        );
+        self.capacity * std::mem::size_of::<(NodeId, f64)>()
+    }
+}
+
 /// Reusable Dijkstra state: after the first call on a given size, running
 /// an SSSP allocates nothing.
 ///
@@ -350,7 +411,7 @@ pub struct DijkstraScratch {
     /// or `None` for the heap path.
     weight_class: Option<(f64, f64)>,
     /// The bucket ring (reused across runs; drained empty by each run).
-    buckets: Vec<Vec<(NodeId, f64)>>,
+    buckets: BucketRing,
 }
 
 impl DijkstraScratch {
@@ -514,11 +575,9 @@ impl DijkstraScratch {
         ring: usize,
     ) {
         self.begin(g.num_nodes());
-        if self.buckets.len() < ring {
-            self.buckets.resize_with(ring, Vec::new);
-        }
+        self.buckets.reserve_slots(ring);
         self.improve(source, 0.0);
-        self.buckets[0].push((source, 0.0));
+        self.buckets.push(0, (source, 0.0));
         let mut pending = 1usize;
         let mut cur = 0u64; // absolute (unwrapped) bucket index
         let is_removed = |u: NodeId, v: NodeId| {
@@ -528,7 +587,7 @@ impl DijkstraScratch {
         };
         while pending > 0 {
             let slot = (cur % ring as u64) as usize;
-            while let Some((u, d)) = self.buckets[slot].pop() {
+            while let Some((u, d)) = self.buckets.pop(slot) {
                 pending -= 1;
                 if d > self.dist(u) {
                     continue; // superseded entry
@@ -573,11 +632,7 @@ impl DijkstraScratch {
         self.dist.capacity() * size_of::<f64>()
             + self.stamp.capacity() * size_of::<u32>()
             + self.heap.capacity() * size_of::<HeapEntry>()
-            + self
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * size_of::<(NodeId, f64)>())
-                .sum::<usize>()
+            + self.buckets.resident_bytes()
     }
 
     /// Copies the distances of the last run into `out` (any length:
@@ -638,7 +693,7 @@ impl BucketRelax<'_> {
     fn relax(&mut self, v: NodeId, nd: f64) {
         if self.scratch.improve(v, nd) {
             let slot = ((nd / self.delta) as u64 % self.ring as u64) as usize;
-            self.scratch.buckets[slot].push((v, nd));
+            self.scratch.buckets.push(slot, (v, nd));
             *self.pending += 1;
         }
     }
@@ -670,7 +725,7 @@ pub struct DynamicSssp {
     /// [`DynamicSssp::reset_from`].
     weight_class: Option<(f64, f64)>,
     /// Bucket ring of the phase-2 region relaxation (reused, drained).
-    buckets: Vec<Vec<(NodeId, f64)>>,
+    buckets: BucketRing,
     /// First-entry dedup stamps of [`DynamicSssp::delta_sum_since`]:
     /// `delta_epoch[v] == delta_epoch_counter` marks `v` as already
     /// accounted in the current call.
@@ -694,9 +749,25 @@ impl DynamicSssp {
     /// Resets to the baseline distance vector `d0` (distances from
     /// `source` in the current base graph), clearing the undo log.
     pub fn reset_from(&mut self, source: NodeId, d0: &[f64]) {
-        self.source = source;
         self.dist.clear();
         self.dist.extend_from_slice(d0);
+        self.rearm(source);
+    }
+
+    /// Resets to the distances from `source` on `n` nodes with no edges:
+    /// 0 at the source, `∞` elsewhere — the seed a vector grown one
+    /// source-incident edge at a time starts from
+    /// ([`DynamicSssp::relax_insert`], "Edges at the source").
+    pub fn reset_alone(&mut self, source: NodeId, n: usize) {
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.dist[source as usize] = 0.0;
+        self.rearm(source);
+    }
+
+    /// Sets the source and clears the undo log, frames and heap.
+    fn rearm(&mut self, source: NodeId) {
+        self.source = source;
         self.undo.clear();
         self.frames.clear();
         self.spec_marks.clear();
@@ -746,11 +817,7 @@ impl DynamicSssp {
             + self.affected.capacity() * size_of::<NodeId>()
             + self.affected_mark.capacity()
             + self.delta_epoch.capacity() * size_of::<u64>()
-            + self
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * size_of::<(NodeId, f64)>())
-                .sum::<usize>()
+            + self.buckets.resident_bytes()
     }
 
     /// How many speculation frames [`DynamicSssp::begin_speculation`] has
@@ -1332,20 +1399,18 @@ impl DynamicSssp {
     /// get pre-final scans that the fixpoint re-scans — correctness never
     /// depends on the window fitting (module docs).
     fn region_relax_buckets<G: EdgeSource>(&mut self, g: &G, log: bool, delta: f64, ring: usize) {
-        if self.buckets.len() < ring {
-            self.buckets.resize_with(ring, Vec::new);
-        }
+        self.buckets.reserve_slots(ring);
         let mut pending = 0usize;
         let mut cur = u64::MAX;
         while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
             let b = (d / delta) as u64;
             cur = cur.min(b);
-            self.buckets[(b % ring as u64) as usize].push((v, d));
+            self.buckets.push((b % ring as u64) as usize, (v, d));
             pending += 1;
         }
         while pending > 0 {
             let slot = (cur % ring as u64) as usize;
-            while let Some((u, d)) = self.buckets[slot].pop() {
+            while let Some((u, d)) = self.buckets.pop(slot) {
                 pending -= 1;
                 if d > self.dist[u as usize] {
                     continue; // superseded entry
@@ -1367,7 +1432,7 @@ impl DynamicSssp {
                         }
                         dist[v as usize] = nd;
                         let s = ((nd / delta) as u64 % ring as u64) as usize;
-                        buckets[s].push((v, nd));
+                        buckets.push(s, (v, nd));
                         pending += 1;
                     }
                 });
@@ -1998,6 +2063,43 @@ mod tests {
         inc.rollback();
         assert_eq!(inc.delta_sum_since(mark), 0.0, "empty log sums to zero");
         assert!(inc.resident_bytes() > 0);
+    }
+
+    /// The bucket rings' running capacity equals a walk over their
+    /// buckets after runs and removal repairs that grow them, and after a
+    /// clone, whose buckets do not keep their capacity.
+    #[test]
+    fn bucket_ring_capacity_tracks_its_buckets() {
+        let walk = |ring: &BucketRing| ring.slots.iter().map(Vec::capacity).sum::<usize>();
+        // A ring of 30 nodes with chords, weights 1 to 8: a 10-slot window.
+        let n = 30u32;
+        let mut g = AdjacencyList::new(n as usize);
+        for i in 0..n {
+            g.add_edge(i, (i + 1) % n, 1.0 + (i % 8) as f64);
+            if i % 3 == 0 {
+                g.add_edge(i, (i + 7) % n, 1.0 + ((i * 5) % 8) as f64);
+            }
+        }
+        let class = Some((1.0, 8.0));
+        let mut scratch = DijkstraScratch::new();
+        scratch.set_weight_class(class);
+        let mut inc = DynamicSssp::new();
+        inc.set_weight_class(class);
+        inc.reset_from(0, &dijkstra(&g, 0));
+        for i in (0..n).step_by(3) {
+            scratch.run(&g, i, &[]);
+            let b = (i + 1) % n;
+            let w = g.edge_weight(i, b).expect("ring edge");
+            g.remove_edge(i, b);
+            inc.remove_edges(&g, &[(i, b, w)]);
+            assert_eq!(inc.dist(), dijkstra(&g, 0).as_slice());
+        }
+        assert!(scratch.buckets.capacity > 0 && inc.buckets.capacity > 0);
+        assert_eq!(scratch.buckets.capacity, walk(&scratch.buckets));
+        assert_eq!(inc.buckets.capacity, walk(&inc.buckets));
+        let (scratch, inc) = (scratch.clone(), inc.clone());
+        assert_eq!(scratch.buckets.capacity, walk(&scratch.buckets));
+        assert_eq!(inc.buckets.capacity, walk(&inc.buckets));
     }
 
     #[test]

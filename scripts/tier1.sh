@@ -25,9 +25,12 @@ echo "== cargo test" >&2
 cargo test -q
 
 echo "== allocation lock (release build)" >&2
-# tests/allocations.rs counts the heap allocations of the swap-heavy
-# preset's run loop. Debug builds skip it: their oracles allocate on
-# every activation.
+# tests/allocations.rs locks four heap-allocation counts: the swap-heavy
+# preset's run loop, the same run loop with the regret meter on (its pool
+# scans kept on the calling thread by rayon::with_sequential), the br-grid
+# preset's run loop, and the br-grid final profiles' fresh exact best
+# responses. Debug builds skip them: their oracles allocate on every
+# activation.
 cargo test --release -q --test allocations
 
 echo "== e2ebench unit tests (its own cargo workspace)" >&2

@@ -6,7 +6,11 @@
 //! without the regret meter never touch the worker pool, so every
 //! allocation of `Engine::run` lands on the calling thread and the count
 //! is deterministic: a lock that host noise cannot move. The same holds
-//! for best responses called one agent at a time. Debug builds run
+//! for best responses called one agent at a time, and for metered runs
+//! inside `rayon::with_sequential`, which keeps the meter's pool scans on
+//! the calling thread. Fresh searches and pool scans work in buffers
+//! their thread keeps, so each count includes the first call's growth of
+//! them once. Debug builds run
 //! oracles that allocate on every activation, so the locks are checked in
 //! release builds only (`cargo test --release --test allocations`).
 
@@ -79,6 +83,41 @@ static GLOBAL: Counting = Counting;
     ignore = "debug oracles allocate on every activation; run with --release"
 )]
 fn swap_heavy_run_allocations_are_locked() {
+    let (counted, activations, moves) = swap_heavy_run_loop(false);
+    eprintln!("swap-heavy: {counted} allocations, {activations} activations, {moves} moves");
+    assert_eq!(activations, 13_300);
+    assert!(counted <= 11_569, "{counted} allocations");
+}
+
+/// The same 36 cells with the regret meter on, inside
+/// `rayon::with_sequential`: the meter's pool scans then run on the
+/// calling thread, so the count covers them and stays deterministic. It
+/// was 90,554 when each scan built its scratch per priced agent and per
+/// synced row (the pool cuts a scan of at most 128 agents into one chunk
+/// per agent, and `for_each_init` built one scratch per chunk): a row
+/// copy, scan tables and bound tables for every agent the meter priced,
+/// a Dijkstra scratch for every row it computed. On one scratch per
+/// thread it is 11,906, of which the unmetered run loop makes 7,950; the
+/// lock sits below a seventh of the old count.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug oracles allocate on every activation; run with --release"
+)]
+fn swap_heavy_metered_allocations_are_locked() {
+    let (counted, activations, moves) = rayon::with_sequential(|| swap_heavy_run_loop(true));
+    eprintln!(
+        "swap-heavy metered: {counted} allocations, {activations} activations, {moves} moves"
+    );
+    assert_eq!(activations, 13_300);
+    assert!(counted <= 12_936, "{counted} allocations");
+}
+
+/// Runs the 36 swap-heavy preset cells back to back on one engine, as a
+/// grid worker runs them, and returns the allocations inside
+/// `Engine::run` (host construction and the start profile excluded),
+/// the activations and the moves.
+fn swap_heavy_run_loop(regret_meter: bool) -> (u64, usize, usize) {
     let mut engine = Engine::new();
     let (mut counted, mut activations, mut moves) = (0, 0, 0);
     for cell in ScenarioSpec::swap_heavy().expand() {
@@ -89,6 +128,7 @@ fn swap_heavy_run_allocations_are_locked() {
             rule: cell.rule.rule(),
             scheduler: cell.scheduler.scheduler(cell.cell_seed),
             max_rounds: cell.max_rounds,
+            regret_meter,
             ..DynamicsConfig::default()
         };
         engine
@@ -103,9 +143,7 @@ fn swap_heavy_run_allocations_are_locked() {
         activations += run.rounds * game.n();
         moves += run.moves;
     }
-    eprintln!("swap-heavy: {counted} allocations, {activations} activations, {moves} moves");
-    assert_eq!(activations, 13_300);
-    assert!(counted <= 11_569, "{counted} allocations");
+    (counted, activations, moves)
 }
 
 /// The 36 br-grid preset cells on one engine. Two counts: the allocations
@@ -119,7 +157,12 @@ fn swap_heavy_run_allocations_are_locked() {
 /// bound-table rebuild's base graph, `Ĝ` and CSR in place, and each dirty
 /// CSR's re-snapshot, saved 25,646 of those, and moving each committed
 /// change out of the pricing memo 501 more (10,754), and the lock fell in
-/// proportion. The searches stay at or below three quarters of theirs.
+/// proportion. The searches were locked at three quarters of theirs,
+/// 26,487, over 21,453. Fresh searches now refill one set of buffers per
+/// thread instead of allocating about 46 times each, and a search keeps
+/// its incumbent in a reused vector instead of collecting a set at every
+/// improvement: the searches fell to 1,088 and the run loop, whose cached
+/// searches share the incumbent, to 9,109. Both locks fell in proportion.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -157,6 +200,6 @@ fn br_grid_allocations_are_locked() {
     }
     eprintln!("br-grid: run loop {run_loop} allocations, {agents} agents searched with {searches}");
     assert_eq!(agents, 468);
-    assert!(run_loop <= 10_830, "run loop: {run_loop} allocations");
-    assert!(searches <= 26_487, "searches: {searches} allocations");
+    assert!(run_loop <= 9_173, "run loop: {run_loop} allocations");
+    assert!(searches <= 1_343, "searches: {searches} allocations");
 }
