@@ -118,7 +118,9 @@ impl Game {
     /// entries — the hint the bucket-queue SSSP engines accept
     /// (`DijkstraScratch::set_weight_class` and friends in
     /// `gncg_graph::csr`). Every edge a profile can buy carries a host
-    /// weight, so every built network's weights lie in this class.
+    /// weight, so every built network's weights lie in this class. The
+    /// hint matters only on hosts of more than 64 nodes: smaller graphs
+    /// run every shortest-path loop on a one-word frontier and ignore it.
     ///
     /// `None` when the class cannot drive a bucket ring: a non-positive
     /// minimum or no finite maximum (e.g. a `{1, ∞}` host whose only

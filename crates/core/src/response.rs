@@ -33,8 +33,9 @@
 //!   the distance sum is [`DynamicSssp::sum`]'s. The pruning test is one
 //!   pass over the live vector and a `via` row in [`MoveBound`]'s four
 //!   lanes;
-//! * the DFS allocates nothing per node (the undo log, heap, chosen
-//!   stack and incumbent are reused buffers), and a fresh search
+//! * the DFS allocates nothing per node (the undo log, chosen stack and
+//!   incumbent are reused buffers, and so is the live vector's heap on
+//!   graphs of more than 64 nodes), and a fresh search
 //!   ([`exact_best_response_given_current`]) allocates nothing but its
 //!   result once its thread's buffers have grown: each thread keeps one
 //!   set of them — base graph, CSR, candidates, `d0`, the `via` table and
@@ -806,7 +807,8 @@ impl BrBoundCache {
 
         // The rows grow back to front over Ĝ, as BrSearch grows its
         // table, in the DFS's live vector (every search re-arms it), so
-        // only the live vector's heap grows with the relaxations.
+        // only the live vector's heap grows with the relaxations, and
+        // only on graphs of more than 64 nodes.
         let len = self.candidates.len();
         if self.rows.len() < len {
             self.rows.resize_with(len, DynamicSssp::new);

@@ -10,7 +10,8 @@
 //! * [`EdgeSource`] — the closure-based neighbor-iteration trait both
 //!   graph representations implement, so one Dijkstra serves both,
 //! * [`DijkstraScratch`] — generation-stamped dist array + a drained,
-//!   reused binary heap: repeated SSSP calls allocate nothing after the
+//!   reused frontier (one machine word on graphs of at most 64 nodes, a
+//!   binary heap above): repeated SSSP calls allocate nothing after the
 //!   first (the stamp bump replaces the `O(n)` re-initialisation),
 //! * [`DynamicSssp`] — a distance vector maintained under edge
 //!   **insertions** (undo-logged [`DynamicSssp::add_edge`] for the
@@ -82,15 +83,56 @@
 //! increase in distance); every host family in this workspace satisfies
 //! that.
 //!
+//! # The small-graph frontier
+//!
+//! Every shortest-path loop here keeps a *frontier*: the nodes holding a
+//! tentative distance they have not yet relaxed from. On a graph of at
+//! most 64 nodes — every grid cell of the committed presets but large-n —
+//! the frontier is one `u64`: bit `v` is set while node `v` is pending,
+//! a push sets the bit, and a pop scans the set bits in ascending id
+//! order for the least distance, keeping the lowest id on ties. That
+//! replaces the binary heap's `O(log n)` sift per push and pop, and its
+//! stale entries, with a few word operations, and allocates nothing.
+//! Graphs of more than 64 nodes keep the binary heap and, with a
+//! weight-class hint, the bucket ring (next section). The node count is
+//! the only gate: a [`DynamicSssp`] reads it from its vector's length
+//! (debug-asserted equal to the graph's), a [`DijkstraScratch`] from the
+//! graph it runs on. Each loop is written once, generic over the two
+//! frontiers; `dijkstra_reference` in [`crate::dijkstra`] keeps a heap of
+//! its own as the independent oracle.
+//!
+//! Most loops are order-free fixpoints (next section), so any pop order
+//! reaches the same exact minima. Three things depend on the pop
+//! *sequence* itself: the affected-region discovery of
+//! [`DynamicSssp::remove_edges`], whose support verdicts are final only
+//! when candidates pop in increasing distance; the undo log's first-entry
+//! order, in which [`DynamicSssp::delta_sum_since`] sums a frame's price;
+//! and the horizon cut of [`DynamicSssp::set_price_horizon`], which counts
+//! settled nodes. The word frontier keeps that sequence bit for bit. The
+//! heap pops the least `(distance, id)` among its entries and skips the
+//! stale ones, which a node lowered again after its push leaves behind;
+//! a node's one live entry carries its current distance. So the heap
+//! pops the least `(dist[v], v)` over the pending nodes, which is what
+//! the word pops, and both scan the same nodes in the same order: the
+//! log, its sums and the horizon's truncation come out the same.
+//! (Distances are never `-0.0`: the source is `+0.0`, and a sum whose
+//! left operand is not `-0.0` is not `-0.0` either. So the word's `<`
+//! orders them as the heap's `total_cmp` does.) Debug builds re-run every
+//! word loop on the heap, on a copy of its input, and assert the same
+//! distances, the same log suffix entry for entry and, for a removal,
+//! the same affected region in the same order.
+//!
 //! # The bucket-queue engine and weight-class hints
 //!
-//! Both engines default to a binary heap, but callers that know the
-//! weight class of the graph they relax over — `[wmin, wmax]` bounds
-//! covering every edge weight, with `wmin > 0` — can install it via
-//! [`DijkstraScratch::set_weight_class`] /
-//! [`DynamicSssp::set_weight_class`]. When the class is *integer-ish*
-//! (`wmax / wmin` small, as the metric host factories produce), the
-//! engines switch to a Dial-style **bucket queue**: a circular window of
+//! On graphs of more than 64 nodes both engines default to a binary
+//! heap, but callers that know the weight class of the graph they relax
+//! over — `[wmin, wmax]` bounds covering every edge weight, with
+//! `wmin > 0` — can install it via [`DijkstraScratch::set_weight_class`]
+//! / [`DynamicSssp::set_weight_class`]. Below that the hint does nothing:
+//! the word frontier serves every graph of at most 64 nodes. When the
+//! class is *integer-ish* (`wmax / wmin` small, as the metric host
+//! factories produce), the engines switch to a Dial-style **bucket
+//! queue**: a circular window of
 //! `ceil(wmax / wmin) + 2` buckets of width `Δ = wmin`, scanned in
 //! ascending order, each bucket drained to a fixpoint before advancing.
 //! That replaces the `O(log n)` heap churn per relaxation with `O(1)`
@@ -109,16 +151,17 @@
 //! before it is final and re-scanned later), never correctness. Classes
 //! whose window would exceed [`BUCKET_RING_CAP`] buckets fall back to the
 //! heap, as does everything when no hint is installed — which keeps the
-//! free functions in [`crate::dijkstra`] (including the
-//! `dijkstra_reference` oracle) on the independent heap path.
+//! free functions in [`crate::dijkstra`] on the heap above 64 nodes (and
+//! the `dijkstra_reference` oracle on its own heap at every size).
 //!
 //! The affected-region *discovery* of [`DynamicSssp::remove_edges`]
 //! deliberately stays on the heap even with a hint installed: its
 //! support verdicts are final only when candidates pop in strictly
 //! increasing distance order, an ordering a bucket can violate for two
-//! nodes Δ apart in adversarial half-ulp cases. Only the order-free
-//! fixpoint scans — [`DijkstraScratch::run`]/[`DijkstraScratch::run_masked`]
-//! and the phase-2 region re-relaxation — take the bucket path.
+//! nodes Δ apart in adversarial half-ulp cases (the word frontier keeps
+//! it). Only the order-free fixpoint scans —
+//! [`DijkstraScratch::run`]/[`DijkstraScratch::run_masked`] and the
+//! phase-2 region re-relaxation — take the bucket path.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -129,9 +172,9 @@ use crate::{AdjacencyList, NodeId};
 /// node id — identical ordering to the historical from-scratch Dijkstra so
 /// the two engines traverse equal-cost frontiers in the same order.
 #[derive(Copy, Clone, Debug)]
-pub(crate) struct HeapEntry {
-    pub dist: f64,
-    pub node: NodeId,
+struct HeapEntry {
+    dist: f64,
+    node: NodeId,
 }
 
 impl PartialEq for HeapEntry {
@@ -154,6 +197,87 @@ impl Ord for HeapEntry {
             .dist
             .total_cmp(&self.dist)
             .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+/// Graphs of at most this many nodes keep a shortest-path loop's pending
+/// set in one `u64` ([`WordFrontier`]); larger ones take the binary heap
+/// or, with a weight-class hint, the bucket ring (module docs, "The
+/// small-graph frontier").
+const WORD_FRONTIER_NODES: usize = u64::BITS as usize;
+
+/// The pending set of a shortest-path loop: the nodes holding a tentative
+/// distance they have not yet relaxed from. Every loop in this module
+/// that runs on the heap or on a word is written once, generic over this.
+trait Frontier {
+    /// Marks `v`, whose distance was just set to `d`, as pending.
+    fn push(&mut self, v: NodeId, d: f64);
+
+    /// Takes the pending node of least `(dist[v], v)` out of the set and
+    /// returns it with its distance; `dist` holds every pending node's
+    /// current distance.
+    fn pop(&mut self, dist: &[f64]) -> Option<(NodeId, f64)>;
+}
+
+/// The heap frontier: an entry per push, so a node lowered twice has a
+/// stale entry, which `pop` skips. Both methods are forced inline: a loop
+/// pops once per scanned node, and left to itself the compiler calls
+/// `pop` out of line from [`DijkstraScratch`]'s scan.
+impl Frontier for BinaryHeap<HeapEntry> {
+    #[inline(always)]
+    fn push(&mut self, node: NodeId, dist: f64) {
+        BinaryHeap::push(self, HeapEntry { dist, node });
+    }
+
+    #[inline(always)]
+    fn pop(&mut self, dist: &[f64]) -> Option<(NodeId, f64)> {
+        while let Some(HeapEntry { dist: d, node }) = BinaryHeap::pop(self) {
+            if d <= dist[node as usize] {
+                return Some((node, d));
+            }
+        }
+        None
+    }
+}
+
+/// The frontier of a graph of at most [`WORD_FRONTIER_NODES`] nodes: bit
+/// `v` is set while node `v` is pending. It holds no stale entry, and a
+/// pop scans the set bits in ascending id order and keeps the first least
+/// distance, so it returns what the heap would (module docs).
+#[derive(Debug, Default)]
+struct WordFrontier(u64);
+
+impl Frontier for WordFrontier {
+    #[inline]
+    fn push(&mut self, v: NodeId, _: f64) {
+        debug_assert!(
+            (v as usize) < WORD_FRONTIER_NODES,
+            "node {v} does not fit the word frontier"
+        );
+        self.0 |= 1 << v;
+    }
+
+    #[inline]
+    fn pop(&mut self, dist: &[f64]) -> Option<(NodeId, f64)> {
+        let mut rest = self.0;
+        if rest == 0 {
+            return None;
+        }
+        let mut best = rest.trailing_zeros();
+        let mut best_d = dist[best as usize];
+        rest &= rest - 1;
+        while rest != 0 {
+            let v = rest.trailing_zeros();
+            let d = dist[v as usize];
+            // Strict: a tie keeps the lower id, found first.
+            if d < best_d {
+                best = v;
+                best_d = d;
+            }
+            rest &= rest - 1;
+        }
+        self.0 ^= 1 << best;
+        Some((best, best_d))
     }
 }
 
@@ -395,17 +519,20 @@ impl BucketRing {
 ///
 /// The distance array is *generation-stamped*: each run bumps a counter
 /// and an entry is valid only when its stamp matches, so starting a run is
-/// `O(1)` instead of an `O(n)` fill. The heap is drained by the algorithm
-/// itself (only improving entries are pushed) and its buffer is reused.
+/// `O(1)` instead of an `O(n)` fill. A run on a graph of at most 64 nodes
+/// keeps its frontier in one machine word (module docs, "The small-graph
+/// frontier"); a larger one drains a binary heap (only improving entries
+/// are pushed) whose buffer is reused.
 ///
-/// With a weight-class hint installed
-/// ([`DijkstraScratch::set_weight_class`]) runs go through the
+/// On graphs of more than 64 nodes, a weight-class hint
+/// ([`DijkstraScratch::set_weight_class`]) routes runs through the
 /// bitwise-equal bucket-queue scan instead of the heap (module docs).
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
     stamp: Vec<u32>,
     generation: u32,
+    /// The frontier of graphs of more than 64 nodes without a usable hint.
     heap: BinaryHeap<HeapEntry>,
     /// `[wmin, wmax]` bounds on every weight the next runs will relax,
     /// or `None` for the heap path.
@@ -431,7 +558,6 @@ impl DijkstraScratch {
             self.generation = 0;
         }
         self.generation += 1;
-        self.heap.clear();
     }
 
     /// Distance of `v` from the last run's source (`∞` when unreached or
@@ -467,10 +593,12 @@ impl DijkstraScratch {
 
     /// Installs (or clears, with `None`) the weight-class hint: `[wmin,
     /// wmax]` bounds covering every edge weight subsequent runs relax,
-    /// `wmin > 0`. A valid, integer-ish hint routes runs through the
-    /// bucket-queue scan; conservative bounds only cost performance, and
-    /// the result is bitwise-identical either way (module docs). The hint
-    /// is sticky across runs until replaced.
+    /// `wmin > 0`. A valid, integer-ish hint routes runs on graphs of more
+    /// than 64 nodes through the bucket-queue scan; on smaller graphs it
+    /// does nothing, as they run on the one-word frontier. Conservative
+    /// bounds only cost performance, and the result is bitwise-identical
+    /// either way (module docs). The hint is sticky across runs until
+    /// replaced.
     pub fn set_weight_class(&mut self, class: Option<(f64, f64)>) {
         self.weight_class = class;
     }
@@ -492,6 +620,23 @@ impl DijkstraScratch {
         removed: &[(NodeId, NodeId)],
         extra: &[(NodeId, NodeId, f64)],
     ) {
+        let n = g.num_nodes();
+        if n <= WORD_FRONTIER_NODES {
+            self.scan(g, source, removed, extra, &mut WordFrontier::default());
+            #[cfg(debug_assertions)]
+            {
+                // Oracle: the heap ancestor, on a scratch of its own, must
+                // agree bitwise.
+                let mut oracle = DijkstraScratch::new();
+                oracle.scan(g, source, removed, extra, &mut BinaryHeap::new());
+                assert_eq!(
+                    self.to_vec(n),
+                    oracle.to_vec(n),
+                    "bitmask SSSP diverged from the heap oracle"
+                );
+            }
+            return;
+        }
         match bucket_ring(self.weight_class) {
             Some((delta, ring)) => {
                 self.run_masked_buckets(g, source, removed, extra, delta, ring);
@@ -501,7 +646,6 @@ impl DijkstraScratch {
                     // generation, isolating the second run) and demand
                     // exact equality. The heap result is left as the
                     // final state — the two are equal anyway.
-                    let n = g.num_nodes();
                     let from_buckets = self.to_vec(n);
                     self.run_masked_heap(g, source, removed, extra);
                     assert_eq!(
@@ -515,8 +659,9 @@ impl DijkstraScratch {
         }
     }
 
-    /// The heap-Dijkstra ancestor of [`DijkstraScratch::run_masked`] —
-    /// the no-hint path and the debug oracle of the bucket scan.
+    /// [`DijkstraScratch::scan`] on the scratch's own heap — the path of
+    /// graphs of more than 64 nodes without a usable hint, and the debug
+    /// oracle of the bucket scan.
     fn run_masked_heap<G: EdgeSource>(
         &mut self,
         g: &G,
@@ -524,27 +669,40 @@ impl DijkstraScratch {
         removed: &[(NodeId, NodeId)],
         extra: &[(NodeId, NodeId, f64)],
     ) {
+        let mut heap = std::mem::take(&mut self.heap);
+        self.scan(g, source, removed, extra, &mut heap);
+        self.heap = heap;
+    }
+
+    /// The Dijkstra of [`DijkstraScratch::run_masked`] on `frontier`,
+    /// which the scan drains.
+    fn scan<G: EdgeSource, F: Frontier>(
+        &mut self,
+        g: &G,
+        source: NodeId,
+        removed: &[(NodeId, NodeId)],
+        extra: &[(NodeId, NodeId, f64)],
+        frontier: &mut F,
+    ) {
         self.begin(g.num_nodes());
         self.improve(source, 0.0);
-        self.heap.push(HeapEntry {
-            dist: 0.0,
-            node: source,
-        });
+        frontier.push(source, 0.0);
         let is_removed = |u: NodeId, v: NodeId| {
             removed
                 .iter()
                 .any(|&(a, b)| (a == u && b == v) || (a == v && b == u))
         };
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            if d > self.dist(u) {
-                continue;
-            }
-            let mut this = ScratchRelax(self);
+        // Every pending node is stamped in this generation, so its raw
+        // `dist` entry is its distance.
+        while let Some((u, d)) = frontier.pop(&self.dist) {
             g.for_each_neighbor(u, |v, w| {
                 if !removed.is_empty() && is_removed(u, v) {
                     return;
                 }
-                this.relax(v, d + w);
+                let nd = d + w;
+                if self.improve(v, nd) {
+                    frontier.push(v, nd);
+                }
             });
             for &(a, b, w) in extra {
                 let v = if a == u {
@@ -556,7 +714,7 @@ impl DijkstraScratch {
                 };
                 let nd = d + w;
                 if self.improve(v, nd) {
-                    self.heap.push(HeapEntry { dist: nd, node: v });
+                    frontier.push(v, nd);
                 }
             }
         }
@@ -662,25 +820,13 @@ impl DijkstraScratch {
     }
 }
 
-/// Borrow adapter letting the [`EdgeSource`] neighbor closure relax into
-/// the scratch while the graph itself stays separately borrowed.
-struct ScratchRelax<'a>(&'a mut DijkstraScratch);
-
-impl ScratchRelax<'_> {
-    #[inline]
-    fn relax(&mut self, v: NodeId, nd: f64) {
-        if self.0.improve(v, nd) {
-            self.0.heap.push(HeapEntry { dist: nd, node: v });
-        }
-    }
-}
-
-/// [`ScratchRelax`]'s bucket-queue sibling: improvements are filed into
-/// the ring slot of their bucket (`floor(nd / Δ) mod ring`) instead of
-/// the heap. `improve` returning `true` guarantees `nd` is finite, so
-/// the `f64 → u64` cast below is exact up to saturation — and a
-/// saturated (or otherwise early) slot only causes a pre-final scan that
-/// the fixpoint re-scans, never a wrong result (module docs).
+/// Borrow adapter letting the bucket scan's [`EdgeSource`] neighbor
+/// closure relax into the scratch: improvements are filed into the ring
+/// slot of their bucket (`floor(nd / Δ) mod ring`). `improve` returning
+/// `true` guarantees `nd` is finite, so the `f64 → u64` cast below is
+/// exact up to saturation — and a saturated (or otherwise early) slot
+/// only causes a pre-final scan that the fixpoint re-scans, never a wrong
+/// result (module docs).
 struct BucketRelax<'a> {
     scratch: &'a mut DijkstraScratch,
     delta: f64,
@@ -704,7 +850,11 @@ impl BucketRelax<'_> {
 /// both the incremental best-response search and the dynamics engine's
 /// warm per-agent distance vectors.
 ///
-/// See the module docs for the relaxation/undo and deletion invariants.
+/// Its loops keep their frontier in one machine word when the vector has
+/// at most 64 entries, and in a reused binary heap (the phase-2 region
+/// repair, with a weight-class hint, in the bucket ring) when it has more.
+/// See the module docs for the relaxation/undo and deletion invariants
+/// and for the small-graph frontier.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicSssp {
     source: NodeId,
@@ -715,6 +865,8 @@ pub struct DynamicSssp {
     /// While non-empty, removal repairs log every distance overwrite so
     /// [`DynamicSssp::rollback`] can restore the vector bitwise.
     spec_marks: Vec<usize>,
+    /// The frontier of vectors of more than 64 nodes (reused; a horizon
+    /// cut may leave it unfinished, so each loop clears it first).
     heap: BinaryHeap<HeapEntry>,
     /// Scratch of [`DynamicSssp::remove_edges`]: the affected-region node
     /// list and its membership bitmap (cleared after every removal).
@@ -765,22 +917,23 @@ impl DynamicSssp {
         self.rearm(source);
     }
 
-    /// Sets the source and clears the undo log, frames and heap.
+    /// Sets the source and clears the undo log and frames.
     fn rearm(&mut self, source: NodeId) {
         self.source = source;
         self.undo.clear();
         self.frames.clear();
         self.spec_marks.clear();
-        self.heap.clear();
     }
 
     /// Installs (or clears, with `None`) the weight-class hint: `[wmin,
     /// wmax]` bounds covering every edge weight subsequent repairs relax,
-    /// `wmin > 0`. Routes the phase-2 region relaxation of
-    /// [`DynamicSssp::remove_edges`] through the bucket-queue scan
-    /// (bitwise-identical to the heap either way — module docs). Sticky
-    /// across [`DynamicSssp::reset_from`], so engines hint once per
-    /// graph, not once per reset.
+    /// `wmin > 0`. On a vector of more than 64 nodes it routes the phase-2
+    /// region relaxation of [`DynamicSssp::remove_edges`] through the
+    /// bucket-queue scan (bitwise-identical to the heap either way —
+    /// module docs); on a smaller one it does nothing, as every loop runs
+    /// on the one-word frontier. Sticky across
+    /// [`DynamicSssp::reset_from`], so engines hint once per graph, not
+    /// once per reset.
     pub fn set_weight_class(&mut self, class: Option<(f64, f64)>) {
         self.weight_class = class;
     }
@@ -954,34 +1107,11 @@ impl DynamicSssp {
     /// [`DynamicSssp::remove_edge`] — so callers no longer re-seed with
     /// [`DynamicSssp::reset_from`] when an edge leaves.
     pub fn relax_insert<G: EdgeSource>(&mut self, g: &G, a: NodeId, b: NodeId, w: f64) {
-        debug_assert!(
-            self.spec_marks.is_empty(),
-            "relax_insert inside a speculation frame would be unrevertible"
-        );
-        self.heap.clear();
-        for (from, to) in [(a, b), (b, a)] {
-            let df = self.dist[from as usize];
-            if df.is_finite() {
-                let nd = df + w;
-                if nd < self.dist[to as usize] {
-                    self.dist[to as usize] = nd;
-                    self.heap.push(HeapEntry { dist: nd, node: to });
-                }
-            }
-        }
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue;
-            }
-            let mut this = UnloggedRelax(self);
-            g.for_each_neighbor(u, |v, wuv| {
-                this.relax(v, d + wuv);
-            });
-        }
+        self.relax_inserts(g, &[(a, b, w)]);
     }
 
     /// [`DynamicSssp::relax_insert`] for a *batch* of edge insertions in
-    /// one multi-seed heap drain: every edge's endpoint improvements are
+    /// one multi-seed drain: every edge's endpoint improvements are
     /// seeded together, then the affected region settles once.
     ///
     /// Same contract as [`DynamicSssp::relax_insert`]: `g` must be the
@@ -998,28 +1128,53 @@ impl DynamicSssp {
     pub fn relax_inserts<G: EdgeSource>(&mut self, g: &G, edges: &[(NodeId, NodeId, f64)]) {
         debug_assert!(
             self.spec_marks.is_empty(),
-            "relax_inserts inside a speculation frame would be unrevertible"
+            "an insert relaxation inside a speculation frame would be unrevertible"
         );
-        self.heap.clear();
+        if self.word_sized(g) {
+            #[cfg(debug_assertions)]
+            let (mut twin, mark) = (self.heap_twin(), self.undo.len());
+            self.relax_unlogged(g, edges, &mut WordFrontier::default());
+            #[cfg(debug_assertions)]
+            {
+                twin.relax_unlogged(g, edges, &mut BinaryHeap::new());
+                self.assert_matches_heap_twin(&twin, mark, "insert relaxation");
+            }
+        } else {
+            let mut heap = std::mem::take(&mut self.heap);
+            heap.clear();
+            self.relax_unlogged(g, edges, &mut heap);
+            self.heap = heap;
+        }
+    }
+
+    /// The decrease-only relaxation of [`DynamicSssp::relax_inserts`] on
+    /// `frontier`.
+    fn relax_unlogged<G: EdgeSource, F: Frontier>(
+        &mut self,
+        g: &G,
+        edges: &[(NodeId, NodeId, f64)],
+        frontier: &mut F,
+    ) {
+        let dist = &mut self.dist;
         for &(a, b, w) in edges {
             for (from, to) in [(a, b), (b, a)] {
-                let df = self.dist[from as usize];
+                let df = dist[from as usize];
                 if df.is_finite() {
                     let nd = df + w;
-                    if nd < self.dist[to as usize] {
-                        self.dist[to as usize] = nd;
-                        self.heap.push(HeapEntry { dist: nd, node: to });
+                    if nd < dist[to as usize] {
+                        dist[to as usize] = nd;
+                        frontier.push(to, nd);
                     }
                 }
             }
         }
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue;
-            }
-            let mut this = UnloggedRelax(self);
+        while let Some((u, d)) = frontier.pop(dist) {
             g.for_each_neighbor(u, |v, wuv| {
-                this.relax(v, d + wuv);
+                let nd = d + wuv;
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    frontier.push(v, nd);
+                }
             });
         }
     }
@@ -1080,66 +1235,106 @@ impl DynamicSssp {
             "DynamicSssp logged insertion: edge ({a}, {b}) is not incident to source {}",
             self.source
         );
+        if self.word_sized(g) {
+            #[cfg(debug_assertions)]
+            let (mut twin, mark) = (self.heap_twin(), self.undo.len());
+            self.relax_logged(g, a, b, w, &mut WordFrontier::default());
+            #[cfg(debug_assertions)]
+            {
+                twin.relax_logged(g, a, b, w, &mut BinaryHeap::new());
+                self.assert_matches_heap_twin(&twin, mark, "logged insertion");
+            }
+        } else {
+            let mut heap = std::mem::take(&mut self.heap);
+            heap.clear();
+            self.relax_logged(g, a, b, w, &mut heap);
+            self.heap = heap;
+        }
+    }
+
+    /// The relaxation of [`DynamicSssp::relax_insert_logged`] on
+    /// `frontier`. A horizon cut leaves the frontier unfinished; the heap
+    /// is cleared when the next loop takes it.
+    fn relax_logged<G: EdgeSource, F: Frontier>(
+        &mut self,
+        g: &G,
+        a: NodeId,
+        b: NodeId,
+        w: f64,
+        frontier: &mut F,
+    ) {
         let cap = if self.speculating() {
             self.price_horizon.unwrap_or(usize::MAX)
         } else {
             usize::MAX
         };
         let mut settled = 0usize;
-        self.heap.clear();
         for (from, to) in [(a, b), (b, a)] {
             let df = self.dist[from as usize];
             if df.is_finite() {
                 let nd = df + w;
                 if self.lower(to, nd) {
-                    self.heap.push(HeapEntry { dist: nd, node: to });
+                    frontier.push(to, nd);
                 }
             }
         }
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue;
-            }
+        while let Some((u, d)) = frontier.pop(&self.dist) {
             if settled >= cap {
                 // Horizon reached: abandon the frontier. Every overwrite
-                // so far is logged, so the frame still rolls back exactly;
-                // the stale heap is cleared by the next relaxation's
-                // entry. Distances beyond the horizon keep their (valid,
-                // merely loose) pre-insert values.
+                // so far is logged, so the frame still rolls back exactly.
+                // Distances beyond the horizon keep their (valid, merely
+                // loose) pre-insert values.
                 break;
             }
             settled += 1;
-            let mut this = IncRelax(self);
             g.for_each_neighbor(u, |v, wuv| {
-                this.relax(v, d + wuv);
+                let nd = d + wuv;
+                if self.lower(v, nd) {
+                    frontier.push(v, nd);
+                }
             });
         }
     }
-}
 
-/// Borrow adapter for [`DynamicSssp::relax_insert`]: lowers distances
-/// without touching the undo log (committed updates are permanent).
-struct UnloggedRelax<'a>(&'a mut DynamicSssp);
-
-impl UnloggedRelax<'_> {
+    /// Whether this vector's loops run on the word frontier: its length,
+    /// which must be `g`'s node count, is at most 64.
     #[inline]
-    fn relax(&mut self, v: NodeId, nd: f64) {
-        if nd < self.0.dist[v as usize] {
-            self.0.dist[v as usize] = nd;
-            self.0.heap.push(HeapEntry { dist: nd, node: v });
+    fn word_sized<G: EdgeSource>(&self, g: &G) -> bool {
+        debug_assert_eq!(
+            self.dist.len(),
+            g.num_nodes(),
+            "a DynamicSssp relaxes over a graph of its own node count"
+        );
+        self.dist.len() <= WORD_FRONTIER_NODES
+    }
+
+    /// The debug oracle's copy of this vector: the same source, distances,
+    /// horizon and frame state (open or not), with an empty undo log, on
+    /// which a loop re-runs on the heap.
+    #[cfg(debug_assertions)]
+    fn heap_twin(&self) -> DynamicSssp {
+        DynamicSssp {
+            source: self.source,
+            dist: self.dist.clone(),
+            spec_marks: if self.speculating() {
+                vec![0]
+            } else {
+                Vec::new()
+            },
+            price_horizon: self.price_horizon,
+            ..DynamicSssp::default()
         }
     }
-}
 
-/// Borrow adapter mirroring [`ScratchRelax`] for the incremental engine.
-struct IncRelax<'a>(&'a mut DynamicSssp);
-
-impl IncRelax<'_> {
-    #[inline]
-    fn relax(&mut self, v: NodeId, nd: f64) {
-        if self.0.lower(v, nd) {
-            self.0.heap.push(HeapEntry { dist: nd, node: v });
-        }
+    /// Asserts that a word-frontier loop left this vector as its heap
+    /// twin's run left the twin: the same distances, and the same log
+    /// since `mark`, entry for entry.
+    #[cfg(debug_assertions)]
+    fn assert_matches_heap_twin(&self, twin: &DynamicSssp, mark: usize, what: &str) {
+        assert!(
+            self.dist == twin.dist && self.undo[mark..] == twin.undo[..],
+            "bitmask {what} diverged from the heap oracle"
+        );
     }
 }
 
@@ -1250,7 +1445,70 @@ impl DynamicSssp {
             self.frames.is_empty(),
             "remove_edges with open undo frames would corrupt the log"
         );
-        self.heap.clear();
+        if self.word_sized(g) {
+            #[cfg(debug_assertions)]
+            let (mut twin, mark) = (self.heap_twin(), self.undo.len());
+            let mut frontier = WordFrontier::default();
+            if self.reseed_affected(g, removed, &mut frontier) {
+                self.region_relax(g, &mut frontier);
+            }
+            #[cfg(debug_assertions)]
+            {
+                let mut heap = BinaryHeap::new();
+                if twin.reseed_affected(g, removed, &mut heap) {
+                    twin.region_relax(g, &mut heap);
+                }
+                self.assert_matches_heap_twin(&twin, mark, "removal repair");
+                assert_eq!(
+                    self.affected, twin.affected,
+                    "bitmask removal repair discovered its region in another order than the heap oracle"
+                );
+            }
+        } else {
+            let mut heap = std::mem::take(&mut self.heap);
+            heap.clear();
+            if self.reseed_affected(g, removed, &mut heap) {
+                match bucket_ring(self.weight_class) {
+                    Some((delta, ring)) => {
+                        #[cfg(debug_assertions)]
+                        let expected = {
+                            // Oracle: a clone (same seeds, same region
+                            // state) repaired on the heap must agree
+                            // bitwise.
+                            let mut oracle = self.clone();
+                            oracle.region_relax(g, &mut heap.clone());
+                            oracle.dist
+                        };
+                        self.region_relax_buckets(g, &mut heap, delta, ring);
+                        #[cfg(debug_assertions)]
+                        assert_eq!(
+                            self.dist, expected,
+                            "bucket-queue region repair diverged from the heap oracle"
+                        );
+                    }
+                    None => self.region_relax(g, &mut heap),
+                }
+            }
+            self.heap = heap;
+        }
+        for &v in &self.affected {
+            self.affected_mark[v as usize] = false;
+        }
+    }
+
+    /// Seeds the removal repair of [`DynamicSssp::remove_edges`] on the
+    /// empty `frontier`, discovers its affected region (phase 1) and
+    /// re-seeds every affected node (the start of phase 2), leaving the
+    /// re-seeded nodes pending on `frontier`. `false` when no removed edge
+    /// seeded anything: the repair is done.
+    fn reseed_affected<G: EdgeSource, F: Frontier>(
+        &mut self,
+        g: &G,
+        removed: &[(NodeId, NodeId, f64)],
+        frontier: &mut F,
+    ) -> bool {
+        self.affected.clear();
+        let mut seeded = false;
         // Seed phase — per edge, the O(1) short-circuit: an edge that
         // supported neither endpoint carried no node's equality-support
         // chain, so it seeds nothing. A batch of such edges exits here.
@@ -1264,28 +1522,25 @@ impl DynamicSssp {
             }
             for v in [b, a] {
                 if v != self.source && self.dist[v as usize].is_finite() {
-                    self.heap.push(HeapEntry {
-                        dist: self.dist[v as usize],
-                        node: v,
-                    });
+                    frontier.push(v, self.dist[v as usize]);
+                    seeded = true;
                 }
             }
         }
-        if self.heap.is_empty() {
-            return;
+        if !seeded {
+            return false;
         }
         let n = g.num_nodes();
         if self.affected_mark.len() < n {
             self.affected_mark.resize(n, false);
         }
-        self.affected.clear();
         // Phase 1 — affected-region discovery in increasing-distance
         // order. Positive weights make support chains strictly increasing,
         // so when a candidate pops, every affected node of smaller
         // distance is already marked and its support verdict is final.
-        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
-            if self.affected_mark[v as usize] || d != self.dist[v as usize] {
-                continue; // duplicate candidate entry
+        while let Some((v, dv)) = frontier.pop(&self.dist) {
+            if self.affected_mark[v as usize] {
+                continue; // a duplicate heap entry
             }
             if self.has_support(g, v) {
                 continue;
@@ -1293,21 +1548,19 @@ impl DynamicSssp {
             self.affected_mark[v as usize] = true;
             self.affected.push(v);
             // Every node this one was supporting becomes a candidate.
-            let dv = self.dist[v as usize];
-            let (dist, heap, mark, source) =
-                (&self.dist, &mut self.heap, &self.affected_mark, self.source);
+            let (dist, mark, source) = (&self.dist, &self.affected_mark, self.source);
             g.for_each_neighbor(v, |x, wvx| {
                 let dx = dist[x as usize];
                 if x != source && !mark[x as usize] && dx.is_finite() && dv + wvx == dx {
-                    heap.push(HeapEntry { dist: dx, node: x });
+                    frontier.push(x, dx);
                 }
             });
         }
         // Phase 2 — re-seed every affected node from its unaffected
-        // neighbors, then Dijkstra inside the region only. Inside a
-        // speculation frame every overwrite logs the old value first.
+        // neighbors; the region relaxation then runs inside the region
+        // only. Inside a speculation frame every overwrite logs the old
+        // value first.
         let log = self.speculating();
-        self.heap.clear();
         for i in 0..self.affected.len() {
             let v = self.affected[i];
             let mut best = f64::INFINITY;
@@ -1333,49 +1586,18 @@ impl DynamicSssp {
             }
             self.dist[v as usize] = best;
             if best.is_finite() {
-                self.heap.push(HeapEntry {
-                    dist: best,
-                    node: v,
-                });
+                frontier.push(v, best);
             }
         }
-        match bucket_ring(self.weight_class) {
-            Some((delta, ring)) => {
-                #[cfg(debug_assertions)]
-                let expected = {
-                    // Oracle: a clone (same seeds, same region state)
-                    // repaired by the heap ancestor must agree bitwise.
-                    let mut oracle = self.clone();
-                    oracle.region_relax_heap(g, false);
-                    oracle.dist
-                };
-                self.region_relax_buckets(g, log, delta, ring);
-                #[cfg(debug_assertions)]
-                assert_eq!(
-                    self.dist, expected,
-                    "bucket-queue region repair diverged from the heap oracle"
-                );
-            }
-            None => self.region_relax_heap(g, log),
-        }
-        for &v in &self.affected {
-            self.affected_mark[v as usize] = false;
-        }
+        true
     }
 
-    /// The heap ancestor of the phase-2 region relaxation: drains the
-    /// re-seed queue in `self.heap`, relaxing only into affected nodes.
-    fn region_relax_heap<G: EdgeSource>(&mut self, g: &G, log: bool) {
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue;
-            }
-            let (dist, heap, mark, undo) = (
-                &mut self.dist,
-                &mut self.heap,
-                &self.affected_mark,
-                &mut self.undo,
-            );
+    /// The phase-2 region relaxation on `frontier`, which holds the
+    /// re-seeded nodes: relaxes only into affected nodes.
+    fn region_relax<G: EdgeSource, F: Frontier>(&mut self, g: &G, frontier: &mut F) {
+        let log = self.speculating();
+        while let Some((u, d)) = frontier.pop(&self.dist) {
+            let (dist, mark, undo) = (&mut self.dist, &self.affected_mark, &mut self.undo);
             g.for_each_neighbor(u, |v, wuv| {
                 if !mark[v as usize] {
                     return; // unaffected nodes are already exact
@@ -1386,23 +1608,31 @@ impl DynamicSssp {
                         undo.push((v, dist[v as usize]));
                     }
                     dist[v as usize] = nd;
-                    heap.push(HeapEntry { dist: nd, node: v });
+                    frontier.push(v, nd);
                 }
             });
         }
     }
 
-    /// Bucket-queue sibling of [`DynamicSssp::region_relax_heap`]: moves
-    /// the re-seed queue into the ring (the window starts at the earliest
-    /// seed's bucket) and scans buckets in ascending order, each drained
-    /// to a fixpoint. Seeds wider apart than the window merely wrap and
-    /// get pre-final scans that the fixpoint re-scans — correctness never
-    /// depends on the window fitting (module docs).
-    fn region_relax_buckets<G: EdgeSource>(&mut self, g: &G, log: bool, delta: f64, ring: usize) {
+    /// Bucket-queue sibling of [`DynamicSssp::region_relax`] on graphs of
+    /// more than 64 nodes: moves the re-seeded nodes from `seeds` into the
+    /// ring (the window starts at the earliest seed's bucket) and scans
+    /// buckets in ascending order, each drained to a fixpoint. Seeds wider
+    /// apart than the window merely wrap and get pre-final scans that the
+    /// fixpoint re-scans — correctness never depends on the window fitting
+    /// (module docs).
+    fn region_relax_buckets<G: EdgeSource>(
+        &mut self,
+        g: &G,
+        seeds: &mut BinaryHeap<HeapEntry>,
+        delta: f64,
+        ring: usize,
+    ) {
+        let log = self.speculating();
         self.buckets.reserve_slots(ring);
         let mut pending = 0usize;
         let mut cur = u64::MAX;
-        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
+        while let Some(HeapEntry { dist: d, node: v }) = seeds.pop() {
             let b = (d / delta) as u64;
             cur = cur.min(b);
             self.buckets.push((b % ring as u64) as usize, (v, d));
@@ -1947,12 +2177,24 @@ mod tests {
         DynamicSssp::new().rollback();
     }
 
+    /// `g` with isolated nodes added up to one past the word frontier's
+    /// 64, so every loop over it takes the heap or, with a hint, the
+    /// bucket ring. No isolated node is ever reached.
+    fn past_the_word(g: &AdjacencyList) -> AdjacencyList {
+        let mut padded = AdjacencyList::new(WORD_FRONTIER_NODES + 1);
+        for (a, b, w) in g.edges() {
+            padded.add_edge(a, b, w);
+        }
+        padded
+    }
+
     #[test]
     fn bucket_scratch_matches_heap_scratch_bitwise() {
         // Same graph, every source, with and without the hint: the two
         // engines must agree exactly (the debug oracle re-checks this
         // inside every hinted run as well).
-        let g = diamond();
+        let g = past_the_word(&diamond());
+        let n = g.n();
         let c = Csr::from_adjacency(&g);
         let mut heap = DijkstraScratch::new();
         let mut bucket = DijkstraScratch::new();
@@ -1960,11 +2202,19 @@ mod tests {
         for s in 0..4u32 {
             heap.run(&c, s, &[]);
             bucket.run(&c, s, &[]);
-            assert_eq!(heap.to_vec(4), bucket.to_vec(4), "source {s}");
+            assert_eq!(heap.to_vec(n), bucket.to_vec(n), "source {s}");
             heap.run_masked(&g, s, &[(0, 1)], &[(0, 3, 0.5)]);
             bucket.run_masked(&g, s, &[(0, 1)], &[(0, 3, 0.5)]);
-            assert_eq!(heap.to_vec(4), bucket.to_vec(4), "masked+extra, source {s}");
+            assert_eq!(heap.to_vec(n), bucket.to_vec(n), "masked+extra, source {s}");
         }
+        assert!(
+            heap.heap.capacity() > 0,
+            "the hint-less scratch ran on the heap"
+        );
+        assert!(
+            bucket.buckets.capacity > 0,
+            "the hinted scratch ran on the ring"
+        );
     }
 
     #[test]
@@ -1972,22 +2222,27 @@ mod tests {
         // A too-narrow hint (declared wmax below the real one, and an
         // extra edge below wmin) must still produce the exact result:
         // mis-bucketed entries get pre-final scans the fixpoint redoes.
-        let g = diamond(); // weights 1.0 and 3.0
+        let g = past_the_word(&diamond()); // weights 1.0 and 3.0
+        let n = g.n();
         let mut bucket = DijkstraScratch::new();
         bucket.set_weight_class(Some((1.0, 1.5)));
         let mut heap = DijkstraScratch::new();
         for s in 0..4u32 {
             bucket.run(&g, s, &[(1, 2, 0.125)]);
             heap.run(&g, s, &[(1, 2, 0.125)]);
-            assert_eq!(bucket.to_vec(4), heap.to_vec(4), "source {s}");
+            assert_eq!(bucket.to_vec(n), heap.to_vec(n), "source {s}");
         }
+        assert!(
+            bucket.buckets.capacity > 0,
+            "the hinted scratch ran on the ring"
+        );
     }
 
     #[test]
     fn degenerate_weight_class_hints_fall_back_to_the_heap() {
         // wmin ≤ 0, non-finite wmax, inverted bounds, and a window past
         // BUCKET_RING_CAP must all run (on the heap) and stay exact.
-        let g = diamond();
+        let g = past_the_word(&diamond());
         let fresh = dijkstra(&g, 0);
         for class in [
             Some((0.0, 3.0)),
@@ -2000,7 +2255,11 @@ mod tests {
             let mut s = DijkstraScratch::new();
             s.set_weight_class(class);
             s.run(&g, 0, &[]);
-            assert_eq!(s.to_vec(4), fresh, "class {class:?}");
+            assert_eq!(s.to_vec(g.n()), fresh, "class {class:?}");
+            assert!(
+                s.heap.capacity() > 0 && s.buckets.capacity == 0,
+                "class {class:?} ran on the heap, not the ring"
+            );
         }
     }
 
@@ -2009,8 +2268,9 @@ mod tests {
         // remove_edges with a hint installed: repaired vector must equal
         // a fresh Dijkstra, and a speculative repair must roll back
         // bitwise — for every source and edge.
-        let g = diamond();
+        let g = past_the_word(&diamond());
         let edges: Vec<_> = g.edges().collect();
+        let mut ring_used = false;
         for source in 0..4u32 {
             let d0 = dijkstra(&g, source);
             for &(a, b, w) in &edges {
@@ -2034,7 +2294,84 @@ mod tests {
                 assert_eq!(inc.dist(), dijkstra(&live, source).as_slice());
                 inc.rollback();
                 assert_eq!(inc.dist(), d0.as_slice(), "rollback must restore bits");
+                ring_used |= inc.buckets.capacity > 0;
             }
+        }
+        assert!(ring_used, "no region repair ran on the ring");
+    }
+
+    /// The word frontier pops what the heap pops, in the same order:
+    /// the least `(distance, id)` among the pending nodes, the heap
+    /// skipping the stale entries a node lowered twice leaves behind.
+    /// Distances come from a set of four, so ties are frequent, and node
+    /// 63 (the word's top bit) takes part.
+    #[test]
+    fn word_frontier_pops_like_the_heap() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _round in 0..200 {
+            let mut dist = vec![f64::INFINITY; WORD_FRONTIER_NODES];
+            let mut word = WordFrontier::default();
+            let mut heap = BinaryHeap::new();
+            for _op in 0..96 {
+                let r = next();
+                if r % 3 == 0 {
+                    let (w, h) = (word.pop(&dist), Frontier::pop(&mut heap, &dist));
+                    assert_eq!(w, h, "pop");
+                } else {
+                    let v = (r >> 8) as NodeId % WORD_FRONTIER_NODES as NodeId;
+                    let d = [1.0, 1.5, 2.0, 2.5][(r >> 16) as usize % 4];
+                    if d < dist[v as usize] {
+                        dist[v as usize] = d;
+                        word.push(v, d);
+                        Frontier::push(&mut heap, v, d);
+                    }
+                }
+            }
+            while let Some(w) = word.pop(&dist) {
+                assert_eq!(Some(w), Frontier::pop(&mut heap, &dist), "drain");
+            }
+            assert_eq!(Frontier::pop(&mut heap, &dist), None);
+        }
+    }
+
+    /// 64 nodes is the word frontier's limit: at 63 and 64 nodes the
+    /// scratch and the vector never touch their heaps, at 65 they do, and
+    /// all three sizes agree with the independent oracle with the last
+    /// node reached.
+    #[test]
+    fn graphs_past_64_nodes_take_the_heap() {
+        use crate::dijkstra::dijkstra_reference;
+        for n in [63usize, 64, 65] {
+            let mut g = AdjacencyList::new(n);
+            for i in 0..n as NodeId - 1 {
+                g.add_edge(i, i + 1, 1.0 + (i % 3) as f64);
+            }
+            for i in (0..n as NodeId - 5).step_by(4) {
+                g.add_edge(i, i + 5, 2.5);
+            }
+            let on_heap = n > WORD_FRONTIER_NODES;
+            let mut scratch = DijkstraScratch::new();
+            scratch.run(&g, 0, &[]);
+            assert_eq!(scratch.to_vec(n), dijkstra_reference(&g, 0), "n = {n}");
+            assert!(scratch.dist(n as NodeId - 1).is_finite());
+            assert_eq!(scratch.heap.capacity() > 0, on_heap, "scratch, n = {n}");
+
+            let mut inc = DynamicSssp::new();
+            inc.reset_from(0, &dijkstra_reference(&g, 0));
+            let (a, b) = (0, n as NodeId - 1);
+            g.add_edge(a, b, 1.0);
+            inc.relax_insert(&g, a, b, 1.0);
+            assert_eq!(inc.dist(), dijkstra_reference(&g, 0).as_slice(), "n = {n}");
+            g.remove_edge(a, b);
+            inc.remove_edge(&g, a, b, 1.0);
+            assert_eq!(inc.dist(), dijkstra_reference(&g, 0).as_slice(), "n = {n}");
+            assert_eq!(inc.heap.capacity() > 0, on_heap, "vector, n = {n}");
         }
     }
 
@@ -2071,9 +2408,10 @@ mod tests {
     #[test]
     fn bucket_ring_capacity_tracks_its_buckets() {
         let walk = |ring: &BucketRing| ring.slots.iter().map(Vec::capacity).sum::<usize>();
-        // A ring of 30 nodes with chords, weights 1 to 8: a 10-slot window.
+        // A ring of 30 nodes with chords, weights 1 to 8: a 10-slot window,
+        // padded with isolated nodes past the word frontier.
         let n = 30u32;
-        let mut g = AdjacencyList::new(n as usize);
+        let mut g = AdjacencyList::new(WORD_FRONTIER_NODES + 1);
         for i in 0..n {
             g.add_edge(i, (i + 1) % n, 1.0 + (i % 8) as f64);
             if i % 3 == 0 {

@@ -4,18 +4,19 @@
 //! millions of times per experiment, so this module is the hot path. Since
 //! the incremental-engine refactor the actual relaxation lives in
 //! [`crate::csr`]: every function here drives a thread-local
-//! [`DijkstraScratch`], so repeated calls reuse the heap and the
+//! [`DijkstraScratch`], so repeated calls reuse its frontier and the
 //! generation-stamped distance array instead of allocating fresh ones.
 //! Only materializing the returned `Vec<f64>` allocates; callers on the
 //! hottest paths (APSP, best-response search) use the scratch API directly
 //! and skip even that.
 //!
-//! The thread-local scratch here carries **no weight-class hint**, so
-//! every free function — and [`dijkstra_reference`] in particular — runs
-//! the binary-heap engine, never the bucket queue. That keeps this module
-//! an independent ancestor for the bucket-queue equivalence tests: hinted
-//! scratches elsewhere are debug-asserted against exactly this path (see
-//! [`crate::csr`]'s module docs).
+//! The thread-local scratch here carries **no weight-class hint**, so the
+//! free functions run the scratch's one-word frontier on graphs of at
+//! most 64 nodes and its binary heap on larger ones, never the bucket
+//! queue (see [`crate::csr`]'s module docs). [`dijkstra_reference`] is
+//! not built on the scratch at all: it keeps a heap of its own, so it is
+//! the independent oracle that the scratch's frontiers and the bucket
+//! queue are tested against.
 
 use std::cell::RefCell;
 

@@ -29,8 +29,10 @@ echo "== allocation lock (release build)" >&2
 # preset's run loop, the same run loop with the regret meter on (its pool
 # scans kept on the calling thread by rayon::with_sequential), the br-grid
 # preset's run loop, and the br-grid final profiles' fresh exact best
-# responses. Debug builds skip them: their oracles allocate on every
-# activation.
+# responses. All of them run at n ≤ 64, where every shortest-path loop
+# keeps its frontier in one machine word, so no heap or bucket-ring
+# allocation is left in them. Debug builds skip them: their oracles
+# allocate on every activation.
 cargo test --release -q --test allocations
 
 echo "== e2ebench unit tests (its own cargo workspace)" >&2
@@ -241,8 +243,11 @@ echo "== oracle profile (release speed, debug assertions on): goldens + large-n"
 # bound-first move scan's masked-scan and synced-row
 # checks on every full-sum greedy and add activation, the RegionDelta
 # winner's exact re-price on every horizon-policy activation (a path
-# that must neither sync rows nor bound), and at n = 1024 the
-# warm-vector, cached-network, memo and bucket-queue checks.
+# that must neither sync rows nor bound), every shortest-path loop of
+# the golden cells (all at most 64 nodes, so on the one-word bitmask
+# frontier) re-run on the heap with the same distances, undo log and
+# removal discovery order, and at n = 1024 the warm-vector,
+# cached-network, memo and bucket-queue checks.
 # The golden bytes, and the release build's large-n bytes, must not move.
 cargo build --profile oracle -p gncg-service --bin gncg
 GNCG=./target/oracle/gncg

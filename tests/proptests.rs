@@ -32,6 +32,57 @@ fn profile(n: usize) -> impl Strategy<Value = Profile> {
     })
 }
 
+/// One past the 64 nodes a one-word SSSP frontier serves: a graph padded
+/// with isolated nodes to this size runs every shortest-path loop on the
+/// binary heap or, with a weight-class hint, the bucket ring.
+const PAST_THE_WORD: usize = 65;
+
+/// The undo log of `t`, entry for entry, as its `Debug` form prints it:
+/// the log has no accessor of its own, and `f64`'s `Debug` form round-trips,
+/// so equal strings mean equal bits.
+fn undo_log(t: &gncg_graph::DynamicSssp) -> String {
+    let form = format!("{t:?}");
+    let start = form
+        .find("undo: [")
+        .expect("DynamicSssp's Debug form prints its undo log");
+    let len = form[start..]
+        .find(']')
+        .expect("the undo log's closing bracket");
+    form[start..=start + len].to_owned()
+}
+
+/// Asserts that `word`, a vector over a graph of at most 64 nodes, and
+/// `heap`, the same vector over that graph padded past 64, agree: the same
+/// distance bits (the padding unreached), the same undo log entry for
+/// entry, and the same `delta_sum_since` bits at every mark from `mark`
+/// up.
+fn assert_same_entries(
+    word: &mut gncg_graph::DynamicSssp,
+    heap: &mut gncg_graph::DynamicSssp,
+    mark: usize,
+    what: &str,
+) {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let n = word.dist().len();
+    assert_eq!(
+        bits(word.dist()),
+        bits(&heap.dist()[..n]),
+        "{what}: distances"
+    );
+    assert!(
+        heap.dist()[n..].iter().all(|d| d.is_infinite()),
+        "{what}: an isolated node was reached"
+    );
+    assert_eq!(undo_log(word), undo_log(heap), "{what}: undo log");
+    for m in mark..=word.undo_len() {
+        assert_eq!(
+            word.delta_sum_since(m).to_bits(),
+            heap.delta_sum_since(m).to_bits(),
+            "{what}: delta_sum_since({m})"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -331,7 +382,8 @@ proptest! {
     /// insert / remove / swap repairs. The weight-class hint is synthetic
     /// (the host's finite weight extremes), forcing the bucket ring even
     /// on hosts whose game-layer class is `None`: the hint may only
-    /// change performance, never a byte.
+    /// change performance, never a byte. The 8-node host graph is padded
+    /// with isolated nodes past 64, where the heap and the ring serve.
     #[test]
     fn bucket_sssp_matches_heap_bitwise_under_interleaved_ops(
         ops in proptest::collection::vec(0u64..(1u64 << 62), 12),
@@ -348,7 +400,7 @@ proptest! {
             let wmin = finite.iter().copied().fold(f64::INFINITY, f64::min);
             let wmax = finite.iter().copied().fold(0.0f64, f64::max);
             let class = Some((wmin, wmax));
-            let mut g = AdjacencyList::new(n);
+            let mut g = AdjacencyList::new(PAST_THE_WORD);
             for v in 1..n as u32 {
                 let w = host.get(0, v);
                 if w.is_finite() {
@@ -357,6 +409,13 @@ proptest! {
             }
             let mut heap_scr = DijkstraScratch::new();
             let mut bucket_scr = DijkstraScratch::new();
+            // One hint-less run sizes the bucket scratch's arrays and
+            // heap, so from then on only a ring run can add to its
+            // resident bytes (the ring's buckets, and in debug builds the
+            // heap its oracle re-runs): the growth checked below shows
+            // that the ring was used.
+            bucket_scr.run(&g, 0, &[]);
+            let before_ring = bucket_scr.resident_bytes();
             bucket_scr.set_weight_class(class);
             let make = |c: Option<(f64, f64)>, g: &AdjacencyList| -> Vec<DynamicSssp> {
                 (0..n as u32)
@@ -411,15 +470,261 @@ proptest! {
                 }
                 let s = (op % n as u64) as u32;
                 heap_scr.run(&g, s, &[]);
-                let heap_d = heap_scr.to_vec(n);
+                let heap_d = heap_scr.to_vec(PAST_THE_WORD);
                 bucket_scr.run(&g, s, &[]);
                 prop_assert_eq!(
                     heap_d,
-                    bucket_scr.to_vec(n),
+                    bucket_scr.to_vec(PAST_THE_WORD),
                     "host '{}' source {}: bucket scratch diverged from heap",
                     key,
                     s
                 );
+            }
+            prop_assert!(
+                bucket_scr.resident_bytes() > before_ring,
+                "host '{}': the hinted scratch never used its bucket ring",
+                key
+            );
+        }
+    }
+
+    /// The one-word frontier against the heap, entry for entry. A graph
+    /// of at most 64 nodes runs every shortest-path loop on a bitmask
+    /// frontier; the same graph padded with isolated nodes past 64 runs
+    /// them on the binary heap, and no isolated node ever enters a
+    /// frontier. Over every factory host (`oneinf`'s ∞ edges in the
+    /// graph, `unit`'s and `onetwo`'s exact ties, sparse graphs that fall
+    /// apart), at a drawn size and at 63 and 64 nodes (node 63 is the
+    /// word's top bit), each `DynamicSssp` operation must leave the two
+    /// vectors with the same distance bits and the same undo log, entry
+    /// for entry, `delta_sum_since` reading the same bits at every mark;
+    /// and `DijkstraScratch::run_masked` must equal `dijkstra_reference`
+    /// bitwise on both graphs.
+    #[test]
+    fn word_frontier_matches_the_heap_entry_for_entry(
+        ops in proptest::collection::vec(0u64..(1u64 << 62), 10),
+        seed in 0u64..500,
+        size in 1usize..65,
+        cap in 1usize..6,
+    ) {
+        use gncg_graph::dijkstra::dijkstra_reference;
+        use gncg_graph::{DijkstraScratch, DynamicSssp, MaskedEdges};
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for n in [size, 63, 64] {
+            for key in gncg_metrics::factory::keys() {
+                let host = gncg_metrics::factory::build_host(key, n, seed).unwrap();
+                // A sparse start graph, about 1.5 edges per node, so often
+                // disconnected; host weights as they are, ∞ included.
+                let mut state = seed ^ ((n as u64) << 32) ^ 0x9e37_79b9_7f4a_7c15;
+                let mut draw = move || {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    state >> 33
+                };
+                let mut g = AdjacencyList::new(n);
+                let mut gp = AdjacencyList::new(PAST_THE_WORD);
+                for u in 0..n as u32 {
+                    for v in (u + 1)..n as u32 {
+                        if draw() % n as u64 <= 2 {
+                            g.add_edge(u, v, host.get(u, v));
+                            gp.add_edge(u, v, host.get(u, v));
+                        }
+                    }
+                }
+                let mut sources = vec![0, n as u32 / 2, n as u32 - 1];
+                sources.dedup();
+                let fresh = |g: &AdjacencyList, s: u32| {
+                    let mut t = DynamicSssp::new();
+                    t.reset_from(s, &dijkstra_reference(g, s));
+                    t
+                };
+                let mut word: Vec<DynamicSssp> = sources.iter().map(|&s| fresh(&g, s)).collect();
+                let mut heap: Vec<DynamicSssp> = sources.iter().map(|&s| fresh(&gp, s)).collect();
+                let mut scratch = DijkstraScratch::new();
+                for (i, &op) in ops.iter().enumerate() {
+                    let r = (op / 6) as usize;
+                    let missing: Vec<(u32, u32)> = (0..n as u32)
+                        .flat_map(|u| ((u + 1)..n as u32).map(move |v| (u, v)))
+                        .filter(|&(u, v)| !g.has_edge(u, v))
+                        .collect();
+                    let present: Vec<(u32, u32, f64)> = g.edges().collect();
+                    // Up to `k` distinct picks out of `len`, from `r`.
+                    let picks = |len: usize, k: usize| -> Vec<usize> {
+                        (0..k.min(len)).map(|j| (r + j) % len).collect()
+                    };
+                    match op % 6 {
+                        kind @ (0 | 1) => {
+                            // Committed inserts: one edge through
+                            // relax_insert, or a batch of up to three
+                            // through relax_inserts.
+                            let k = if kind == 0 { 1 } else { 1 + r % 3 };
+                            let batch: Vec<(u32, u32, f64)> = picks(missing.len(), k)
+                                .into_iter()
+                                .map(|p| {
+                                    let (u, v) = missing[p];
+                                    (u, v, host.get(u, v))
+                                })
+                                .collect();
+                            for &(u, v, w) in &batch {
+                                g.add_edge(u, v, w);
+                                gp.add_edge(u, v, w);
+                            }
+                            for (t, tp) in word.iter_mut().zip(heap.iter_mut()) {
+                                match (kind, batch.first()) {
+                                    (0, Some(&(u, v, w))) => {
+                                        t.relax_insert(&g, u, v, w);
+                                        tp.relax_insert(&gp, u, v, w);
+                                    }
+                                    _ => {
+                                        t.relax_inserts(&g, &batch);
+                                        tp.relax_inserts(&gp, &batch);
+                                    }
+                                }
+                                assert_same_entries(t, tp, 0, &format!("{key} n={n} op {i}: insert"));
+                            }
+                        }
+                        2 => {
+                            // Two nested add_edge frames at the source,
+                            // then both undone.
+                            for (k, (t, tp)) in word.iter_mut().zip(heap.iter_mut()).enumerate() {
+                                let s = sources[k];
+                                let targets: Vec<u32> = (0..n as u32)
+                                    .filter(|&v| v != s && !g.has_edge(s, v))
+                                    .collect();
+                                let what = format!("{key} n={n} op {i} source {s}: add_edge");
+                                for p in picks(targets.len(), 2) {
+                                    let (v, w) = (targets[p], host.get(s, targets[p]));
+                                    t.add_edge(&g, s, v, w);
+                                    tp.add_edge(&gp, s, v, w);
+                                    assert_same_entries(t, tp, 0, &what);
+                                }
+                                while t.depth() > 0 {
+                                    t.undo();
+                                    tp.undo();
+                                    assert_same_entries(t, tp, 0, &what);
+                                }
+                                prop_assert_eq!(tp.depth(), 0);
+                            }
+                        }
+                        3 => {
+                            // A speculative insert at the source under the
+                            // horizon cap, then rolled back.
+                            for (k, (t, tp)) in word.iter_mut().zip(heap.iter_mut()).enumerate() {
+                                let s = sources[k];
+                                let targets: Vec<u32> = (0..n as u32)
+                                    .filter(|&v| v != s && !g.has_edge(s, v))
+                                    .collect();
+                                let Some(&p) = picks(targets.len(), 1).first() else {
+                                    continue;
+                                };
+                                let (v, w) = (targets[p], host.get(s, targets[p]));
+                                let what = format!("{key} n={n} op {i} source {s}: capped speculation");
+                                t.set_price_horizon(Some(cap));
+                                tp.set_price_horizon(Some(cap));
+                                let mark = t.undo_len();
+                                t.begin_speculation();
+                                tp.begin_speculation();
+                                t.speculate_insert(&g, s, v, w);
+                                tp.speculate_insert(&gp, s, v, w);
+                                assert_same_entries(t, tp, mark, &what);
+                                t.rollback();
+                                tp.rollback();
+                                assert_same_entries(t, tp, mark, &what);
+                                t.set_price_horizon(None);
+                                tp.set_price_horizon(None);
+                            }
+                        }
+                        4 => {
+                            // A committed removal of one or two edges.
+                            let removed: Vec<(u32, u32, f64)> =
+                                picks(present.len(), 1 + r % 2).into_iter().map(|p| present[p]).collect();
+                            for &(a, b, _) in &removed {
+                                g.remove_edge(a, b);
+                                gp.remove_edge(a, b);
+                            }
+                            for (t, tp) in word.iter_mut().zip(heap.iter_mut()) {
+                                t.remove_edges(&g, &removed);
+                                tp.remove_edges(&gp, &removed);
+                                assert_same_entries(t, tp, 0, &format!("{key} n={n} op {i}: removal"));
+                            }
+                        }
+                        _ => {
+                            // A removal of one or two edges inside a frame,
+                            // over a masked view, then a capped insert at
+                            // the source in the same frame (a swap), then
+                            // rolled back.
+                            let removed: Vec<(u32, u32, f64)> =
+                                picks(present.len(), 1 + r % 2).into_iter().map(|p| present[p]).collect();
+                            let mask: Vec<(u32, u32)> = removed.iter().map(|&(a, b, _)| (a, b)).collect();
+                            let (view, viewp) = (MaskedEdges::new(&g, &mask), MaskedEdges::new(&gp, &mask));
+                            for (k, (t, tp)) in word.iter_mut().zip(heap.iter_mut()).enumerate() {
+                                let s = sources[k];
+                                let what = format!("{key} n={n} op {i} source {s}: speculative swap");
+                                t.set_price_horizon(Some(cap));
+                                tp.set_price_horizon(Some(cap));
+                                let mark = t.undo_len();
+                                t.begin_speculation();
+                                tp.begin_speculation();
+                                t.remove_edges(&view, &removed);
+                                tp.remove_edges(&viewp, &removed);
+                                assert_same_entries(t, tp, mark, &what);
+                                let targets: Vec<u32> = (0..n as u32)
+                                    .filter(|&v| v != s && !g.has_edge(s, v))
+                                    .collect();
+                                if let Some(&p) = picks(targets.len(), 1).first() {
+                                    let (v, w) = (targets[p], host.get(s, targets[p]));
+                                    t.speculate_insert(&view, s, v, w);
+                                    tp.speculate_insert(&viewp, s, v, w);
+                                    assert_same_entries(t, tp, mark, &what);
+                                }
+                                t.rollback();
+                                tp.rollback();
+                                assert_same_entries(t, tp, mark, &what);
+                                t.set_price_horizon(None);
+                                tp.set_price_horizon(None);
+                            }
+                        }
+                    }
+                    // Every committed vector is exact for the graph.
+                    for (k, t) in word.iter().enumerate() {
+                        prop_assert_eq!(
+                            bits(t.dist()),
+                            bits(&dijkstra_reference(&g, sources[k])),
+                            "{} n={} op {}: vector of source {} is not exact",
+                            key, n, i, sources[k]
+                        );
+                    }
+                    // run_masked, one edge masked and one virtual edge
+                    // added, against the oracle on the graph so changed.
+                    let s = (r % n) as u32;
+                    let mask: Vec<(u32, u32)> =
+                        present.first().map(|&(a, b, _)| (a, b)).into_iter().filter(|&(a, b)| g.has_edge(a, b)).collect();
+                    let extra: Vec<(u32, u32, f64)> = picks(missing.len(), 1)
+                        .into_iter()
+                        .map(|p| missing[p])
+                        .filter(|&(u, v)| !g.has_edge(u, v))
+                        .map(|(u, v)| (u, v, host.get(u, v)))
+                        .collect();
+                    let mut changed = g.clone();
+                    for &(a, b) in &mask {
+                        changed.remove_edge(a, b);
+                    }
+                    for &(u, v, w) in &extra {
+                        changed.add_edge(u, v, w);
+                    }
+                    let mut expected = dijkstra_reference(&changed, s);
+                    scratch.run_masked(&g, s, &mask, &extra);
+                    prop_assert_eq!(bits(&scratch.to_vec(n)), bits(&expected), "{} n={} op {}: run_masked", key, n, i);
+                    scratch.run_masked(&gp, s, &mask, &extra);
+                    expected.resize(PAST_THE_WORD, f64::INFINITY);
+                    prop_assert_eq!(
+                        bits(&scratch.to_vec(PAST_THE_WORD)),
+                        bits(&expected),
+                        "{} n={} op {}: padded run_masked",
+                        key, n, i
+                    );
+                }
             }
         }
     }
