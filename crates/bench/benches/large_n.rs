@@ -1,82 +1,24 @@
-//! Large-n scaling benches: the bucket-queue SSSP core against the
-//! binary-heap scan on 10³–10⁴-node networks, and the per-activation cost
-//! of one bounded-horizon dynamics round as n grows.
+//! Large-n scaling bench: the per-activation cost of one bounded-horizon
+//! dynamics round as n grows.
 //!
-//! `scripts/bench_snapshot.sh` derives the tracked figures from these
-//! groups: `sssp_bucket_speedup_n4096` = large_n_sssp/heap/4096 ÷
-//! large_n_sssp/bucket/4096, and `cost_per_activation_n{256,1024,4096}`
-//! = large_n_round/horizon/{n} ÷ n (one add-only round activates every
-//! agent once, so the round median divided by n is the activation cost).
+//! `scripts/bench_snapshot.sh` derives the tracked figures from this
+//! group: `cost_per_activation_n{256,1024,4096}` = large_n_round/horizon/{n}
+//! ÷ n (one add-only round activates every agent once, so the round median
+//! divided by n is the activation cost).
 //!
-//! Hosts come from the `grid` factory: unit-spaced lattice points whose
-//! L2 weight class `[1, Θ(√n)]` is exactly the integer-ish regime the
-//! bucket ring is built for.
+//! Hosts come from the `grid` factory: unit-spaced lattice points, the
+//! host the large-n preset runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use gncg_core::Game;
 use gncg_dynamics::{DynamicsConfig, Engine, ResponseRule, Scheduler, SpeculativePricing};
-use gncg_graph::{AdjacencyList, Csr, DijkstraScratch, SymMatrix};
+use gncg_graph::SymMatrix;
 
 const SIZES: [usize; 3] = [256, 1024, 4096];
 
 fn grid_host(n: usize) -> SymMatrix {
     gncg_metrics::factory::build_host("grid", n, 0).expect("grid factory")
-}
-
-/// A sparse connected network over the host: the star a dynamics run
-/// starts from, plus one deterministic chord per node — about 2n edges,
-/// the density a greedy equilibrium's SSSP queries actually see.
-fn star_with_chords(host: &SymMatrix) -> Csr {
-    let n = host.n();
-    let mut g = AdjacencyList::new(n);
-    for v in 1..n {
-        g.add_edge(0, v as u32, host.get(0, v as u32));
-    }
-    for v in 1..n {
-        let u = (v * 7 + 1) % n;
-        if u != v && !g.has_edge(u as u32, v as u32) {
-            g.add_edge(u as u32, v as u32, host.get(u as u32, v as u32));
-        }
-    }
-    Csr::from_adjacency(&g)
-}
-
-fn bench_sssp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("large_n_sssp");
-    group.sample_size(10);
-    for n in SIZES {
-        let host = grid_host(n);
-        let class = Game::new(host.clone(), 1.0).weight_class();
-        assert!(class.is_some(), "grid hosts must carry a weight class");
-        let net = star_with_chords(&host);
-        // Sources off the hub: the interesting scans cross the star.
-        let sources: Vec<u32> = (0..8).map(|i| (1 + i * (n / 8)) as u32).collect();
-        group.bench_with_input(BenchmarkId::new("heap", n), &net, |b, net| {
-            let mut scratch = DijkstraScratch::new();
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &s in &sources {
-                    scratch.run(net, s, &[]);
-                    acc += scratch.sum_distances(n);
-                }
-                acc
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("bucket", n), &net, |b, net| {
-            let mut scratch = DijkstraScratch::new();
-            scratch.set_weight_class(class);
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &s in &sources {
-                    scratch.run(net, s, &[]);
-                    acc += scratch.sum_distances(n);
-                }
-                acc
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_round(c: &mut Criterion) {
@@ -109,5 +51,5 @@ fn bench_round(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sssp, bench_round);
+criterion_group!(benches, bench_round);
 criterion_main!(benches);

@@ -22,8 +22,6 @@ pub struct Game {
     /// Only the reference best response's distance lower bound and the
     /// Lemma 1/2 spanner/PoA checks force it.
     host_dist: OnceLock<DistanceMatrix>,
-    /// [`Game::weight_class`], computed once in [`Game::new`].
-    weight_class: Option<(f64, f64)>,
 }
 
 // Manual impl: `OnceLock` derives would demand `DistanceMatrix: Clone`
@@ -39,7 +37,6 @@ impl Clone for Game {
             host: self.host.clone(),
             alpha: self.alpha,
             host_dist,
-            weight_class: self.weight_class,
         }
     }
 }
@@ -52,13 +49,10 @@ impl Game {
     pub fn new(host: SymMatrix, alpha: f64) -> Self {
         assert!(alpha > 0.0, "α must be positive");
         assert!(host.is_nonnegative(), "edge weights must be non-negative");
-        let (lo, hi) = (host.min_weight(), host.max_weight());
-        let weight_class = (lo > 0.0 && hi.is_finite() && hi >= lo).then_some((lo, hi));
         Game {
             host,
             alpha,
             host_dist: OnceLock::new(),
-            weight_class,
         }
     }
 
@@ -113,27 +107,6 @@ impl Game {
     pub fn edge_price(&self, u: NodeId, v: NodeId) -> f64 {
         self.alpha * self.host.get(u, v)
     }
-
-    /// The host's weight class `(w_min, w_max)` over off-diagonal
-    /// entries — the hint the bucket-queue SSSP engines accept
-    /// (`DijkstraScratch::set_weight_class` and friends in
-    /// `gncg_graph::csr`). Every edge a profile can buy carries a host
-    /// weight, so every built network's weights lie in this class. The
-    /// hint matters only on hosts of more than 64 nodes: smaller graphs
-    /// run every shortest-path loop on a one-word frontier and ignore it.
-    ///
-    /// `None` when the class cannot drive a bucket ring: a non-positive
-    /// minimum or no finite maximum (e.g. a `{1, ∞}` host whose only
-    /// finite weight class is degenerate is still returned — infinite
-    /// edges never win a relaxation, so they cannot perturb the scan).
-    ///
-    /// [`Game::new`] scans the `n × n` host for it once, so a read is
-    /// `O(1)`: every fresh best response and every bound-table rebuild
-    /// reads it.
-    #[inline]
-    pub fn weight_class(&self) -> Option<(f64, f64)> {
-        self.weight_class
-    }
 }
 
 #[cfg(test)]
@@ -176,24 +149,6 @@ mod tests {
         assert!(!g.is_metric());
         assert_eq!(g.host_distances().get(0, 2), 2.0);
         assert_eq!(g.w(0, 2), 10.0);
-    }
-
-    #[test]
-    fn weight_class_reflects_host_extremes() {
-        let g = unit_game(5, 1.0);
-        assert_eq!(g.weight_class(), Some((1.0, 1.0)));
-        let mut w = SymMatrix::filled(4, 2.0);
-        w.set(0, 1, 0.5);
-        w.set(2, 3, 8.0);
-        assert_eq!(Game::new(w, 1.0).weight_class(), Some((0.5, 8.0)));
-        // A zero weight kills the class: buckets need w_min > 0.
-        let mut z = SymMatrix::filled(3, 1.0);
-        z.set(0, 2, 0.0);
-        assert_eq!(Game::new(z, 1.0).weight_class(), None);
-        // Infinite entries are ignored by the finite maximum.
-        let mut inf = SymMatrix::filled(3, 1.0);
-        inf.set(1, 2, f64::INFINITY);
-        assert_eq!(Game::new(inf, 1.0).weight_class(), Some((1.0, 1.0)));
     }
 
     #[test]

@@ -208,9 +208,6 @@ struct BrSearch {
     /// `via[idx·n + x]` is the distance from the agent to `x` in
     /// `G − u + star(candidates[idx..])`.
     via: Vec<f64>,
-    /// The host's weight class, installed as the bucket-queue hint on
-    /// the search's SSSP engines ([`Game::weight_class`]).
-    weight_class: Option<(f64, f64)>,
     /// Runs the Dijkstra behind `d0`.
     scratch: DijkstraScratch,
     /// The DFS state; its live vector also grows `via`.
@@ -264,14 +261,7 @@ struct BrWorker {
 impl BrWorker {
     /// Re-arms the worker for one search: live vector seeded from `d0`,
     /// incumbent seeded from the agent's current strategy and cost.
-    fn reset(
-        &mut self,
-        agent: NodeId,
-        n: usize,
-        d0: &[f64],
-        weight_class: Option<(f64, f64)>,
-        current: f64,
-    ) {
+    fn reset(&mut self, agent: NodeId, n: usize, d0: &[f64], current: f64) {
         self.chosen.clear();
         self.chosen_w.clear();
         self.chosen_w.resize(n, 0.0);
@@ -279,7 +269,6 @@ impl BrWorker {
         self.best_chosen.clear();
         self.best_is_current = true;
         self.evaluated = 0;
-        self.inc.set_weight_class(weight_class);
         self.inc.reset_from(agent, d0);
     }
 
@@ -311,11 +300,9 @@ impl BrSearch {
         self.agent = agent;
         self.n = n;
         self.alpha = game.alpha();
-        self.weight_class = game.weight_class();
         sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
 
         self.csr.refill(&self.base);
-        self.scratch.set_weight_class(self.weight_class);
         self.scratch.run(&self.csr, agent, &[]);
         self.d0.clear();
         self.d0.resize(n, f64::INFINITY);
@@ -342,7 +329,7 @@ impl BrSearch {
     /// incumbent seeded from its `current` cost and strategy.
     fn run(&mut self, current: f64, current_set: &BTreeSet<NodeId>) -> BestResponse {
         let worker = &mut self.worker;
-        worker.reset(self.agent, self.n, &self.d0, self.weight_class, current);
+        worker.reset(self.agent, self.n, &self.d0, current);
         let view = BrSearchView::new(
             self.alpha,
             self.agent,
@@ -695,7 +682,6 @@ pub struct BrBoundCache {
     scratch: DijkstraScratch,
     dist_buf: Vec<f64>,
     batch: Vec<(NodeId, NodeId, f64)>,
-    weight_class: Option<(f64, f64)>,
 }
 
 impl BrBoundCache {
@@ -723,7 +709,6 @@ impl BrBoundCache {
             scratch: DijkstraScratch::new(),
             dist_buf: Vec::new(),
             batch: Vec::new(),
-            weight_class: None,
         }
     }
 
@@ -786,8 +771,6 @@ impl BrBoundCache {
         let n = game.n();
         let agent = self.agent;
         self.n = n;
-        self.weight_class = game.weight_class();
-        self.scratch.set_weight_class(self.weight_class);
 
         sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
 
@@ -798,7 +781,6 @@ impl BrBoundCache {
         self.dist_buf.clear();
         self.dist_buf.resize(n, f64::INFINITY);
         self.scratch.write_distances(&mut self.dist_buf);
-        self.d0.set_weight_class(self.weight_class);
         self.d0.reset_from(agent, &self.dist_buf);
 
         // A fresh envelope graph is exactly G − u.
@@ -1006,13 +988,7 @@ impl BrBoundCache {
             self.rebuild_via();
         }
         let worker = &mut self.worker;
-        worker.reset(
-            self.agent,
-            self.n,
-            self.d0.dist(),
-            self.weight_class,
-            current,
-        );
+        worker.reset(self.agent, self.n, self.d0.dist(), current);
         let view = BrSearchView::new(
             game.alpha(),
             self.agent,
@@ -2407,8 +2383,7 @@ mod tests {
     fn region_delta_pricing_matches_oracle_on_clear_instances() {
         // On hosts whose move costs are separated far beyond an ulp, the
         // bounded-horizon policy must choose the oracle's move and report
-        // the oracle's exact cost bits — with and without the bucket-queue
-        // weight-class hint installed on the warm vector.
+        // the oracle's exact cost bits.
         for seed in 0..4u64 {
             let host = gncg_metrics::arbitrary::random_metric(8, 1.0, 4.0, seed);
             for alpha in [0.3, 1.5, 6.0] {
@@ -2423,7 +2398,6 @@ mod tests {
                     let moves = Move::greedy_moves(&p, agent);
                     let current = agent_cost_in(&game, &p, &network, agent).total();
                     let mut warm = DynamicSssp::new();
-                    warm.set_weight_class(game.weight_class());
                     warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
                     let rd = scan(
                         &game,

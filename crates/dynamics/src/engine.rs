@@ -586,10 +586,6 @@ pub struct EvalContext {
     /// How the speculative scan reads candidate distance costs
     /// ([`SpeculativePricing`]; survives [`EvalContext::reset`]).
     pricing: SpeculativePricing,
-    /// The game's host weight class, installed as the bucket-queue hint
-    /// on the context's scratch and every warm vector at
-    /// [`EvalContext::reset`] (`Game::weight_class`).
-    weight_class: Option<(f64, f64)>,
     /// Per-agent persistent branch-and-bound bound tables for
     /// [`ResponseRule::ExactBestResponse`] ([`BrBoundCache`]); built
     /// lazily on an agent's first BR activation, invalidated on
@@ -630,15 +626,6 @@ impl EvalContext {
         let n = game.n();
         if self.warm.len() < n {
             self.warm.resize_with(n, DynamicSssp::new);
-        }
-        // (Re)install the game's weight class as the bucket-queue hint:
-        // the context may be re-targeted at a different game, so the
-        // hint must never leak across runs.
-        self.weight_class = game.weight_class();
-        self.scratch.set_weight_class(self.weight_class);
-        self.pricer.row_copy.set_weight_class(self.weight_class);
-        for warm in &mut self.warm[..n] {
-            warm.set_weight_class(self.weight_class);
         }
         self.valid.clear();
         self.valid.resize(n, false);
@@ -801,7 +788,7 @@ impl EvalContext {
             rule,
             self.pricing,
         );
-        let (network, log, class) = (&self.network, &self.insert_log, self.weight_class);
+        let (network, log) = (&self.network, &self.insert_log);
         let (valid, synced, priced) = (&mut self.valid, &mut self.synced, &self.priced);
         let mut stale: Vec<_> = self.warm[..n]
             .iter_mut()
@@ -818,7 +805,6 @@ impl EvalContext {
         stale.par_chunks_mut(1).for_each(|row| {
             let (u, pending, warm) = &mut row[0];
             POOL_SCRATCH.with_borrow_mut(|PoolScratch { sync, buf, .. }| {
-                sync.set_weight_class(class);
                 sync_warm(network, *u, warm, *pending, sync, buf);
             });
         });
@@ -843,7 +829,6 @@ impl EvalContext {
         agents.par_chunks_mut(1).for_each(|agent| {
             let (u, br, slot) = &mut agent[0];
             POOL_SCRATCH.with_borrow_mut(|PoolScratch { pricer, .. }| {
-                pricer.row_copy.set_weight_class(class);
                 memoized(slot, epoch, rule, || price(*u, rows, pricer, br));
             });
         });

@@ -93,17 +93,18 @@
 //! order for the least distance, keeping the lowest id on ties. That
 //! replaces the binary heap's `O(log n)` sift per push and pop, and its
 //! stale entries, with a few word operations, and allocates nothing.
-//! Graphs of more than 64 nodes keep the binary heap and, with a
-//! weight-class hint, the bucket ring (next section). The node count is
+//! Graphs of more than 64 nodes keep the binary heap. The node count is
 //! the only gate: a [`DynamicSssp`] reads it from its vector's length
 //! (debug-asserted equal to the graph's), a [`DijkstraScratch`] from the
 //! graph it runs on. Each loop is written once, generic over the two
 //! frontiers; `dijkstra_reference` in [`crate::dijkstra`] keeps a heap of
 //! its own as the independent oracle.
 //!
-//! Most loops are order-free fixpoints (next section), so any pop order
-//! reaches the same exact minima. Three things depend on the pop
-//! *sequence* itself: the affected-region discovery of
+//! Most loops are order-free fixpoints: every tentative value is a
+//! left-to-right `f64` prefix sum of a real path, and a decrease-only
+//! relaxation run to its fixpoint ends on the exact minimum over those
+//! sums, so any pop order reaches the same minima. Three things depend
+//! on the pop *sequence* itself: the affected-region discovery of
 //! [`DynamicSssp::remove_edges`], whose support verdicts are final only
 //! when candidates pop in increasing distance; the undo log's first-entry
 //! order, in which [`DynamicSssp::delta_sum_since`] sums a frame's price;
@@ -121,47 +122,6 @@
 //! word loop on the heap, on a copy of its input, and assert the same
 //! distances, the same log suffix entry for entry and, for a removal,
 //! the same affected region in the same order.
-//!
-//! # The bucket-queue engine and weight-class hints
-//!
-//! On graphs of more than 64 nodes both engines default to a binary
-//! heap, but callers that know the weight class of the graph they relax
-//! over — `[wmin, wmax]` bounds covering every edge weight, with
-//! `wmin > 0` — can install it via [`DijkstraScratch::set_weight_class`]
-//! / [`DynamicSssp::set_weight_class`]. Below that the hint does nothing:
-//! the word frontier serves every graph of at most 64 nodes. When the
-//! class is *integer-ish* (`wmax / wmin` small, as the metric host
-//! factories produce), the engines switch to a Dial-style **bucket
-//! queue**: a circular window of
-//! `ceil(wmax / wmin) + 2` buckets of width `Δ = wmin`, scanned in
-//! ascending order, each bucket drained to a fixpoint before advancing.
-//! That replaces the `O(log n)` heap churn per relaxation with `O(1)`
-//! pushes — the difference that lets scenario grids scale to n ∈
-//! {1024, 4096}.
-//!
-//! The bucket scan is **bitwise-equal** to the heap scan, and in debug
-//! builds every bucket run re-runs its heap ancestor and asserts exact
-//! equality. The argument: draining a bucket to a fixpoint is a
-//! decrease-only label-correcting relaxation, every tentative value is a
-//! left-to-right `f64` prefix sum of a real path, and the fixpoint of
-//! such a relaxation is unique — the exact minimum over the same set of
-//! path sums the heap scan minimizes over. Intra-bucket processing order
-//! therefore cannot leak into the result, and a weight outside the
-//! declared class degrades only performance (an entry may be scanned
-//! before it is final and re-scanned later), never correctness. Classes
-//! whose window would exceed [`BUCKET_RING_CAP`] buckets fall back to the
-//! heap, as does everything when no hint is installed — which keeps the
-//! free functions in [`crate::dijkstra`] on the heap above 64 nodes (and
-//! the `dijkstra_reference` oracle on its own heap at every size).
-//!
-//! The affected-region *discovery* of [`DynamicSssp::remove_edges`]
-//! deliberately stays on the heap even with a hint installed: its
-//! support verdicts are final only when candidates pop in strictly
-//! increasing distance order, an ordering a bucket can violate for two
-//! nodes Δ apart in adversarial half-ulp cases (the word frontier keeps
-//! it). Only the order-free fixpoint scans —
-//! [`DijkstraScratch::run`]/[`DijkstraScratch::run_masked`] and the
-//! phase-2 region re-relaxation — take the bucket path.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -202,8 +162,7 @@ impl Ord for HeapEntry {
 
 /// Graphs of at most this many nodes keep a shortest-path loop's pending
 /// set in one `u64` ([`WordFrontier`]); larger ones take the binary heap
-/// or, with a weight-class hint, the bucket ring (module docs, "The
-/// small-graph frontier").
+/// (module docs, "The small-graph frontier").
 const WORD_FRONTIER_NODES: usize = u64::BITS as usize;
 
 /// The pending set of a shortest-path loop: the nodes holding a tentative
@@ -438,82 +397,6 @@ impl<G: EdgeSource> EdgeSource for MaskedEdges<'_, G> {
     }
 }
 
-/// Largest circular bucket window either engine will allocate; weight
-/// classes needing more (`wmax / wmin` too large to be integer-ish) fall
-/// back to the binary heap.
-pub const BUCKET_RING_CAP: usize = 4096;
-
-/// Validates a weight-class hint and derives the bucket geometry:
-/// `Δ = wmin` and the circular window length `ceil(wmax / Δ) + 2` (one
-/// slot past the farthest reachable relative bucket, plus one of rounding
-/// slack — see the module docs). `None` when the hint is absent,
-/// degenerate (`wmin ≤ 0`, `wmax` non-finite or below `wmin`), or needs
-/// a window beyond [`BUCKET_RING_CAP`].
-fn bucket_ring(class: Option<(f64, f64)>) -> Option<(f64, usize)> {
-    let (wmin, wmax) = class?;
-    // `wmin > 0.0` is false for NaN, so a NaN bound is rejected too.
-    let valid = wmin > 0.0 && wmax.is_finite() && wmax >= wmin;
-    if !valid {
-        return None;
-    }
-    let ring = (wmax / wmin).ceil() as usize + 2;
-    (ring <= BUCKET_RING_CAP).then_some((wmin, ring))
-}
-
-/// A circular bucket window (module docs), reused and drained by every
-/// scan, and the summed capacity of its buckets. A bucket only grows, and
-/// only by a [`BucketRing::push`], which keeps the sum current, so the
-/// memory gauges read it in `O(1)` instead of walking up to
-/// [`BUCKET_RING_CAP`] slots.
-#[derive(Debug, Default)]
-struct BucketRing {
-    slots: Vec<Vec<(NodeId, f64)>>,
-    /// `Σ capacity` over `slots`.
-    capacity: usize,
-}
-
-// A cloned `Vec` does not keep its capacity, so a clone recounts.
-impl Clone for BucketRing {
-    fn clone(&self) -> Self {
-        let slots = self.slots.clone();
-        let capacity = slots.iter().map(Vec::capacity).sum();
-        BucketRing { slots, capacity }
-    }
-}
-
-impl BucketRing {
-    /// Makes the window at least `ring` slots long.
-    fn reserve_slots(&mut self, ring: usize) {
-        if self.slots.len() < ring {
-            self.slots.resize_with(ring, Vec::new);
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, slot: usize, entry: (NodeId, f64)) {
-        let bucket = &mut self.slots[slot];
-        let before = bucket.capacity();
-        bucket.push(entry);
-        self.capacity += bucket.capacity() - before;
-    }
-
-    #[inline]
-    fn pop(&mut self, slot: usize) -> Option<(NodeId, f64)> {
-        self.slots[slot].pop()
-    }
-
-    /// The buckets' capacity in bytes (the window's slot headers are not
-    /// counted).
-    fn resident_bytes(&self) -> usize {
-        debug_assert_eq!(
-            self.capacity,
-            self.slots.iter().map(Vec::capacity).sum::<usize>(),
-            "the bucket ring's running capacity drifted from its buckets"
-        );
-        self.capacity * std::mem::size_of::<(NodeId, f64)>()
-    }
-}
-
 /// Reusable Dijkstra state: after the first call on a given size, running
 /// an SSSP allocates nothing.
 ///
@@ -523,22 +406,14 @@ impl BucketRing {
 /// keeps its frontier in one machine word (module docs, "The small-graph
 /// frontier"); a larger one drains a binary heap (only improving entries
 /// are pushed) whose buffer is reused.
-///
-/// On graphs of more than 64 nodes, a weight-class hint
-/// ([`DijkstraScratch::set_weight_class`]) routes runs through the
-/// bitwise-equal bucket-queue scan instead of the heap (module docs).
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
     stamp: Vec<u32>,
     generation: u32,
-    /// The frontier of graphs of more than 64 nodes without a usable hint.
+    /// The frontier of graphs of more than 64 nodes (reused; drained
+    /// empty by each run).
     heap: BinaryHeap<HeapEntry>,
-    /// `[wmin, wmax]` bounds on every weight the next runs will relax,
-    /// or `None` for the heap path.
-    weight_class: Option<(f64, f64)>,
-    /// The bucket ring (reused across runs; drained empty by each run).
-    buckets: BucketRing,
 }
 
 impl DijkstraScratch {
@@ -591,18 +466,6 @@ impl DijkstraScratch {
         }
     }
 
-    /// Installs (or clears, with `None`) the weight-class hint: `[wmin,
-    /// wmax]` bounds covering every edge weight subsequent runs relax,
-    /// `wmin > 0`. A valid, integer-ish hint routes runs on graphs of more
-    /// than 64 nodes through the bucket-queue scan; on smaller graphs it
-    /// does nothing, as they run on the one-word frontier. Conservative
-    /// bounds only cost performance, and the result is bitwise-identical
-    /// either way (module docs). The hint is sticky across runs until
-    /// replaced.
-    pub fn set_weight_class(&mut self, class: Option<(f64, f64)>) {
-        self.weight_class = class;
-    }
-
     /// Runs Dijkstra from `source` on `g` with virtual undirected `extra`
     /// edges overlaid. Distances are read back via
     /// [`DijkstraScratch::dist`], [`DijkstraScratch::write_distances`], or
@@ -637,38 +500,6 @@ impl DijkstraScratch {
             }
             return;
         }
-        match bucket_ring(self.weight_class) {
-            Some((delta, ring)) => {
-                self.run_masked_buckets(g, source, removed, extra, delta, ring);
-                #[cfg(debug_assertions)]
-                {
-                    // Oracle: re-run the heap ancestor (begin() bumps the
-                    // generation, isolating the second run) and demand
-                    // exact equality. The heap result is left as the
-                    // final state — the two are equal anyway.
-                    let from_buckets = self.to_vec(n);
-                    self.run_masked_heap(g, source, removed, extra);
-                    assert_eq!(
-                        from_buckets,
-                        self.to_vec(n),
-                        "bucket-queue SSSP diverged from the heap oracle"
-                    );
-                }
-            }
-            None => self.run_masked_heap(g, source, removed, extra),
-        }
-    }
-
-    /// [`DijkstraScratch::scan`] on the scratch's own heap — the path of
-    /// graphs of more than 64 nodes without a usable hint, and the debug
-    /// oracle of the bucket scan.
-    fn run_masked_heap<G: EdgeSource>(
-        &mut self,
-        g: &G,
-        source: NodeId,
-        removed: &[(NodeId, NodeId)],
-        extra: &[(NodeId, NodeId, f64)],
-    ) {
         let mut heap = std::mem::take(&mut self.heap);
         self.scan(g, source, removed, extra, &mut heap);
         self.heap = heap;
@@ -720,69 +551,6 @@ impl DijkstraScratch {
         }
     }
 
-    /// The Dial-style bucket-queue scan (module docs): buckets of width
-    /// `delta` in a circular window of `ring` slots, scanned in ascending
-    /// order, each bucket drained to a fixpoint before advancing.
-    fn run_masked_buckets<G: EdgeSource>(
-        &mut self,
-        g: &G,
-        source: NodeId,
-        removed: &[(NodeId, NodeId)],
-        extra: &[(NodeId, NodeId, f64)],
-        delta: f64,
-        ring: usize,
-    ) {
-        self.begin(g.num_nodes());
-        self.buckets.reserve_slots(ring);
-        self.improve(source, 0.0);
-        self.buckets.push(0, (source, 0.0));
-        let mut pending = 1usize;
-        let mut cur = 0u64; // absolute (unwrapped) bucket index
-        let is_removed = |u: NodeId, v: NodeId| {
-            removed
-                .iter()
-                .any(|&(a, b)| (a == u && b == v) || (a == v && b == u))
-        };
-        while pending > 0 {
-            let slot = (cur % ring as u64) as usize;
-            while let Some((u, d)) = self.buckets.pop(slot) {
-                pending -= 1;
-                if d > self.dist(u) {
-                    continue; // superseded entry
-                }
-                let mut this = BucketRelax {
-                    scratch: self,
-                    delta,
-                    ring,
-                    pending: &mut pending,
-                };
-                g.for_each_neighbor(u, |v, w| {
-                    if !removed.is_empty() && is_removed(u, v) {
-                        return;
-                    }
-                    this.relax(v, d + w);
-                });
-                for &(a, b, w) in extra {
-                    let v = if a == u {
-                        b
-                    } else if b == u {
-                        a
-                    } else {
-                        continue;
-                    };
-                    let mut this = BucketRelax {
-                        scratch: self,
-                        delta,
-                        ring,
-                        pending: &mut pending,
-                    };
-                    this.relax(v, d + w);
-                }
-            }
-            cur += 1;
-        }
-    }
-
     /// Approximate resident heap footprint of the scratch buffers, in
     /// bytes (capacities, as [`DynamicSssp::resident_bytes`] counts them).
     pub fn resident_bytes(&self) -> usize {
@@ -790,7 +558,6 @@ impl DijkstraScratch {
         self.dist.capacity() * size_of::<f64>()
             + self.stamp.capacity() * size_of::<u32>()
             + self.heap.capacity() * size_of::<HeapEntry>()
-            + self.buckets.resident_bytes()
     }
 
     /// Copies the distances of the last run into `out` (any length:
@@ -820,39 +587,13 @@ impl DijkstraScratch {
     }
 }
 
-/// Borrow adapter letting the bucket scan's [`EdgeSource`] neighbor
-/// closure relax into the scratch: improvements are filed into the ring
-/// slot of their bucket (`floor(nd / Δ) mod ring`). `improve` returning
-/// `true` guarantees `nd` is finite, so the `f64 → u64` cast below is
-/// exact up to saturation — and a saturated (or otherwise early) slot
-/// only causes a pre-final scan that the fixpoint re-scans, never a wrong
-/// result (module docs).
-struct BucketRelax<'a> {
-    scratch: &'a mut DijkstraScratch,
-    delta: f64,
-    ring: usize,
-    pending: &'a mut usize,
-}
-
-impl BucketRelax<'_> {
-    #[inline]
-    fn relax(&mut self, v: NodeId, nd: f64) {
-        if self.scratch.improve(v, nd) {
-            let slot = ((nd / self.delta) as u64 % self.ring as u64) as usize;
-            self.scratch.buckets.push(slot, (v, nd));
-            *self.pending += 1;
-        }
-    }
-}
-
 /// A single-source distance vector maintained under edge insertions
 /// (undo-logged or permanent) **and** edge removals — the workhorse of
 /// both the incremental best-response search and the dynamics engine's
 /// warm per-agent distance vectors.
 ///
 /// Its loops keep their frontier in one machine word when the vector has
-/// at most 64 entries, and in a reused binary heap (the phase-2 region
-/// repair, with a weight-class hint, in the bucket ring) when it has more.
+/// at most 64 entries, and in a reused binary heap when it has more.
 /// See the module docs for the relaxation/undo and deletion invariants
 /// and for the small-graph frontier.
 #[derive(Clone, Debug, Default)]
@@ -872,12 +613,6 @@ pub struct DynamicSssp {
     /// list and its membership bitmap (cleared after every removal).
     affected: Vec<NodeId>,
     affected_mark: Vec<bool>,
-    /// Weight-class hint for the phase-2 region relaxation (see
-    /// [`DynamicSssp::set_weight_class`]); sticky across
-    /// [`DynamicSssp::reset_from`].
-    weight_class: Option<(f64, f64)>,
-    /// Bucket ring of the phase-2 region relaxation (reused, drained).
-    buckets: BucketRing,
     /// First-entry dedup stamps of [`DynamicSssp::delta_sum_since`]:
     /// `delta_epoch[v] == delta_epoch_counter` marks `v` as already
     /// accounted in the current call.
@@ -925,19 +660,6 @@ impl DynamicSssp {
         self.spec_marks.clear();
     }
 
-    /// Installs (or clears, with `None`) the weight-class hint: `[wmin,
-    /// wmax]` bounds covering every edge weight subsequent repairs relax,
-    /// `wmin > 0`. On a vector of more than 64 nodes it routes the phase-2
-    /// region relaxation of [`DynamicSssp::remove_edges`] through the
-    /// bucket-queue scan (bitwise-identical to the heap either way —
-    /// module docs); on a smaller one it does nothing, as every loop runs
-    /// on the one-word frontier. Sticky across
-    /// [`DynamicSssp::reset_from`], so engines hint once per graph, not
-    /// once per reset.
-    pub fn set_weight_class(&mut self, class: Option<(f64, f64)>) {
-        self.weight_class = class;
-    }
-
     /// Installs (or clears, with `None`) the bounded-horizon settle
     /// budget for **speculative** insert relaxations: once a
     /// [`DynamicSssp::speculate_insert`] has settled `cap` nodes, the
@@ -952,8 +674,7 @@ impl DynamicSssp {
     /// The budget never applies to committed updates
     /// ([`DynamicSssp::relax_insert`], [`DynamicSssp::relax_inserts`],
     /// [`DynamicSssp::add_edge`]) or to removal repairs, which must stay
-    /// exact. Sticky across [`DynamicSssp::reset_from`], like the
-    /// weight-class hint.
+    /// exact. Sticky across [`DynamicSssp::reset_from`].
     pub fn set_price_horizon(&mut self, cap: Option<usize>) {
         self.price_horizon = cap;
     }
@@ -970,7 +691,6 @@ impl DynamicSssp {
             + self.affected.capacity() * size_of::<NodeId>()
             + self.affected_mark.capacity()
             + self.delta_epoch.capacity() * size_of::<u64>()
-            + self.buckets.resident_bytes()
     }
 
     /// How many speculation frames [`DynamicSssp::begin_speculation`] has
@@ -1468,26 +1188,7 @@ impl DynamicSssp {
             let mut heap = std::mem::take(&mut self.heap);
             heap.clear();
             if self.reseed_affected(g, removed, &mut heap) {
-                match bucket_ring(self.weight_class) {
-                    Some((delta, ring)) => {
-                        #[cfg(debug_assertions)]
-                        let expected = {
-                            // Oracle: a clone (same seeds, same region
-                            // state) repaired on the heap must agree
-                            // bitwise.
-                            let mut oracle = self.clone();
-                            oracle.region_relax(g, &mut heap.clone());
-                            oracle.dist
-                        };
-                        self.region_relax_buckets(g, &mut heap, delta, ring);
-                        #[cfg(debug_assertions)]
-                        assert_eq!(
-                            self.dist, expected,
-                            "bucket-queue region repair diverged from the heap oracle"
-                        );
-                    }
-                    None => self.region_relax(g, &mut heap),
-                }
+                self.region_relax(g, &mut heap);
             }
             self.heap = heap;
         }
@@ -1611,63 +1312,6 @@ impl DynamicSssp {
                     frontier.push(v, nd);
                 }
             });
-        }
-    }
-
-    /// Bucket-queue sibling of [`DynamicSssp::region_relax`] on graphs of
-    /// more than 64 nodes: moves the re-seeded nodes from `seeds` into the
-    /// ring (the window starts at the earliest seed's bucket) and scans
-    /// buckets in ascending order, each drained to a fixpoint. Seeds wider
-    /// apart than the window merely wrap and get pre-final scans that the
-    /// fixpoint re-scans — correctness never depends on the window fitting
-    /// (module docs).
-    fn region_relax_buckets<G: EdgeSource>(
-        &mut self,
-        g: &G,
-        seeds: &mut BinaryHeap<HeapEntry>,
-        delta: f64,
-        ring: usize,
-    ) {
-        let log = self.speculating();
-        self.buckets.reserve_slots(ring);
-        let mut pending = 0usize;
-        let mut cur = u64::MAX;
-        while let Some(HeapEntry { dist: d, node: v }) = seeds.pop() {
-            let b = (d / delta) as u64;
-            cur = cur.min(b);
-            self.buckets.push((b % ring as u64) as usize, (v, d));
-            pending += 1;
-        }
-        while pending > 0 {
-            let slot = (cur % ring as u64) as usize;
-            while let Some((u, d)) = self.buckets.pop(slot) {
-                pending -= 1;
-                if d > self.dist[u as usize] {
-                    continue; // superseded entry
-                }
-                let (dist, buckets, mark, undo) = (
-                    &mut self.dist,
-                    &mut self.buckets,
-                    &self.affected_mark,
-                    &mut self.undo,
-                );
-                g.for_each_neighbor(u, |v, wuv| {
-                    if !mark[v as usize] {
-                        return; // unaffected nodes are already exact
-                    }
-                    let nd = d + wuv;
-                    if nd < dist[v as usize] {
-                        if log {
-                            undo.push((v, dist[v as usize]));
-                        }
-                        dist[v as usize] = nd;
-                        let s = ((nd / delta) as u64 % ring as u64) as usize;
-                        buckets.push(s, (v, nd));
-                        pending += 1;
-                    }
-                });
-            }
-            cur += 1;
         }
     }
 }
@@ -2177,129 +1821,6 @@ mod tests {
         DynamicSssp::new().rollback();
     }
 
-    /// `g` with isolated nodes added up to one past the word frontier's
-    /// 64, so every loop over it takes the heap or, with a hint, the
-    /// bucket ring. No isolated node is ever reached.
-    fn past_the_word(g: &AdjacencyList) -> AdjacencyList {
-        let mut padded = AdjacencyList::new(WORD_FRONTIER_NODES + 1);
-        for (a, b, w) in g.edges() {
-            padded.add_edge(a, b, w);
-        }
-        padded
-    }
-
-    #[test]
-    fn bucket_scratch_matches_heap_scratch_bitwise() {
-        // Same graph, every source, with and without the hint: the two
-        // engines must agree exactly (the debug oracle re-checks this
-        // inside every hinted run as well).
-        let g = past_the_word(&diamond());
-        let n = g.n();
-        let c = Csr::from_adjacency(&g);
-        let mut heap = DijkstraScratch::new();
-        let mut bucket = DijkstraScratch::new();
-        bucket.set_weight_class(Some((1.0, 3.0)));
-        for s in 0..4u32 {
-            heap.run(&c, s, &[]);
-            bucket.run(&c, s, &[]);
-            assert_eq!(heap.to_vec(n), bucket.to_vec(n), "source {s}");
-            heap.run_masked(&g, s, &[(0, 1)], &[(0, 3, 0.5)]);
-            bucket.run_masked(&g, s, &[(0, 1)], &[(0, 3, 0.5)]);
-            assert_eq!(heap.to_vec(n), bucket.to_vec(n), "masked+extra, source {s}");
-        }
-        assert!(
-            heap.heap.capacity() > 0,
-            "the hint-less scratch ran on the heap"
-        );
-        assert!(
-            bucket.buckets.capacity > 0,
-            "the hinted scratch ran on the ring"
-        );
-    }
-
-    #[test]
-    fn bucket_scratch_survives_weights_outside_the_declared_class() {
-        // A too-narrow hint (declared wmax below the real one, and an
-        // extra edge below wmin) must still produce the exact result:
-        // mis-bucketed entries get pre-final scans the fixpoint redoes.
-        let g = past_the_word(&diamond()); // weights 1.0 and 3.0
-        let n = g.n();
-        let mut bucket = DijkstraScratch::new();
-        bucket.set_weight_class(Some((1.0, 1.5)));
-        let mut heap = DijkstraScratch::new();
-        for s in 0..4u32 {
-            bucket.run(&g, s, &[(1, 2, 0.125)]);
-            heap.run(&g, s, &[(1, 2, 0.125)]);
-            assert_eq!(bucket.to_vec(n), heap.to_vec(n), "source {s}");
-        }
-        assert!(
-            bucket.buckets.capacity > 0,
-            "the hinted scratch ran on the ring"
-        );
-    }
-
-    #[test]
-    fn degenerate_weight_class_hints_fall_back_to_the_heap() {
-        // wmin ≤ 0, non-finite wmax, inverted bounds, and a window past
-        // BUCKET_RING_CAP must all run (on the heap) and stay exact.
-        let g = past_the_word(&diamond());
-        let fresh = dijkstra(&g, 0);
-        for class in [
-            Some((0.0, 3.0)),
-            Some((-1.0, 3.0)),
-            Some((1.0, f64::INFINITY)),
-            Some((3.0, 1.0)),
-            Some((1e-9, 3.0)), // ring would be ~3e9 ≫ cap
-            None,
-        ] {
-            let mut s = DijkstraScratch::new();
-            s.set_weight_class(class);
-            s.run(&g, 0, &[]);
-            assert_eq!(s.to_vec(g.n()), fresh, "class {class:?}");
-            assert!(
-                s.heap.capacity() > 0 && s.buckets.capacity == 0,
-                "class {class:?} ran on the heap, not the ring"
-            );
-        }
-    }
-
-    #[test]
-    fn bucket_region_repair_matches_heap_and_rolls_back() {
-        // remove_edges with a hint installed: repaired vector must equal
-        // a fresh Dijkstra, and a speculative repair must roll back
-        // bitwise — for every source and edge.
-        let g = past_the_word(&diamond());
-        let edges: Vec<_> = g.edges().collect();
-        let mut ring_used = false;
-        for source in 0..4u32 {
-            let d0 = dijkstra(&g, source);
-            for &(a, b, w) in &edges {
-                let mut live = g.clone();
-                live.remove_edge(a, b);
-                let mut inc = DynamicSssp::new();
-                inc.set_weight_class(Some((1.0, 3.0)));
-                inc.reset_from(source, &d0);
-                inc.remove_edge(&live, a, b, w);
-                assert_eq!(
-                    inc.dist(),
-                    dijkstra(&live, source).as_slice(),
-                    "committed: source {source}, removed ({a}, {b})"
-                );
-
-                let mask = [(a, b)];
-                let view = MaskedEdges::new(&g, &mask);
-                inc.reset_from(source, &d0);
-                inc.begin_speculation();
-                inc.remove_edge(&view, a, b, w);
-                assert_eq!(inc.dist(), dijkstra(&live, source).as_slice());
-                inc.rollback();
-                assert_eq!(inc.dist(), d0.as_slice(), "rollback must restore bits");
-                ring_used |= inc.buckets.capacity > 0;
-            }
-        }
-        assert!(ring_used, "no region repair ran on the ring");
-    }
-
     /// The word frontier pops what the heap pops, in the same order:
     /// the least `(distance, id)` among the pending nodes, the heap
     /// skipping the stale entries a node lowered twice leaves behind.
@@ -2400,44 +1921,6 @@ mod tests {
         inc.rollback();
         assert_eq!(inc.delta_sum_since(mark), 0.0, "empty log sums to zero");
         assert!(inc.resident_bytes() > 0);
-    }
-
-    /// The bucket rings' running capacity equals a walk over their
-    /// buckets after runs and removal repairs that grow them, and after a
-    /// clone, whose buckets do not keep their capacity.
-    #[test]
-    fn bucket_ring_capacity_tracks_its_buckets() {
-        let walk = |ring: &BucketRing| ring.slots.iter().map(Vec::capacity).sum::<usize>();
-        // A ring of 30 nodes with chords, weights 1 to 8: a 10-slot window,
-        // padded with isolated nodes past the word frontier.
-        let n = 30u32;
-        let mut g = AdjacencyList::new(WORD_FRONTIER_NODES + 1);
-        for i in 0..n {
-            g.add_edge(i, (i + 1) % n, 1.0 + (i % 8) as f64);
-            if i % 3 == 0 {
-                g.add_edge(i, (i + 7) % n, 1.0 + ((i * 5) % 8) as f64);
-            }
-        }
-        let class = Some((1.0, 8.0));
-        let mut scratch = DijkstraScratch::new();
-        scratch.set_weight_class(class);
-        let mut inc = DynamicSssp::new();
-        inc.set_weight_class(class);
-        inc.reset_from(0, &dijkstra(&g, 0));
-        for i in (0..n).step_by(3) {
-            scratch.run(&g, i, &[]);
-            let b = (i + 1) % n;
-            let w = g.edge_weight(i, b).expect("ring edge");
-            g.remove_edge(i, b);
-            inc.remove_edges(&g, &[(i, b, w)]);
-            assert_eq!(inc.dist(), dijkstra(&g, 0).as_slice());
-        }
-        assert!(scratch.buckets.capacity > 0 && inc.buckets.capacity > 0);
-        assert_eq!(scratch.buckets.capacity, walk(&scratch.buckets));
-        assert_eq!(inc.buckets.capacity, walk(&inc.buckets));
-        let (scratch, inc) = (scratch.clone(), inc.clone());
-        assert_eq!(scratch.buckets.capacity, walk(&scratch.buckets));
-        assert_eq!(inc.buckets.capacity, walk(&inc.buckets));
     }
 
     #[test]

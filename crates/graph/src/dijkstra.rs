@@ -10,13 +10,11 @@
 //! hottest paths (APSP, best-response search) use the scratch API directly
 //! and skip even that.
 //!
-//! The thread-local scratch here carries **no weight-class hint**, so the
-//! free functions run the scratch's one-word frontier on graphs of at
-//! most 64 nodes and its binary heap on larger ones, never the bucket
-//! queue (see [`crate::csr`]'s module docs). [`dijkstra_reference`] is
-//! not built on the scratch at all: it keeps a heap of its own, so it is
-//! the independent oracle that the scratch's frontiers and the bucket
-//! queue are tested against.
+//! The free functions run the scratch's one-word frontier on graphs of at
+//! most 64 nodes and its binary heap on larger ones (see [`crate::csr`]'s
+//! module docs). [`dijkstra_reference`] is not built on the scratch at
+//! all: it keeps a heap of its own, so it is the independent oracle that
+//! both of the scratch's frontiers are tested against.
 
 use std::cell::RefCell;
 
@@ -76,7 +74,9 @@ pub fn dijkstra_masked(
 /// (including `exact_best_response_reference`) runs on the shared scratch
 /// core, so equivalence tests comparing them to each other could not
 /// catch a defect *in that core*. Comparing against this self-contained
-/// implementation can. Not a production entry point — use [`dijkstra`].
+/// implementation, which keeps a binary heap of its own at every size,
+/// can: it checks the word frontier and the heap alike. Not a production
+/// entry point — use [`dijkstra`].
 pub fn dijkstra_reference(g: &AdjacencyList, source: NodeId) -> Vec<f64> {
     #[derive(Copy, Clone, PartialEq)]
     struct Entry(f64, NodeId);

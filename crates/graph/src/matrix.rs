@@ -97,21 +97,6 @@ impl SymMatrix {
         self.pairs().map(|(_, _, w)| w).sum()
     }
 
-    /// Largest finite entry, or `0.0` for `n <= 1`.
-    pub fn max_weight(&self) -> f64 {
-        self.pairs()
-            .map(|(_, _, w)| w)
-            .filter(|w| w.is_finite())
-            .fold(0.0, f64::max)
-    }
-
-    /// Smallest off-diagonal entry, or `f64::INFINITY` for `n <= 1`.
-    pub fn min_weight(&self) -> f64 {
-        self.pairs()
-            .map(|(_, _, w)| w)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Checks all entries are non-negative (edge weights must be in `R+`).
     pub fn is_nonnegative(&self) -> bool {
         self.data.iter().all(|&w| w >= 0.0)
@@ -195,14 +180,6 @@ mod tests {
         let mut bad = SymMatrix::filled(3, 1.0);
         bad.set(0, 1, 10.0);
         assert!(!bad.satisfies_triangle_inequality());
-    }
-
-    #[test]
-    fn min_max_weight() {
-        let mut m = SymMatrix::filled(3, 2.0);
-        m.set(0, 1, 1.0);
-        assert_eq!(m.min_weight(), 1.0);
-        assert_eq!(m.max_weight(), 2.0);
     }
 
     #[test]

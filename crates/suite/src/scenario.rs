@@ -272,8 +272,8 @@ impl ScenarioSpec {
     }
 
     /// The large-n preset grid: 10³–10⁴ agents on the integer-grid host
-    /// (unit spacing ⇒ the bucket-queue SSSP core's ideal weight class)
-    /// with bounded-horizon pricing and sampled certification. The rule
+    /// (unit spacing), every shortest-path loop on the binary heap, with
+    /// bounded-horizon pricing and sampled certification. The rule
     /// is add-only: with horizon pricing an add scan prices each
     /// candidate by its (tiny, metric-host) relax region, keeping a
     /// round near O(n²) — whereas a greedy swap scan re-floods the

@@ -13,8 +13,7 @@ anywhere between its quartiles.
 Exits non-zero when the directory holds no records, or when a ratio
 finds one of its two bench ids but not the other, so an arm renamed
 without its figure fails loudly. A ratio with both ids absent is
-skipped, so a filtered run (the tier-1 bench smoke leaves out the 4096
-ids) aggregates what it measured.
+skipped, so a filtered run aggregates what it measured.
 """
 
 import datetime
@@ -41,9 +40,6 @@ RATIOS = (
     # Exact-BR dynamics on the br-grid n = 14 column: per-agent bound
     # tables rebuilt every activation vs resident across activations.
     ("br_grid_speedup_n14", "br_grid/rebuild/14", "br_grid/cached/14"),
-    # The SSSP core on a 4096-node network: binary heap vs bucket queue.
-    ("sssp_bucket_speedup_n4096",
-     "large_n_sssp/heap/4096", "large_n_sssp/bucket/4096"),
 )
 
 # One bounded-horizon add-only round activates every agent once, so a

@@ -32,14 +32,12 @@ for bench in best_response dynamics move_scan service_roundtrip; do
     cargo bench -p gncg-bench --bench "$bench" >&2
 done
 
-# The large-n SSSP group takes the usual samples, but the round group
-# runs single-shot: its n = 4096 round payload lasts over a minute per
-# iteration, so the shim's usual warmup + 10 samples would cost tens of
-# minutes. One sample of a deterministic multi-second payload is far
-# above timer noise, though not above a busy host's (a 1-sample median
-# is that sample, and its IQR is 0).
-echo "== cargo bench --bench large_n (rounds single-shot)" >&2
-cargo bench -p gncg-bench --bench large_n -- large_n_sssp >&2
+# The large-n round group runs single-shot: its n = 4096 round payload
+# lasts over a minute per iteration, so the shim's usual warmup + 10
+# samples would cost tens of minutes. One sample of a deterministic
+# multi-second payload is far above timer noise, though not above a busy
+# host's (a 1-sample median is that sample, and its IQR is 0).
+echo "== cargo bench --bench large_n (single-shot)" >&2
 CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 \
     cargo bench -p gncg-bench --bench large_n -- large_n_round >&2
 

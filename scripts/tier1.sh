@@ -30,9 +30,9 @@ echo "== allocation lock (release build)" >&2
 # scans kept on the calling thread by rayon::with_sequential), the br-grid
 # preset's run loop, and the br-grid final profiles' fresh exact best
 # responses. All of them run at n ≤ 64, where every shortest-path loop
-# keeps its frontier in one machine word, so no heap or bucket-ring
-# allocation is left in them. Debug builds skip them: their oracles
-# allocate on every activation.
+# keeps its frontier in one machine word, so no heap allocation is left
+# in them. Debug builds skip them: their oracles allocate on every
+# activation.
 cargo test --release -q --test allocations
 
 echo "== e2ebench unit tests (its own cargo workspace)" >&2
@@ -64,7 +64,7 @@ done
 # large_n smokes only its sub-minute ids: the n=4096 round costs over a
 # minute per iteration and the grid/daemon sections below already run
 # that cell end to end, so the bench smoke filters to n=1024 (which
-# covers both groups' setup and payload paths).
+# covers the round group's setup and payload path).
 CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 CRITERION_LITE_OUT="$SMOKE_OUT" \
   cargo bench -p gncg-bench --bench large_n -- 1024 >/dev/null
 # The snapshot aggregation over the smoke's records: it fails when a
@@ -218,9 +218,9 @@ resume_prefix target/tier1-horizon.jsonl 10 tests/golden/horizon_policy_n20.json
 
 echo "== large-n grid (n = 1024 preset cell, byte-stable across thread counts)" >&2
 # The large-n scale path end to end: the full 3-round n = 1024 preset
-# cell — bucket-queue SSSP core, lazily synced warm vectors, and
-# bounded-horizon pricing all on the hot path — must produce identical
-# bytes pinned to one pool thread and at four.
+# cell — shortest-path loops on the binary heap, lazily synced warm
+# vectors, and bounded-horizon pricing all on the hot path — must
+# produce identical bytes pinned to one pool thread and at four.
 large_n_1024() {
   rm -f "target/tier1-large-n-$1.jsonl" "target/tier1-large-n-$1.manifest"
   GNCG_THREADS="$1" ./target/release/gncg grid \
@@ -246,8 +246,8 @@ echo "== oracle profile (release speed, debug assertions on): goldens + large-n"
 # that must neither sync rows nor bound), every shortest-path loop of
 # the golden cells (all at most 64 nodes, so on the one-word bitmask
 # frontier) re-run on the heap with the same distances, undo log and
-# removal discovery order, and at n = 1024 the warm-vector,
-# cached-network, memo and bucket-queue checks.
+# removal discovery order, and at n = 1024 (past the word, so on the
+# heap) the warm-vector, cached-network and memo checks.
 # The golden bytes, and the release build's large-n bytes, must not move.
 cargo build --profile oracle -p gncg-service --bin gncg
 GNCG=./target/oracle/gncg

@@ -34,7 +34,7 @@ fn profile(n: usize) -> impl Strategy<Value = Profile> {
 
 /// One past the 64 nodes a one-word SSSP frontier serves: a graph padded
 /// with isolated nodes to this size runs every shortest-path loop on the
-/// binary heap or, with a weight-class hint, the bucket ring.
+/// binary heap.
 const PAST_THE_WORD: usize = 65;
 
 /// The undo log of `t`, entry for entry, as its `Debug` form prints it:
@@ -373,118 +373,6 @@ proptest! {
                     prop_assert_eq!(t.depth(), 0, "undo-log depth must stay 0");
                 }
             }
-        }
-    }
-
-    /// The bucket-queue SSSP engine must equal the binary-heap engine
-    /// **bitwise** on every factory host — for fresh [`DijkstraScratch`]
-    /// runs and for [`DynamicSssp`] trackers driven through interleaved
-    /// insert / remove / swap repairs. The weight-class hint is synthetic
-    /// (the host's finite weight extremes), forcing the bucket ring even
-    /// on hosts whose game-layer class is `None`: the hint may only
-    /// change performance, never a byte. The 8-node host graph is padded
-    /// with isolated nodes past 64, where the heap and the ring serve.
-    #[test]
-    fn bucket_sssp_matches_heap_bitwise_under_interleaved_ops(
-        ops in proptest::collection::vec(0u64..(1u64 << 62), 12),
-        seed in 0u64..500,
-    ) {
-        use gncg_graph::{DijkstraScratch, DynamicSssp};
-        let n = 8usize;
-        for key in gncg_metrics::factory::keys() {
-            let host = gncg_metrics::factory::build_host(key, n, seed).unwrap();
-            let finite: Vec<f64> = host
-                .pairs()
-                .filter_map(|(_, _, w)| w.is_finite().then_some(w))
-                .collect();
-            let wmin = finite.iter().copied().fold(f64::INFINITY, f64::min);
-            let wmax = finite.iter().copied().fold(0.0f64, f64::max);
-            let class = Some((wmin, wmax));
-            let mut g = AdjacencyList::new(PAST_THE_WORD);
-            for v in 1..n as u32 {
-                let w = host.get(0, v);
-                if w.is_finite() {
-                    g.add_edge(0, v, w);
-                }
-            }
-            let mut heap_scr = DijkstraScratch::new();
-            let mut bucket_scr = DijkstraScratch::new();
-            // One hint-less run sizes the bucket scratch's arrays and
-            // heap, so from then on only a ring run can add to its
-            // resident bytes (the ring's buckets, and in debug builds the
-            // heap its oracle re-runs): the growth checked below shows
-            // that the ring was used.
-            bucket_scr.run(&g, 0, &[]);
-            let before_ring = bucket_scr.resident_bytes();
-            bucket_scr.set_weight_class(class);
-            let make = |c: Option<(f64, f64)>, g: &AdjacencyList| -> Vec<DynamicSssp> {
-                (0..n as u32)
-                    .map(|s| {
-                        let mut t = DynamicSssp::new();
-                        t.set_weight_class(c);
-                        t.reset_from(s, &gncg_graph::dijkstra::dijkstra(g, s));
-                        t
-                    })
-                    .collect()
-            };
-            let mut heap_trk = make(None, &g);
-            let mut bucket_trk = make(class, &g);
-            for &op in &ops {
-                let kind = op % 3; // 0 = insert, 1 = remove, 2 = swap
-                if kind >= 1 {
-                    let edges: Vec<_> = g.edges().collect();
-                    if !edges.is_empty() {
-                        let (a, b, w) = edges[(op / 3) as usize % edges.len()];
-                        g.remove_edge(a, b);
-                        for t in heap_trk.iter_mut().chain(bucket_trk.iter_mut()) {
-                            t.remove_edge(&g, a, b, w);
-                        }
-                    }
-                }
-                if kind == 0 || kind == 2 {
-                    let mut candidates = Vec::new();
-                    for u in 0..n as u32 {
-                        for v in (u + 1)..n as u32 {
-                            if !g.has_edge(u, v) && host.get(u, v).is_finite() {
-                                candidates.push((u, v));
-                            }
-                        }
-                    }
-                    if !candidates.is_empty() {
-                        let (u, v) = candidates[(op / 7) as usize % candidates.len()];
-                        let w = host.get(u, v);
-                        g.add_edge(u, v, w);
-                        for t in heap_trk.iter_mut().chain(bucket_trk.iter_mut()) {
-                            t.relax_insert(&g, u, v, w);
-                        }
-                    }
-                }
-                for s in 0..n as u32 {
-                    prop_assert_eq!(
-                        heap_trk[s as usize].dist(),
-                        bucket_trk[s as usize].dist(),
-                        "host '{}' source {}: bucket tracker diverged from heap",
-                        key,
-                        s
-                    );
-                }
-                let s = (op % n as u64) as u32;
-                heap_scr.run(&g, s, &[]);
-                let heap_d = heap_scr.to_vec(PAST_THE_WORD);
-                bucket_scr.run(&g, s, &[]);
-                prop_assert_eq!(
-                    heap_d,
-                    bucket_scr.to_vec(PAST_THE_WORD),
-                    "host '{}' source {}: bucket scratch diverged from heap",
-                    key,
-                    s
-                );
-            }
-            prop_assert!(
-                bucket_scr.resident_bytes() > before_ring,
-                "host '{}': the hinted scratch never used its bucket ring",
-                key
-            );
         }
     }
 
