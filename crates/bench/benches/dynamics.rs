@@ -1,17 +1,14 @@
 //! Engine ablation pairs. `dynamics_swap_heavy`: warm-vector maintenance
 //! under swap-heavy moves, the deletion-tolerant `DynamicSssp` repair vs
-//! the invalidate-and-redo ancestor (`EvalContext::reset`). `br_grid`:
-//! persistent BR bound tables vs the from-scratch
-//! `exact_best_response_given_current`. `regret_meter`: the same run with
-//! the meter off and on. `scripts/bench_snapshot.sh` derives
-//! `swap_heavy_speedup_n20`, `br_grid_speedup_n14` and
+//! the invalidate-and-redo ancestor (`EvalContext::reset`).
+//! `regret_meter`: the same run with the meter off and on.
+//! `scripts/bench_snapshot.sh` derives `swap_heavy_speedup_n20` and
 //! `regret_meter_overhead_n20` from them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use gncg_core::response::exact_best_response_given_current;
 use gncg_core::{Game, NodeId, Profile};
-use gncg_dynamics::{DynamicsConfig, Engine, EvalContext, ResponseRule, Scheduler};
+use gncg_dynamics::{DynamicsConfig, EvalContext, ResponseRule, Scheduler};
 use gncg_suite::scenario::ScenarioSpec;
 
 /// Replays a deterministic swap-heavy strategy-change script through an
@@ -91,112 +88,6 @@ fn bench_swap_heavy(c: &mut Criterion) {
     group.finish();
 }
 
-/// Replays exact-best-response stability sweeps through an
-/// [`EvalContext`], starting from a converged profile: eight rounds of
-/// **two** `agent_is_stable_given_current` sweeps over every agent (the
-/// regret-meter pricing pass plus the convergence check the run loop
-/// performs each round) with one strategy toggle committed between
-/// rounds so the tables keep absorbing deltas. This is where the
-/// br-grid cells spend their wall clock — runs converge within a few
-/// rounds and the bill after that is stability probing, where
-/// branch-and-bound pruning is sharp and the dominant cost of a probe
-/// is building the search state (candidate sort, a Dijkstra for `d0`
-/// and the star relaxations that grow the bound table). With `rebuild`,
-/// every probe pays that build in
-/// the from-scratch [`exact_best_response_given_current`]; otherwise a
-/// probe pays only delta maintenance plus the DFS on the persistent
-/// tables, and the commit-free second sweep is answered by the engine's
-/// pricing memo without a search (the rebuild arm searches every time). The dynamics-loop bookkeeping both arms share is
-/// deliberately thin here, as in `replay_swap_script`, so the pair
-/// isolates bound-table reuse. Returns a stability count so the searches
-/// are not optimized away.
-fn replay_br_sweeps(game: &Game, start: &Profile, rebuild: bool) -> usize {
-    const RULE: ResponseRule = ResponseRule::ExactBestResponse;
-    let n = game.n();
-    let mut profile = start.clone();
-    let mut ctx = EvalContext::new(game, &profile);
-    let mut stable = 0usize;
-    let m = n as NodeId - 1;
-    for round in 0..8 as NodeId {
-        for _sweep in 0..2 {
-            for u in 0..n as NodeId {
-                let is_stable = if rebuild {
-                    ctx.ensure_warm(u);
-                    let current = ctx.current_cost(game, &profile, u);
-                    !exact_best_response_given_current(game, &profile, ctx.network(), u, current)
-                        .improves()
-                } else {
-                    gncg_dynamics::agent_is_stable_given_current(game, &profile, &mut ctx, u, RULE)
-                };
-                stable += usize::from(is_stable);
-            }
-        }
-        // One non-center agent toggles a shortcut (a buy if absent, a
-        // drop if the converged profile owns it), so the next round's
-        // probes flow through both the insert and the stale-removal
-        // maintenance paths while staying near equilibrium.
-        let a = 1 + round % m;
-        let t = 1 + (a + 2) % m;
-        let t = if t == a { 1 + (t % m) } else { t };
-        let old = profile.strategy(a).clone();
-        let mut s = old.clone();
-        if !s.insert(t) {
-            s.remove(&t);
-        }
-        profile.set_strategy(a, s);
-        ctx.apply_strategy_change(game, &profile, a, &old);
-    }
-    stable
-}
-
-/// The persistent BR bound tables priced on the br-grid column the
-/// golden locks: [`replay_br_sweeps`] at n = 14 over one game per host
-/// family × α band of the `br_grid` preset (the seed = 0 column), with
-/// the per-agent `BrBoundCache` resident across activations (`cached`,
-/// the engine's path) vs rebuilt from scratch on every probe (`rebuild`,
-/// the ancestor). Both arms price bitwise-identical best responses, so
-/// the delta is pure bound-table reuse. `scripts/bench_snapshot.sh`
-/// derives the tracked `br_grid_speedup_n14` figure (rebuild ÷ cached
-/// wall time) from this pair.
-fn bench_br_grid(c: &mut Criterion) {
-    let cfg = DynamicsConfig {
-        rule: ResponseRule::ExactBestResponse,
-        scheduler: Scheduler::RoundRobin,
-        max_rounds: 60,
-        ..DynamicsConfig::default()
-    };
-    let games: Vec<(Game, Profile)> = ScenarioSpec::br_grid()
-        .expand()
-        .iter()
-        .filter(|cell| cell.n == 14 && cell.seed == 0)
-        .map(|cell| {
-            let host = gncg_metrics::factory::build_host(&cell.host, cell.n, cell.cell_seed)
-                .expect("preset hosts are registered");
-            let game = Game::new(host, cell.alpha);
-            // Both arms sweep from the same converged state.
-            let start = Engine::new()
-                .run(&game, Profile::star(cell.n, 0), &cfg)
-                .profile;
-            (game, start)
-        })
-        .collect();
-    assert_eq!(games.len(), 9);
-    let n = games[0].0.n();
-    let mut group = c.benchmark_group("br_grid");
-    group.sample_size(10);
-    for (name, rebuild) in [("cached", false), ("rebuild", true)] {
-        group.bench_with_input(BenchmarkId::new(name, n), &rebuild, |b, &r| {
-            b.iter(|| {
-                games
-                    .iter()
-                    .map(|(game, start)| replay_br_sweeps(game, start, r))
-                    .sum::<usize>()
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The regret meter's price at n = 20: the same round-robin greedy run
 /// with the meter off vs on (one end-of-round pricing scan, the pass
 /// MaxGain runs to pick a winner, which re-prices only the agents priced
@@ -225,5 +116,5 @@ fn bench_regret_meter(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_swap_heavy, bench_br_grid, bench_regret_meter);
+criterion_group!(benches, bench_swap_heavy, bench_regret_meter);
 criterion_main!(benches);

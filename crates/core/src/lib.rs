@@ -38,6 +38,6 @@ pub mod spanner_props;
 pub use game::Game;
 pub use moves::Move;
 pub use profile::Profile;
-pub use response::{BrBoundCache, SpeculativePricing, BR_STALENESS_BUDGET, PRICE_HORIZON};
+pub use response::{SpeculativePricing, PRICE_HORIZON};
 
 pub use gncg_graph::{approx_eq, approx_le, strictly_less, NodeId, EPS};

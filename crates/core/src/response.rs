@@ -186,9 +186,10 @@ impl BestResponse {
 /// [`BrSearch::build`]: the agent's base graph and its CSR snapshot, the
 /// candidate and bound tables, and the DFS worker. Each thread keeps one
 /// for [`exact_best_response_given_current`] (module docs, "The
-/// incremental engine"). The DFS itself runs on the borrowed
-/// [`BrSearchView`], which a persistent [`BrBoundCache`] also assembles
-/// from its delta-maintained resident tables.
+/// incremental engine"), which every exact best response runs: the
+/// dynamics engine's activations, br certification and
+/// `is_nash_equilibrium`. The DFS itself runs on the borrowed
+/// [`BrSearchView`].
 #[derive(Debug, Default)]
 struct BrSearch {
     agent: NodeId,
@@ -222,9 +223,8 @@ thread_local! {
 }
 
 /// Borrowed read-only state shared by every branch of one best-response
-/// search — the immutable half of the engine, split out so the fresh path
-/// ([`BrSearch`]) and the persistent cached path ([`BrBoundCache`]) drive
-/// the *same* DFS over the same invariants.
+/// search: the immutable half of the engine, a view of one
+/// [`BrSearch`]'s tables, beside the mutable [`BrWorker`].
 #[derive(Clone, Copy)]
 struct BrSearchView<'g> {
     agent: NodeId,
@@ -344,29 +344,21 @@ impl BrSearch {
 }
 
 /// Refills `candidates` with the agent's candidate targets, every other
-/// node sorted by increasing host weight from it, and `cand_w` with those
-/// weights.
+/// node sorted by increasing host weight from it (a stable sort, so equal
+/// weights keep ascending ids), and `cand_w` with those weights, all read
+/// off the agent's host row.
 fn sort_candidates(
     game: &Game,
     agent: NodeId,
     candidates: &mut Vec<NodeId>,
     cand_w: &mut Vec<f64>,
 ) {
+    let w = game.host().row(agent);
     candidates.clear();
     candidates.extend((0..game.n() as NodeId).filter(|&v| v != agent));
-    candidates.sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
+    candidates.sort_by(|&a, &b| w[a as usize].total_cmp(&w[b as usize]));
     cand_w.clear();
-    cand_w.extend(candidates.iter().map(|&v| game.w(agent, v)));
-}
-
-/// Refills `out` with `g` less every edge at `u`, keeping `out`'s
-/// allocations: `G − u` when `g` is the network or a base graph of `u`,
-/// which differ from it only in edges at `u`.
-fn refill_without_edges_at(out: &mut AdjacencyList, g: &AdjacencyList, u: NodeId) {
-    out.clone_from(g);
-    for &(v, _) in g.neighbors(u) {
-        out.remove_edge(u, v);
-    }
+    cand_w.extend(candidates.iter().map(|&v| w[v as usize]));
 }
 
 /// The pruning bound's table for `agent` on its base graph `base`, as the
@@ -392,8 +384,11 @@ pub fn bound_table_reference(game: &Game, base: &AdjacencyList, agent: NodeId) -
     let n = game.n();
     let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
     sort_candidates(game, agent, &mut candidates, &mut cand_w);
-    let mut g_minus_u = AdjacencyList::default();
-    refill_without_edges_at(&mut g_minus_u, base, agent);
+    // A base graph differs from the network only in edges at the agent.
+    let mut g_minus_u = base.clone();
+    for &(v, _) in base.neighbors(agent) {
+        g_minus_u.remove_edge(agent, v);
+    }
     let mut scratch = DijkstraScratch::new();
     let mut via = vec![f64::INFINITY; (candidates.len() + 1) * n];
     for i in (0..candidates.len()).rev() {
@@ -547,11 +542,10 @@ pub fn exact_best_response_in(
 
 /// [`exact_best_response_in`] with the agent's current cost supplied by
 /// the caller (e.g. read off a warm distance vector instead of the
-/// Dijkstra `agent_cost_in` would run). It rebuilds the whole search
-/// state per call, in buffers its thread keeps (module docs, "The
-/// incremental engine"), so once they have grown a call allocates only
-/// its result: the from-scratch ancestor of [`BrBoundCache`], and the
-/// baseline the `br_grid` bench times it against.
+/// Dijkstra `agent_cost_in` would run): the search the dynamics engine's
+/// exact-rule activations run. It builds the whole search state per
+/// call, in buffers its thread keeps (module docs, "The incremental
+/// engine"), so once they have grown a call allocates only its result.
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
@@ -570,508 +564,16 @@ pub fn exact_best_response_given_current(
     })
 }
 
-/// Committed removals a [`BrBoundCache`] absorbs as bound staleness
-/// before its next activation triggers a full bound-table rebuild.
-///
-/// Each removal the cache leaves unrepaired keeps one *phantom* edge in
-/// the envelope graph its bound rows are exact for, which can only make
-/// the pruning bound *lower* — weaker pruning, never a wrong answer — so
-/// the budget trades table rebuilds against DFS nodes. The
-/// value is a plain constant, not a tuning surface: results are bitwise
-/// identical at any budget (see `tests/br_cache.rs`).
-pub const BR_STALENESS_BUDGET: usize = 16;
-
-/// Persistent per-agent branch-and-bound state for
-/// [`exact_best_response`]: the sorted candidate list, the exact base
-/// distances `d0`, and the per-suffix bound rows behind the `via` table
-/// (row `i` the distances from the agent in `G − u + star(candidates[i..])`,
-/// module docs) survive from activation to activation and are
-/// delta-maintained through the same committed `NetworkDelta` staging
-/// that keeps the dynamics engine's warm vectors alive — replacing the
-/// Dijkstra, the table growth and the CSR snapshot `BrSearch` pays per
-/// activation.
-///
-/// # What is exact and what is merely admissible
-///
-/// * **`base`/`d0` are exact.** `d0` seeds the DFS's live vector, whose
-///   sum *is* the reported cost of every evaluated subset, so it gets the
-///   warm-vector treatment: committed insertions replay lazily in one
-///   batched [`DynamicSssp::relax_inserts`] pass behind a cursor into the
-///   engine's insert log ([`BrBoundCache::flush_d0`], forced eagerly
-///   ahead of any removal), removals repair in place via
-///   [`DynamicSssp::remove_edges`], and ownership flips (an edge crossing
-///   the sole-owned boundary without any network change) are patched
-///   eagerly by the [`BrBoundCache::gain_co_owned`] /
-///   [`BrBoundCache::lose_co_owned`] hooks.
-///
-/// * **The bound rows only feed the pruning bound**, so they never need
-///   to track the live `G − u` exactly — but "stale yet admissible" is
-///   subtler than leaving removal repairs undone. A decrease-only insert
-///   replay into a vector that is merely *below* the truth can stop
-///   propagating at a stale-low node and leave some *other* node
-///   **above** the truth — an inadmissible bound. The cache therefore
-///   keeps row `i` **exact for** `Ĝ + star(candidates[i..])`, with the
-///   **envelope graph** `Ĝ = (G − u)(at last rebuild) ∪ {inserts since}`:
-///   a rebuild grows the rows over `Ĝ` as a fresh search grows its table,
-///   insert replays relax each batch into every row over `Ĝ` alone (the
-///   star edges are at the rows' source, which
-///   [`DynamicSssp::relax_inserts`]'s exactness contract lets `Ĝ` omit),
-///   and removals simply *keep* the removed edge in `Ĝ` (a *phantom*
-///   edge). Since the live `G − u` is always a subgraph of `Ĝ`, each row
-///   is pointwise at most its fresh counterpart and the bound stays
-///   admissible — each phantom edge just makes it lower, hence weaker.
-///   Past [`BR_STALENESS_BUDGET`] phantoms the next activation rebuilds
-///   the tables from scratch.
-///
-/// * **`G − u` does not change when an edge at the agent does.** The
-///   agent's own purchases and drops, other agents' edges to it, and
-///   ownership flips of its edges never enter `Ĝ`, so only edges
-///   between two other agents move the envelope.
-///
-/// Because weaker pruning evaluates a *superset* of the subsets the
-/// fresh search evaluates — all of them dominated within the search's
-/// `EPS` acceptance — the chosen strategy and its cost are **bitwise
-/// identical** to a fresh `BrSearch`, which stays resident as the
-/// debug oracle: every cached search re-derives the fresh tables under
-/// `debug_assertions`, asserts `d0` bitwise-equal, asserts the cached
-/// `via` bound admissible (≤ fresh) per node, and compares the chosen
-/// best response and cost bit for bit.
-///
-/// The cache keeps no result memo: every [`BrBoundCache::best_response`]
-/// call searches. Re-probes with no commit since the agent was last
-/// priced are answered above it, by the dynamics engine's pricing memo,
-/// which serves all three response rules.
-#[derive(Debug)]
-pub struct BrBoundCache {
-    agent: NodeId,
-    built: bool,
-    n: usize,
-    /// Candidates sorted by increasing host weight from the agent
-    /// (game-fixed; recomputed only on rebuild).
-    candidates: Vec<NodeId>,
-    cand_w: Vec<f64>,
-    /// The agent's base graph (network minus its sole-owned edges),
-    /// maintained in lock-step with every committed delta.
-    base: AdjacencyList,
-    /// CSR snapshot of `base` for the DFS hot loop; refilled lazily when
-    /// `base` changed since the last search.
-    csr: Csr,
-    csr_dirty: bool,
-    /// Exact distances from the agent in `base`.
-    d0: DynamicSssp,
-    /// How many engine insert-log entries `d0` already reflects.
-    d0_synced: usize,
-    /// The envelope graph `Ĝ` the bound rows are exact for (see the type
-    /// docs): monotonically grown by insert replays, never shrunk, and
-    /// never holding an edge at the agent.
-    ghat: AdjacencyList,
-    /// Edges of `Ĝ` no longer in the live network (normalized pairs) —
-    /// the staleness the budget counts.
-    phantom: Vec<(NodeId, NodeId)>,
-    /// Per-suffix bound rows (`rows[i]` from source `agent`), row `i`
-    /// exact for `Ĝ + star(candidates[i..])`.
-    rows: Vec<DynamicSssp>,
-    /// How many engine insert-log entries the bound rows reflect.
-    rows_synced: usize,
-    /// The rows, copied flat for the DFS (same layout as
-    /// [`BrSearch::via`]); refreshed in one `O(n²)` copy when dirty.
-    via: Vec<f64>,
-    via_dirty: bool,
-    /// Reusable DFS worker (live vector, chosen stack, incumbent).
-    worker: BrWorker,
-    scratch: DijkstraScratch,
-    dist_buf: Vec<f64>,
-    batch: Vec<(NodeId, NodeId, f64)>,
-}
-
-impl BrBoundCache {
-    /// An empty, unbuilt cache for `agent`; tables fill on first
-    /// [`BrBoundCache::ensure`].
-    pub fn new(agent: NodeId) -> Self {
-        BrBoundCache {
-            agent,
-            built: false,
-            n: 0,
-            candidates: Vec::new(),
-            cand_w: Vec::new(),
-            base: AdjacencyList::default(),
-            csr: Csr::default(),
-            csr_dirty: false,
-            d0: DynamicSssp::new(),
-            d0_synced: 0,
-            ghat: AdjacencyList::default(),
-            phantom: Vec::new(),
-            rows: Vec::new(),
-            rows_synced: 0,
-            via: Vec::new(),
-            via_dirty: false,
-            worker: BrWorker::default(),
-            scratch: DijkstraScratch::new(),
-            dist_buf: Vec::new(),
-            batch: Vec::new(),
-        }
-    }
-
-    /// Whether the tables are resident (a fresh or invalidated cache
-    /// rebuilds on its next [`BrBoundCache::ensure`]).
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
-    /// Phantom edges currently absorbed as staleness — `0` right after a
-    /// rebuild, strictly `≤ BR_STALENESS_BUDGET` whenever a search runs.
-    pub fn stale_removals(&self) -> usize {
-        self.phantom.len()
-    }
-
-    /// Drops the tables (allocations survive for the next rebuild).
-    /// Called whenever the owning context can no longer describe the
-    /// committed delta stream precisely (context reset, raw deltas).
-    pub fn invalidate(&mut self) {
-        self.built = false;
-    }
-
-    /// Bytes resident in the cache's tables — the bound rows dominate
-    /// (`n − 1` SSSP engines of `Θ(n)` floats each).
-    pub fn resident_bytes(&self) -> usize {
-        self.d0.resident_bytes()
-            + self
-                .rows
-                .iter()
-                .map(DynamicSssp::resident_bytes)
-                .sum::<usize>()
-            + self.via.capacity() * std::mem::size_of::<f64>()
-            + self.phantom.capacity() * std::mem::size_of::<(NodeId, NodeId)>()
-    }
-
-    /// Makes the tables current for the live `network`: a full rebuild
-    /// when unbuilt or past the staleness budget, otherwise one lazy
-    /// replay of the pending committed-insert suffix into `d0` and the
-    /// bound rows.
-    pub fn ensure(
-        &mut self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        insert_log: &[(NodeId, NodeId, f64)],
-    ) {
-        if !self.built || self.phantom.len() > BR_STALENESS_BUDGET {
-            self.rebuild(game, profile, network, insert_log.len());
-            return;
-        }
-        self.flush_d0(insert_log);
-        self.sync_rows(network, insert_log);
-    }
-
-    /// Rebuilds every table from the live network — the same
-    /// construction as [`BrSearch::new`], kept as the oracle path — into
-    /// the cache's own buffers: the base graph, `Ĝ` and the CSR are
-    /// refilled in place.
-    fn rebuild(&mut self, game: &Game, profile: &Profile, network: &AdjacencyList, log_len: usize) {
-        let n = game.n();
-        let agent = self.agent;
-        self.n = n;
-
-        sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
-
-        refill_base_graph(&mut self.base, network, profile, agent);
-        self.csr.refill(&self.base);
-        self.csr_dirty = false;
-        self.scratch.run(&self.base, agent, &[]);
-        self.dist_buf.clear();
-        self.dist_buf.resize(n, f64::INFINITY);
-        self.scratch.write_distances(&mut self.dist_buf);
-        self.d0.reset_from(agent, &self.dist_buf);
-
-        // A fresh envelope graph is exactly G − u.
-        refill_without_edges_at(&mut self.ghat, &self.base, agent);
-        self.phantom.clear();
-
-        // The rows grow back to front over Ĝ, as BrSearch grows its
-        // table, in the DFS's live vector (every search re-arms it), so
-        // only the live vector's heap grows with the relaxations, and
-        // only on graphs of more than 64 nodes.
-        let len = self.candidates.len();
-        if self.rows.len() < len {
-            self.rows.resize_with(len, DynamicSssp::new);
-        }
-        let grow = &mut self.worker.inc;
-        grow.reset_alone(agent, n);
-        for i in (0..len).rev() {
-            grow.relax_insert(&self.ghat, agent, self.candidates[i], self.cand_w[i]);
-            self.rows[i].reset_from(agent, grow.dist());
-        }
-        self.rebuild_via();
-
-        self.d0_synced = log_len;
-        self.rows_synced = log_len;
-        self.built = true;
-    }
-
-    /// Refreshes the flat `via` table from the resident rows: a copy, so a
-    /// phantom-free cache reproduces the fresh table bit for bit.
-    fn rebuild_via(&mut self) {
-        let len = self.candidates.len();
-        self.via.clear();
-        for row in &self.rows[..len] {
-            self.via.extend_from_slice(row.dist());
-        }
-        self.via_dirty = false;
-    }
-
-    /// Replays the pending committed-insert suffix into `d0`. Every
-    /// pending entry present in `base` replays (entries absent from
-    /// `base` are the agent's own sole-owned purchases, which the base
-    /// graph excludes by definition — their log entries are skipped
-    /// forever). The owning context must call this **before** a removal
-    /// mutates the network: pending inserts replay against a base graph
-    /// that still holds every edge about to go, the exactness contract
-    /// of [`DynamicSssp::relax_inserts`].
-    pub fn flush_d0(&mut self, insert_log: &[(NodeId, NodeId, f64)]) {
-        if !self.built || self.d0_synced >= insert_log.len() {
-            return;
-        }
-        self.batch.clear();
-        for &(a, b, w) in &insert_log[self.d0_synced..] {
-            if self.base.has_edge(a, b) {
-                self.batch.push((a, b, w));
-            }
-        }
-        if !self.batch.is_empty() {
-            self.d0.relax_inserts(&self.base, &self.batch);
-        }
-        self.d0_synced = insert_log.len();
-    }
-
-    /// Lazily replays pending committed inserts into the bound rows: each
-    /// genuinely new edge enters the envelope graph `Ĝ` and is relaxed —
-    /// exactly — into every row in one batch, over `Ĝ` alone (a row's
-    /// star edges are at its source); an edge `Ĝ` kept through an interim
-    /// removal merely stops being phantom (the rows are already exact for
-    /// it).
-    fn sync_rows(&mut self, network: &AdjacencyList, insert_log: &[(NodeId, NodeId, f64)]) {
-        if self.rows_synced >= insert_log.len() {
-            return;
-        }
-        self.batch.clear();
-        for &(a, b, w) in &insert_log[self.rows_synced..] {
-            if a == self.agent || b == self.agent {
-                // Edges at the agent are not in G − u.
-                continue;
-            }
-            if !network.has_edge(a, b) {
-                // Inserted and removed again between syncs: the edge
-                // never entered Ĝ (its removal pushed no phantom).
-                continue;
-            }
-            let key = (a.min(b), a.max(b));
-            if self.ghat.has_edge(a, b) {
-                self.phantom.retain(|&p| p != key);
-                continue;
-            }
-            self.ghat.add_edge(a, b, w);
-            self.batch.push((a, b, w));
-        }
-        if !self.batch.is_empty() {
-            let len = self.candidates.len();
-            for row in &mut self.rows[..len] {
-                row.relax_inserts(&self.ghat, &self.batch);
-            }
-            self.via_dirty = true;
-        }
-        self.rows_synced = insert_log.len();
-    }
-
-    /// Notes a committed edge-insertion batch by `mover` (the edges are
-    /// live in the network). Base bookkeeping is eager and `O(1)` per
-    /// edge; the SSSP repairs stay lazy behind the cursors. A batch by
-    /// the cache's own agent is sole-owned by construction — outside the
-    /// base graph, and at the agent, so outside `Ĝ` — and is a no-op.
-    pub fn on_inserts(&mut self, inserts: &[(NodeId, NodeId, f64)], mover: NodeId) {
-        if !self.built || mover == self.agent {
-            return;
-        }
-        for &(a, b, w) in inserts {
-            if !self.base.has_edge(a, b) {
-                self.base.add_edge(a, b, w);
-                self.csr_dirty = true;
-            }
-        }
-    }
-
-    /// Notes committed removals by `mover`, already applied to the
-    /// network; [`BrBoundCache::flush_d0`] must have run first. `d0` is
-    /// repaired exactly in one batched affected-region pass; the bound
-    /// rows instead keep each removed edge in `Ĝ` as a phantom
-    /// (admissible staleness — see the type docs). A batch by the
-    /// cache's own agent is a no-op (sole-owned drops were never in the
-    /// base graph, and edges at the agent are never in `Ĝ`).
-    pub fn on_removals(&mut self, removed: &[(NodeId, NodeId, f64)], mover: NodeId) {
-        if !self.built || mover == self.agent {
-            return;
-        }
-        self.batch.clear();
-        for &(a, b, w) in removed {
-            if self.base.remove_edge(a, b) {
-                self.batch.push((a, b, w));
-                self.csr_dirty = true;
-            }
-            if a != self.agent && b != self.agent && self.ghat.has_edge(a, b) {
-                let key = (a.min(b), a.max(b));
-                if !self.phantom.contains(&key) {
-                    self.phantom.push(key);
-                }
-            }
-        }
-        if !self.batch.is_empty() {
-            self.d0.remove_edges(&self.base, &self.batch);
-        }
-    }
-
-    /// The mover just bought an edge the cache's agent already owned:
-    /// `(agent, other)` was sole-owned (outside the base graph) and is
-    /// now co-owned (inside it). No network edge moved, so only this
-    /// cache's base/`d0` change; `Ĝ` never holds an edge at the agent.
-    pub fn gain_co_owned(&mut self, other: NodeId, w: f64, insert_log: &[(NodeId, NodeId, f64)]) {
-        if !self.built {
-            return;
-        }
-        // Pending inserts replay first, against the base graph *without*
-        // the flip edge (the graph d0 is exact for, minus the pending
-        // batch); only then does the flip edge enter and relax.
-        self.flush_d0(insert_log);
-        if !self.base.has_edge(self.agent, other) {
-            self.base.add_edge(self.agent, other, w);
-            self.csr_dirty = true;
-            self.d0.relax_inserts(&self.base, &[(self.agent, other, w)]);
-        }
-    }
-
-    /// The mover just dropped its copy of an edge the cache's agent
-    /// still owns: `(agent, other)` was co-owned (inside the base graph)
-    /// and is now sole-owned (outside it). The mirror image of
-    /// [`BrBoundCache::gain_co_owned`].
-    pub fn lose_co_owned(&mut self, other: NodeId, w: f64, insert_log: &[(NodeId, NodeId, f64)]) {
-        if !self.built {
-            return;
-        }
-        // Pending inserts replay while the base graph still holds the
-        // flip edge; the exact removal repair follows.
-        self.flush_d0(insert_log);
-        if self.base.remove_edge(self.agent, other) {
-            self.csr_dirty = true;
-            self.d0.remove_edges(&self.base, &[(self.agent, other, w)]);
-        }
-    }
-
-    /// The exact best response off the resident tables — the same DFS as
-    /// [`exact_best_response_given_current`], minus its per-activation
-    /// CSR snapshot, Dijkstra and table growth. Requires a prior
-    /// [`BrBoundCache::ensure`] against the same network and insert log;
-    /// `current` must be the agent's exact current cost (it seeds the
-    /// incumbent). Under `debug_assertions` every call re-derives the
-    /// fresh tables and asserts bound admissibility per node plus a
-    /// bitwise-equal chosen strategy and cost.
-    pub fn best_response(
-        &mut self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        current: f64,
-    ) -> BestResponse {
-        debug_assert!(self.built, "best_response on an unbuilt BrBoundCache");
-        if self.csr_dirty {
-            self.csr.refill(&self.base);
-            self.csr_dirty = false;
-        }
-        if self.via_dirty {
-            self.rebuild_via();
-        }
-        let worker = &mut self.worker;
-        worker.reset(self.agent, self.n, self.d0.dist(), current);
-        let view = BrSearchView::new(
-            game.alpha(),
-            self.agent,
-            &self.csr,
-            &self.candidates,
-            &self.cand_w,
-            &self.via,
-        );
-        view.search(worker);
-        let result = worker.take_result(current, profile.strategy(self.agent));
-        #[cfg(debug_assertions)]
-        self.assert_matches_fresh(game, profile, network, current, &result);
-        #[cfg(not(debug_assertions))]
-        let _ = network;
-        result
-    }
-
-    /// The cache's oracle: rebuild the per-activation search state from
-    /// scratch, in a search of its own, and require (a) the lock-step
-    /// base graph, (b) a bitwise `d0`, (c) per-node bound admissibility
-    /// (cached `via` ≤ fresh `via` — the fresh table is exact for the
-    /// live `G − u`, so `≤` *is* admissibility), bitwise equality while
-    /// no phantom is held (`Ĝ` is then the live `G − u`), and (d) a
-    /// bitwise-identical chosen strategy and cost.
-    #[cfg(debug_assertions)]
-    fn assert_matches_fresh(
-        &self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        current: f64,
-        got: &BestResponse,
-    ) {
-        let mut search = BrSearch::default();
-        refill_base_graph(&mut search.base, network, profile, self.agent);
-        let mut a: Vec<_> = self.base.edges().collect();
-        let mut b: Vec<_> = search.base.edges().collect();
-        a.sort_by_key(|e| (e.0, e.1));
-        b.sort_by_key(|e| (e.0, e.1));
-        assert_eq!(
-            a, b,
-            "BrBoundCache base graph of agent {} drifted from base_graph_from",
-            self.agent
-        );
-        search.build(game, self.agent);
-        assert_eq!(
-            self.d0.dist(),
-            search.d0.as_slice(),
-            "BrBoundCache d0 of agent {} drifted from a fresh Dijkstra",
-            self.agent
-        );
-        assert_eq!(self.via.len(), search.via.len());
-        for (i, (&cached, &fresh)) in self.via.iter().zip(search.via.iter()).enumerate() {
-            assert!(
-                cached <= fresh,
-                "inadmissible cached bound for agent {}: via[{}] = {} > fresh {}",
-                self.agent,
-                i,
-                cached,
-                fresh
-            );
-            assert!(
-                !self.phantom.is_empty() || cached.to_bits() == fresh.to_bits(),
-                "phantom-free cached bound for agent {}: via[{}] = {} != fresh {}",
-                self.agent,
-                i,
-                cached,
-                fresh
-            );
-        }
-        let fresh = search.run(current, profile.strategy(self.agent));
-        assert_eq!(
-            got.strategy, fresh.strategy,
-            "cached best response of agent {} diverged from a fresh BrSearch",
-            self.agent
-        );
-        assert_eq!(
-            got.cost.to_bits(),
-            fresh.cost.to_bits(),
-            "cached best-response cost of agent {} diverged from a fresh BrSearch",
-            self.agent
-        );
-    }
+/// Bytes the calling thread's fresh-search tables hold: `d0`, the `via`
+/// table and the DFS's live vector, the `Θ(n²)` state of
+/// [`exact_best_response_given_current`]. Capacity-based, so it reports
+/// what the largest search on this thread grew them to; `0` on a thread
+/// that never searched.
+pub fn search_resident_bytes() -> usize {
+    SEARCH.with_borrow(|search| {
+        (search.d0.capacity() + search.via.capacity()) * std::mem::size_of::<f64>()
+            + search.worker.inc.resident_bytes()
+    })
 }
 
 /// The historical from-scratch engine: one Dijkstra per leaf, pruned only

@@ -82,12 +82,13 @@
 //!   ([`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)),
 //!   is the debug oracle of every scan and the measured baseline of the
 //!   `move_scan` bench;
-//! * the exact rule searches persistent per-agent bound tables
-//!   ([`BrBoundCache`]), delta-maintained through the same staging. Its
-//!   ancestor rebuilds the search state per activation
-//!   ([`exact_best_response_given_current`](gncg_core::response::exact_best_response_given_current)):
-//!   debug builds re-derive that fresh search for every cached one, and
-//!   the `br_grid` bench times it as the baseline.
+//! * the exact rule runs one fresh search per activation
+//!   ([`exact_best_response_given_current`]), the search br
+//!   certification and `is_nash_equilibrium` run, with the agent's
+//!   current cost read off its warm vector. The search builds its tables
+//!   (one Dijkstra for the base distances, one star relaxation per
+//!   candidate for the bound table) in buffers its thread keeps, so the
+//!   context holds no per-agent search state.
 //!
 //! # One activation path
 //!
@@ -104,11 +105,11 @@
 //! by [`EvalContext::set_pricing`] and by [`Engine::recycle`], and never
 //! rewound. Between two bumps every input of a pricing is unchanged —
 //! the profile, the network, the distances its warm vectors hold (rows
-//! included: the bounds they feed only skip moves), the answers of its
-//! BR bound tables, the rule and the pricing policy — so a stored answer
-//! whose epoch and rule match is bitwise the fresh one and is returned
-//! as is; only the other agents are warmed and priced. Debug builds
-//! re-price every hit and assert it bitwise equal. In a metered
+//! included: the bounds they feed only skip moves), the rule and the
+//! pricing policy — so a stored answer whose epoch and rule match is
+//! bitwise the fresh one and is returned as is; only the other agents
+//! are warmed and priced. Debug builds re-price every hit and assert it
+//! bitwise equal. In a metered
 //! round-robin run, activations before a round's first move reuse the
 //! last meter scan, the meter re-prices only the agents priced before
 //! the round's last move, and a converged run's final round, its meter
@@ -133,7 +134,8 @@ use std::collections::BTreeSet;
 
 use gncg_core::moves::MoveSpace;
 use gncg_core::response::{
-    best_move_among_speculative_priced, BrBoundCache, ScanPricing, ScanScratch, SpeculativePricing,
+    best_move_among_speculative_priced, exact_best_response_given_current, ScanPricing,
+    ScanScratch, SpeculativePricing,
 };
 use gncg_core::{Game, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
@@ -473,31 +475,21 @@ thread_local! {
 /// space off them speculatively against the scratch's copy of `u`'s row
 /// (borrowed mutably for apply → read → rollback), so the rows stay
 /// shared and read-only; under FullSum the scan rules moves out off the
-/// other agents' rows first. The exact rule searches `u`'s persistent bound
-/// tables in `br`, built on first use and brought current here.
+/// other agents' rows first. The exact rule runs a fresh search
+/// ([`exact_best_response_given_current`]) in its thread's buffers.
 fn pricer<'a>(
     game: &'a Game,
     profile: &'a Profile,
     network: &'a AdjacencyList,
-    insert_log: &'a [(NodeId, NodeId, f64)],
     rule: ResponseRule,
     pricing: SpeculativePricing,
-) -> impl Fn(
-    NodeId,
-    &[DynamicSssp],
-    &mut PricerScratch,
-    &mut Option<Box<BrBoundCache>>,
-) -> Option<Change>
-       + Sync
-       + 'a {
-    move |u, rows, scratch, br| {
+) -> impl Fn(NodeId, &[DynamicSssp], &mut PricerScratch) -> Option<Change> + Sync + 'a {
+    move |u, rows, scratch| {
         let row = &rows[u as usize];
         let current = gncg_core::cost::edge_cost(game, profile, u) + row.sum();
         let space = match rule {
             ResponseRule::ExactBestResponse => {
-                let cache = br.get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
-                cache.ensure(game, profile, network, insert_log);
-                let br = cache.best_response(game, profile, network, current);
+                let br = exact_best_response_given_current(game, profile, network, u, current);
                 return br
                     .improves()
                     .then_some((br.strategy, br.current_cost, br.cost));
@@ -586,13 +578,6 @@ pub struct EvalContext {
     /// How the speculative scan reads candidate distance costs
     /// ([`SpeculativePricing`]; survives [`EvalContext::reset`]).
     pricing: SpeculativePricing,
-    /// Per-agent persistent branch-and-bound bound tables for
-    /// [`ResponseRule::ExactBestResponse`] ([`BrBoundCache`]); built
-    /// lazily on an agent's first BR activation, invalidated on
-    /// [`EvalContext::reset`], and delta-maintained through
-    /// [`EvalContext::apply_strategy_change`] otherwise. Boxed: the
-    /// tables are `Θ(n²)` floats, absent entirely for non-BR runs.
-    br: Vec<Option<Box<BrBoundCache>>>,
     /// The commit epoch the pricing memo is keyed on: bumped by
     /// [`EvalContext::apply_strategy_change`], [`EvalContext::reset`],
     /// [`EvalContext::set_pricing`] and [`Engine::recycle`], never rewound,
@@ -632,15 +617,6 @@ impl EvalContext {
         self.insert_log.clear();
         self.synced.clear();
         self.synced.resize(n, 0);
-        // BR bound tables cannot survive a re-target (the committed-delta
-        // stream they were maintained through ended with the old run);
-        // they rebuild on their owner's first BR activation.
-        if self.br.len() < n {
-            self.br.resize_with(n, || None);
-        }
-        for cache in self.br.iter_mut().flatten() {
-            cache.invalidate();
-        }
         if self.priced.len() < n {
             self.priced.resize_with(n, || None);
         }
@@ -670,23 +646,15 @@ impl EvalContext {
         self.pricings
     }
 
-    /// Agent `u`'s persistent BR bound tables, when they exist — an
-    /// observability read (tests assert the staleness bookkeeping, the
-    /// service reports resident bytes). `None` until `u`'s first BR
-    /// activation.
-    pub fn br_cache(&self, u: NodeId) -> Option<&BrBoundCache> {
-        self.br.get(u as usize).and_then(|slot| slot.as_deref())
-    }
-
-    /// Bytes resident in the persistent BR bound tables across all agents
-    /// (`0` unless a BR-rule run built them) — the `Θ(n²)`-per-agent
-    /// companion figure to [`EvalContext::warm_resident_bytes`].
+    /// Bytes resident in the calling thread's exact-best-response search
+    /// tables ([`search_resident_bytes`](gncg_core::response::search_resident_bytes):
+    /// `d0`, the bound table and the DFS's live vector; `0` unless a
+    /// BR-rule search ran on this thread) — the `Θ(n²)` companion figure
+    /// to [`EvalContext::warm_resident_bytes`]. The context itself holds
+    /// no search state: every exact-rule activation searches afresh in
+    /// its thread's buffers.
     pub fn br_resident_bytes(&self) -> usize {
-        self.br
-            .iter()
-            .flatten()
-            .map(|c| c.resident_bytes())
-            .sum::<usize>()
+        gncg_core::response::search_resident_bytes()
     }
 
     /// Bytes resident in the warm-vector machinery: every per-agent
@@ -738,17 +706,10 @@ impl EvalContext {
             }
             self.rows_epoch = self.epoch;
         }
-        let price = pricer(
-            game,
-            profile,
-            &self.network,
-            &self.insert_log,
-            rule,
-            self.pricing,
-        );
-        let (rows, scratch, br) = (&self.warm[..n], &mut self.pricer, &mut self.br[i]);
+        let price = pricer(game, profile, &self.network, rule, self.pricing);
+        let (rows, scratch) = (&self.warm[..n], &mut self.pricer);
         if memoized(&mut self.priced[i], self.epoch, rule, || {
-            price(u, rows, scratch, br)
+            price(u, rows, scratch)
         }) {
             self.pricings += 1;
         }
@@ -763,13 +724,13 @@ impl EvalContext {
     /// the pricing reads current (all of them when the scan reads other
     /// agents' rows, otherwise those of the agents the memo misses), each
     /// item borrowing exactly its agent's warm vector; the other prices
-    /// each missed agent against a copy of its row, with its bound tables
-    /// and memo slot borrowed and the rows shared read-only. Both passes
-    /// work in their thread's [`PoolScratch`] (a Dijkstra scratch for the
-    /// rows, a [`PricerScratch`] for the pricings), kept from scan to
-    /// scan, so a scan allocates nothing once its threads' scratch has
-    /// grown. No pricing depends on what a scratch held before, so the
-    /// result is bitwise deterministic at every thread count.
+    /// each missed agent against a copy of its row, with its memo slot
+    /// borrowed and the rows shared read-only. Both passes work in their
+    /// thread's [`PoolScratch`] (a Dijkstra scratch for the rows, a
+    /// [`PricerScratch`] for the pricings), kept from scan to scan, so a
+    /// scan allocates nothing once its threads' scratch has grown. No
+    /// pricing depends on what a scratch held before, so the result is
+    /// bitwise deterministic at every thread count.
     fn scan(
         &mut self,
         game: &Game,
@@ -780,14 +741,7 @@ impl EvalContext {
         let n = game.n();
         let epoch = self.epoch;
         let all_rows = reads_rows(rule, self.pricing);
-        let price = pricer(
-            game,
-            profile,
-            &self.network,
-            &self.insert_log,
-            rule,
-            self.pricing,
-        );
+        let price = pricer(game, profile, &self.network, rule, self.pricing);
         let (network, log) = (&self.network, &self.insert_log);
         let (valid, synced, priced) = (&mut self.valid, &mut self.synced, &self.priced);
         let mut stale: Vec<_> = self.warm[..n]
@@ -815,21 +769,20 @@ impl EvalContext {
         // Debug builds keep the hits in the pricing pass too, for the
         // re-pricing oracle in `memoized`; nothing was committed since
         // they were priced, so their rows are current.
-        let mut agents: Vec<_> = self.br[..n]
+        let mut agents: Vec<_> = self.priced[..n]
             .iter_mut()
-            .zip(&mut self.priced[..n])
             .enumerate()
-            .filter(|(_, (_, slot))| cfg!(debug_assertions) || !is_current(slot, epoch, rule))
-            .map(|(u, (br, slot))| (u as NodeId, br, slot))
+            .filter(|(_, slot)| cfg!(debug_assertions) || !is_current(slot, epoch, rule))
+            .map(|(u, slot)| (u as NodeId, slot))
             .collect();
         let misses = agents
             .iter()
-            .filter(|(_, _, slot)| !is_current(slot, epoch, rule))
+            .filter(|(_, slot)| !is_current(slot, epoch, rule))
             .count();
         agents.par_chunks_mut(1).for_each(|agent| {
-            let (u, br, slot) = &mut agent[0];
+            let (u, slot) = &mut agent[0];
             POOL_SCRATCH.with_borrow_mut(|PoolScratch { pricer, .. }| {
-                memoized(slot, epoch, rule, || price(*u, rows, pricer, br));
+                memoized(slot, epoch, rule, || price(*u, rows, pricer));
             });
         });
         self.pricings += misses as u64;
@@ -887,11 +840,11 @@ impl EvalContext {
     }
 
     /// Applies agent `u`'s strategy change by expressing it as a
-    /// [`NetworkDelta`] and staging it through the cached network, the
-    /// warm vectors and the BR bound tables. `profile` must already hold
-    /// `u`'s *new* strategy; `old` is the strategy it replaced. An edge
-    /// leaves only when its other endpoint does not also own it, and
-    /// enters only when it is not already present.
+    /// [`NetworkDelta`] and staging it through the cached network and the
+    /// warm vectors. `profile` must already hold `u`'s *new* strategy;
+    /// `old` is the strategy it replaced. An edge leaves only when its
+    /// other endpoint does not also own it, and enters only when it is not
+    /// already present.
     ///
     /// Warm vectors survive changes of **every** kind: insertions are
     /// logged for batched lazy replay on each vector's next read,
@@ -921,54 +874,7 @@ impl EvalContext {
                 delta.insert(u, v, game.w(u, v));
             }
         }
-        // Persistent BR bound tables ride the same staging as the warm
-        // vectors. Ahead of a removal, each built cache's exact base
-        // distances flush their pending committed inserts (the replay
-        // must see the base graph before edges leave it — the same
-        // pre-removal sync `apply_delta` performs for warm vectors).
-        let has_br = self
-            .br
-            .iter()
-            .any(|c| c.as_ref().is_some_and(|c| c.is_built()));
-        if has_br && !delta.removes().is_empty() {
-            for cache in self.br.iter_mut().flatten() {
-                cache.flush_d0(&self.insert_log);
-            }
-        }
         self.apply_delta(&delta);
-        if has_br {
-            // `removed_buf` holds what actually left the network.
-            if !self.removed_buf.is_empty() {
-                let removed = std::mem::take(&mut self.removed_buf);
-                for cache in self.br.iter_mut().flatten() {
-                    cache.on_removals(&removed, u);
-                }
-                self.removed_buf = removed;
-            }
-            if !delta.inserts().is_empty() {
-                for cache in self.br.iter_mut().flatten() {
-                    cache.on_inserts(delta.inserts(), u);
-                }
-            }
-            // Ownership flips: a strategy edge crossing the *other*
-            // endpoint's sole-owned boundary without any network change
-            // (the delta above is empty for it) still moves that edge
-            // across the other endpoint's base graph.
-            for &v in old.difference(new) {
-                if profile.owns(v, u) {
-                    if let Some(cache) = self.br[v as usize].as_deref_mut() {
-                        cache.lose_co_owned(u, game.w(u, v), &self.insert_log);
-                    }
-                }
-            }
-            for &v in new.difference(old) {
-                if profile.owns(v, u) {
-                    if let Some(cache) = self.br[v as usize].as_deref_mut() {
-                        cache.gain_co_owned(u, game.w(u, v), &self.insert_log);
-                    }
-                }
-            }
-        }
         self.delta = delta;
         #[cfg(debug_assertions)]
         {
@@ -1026,9 +932,9 @@ impl EvalContext {
     /// are no-ops — for the network *and* the warm vectors, which must
     /// never be "repaired" for a change that did not happen.
     ///
-    /// The BR bound tables are left to the caller,
-    /// [`EvalContext::apply_strategy_change`], which knows the mover and
-    /// the ownership flips they are maintained through.
+    /// Nothing else is staged: an exact-rule activation keeps no search
+    /// state between commits, and builds its search from the network
+    /// afresh ([`exact_best_response_given_current`]).
     fn apply_delta(&mut self, delta: &NetworkDelta) {
         let will_remove = delta
             .removes()
@@ -1124,11 +1030,6 @@ impl Engine {
         self.ctx.network = AdjacencyList::default();
         self.ctx.valid.fill(false);
         self.ctx.insert_log.clear();
-        // BR bound tables own graph copies of the last job's network;
-        // drop them outright (they are absent for non-BR work anyway).
-        for slot in &mut self.ctx.br {
-            *slot = None;
-        }
     }
 
     /// Runs the dynamics from `start` on `game`.

@@ -24,4 +24,4 @@ pub use engine::{
     agent_is_stable_given_current, run, Checkpoint, DynamicsConfig, Engine, EvalContext, Outcome,
     RegretMeter, ResponseRule, RunResult, Scheduler,
 };
-pub use gncg_core::{BrBoundCache, SpeculativePricing, BR_STALENESS_BUDGET, PRICE_HORIZON};
+pub use gncg_core::{SpeculativePricing, PRICE_HORIZON};

@@ -4,22 +4,23 @@
 //! schedulers, the silent-round stop, profile-recurrence cycles, the round
 //! cap and the per-round max-regret series — but prices every activation
 //! with the from-scratch oracles (`best_greedy_move`, `best_add_move`,
-//! `exact_best_response`: a fresh network, masked Dijkstras, a rebuilt
-//! bound table). Engine runs must match it bit for bit, so warm vectors,
-//! removal repair, the speculative scan, the persistent BR tables and the
-//! pool-parallel all-agent scan are all invisible in the result.
+//! `exact_best_response`: a fresh network, masked Dijkstras, a fresh
+//! search on a freshly computed current cost). Engine runs must match it
+//! bit for bit, so warm vectors, removal repair, the speculative scan,
+//! the pricing memo and the pool-parallel all-agent scan are all
+//! invisible in the result.
 //!
-//! The persistent BR bound tables ([`BrBoundCache`]) are probed in
-//! isolation too. They are delta-maintained through arbitrary interleaved
-//! insert / remove / swap strategy changes, and past the staleness budget
-//! they rebuild outright — in every state the chosen best response and
-//! its cost must be **bitwise identical** to a fresh `BrSearch`. These
-//! tests drive the public engine surface; the per-node guarantees (bound
-//! admissibility at every pruned node, bitwise `d0`, lock-step base
-//! graph) are asserted *inside* every cached search by the
-//! `debug_assertions` oracle in `BrBoundCache::best_response`, which is
-//! active in these test builds — each probe below therefore also runs
-//! the full per-node admissibility check.
+//! The exact rule's activations are probed in isolation too. A context
+//! evolved through arbitrary interleaved insert / remove / swap strategy
+//! changes, ownership flips included, must give every agent the
+//! stability verdict of a best response computed from scratch, and a
+//! re-probe with no commit since must be answered by the pricing memo.
+//! The engine prices each activation with the same fresh search
+//! (`exact_best_response_given_current`) on the current cost its warm
+//! vector holds, so these tests check the warm vectors and the memo that
+//! feed it; the search's own tables are checked inside every search by
+//! the debug oracle that compares each bound table with the
+//! per-candidate fold, active in these test builds.
 
 use std::collections::BTreeSet;
 
@@ -35,7 +36,6 @@ use gncg_dynamics::engine::{
     agent_is_stable_given_current, DynamicsConfig, Engine, EvalContext, Outcome, ResponseRule,
     Scheduler,
 };
-use gncg_dynamics::BR_STALENESS_BUDGET;
 
 const RULE: ResponseRule = ResponseRule::ExactBestResponse;
 
@@ -259,14 +259,12 @@ proptest! {
         }
     }
 
-    /// Cached-bound BR ≡ from-scratch BR across all nine factory hosts
+    /// The engine's BR ≡ from-scratch BR across all nine factory hosts
     /// under random interleaved insert/remove/swap deltas. Stability
     /// verdicts of a context evolved through the move sequence must
-    /// match the from-scratch oracle step for step (and every cached
-    /// probe self-checks bitwise against a fresh `BrSearch` via the debug
-    /// oracle).
+    /// match the from-scratch oracle step for step.
     #[test]
-    fn cached_br_matches_rebuild_under_interleaved_deltas(
+    fn engine_br_matches_oracle_under_interleaved_deltas(
         g in factory_game(8),
         p0 in start_profile(8),
         steps in script(8, 12),
@@ -281,58 +279,14 @@ proptest! {
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, probe, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged", probe);
         }
-        // Final sweep: every agent's verdict agrees (every cache that was
-        // built replays its whole pending history here).
+        // Final sweep: every agent's verdict agrees (each agent's warm
+        // vector replays its whole pending history here).
         for u in 0..n as NodeId {
             let want = oracle_change(&g, &profile, u, RULE).is_none();
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, u, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged in final sweep", u);
         }
     }
-}
-
-/// Drives a single agent's cache past the staleness-rebuild threshold:
-/// `BR_STALENESS_BUDGET + 1` distinct removals land between two of its
-/// activations, each absorbed as an admissible phantom edge, and the next
-/// activation rebuilds the tables outright. Probes on both sides of the
-/// threshold self-check bitwise against a fresh search (debug oracle).
-#[test]
-fn staleness_budget_triggers_rebuild() {
-    let extra = BR_STALENESS_BUDGET + 1;
-    let n = extra + 2; // agents 1..=extra+1 each buy one chain edge
-    let host = gncg_metrics::build_host("unit", n, 0).expect("unit host");
-    let g = Game::new(host, 1.2);
-    let mut profile = Profile::star(n, 0);
-    for i in 1..=extra as NodeId {
-        profile.buy(i, i + 1);
-    }
-    let mut ctx = EvalContext::new(&g, &profile);
-
-    // First activation of agent 0 builds its tables.
-    agent_is_stable_given_current(&g, &profile, &mut ctx, 0, RULE);
-    let cache = ctx.br_cache(0).expect("cache built on first BR activation");
-    assert!(cache.is_built());
-    assert_eq!(cache.stale_removals(), 0);
-
-    // Every chain owner drops its extra edge — none incident to agent 0,
-    // so each removal goes stale-admissible instead of being repaired.
-    for i in 1..=extra as NodeId {
-        let mut s = profile.strategy(i).clone();
-        assert!(s.remove(&(i + 1)));
-        commit(&g, &mut profile, &mut ctx, i, s);
-        assert_eq!(
-            ctx.br_cache(0).unwrap().stale_removals(),
-            i as usize,
-            "each removal must add exactly one phantom edge"
-        );
-    }
-    assert!(ctx.br_cache(0).unwrap().stale_removals() > BR_STALENESS_BUDGET);
-
-    // The next activation crosses the budget: full rebuild, zero
-    // staleness, and a verdict matching a from-scratch context.
-    let got = agent_is_stable_given_current(&g, &profile, &mut ctx, 0, RULE);
-    assert_eq!(ctx.br_cache(0).unwrap().stale_removals(), 0);
-    assert_eq!(got, oracle_change(&g, &profile, 0, RULE).is_none());
 }
 
 /// Re-probing an agent with zero intervening commits is answered by the
@@ -372,38 +326,4 @@ fn repeat_probes_memoize_until_a_delta_lands() {
         assert_eq!(got, want, "agent {u} diverged after the committed delta");
     }
     assert_eq!(ctx.pricings() - before, n as u64);
-}
-
-/// Under the budget, removals stay stale (weaker pruning, never a wrong
-/// answer): probes keep matching the from-scratch oracle while phantoms
-/// are live, without triggering a rebuild.
-#[test]
-fn stale_bounds_stay_admissible_under_budget() {
-    let n = 10usize;
-    let host = gncg_metrics::build_host("metric", n, 3).expect("metric host");
-    let g = Game::new(host, 1.0);
-    let mut profile = Profile::star(n, 0);
-    for i in 1..6 as NodeId {
-        profile.buy(i, i + 1);
-    }
-    let mut ctx = EvalContext::new(&g, &profile);
-
-    // Build every agent's tables once.
-    for u in 0..n as NodeId {
-        let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        assert_eq!(got, oracle_change(&g, &profile, u, RULE).is_none());
-    }
-    // Three removals, probing after each: the phantoms stay resident.
-    for i in 1..4 as NodeId {
-        let mut s = profile.strategy(i).clone();
-        assert!(s.remove(&(i + 1)));
-        commit(&g, &mut profile, &mut ctx, i, s);
-        for u in 0..n as NodeId {
-            let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = oracle_change(&g, &profile, u, RULE).is_none();
-            assert_eq!(got, want, "agent {u} diverged with phantoms live");
-        }
-        // Probed caches of non-movers kept the removal stale, not repaired.
-        assert!(ctx.br_cache(0).unwrap().stale_removals() as u32 >= i - 1);
-    }
 }

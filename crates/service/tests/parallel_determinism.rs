@@ -99,12 +99,11 @@ fn golden_grid_bytes_survive_a_multithreaded_pool() {
     );
 }
 
-/// The br-grid preset (36 exact-best-response cells priced off the
-/// persistent BR bound tables) must reproduce its committed golden byte
-/// for byte through the real binary on a multithreaded pool. In debug
-/// test builds every cached search additionally self-checks bitwise
-/// against a fresh rebuild, so this also exercises the full bound-table
-/// oracle end to end.
+/// The br-grid preset (36 exact-best-response cells, one fresh search
+/// per activation) must reproduce its committed golden byte for byte
+/// through the real binary on a multithreaded pool. In debug test builds
+/// every bound table a search grows is additionally checked against the
+/// per-candidate fold, so this also exercises that oracle end to end.
 #[test]
 fn br_grid_golden_bytes_survive_a_multithreaded_pool() {
     let golden =

@@ -299,12 +299,10 @@ impl ScenarioSpec {
 
     /// The br-grid preset: exact-best-response dynamics on three hosts at
     /// the sizes where the exponential per-activation search is the whole
-    /// cell cost — the end-to-end workload of the engine's persistent BR
-    /// bound tables. The tables are bitwise invisible (debug builds check
-    /// every cached search against a fresh one), so this grid's bytes are
-    /// locked by `tests/golden/br_grid_n14.jsonl`; the `br_grid` bench
-    /// times the tables against the from-scratch ancestor
-    /// `exact_best_response_given_current`.
+    /// cell cost — the end-to-end workload of the exact best response's
+    /// branch-and-bound (`exact_best_response_given_current`, one fresh
+    /// search per activation and per certified agent). This grid's bytes
+    /// are locked by `tests/golden/br_grid_n14.jsonl`.
     pub fn br_grid() -> ScenarioSpec {
         ScenarioSpec {
             name: "br-grid".into(),
@@ -1481,9 +1479,10 @@ mod tests {
 
     #[test]
     fn shared_runner_matches_fresh_runners() {
-        // A shared runner keeps every agent's BR bound tables alive
-        // *across* cells, so its bytes match a fresh runner per cell only
-        // if the per-cell context reset invalidates them.
+        // A shared runner keeps its engine's warm vectors, pricing memo
+        // and search buffers *across* cells, so its bytes match a fresh
+        // runner per cell only if nothing a cell reads survives the
+        // per-cell context reset.
         let cells = ScenarioSpec::br_grid().expand();
         let mut shared = Runner::new();
         for cell in [&cells[0], &cells[7], &cells[20]] {

@@ -37,9 +37,6 @@ RATIOS = (
     # The max-regret meter's per-round pricing scan (>= 1.0, the price of
     # observing equilibrium quality).
     ("regret_meter_overhead_n20", "regret_meter/on/20", "regret_meter/off/20"),
-    # Exact-BR dynamics on the br-grid n = 14 column: per-agent bound
-    # tables rebuilt every activation vs resident across activations.
-    ("br_grid_speedup_n14", "br_grid/rebuild/14", "br_grid/cached/14"),
 )
 
 # One bounded-horizon add-only round activates every agent once, so a

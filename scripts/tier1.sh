@@ -114,15 +114,15 @@ GNCG_THREADS=1 swap_heavy_grid
 (unset GNCG_THREADS && swap_heavy_grid)
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
-# Exact best responses priced off the persistent per-agent bound tables
-# (BrBoundCache): delta-maintained d0 and per-suffix bound rows (exact
-# for G − u plus the star of the remaining candidates) and
-# stale-admissible removals; a re-probe with no commit since the agent
+# Exact best responses, one fresh search per activation
+# (exact_best_response_given_current, the search br certification runs):
+# d0 and a bound table grown one star relaxation per candidate, in
+# buffers each thread keeps; a re-probe with no commit since the agent
 # was last priced is answered by the engine's pricing memo, which serves
 # all three rules.
-# The committed golden locks the cached path's bytes at one pool thread
-# and at four; debug builds check every cached search against a fresh
-# one, and every memo hit against a fresh pricing.
+# The committed golden locks the bytes at one pool thread and at four;
+# debug builds check every bound table against the per-candidate fold,
+# and every memo hit against a fresh pricing.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
   GNCG_THREADS="$1" "$GNCG" grid \
@@ -234,9 +234,8 @@ cmp target/tier1-large-n-1.jsonl target/tier1-large-n-4.jsonl
 echo "== oracle profile (release speed, debug assertions on): goldens + large-n" >&2
 # [profile.oracle] (root Cargo.toml) is the release profile with debug
 # assertions on, so every debug oracle runs at optimized speed: the cold
-# certifier's masked-scan check on every certified golden cell, the cached
-# best response's bound-admissibility and fresh-search checks on every br
-# activation, every fresh bound table (engine oracle and br
+# certifier's masked-scan check on every certified golden cell, every
+# bound table a best response grows (engine activations and br
 # certification) against the per-candidate fold it is grown instead of,
 # within the 1 − 8nε margin, on all 108 golden br cells, the br
 # certificate's all-pairs current cost against its Dijkstra, the

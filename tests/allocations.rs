@@ -171,7 +171,12 @@ fn swap_heavy_run_loop(regret_meter: bool) -> (u64, usize, usize) {
 /// searches share the incumbent, to 9,109. Running the shortest-path
 /// loops of graphs of at most 64 nodes on a one-word frontier, so that no
 /// vector or scratch grows a binary heap or ring buckets, took the run
-/// loop to 5,000 and the searches to 874. Each time both locks fell in
+/// loop to 5,000 and the searches to 874. Pricing every exact-rule
+/// activation with the fresh search instead of per-agent bound tables
+/// kept across commits took the run loop to 2,687: no agent's tables
+/// are allocated or regrown, and the search's per-thread buffers grow
+/// once. The searches fell to 789, since the run loop has already grown
+/// those buffers on this thread. Each time both locks fell in
 /// proportion.
 #[test]
 #[cfg_attr(
@@ -210,6 +215,6 @@ fn br_grid_allocations_are_locked() {
     }
     eprintln!("br-grid: run loop {run_loop} allocations, {agents} agents searched with {searches}");
     assert_eq!(agents, 468);
-    assert!(run_loop <= 5_035, "run loop: {run_loop} allocations");
-    assert!(searches <= 1_079, "searches: {searches} allocations");
+    assert!(run_loop <= 2_706, "run loop: {run_loop} allocations");
+    assert!(searches <= 974, "searches: {searches} allocations");
 }
