@@ -68,31 +68,20 @@ pub fn base_graph_without(game: &Game, profile: &Profile, u: NodeId) -> Adjacenc
 }
 
 /// [`base_graph_without`] when the built network is already at hand —
-/// avoids rebuilding `G(s)` from scratch just to strip one agent's edges.
+/// avoids rebuilding `G(s)` from scratch just to strip one agent's edges:
+/// a copy of `network` less `u`'s sole-owned edges, removed in strategy
+/// order.
 pub fn base_graph_from(network: &AdjacencyList, profile: &Profile, u: NodeId) -> AdjacencyList {
-    let mut g = AdjacencyList::default();
-    refill_base_graph(&mut g, network, profile, u);
-    g
-}
-
-/// [`base_graph_from`] into `out`, refilled in place: a copy of `network`
-/// that keeps `out`'s allocations, less `u`'s sole-owned edges, removed
-/// in strategy order.
-pub(crate) fn refill_base_graph(
-    out: &mut AdjacencyList,
-    network: &AdjacencyList,
-    profile: &Profile,
-    u: NodeId,
-) {
-    out.clone_from(network);
+    let mut g = network.clone();
     for &v in profile.strategy(u) {
         if !profile.owns(v, u) {
             assert!(
-                out.remove_edge(u, v),
+                g.remove_edge(u, v),
                 "sole-owned edge must be in the built network"
             );
         }
     }
+    g
 }
 
 /// Prices candidate strategy `candidate` for agent `u` against a

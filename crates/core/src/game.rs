@@ -10,35 +10,26 @@ use gncg_graph::{NodeId, SymMatrix};
 ///
 /// `H` is given as its symmetric weight matrix; `α > 0` scales the price of
 /// an edge relative to its weight: buying `(u, v)` costs `α·w(u, v)`.
-#[derive(Debug)]
+///
+/// A clone copies whichever lazy table is already built, so it never
+/// re-pays Floyd–Warshall or the sort.
+#[derive(Clone, Debug)]
 pub struct Game {
     host: SymMatrix,
     alpha: f64,
     /// Shortest-path distances *in the host* (the metric closure of `H`),
     /// computed **lazily** on first [`Game::host_distances`] call: the
     /// closure is Θ(n³) Floyd–Warshall, which at n = 4096 would dominate
-    /// construction by orders of magnitude — and the dynamics hot path
-    /// (speculative scans, warm repairs, social cost) never touches it.
-    /// Only the reference best response's distance lower bound and the
-    /// Lemma 1/2 spanner/PoA checks force it.
+    /// construction by orders of magnitude — and the greedy rules' hot
+    /// path (speculative scans, warm repairs, social cost) never touches
+    /// it. The exact best responses (their candidate cut), the reference
+    /// best response's distance lower bound and the Lemma 1/2 spanner/PoA
+    /// checks force it.
     host_dist: OnceLock<DistanceMatrix>,
-}
-
-// Manual impl: `OnceLock` derives would demand `DistanceMatrix: Clone`
-// via the lock; cloning copies any already-computed closure so a clone
-// never re-pays Floyd–Warshall.
-impl Clone for Game {
-    fn clone(&self) -> Self {
-        let host_dist = OnceLock::new();
-        if let Some(d) = self.host_dist.get() {
-            let _ = host_dist.set(d.clone());
-        }
-        Game {
-            host: self.host.clone(),
-            alpha: self.alpha,
-            host_dist,
-        }
-    }
+    /// [`Game::by_weight`]'s rows, `n − 1` entries per agent laid end to
+    /// end, built **lazily** on first use like `host_dist`: only the
+    /// exact best responses read them.
+    by_weight: OnceLock<Vec<(NodeId, f64)>>,
 }
 
 impl Game {
@@ -53,6 +44,7 @@ impl Game {
             host,
             alpha,
             host_dist: OnceLock::new(),
+            by_weight: OnceLock::new(),
         }
     }
 
@@ -88,13 +80,38 @@ impl Game {
             .get_or_init(|| gncg_graph::apsp::floyd_warshall(&self.host))
     }
 
+    /// The other nodes by increasing host weight from `u`, equal weights in
+    /// ascending id order, each with its weight `w(u, v)`: an exact best
+    /// response's candidate order. The table of every agent's row is
+    /// built on first use (thread-safe; at most once per instance).
+    pub fn by_weight(&self, u: NodeId) -> &[(NodeId, f64)] {
+        let n = self.n();
+        let table = self.by_weight.get_or_init(|| {
+            let mut table = Vec::with_capacity(n * n.saturating_sub(1));
+            for a in 0..n as NodeId {
+                let row = table.len();
+                let w = self.host.row(a);
+                table.extend(
+                    (0..n as NodeId)
+                        .filter(|&v| v != a)
+                        .map(|v| (v, w[v as usize])),
+                );
+                // A stable sort, so equal weights keep ascending ids.
+                table[row..].sort_by(|x, y| x.1.total_cmp(&y.1));
+            }
+            table
+        });
+        let len = n - 1;
+        &table[u as usize * len..(u as usize + 1) * len]
+    }
+
     /// Whether the host satisfies the triangle inequality (`M–GNCG`).
     pub fn is_metric(&self) -> bool {
         self.host.satisfies_triangle_inequality()
     }
 
-    /// The same host with a different `α` (cheap: any already-computed
-    /// closure is carried over, never recomputed).
+    /// The same host with a different `α` (cheap: any already-built lazy
+    /// table is carried over, never recomputed).
     pub fn with_alpha(&self, alpha: f64) -> Game {
         assert!(alpha > 0.0, "α must be positive");
         let mut g = self.clone();
@@ -166,6 +183,20 @@ mod tests {
         assert_eq!(c.host_distances().get(0, 3), 2.0);
         let a = g.with_alpha(3.0);
         assert_eq!(a.host_distances().get(0, 3), 2.0);
+    }
+
+    #[test]
+    fn by_weight_orders_each_row_with_ties_by_id() {
+        let mut w = SymMatrix::filled(4, 2.0);
+        w.set(0, 3, 1.0);
+        w.set(1, 2, f64::INFINITY);
+        let g = Game::new(w, 1.0);
+        assert!(g.by_weight.get().is_none());
+        assert_eq!(g.by_weight(0), &[(3, 1.0), (1, 2.0), (2, 2.0)]);
+        assert_eq!(g.by_weight(1), &[(0, 2.0), (3, 2.0), (2, f64::INFINITY)]);
+        assert_eq!(g.by_weight(3), &[(0, 1.0), (1, 2.0), (2, 2.0)]);
+        // A clone of a forced game carries the table over.
+        assert!(g.with_alpha(3.0).by_weight.get().is_some());
     }
 
     #[test]

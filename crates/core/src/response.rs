@@ -33,15 +33,20 @@
 //!   the distance sum is [`DynamicSssp::sum`]'s. The pruning test is one
 //!   pass over the live vector and a `via` row in [`MoveBound`]'s four
 //!   lanes;
+//! * **a search copies no graph and sorts nothing**. Every relaxation —
+//!   the base distances, the bound table, each include — runs over the
+//!   network the caller passes, which differs from the agent's base graph
+//!   only in edges at the agent ("Building the table"), and the candidates
+//!   are a slice of the game's own weight order ([`Game::by_weight`]);
 //! * the DFS allocates nothing per node (the undo log, chosen stack and
 //!   incumbent are reused buffers, and so is the live vector's heap on
 //!   graphs of more than 64 nodes), and a fresh search
 //!   ([`exact_best_response_given_current`]) allocates nothing but its
 //!   result once its thread's buffers have grown: each thread keeps one
-//!   set of them — base graph, CSR, candidates, `d0`, the `via` table and
-//!   the DFS worker — and every search refills them in place, sized to
-//!   its own `n`, so nothing a larger earlier search left behind is read.
-//!   Only that function borrows them, and nothing it calls searches
+//!   set of them — the `via` table, the base graph's edges at the agent
+//!   and the DFS worker — and every search refills them in place, sized
+//!   to its own `n`, so nothing a larger earlier search left behind is
+//!   read. Only that function borrows them, and nothing it calls searches
 //!   again.
 //!
 //! # Why the pruning bound is admissible
@@ -50,10 +55,12 @@
 //! already priced when the DFS included its last edge, and the live
 //! vector `D` holds the distances from `u` in `base ∪ star(chosen)`.
 //! Every subset the node's subtree still evaluates is `S = chosen ∪ T`
-//! with `∅ ≠ T ⊆ R = candidates[idx..]`. Let `G − u` be the network with
-//! every edge at `u` removed, and
+//! with `∅ ≠ T ⊆ R = candidates[idx..]`, where `candidates` is the list
+//! the cut keeps ("The cut"), by increasing weight `w_i = w(u,
+//! candidates[i])`. Let `G − u` be the network with every edge at `u`
+//! removed, and
 //!
-//! `LB = α·(w(chosen) + cand_w[idx]) + Σ_x min(D[x], via[idx][x])`,
+//! `LB = α·(w(chosen) + w_idx) + Σ_x min(D[x], via[idx][x])`,
 //! `via[idx][x] = d(u, x)` in `G − u + star(R)`,
 //!
 //! the distance from `u` when its only edges are the remaining candidate
@@ -63,7 +70,7 @@
 //! 1. **The next edge's price.** `S` buys every edge of `chosen` and at
 //!    least one of `R`. Candidates are sorted by weight, weights are
 //!    `≥ 0` and `α > 0` ([`Game::new`] asserts both), so
-//!    `α·w(S) ≥ α·(w(chosen) + cand_w[idx])`.
+//!    `α·w(S) ≥ α·(w(chosen) + w_idx)`.
 //! 2. **Paths through a new edge.** A shortest path from `u` to `x` in
 //!    `S`'s network visits `u` once, so only its first edge is at `u`.
 //!    Every other edge is a network edge not at `u`: the rest of the path
@@ -86,14 +93,87 @@
 //! the whole table back to front. It starts with `u` at 0 and every other
 //! node at `∞` (the distances in `G − u`); for `i = len − 1, …, 0` it
 //! relaxes the star edge `(u, candidates[i])` decrease-only and is copied
-//! into row `i`. The relaxation runs over the agent's base graph itself,
-//! edges at `u` included: `u` stays at 0, which no relaxation lowers, so
-//! `u` is never scanned and its edges never carry a path (the contract of
-//! [`DynamicSssp::relax_insert`] for an edge at the source). One
-//! decrease-only relaxation per candidate, each touching only the nodes
-//! its edge brings closer, replaces the `n − 1` Dijkstras on a copy of
-//! `G − u` that [`bound_table_reference`] folds; that fold stays as the
-//! table's oracle.
+//! into row `i`. Every relaxation of a search runs over the network
+//! itself, edges at `u` included: `u` stays at 0, which no relaxation
+//! lowers, so `u` is never scanned and its edges never carry a path (the
+//! contract of [`DynamicSssp::relax_insert`] for an edge at the source).
+//! The network and the agent's base graph differ only in edges at `u`,
+//! so a relaxation over either leaves the same vector. One decrease-only
+//! relaxation per candidate, each touching only the nodes its edge
+//! brings closer, replaces the `n − 1` Dijkstras on a copy of `G − u`
+//! that [`bound_table_reference`] folds; that fold stays as the table's
+//! oracle.
+//!
+//! The DFS's starting vector `d0`, the distances in the base graph, grows
+//! the same way in the same live vector once the table is built: from
+//! `u` alone, one [`DynamicSssp::relax_inserts`] of the base graph's
+//! edges at `u` — `(u, x)` for each `x` that owns its edge to `u` — over
+//! the network. Both it and the Dijkstra it replaces take the exact
+//! minimum over the same paths' left-to-right sums, so they agree bit for
+//! bit; debug builds check `d0` against a Dijkstra on the base graph, and
+//! the table against the fold, on every search.
+//!
+//! # The cut
+//!
+//! Before it grows the table, a search drops the tail of its candidate
+//! list that no improving subset can use ([`candidates_kept`]). With `u`
+//! the agent, `w_i` the weight of `candidates[i]` in [`Game::by_weight`]'s
+//! order, `d_H` the host distances ([`Game::host_distances`]) and
+//! `Σ⁴_x d_H(u, x)` their sum in [`MoveBound`]'s four lanes
+//! ([`MoveBound::sum`]), the search keeps `candidates[..K]`, where `K` is
+//! the first index with
+//!
+//! `(α·w_K + Σ⁴_x d_H(u, x))·(1 − 16nε) ≥ current − EPS`,
+//!
+//! [`MoveBound::rules_out`] under `MoveBound::new(2n)`'s margin, or every
+//! candidate when no index passes. The weights are sorted and every
+//! operation of the test is monotone in `w_K`, so the test passes at
+//! every index from `K` on. A subset `S` that holds some
+//! `candidates[j]`, `j ≥ K`:
+//!
+//! 1. **pays `α·w_K` at least.** Its edge sum has the term `w_j ≥ w_K`,
+//!    and a rounded sum of non-negative terms is at least each of them,
+//!    so `fl(α·w(S)) ≥ fl(α·w_K)` bit for bit;
+//! 2. **reaches no node sooner than the host does.** Every edge of its
+//!    network is a host edge at its host weight, so in exact arithmetic
+//!    `d_S(u, x) ≥ d_H(u, x)` for every `x`.
+//!
+//! So `S` prices at or above `fl(current − EPS)` (up to rounding, below).
+//! The incumbent starts at `current` and only falls, so `S` can never
+//! replace it ([`strictly_less`]): the DFS need not visit it. The DFS then
+//! runs on the kept candidates, and the admissibility argument above
+//! holds word for word with `candidates` the kept prefix. Row `idx` of
+//! the table, grown over `star(candidates[idx..K])` alone, is at least
+//! the uncut row entry by entry (fewer edges, longer distances), and it
+//! still bounds every subset the DFS evaluates below depth `idx`, since
+//! none of them holds a candidate past `K`. So the cut only tightens an
+//! admissible bound, and by the last paragraph of "Rounding" the
+//! incumbents, hence the result, are bitwise those of the search over
+//! every candidate; [`BestResponse::evaluated`] can only fall. Debug
+//! builds re-run every cut search on every candidate and assert the same
+//! strategy, the same cost bits and no more subsets evaluated.
+//!
+//! **Rounding.** Floyd–Warshall sums each path in an association of its
+//! own. By induction over its pivots, with `u₀` and `γ` as in
+//! "Rounding" below, its entry `d_H(u, x)` is at most `(1 + u₀)^(h−1)`
+//! times the exact length of any path of `h` edges from `u` to `x` (a
+//! pivot splits a path into two of at most `h − 1` edges each, and the
+//! sum of their entries rounds up by one factor `1 + u₀`). A distance of
+//! `S`'s network is the left-to-right sum of a simple path of
+//! `h ≤ n − 1` edges, at least `(1 − u₀)^(h−1)` times that path's exact
+//! length, so `d_H(u, x) ≤ γ^(n−2)·d_S(u, x)` in `f64`. That is step 1 of
+//! [`MoveBound`]'s "Rounding" with `m_x = d_H(u, x)`, and its steps 2 and
+//! 3 follow unchanged: the laned sum and `S`'s index-order sum of `n`
+//! non-negative terms each round within `(1 ± u₀)^(n−1)` of exact, the
+//! edge terms compare bit for bit (1 above), and one more rounding of
+//! each total leaves the bound at most `γ^(2n−2)` times `cost(S)`. The
+//! `1 − 8nε` margin covers that factor; the cut tests with `1 − 16nε`,
+//! which also covers `γ^(3n−4)`, the Floyd–Warshall factor counted on
+//! top of the whole `γ^(2n−2)` instead of in place of its path factor.
+//! Infinities need no margin: when `current = ∞` (an agent its network
+//! does not connect) only a bound of `∞` passes, so only `∞`-weight
+//! candidates are cut wherever the host connects the agent, and every
+//! subset holding one prices at `∞`.
 //!
 //! # Rounding
 //!
@@ -128,7 +208,7 @@
 //! incumbent `best`.
 //! Infinities need no margin:
 //! `LB = ∞` means an infinite edge term (every remaining candidate's
-//! weight is `∞` once `cand_w[idx]` is) or a node no subset below reaches
+//! weight is `∞` once `w_idx` is) or a node no subset below reaches
 //! at finite length, so every `S` below prices at `∞` too.
 //!
 //! The incumbent only ever falls, so a subset pruned against it could not
@@ -151,13 +231,10 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-use gncg_graph::{
-    strictly_less, AdjacencyList, Csr, DijkstraScratch, DynamicSssp, MaskedEdges, NodeId,
-};
+use gncg_graph::{strictly_less, AdjacencyList, DijkstraScratch, DynamicSssp, MaskedEdges, NodeId};
 
 use crate::cost::{
-    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, refill_base_graph,
-    CostBreakdown, MoveBound,
+    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown, MoveBound,
 };
 use crate::moves::{MoveSpace, StrategyTables};
 use crate::{Game, Move, Profile};
@@ -183,35 +260,22 @@ impl BestResponse {
 }
 
 /// The buffers of one fresh search, refilled in place for every search by
-/// [`BrSearch::build`]: the agent's base graph and its CSR snapshot, the
-/// candidate and bound tables, and the DFS worker. Each thread keeps one
-/// for [`exact_best_response_given_current`] (module docs, "The
-/// incremental engine"), which every exact best response runs: the
-/// dynamics engine's activations, br certification and
-/// `is_nash_equilibrium`. The DFS itself runs on the borrowed
-/// [`BrSearchView`].
+/// [`BrSearch::run`]: the bound table, the base graph's edges at the agent
+/// and the DFS worker. Each thread keeps one for
+/// [`exact_best_response_given_current`] (module docs, "The incremental
+/// engine"), which every exact best response runs: the dynamics engine's
+/// activations, br certification and `is_nash_equilibrium`. The DFS
+/// itself runs on the borrowed [`BrSearchView`].
 #[derive(Debug, Default)]
 struct BrSearch {
-    agent: NodeId,
-    n: usize,
-    alpha: f64,
-    /// The base graph (network minus the agent's sole-owned edges).
-    base: AdjacencyList,
-    /// CSR snapshot of `base`; all incremental relaxation runs on it.
-    csr: Csr,
-    /// Candidates sorted by increasing host weight from the agent.
-    candidates: Vec<NodeId>,
-    /// `w(agent, candidates[i])`, parallel to `candidates`.
-    cand_w: Vec<f64>,
-    /// Distances from the agent in the bare base graph.
-    d0: Vec<f64>,
-    /// The pruning bound's table (module docs), `len` rows of `n`:
-    /// `via[idx·n + x]` is the distance from the agent to `x` in
-    /// `G − u + star(candidates[idx..])`.
+    /// The pruning bound's table (module docs), one row of `n` per kept
+    /// candidate: `via[idx·n + x]` is the distance from the agent to `x`
+    /// in `G − u + star(candidates[idx..])`.
     via: Vec<f64>,
-    /// Runs the Dijkstra behind `d0`.
-    scratch: DijkstraScratch,
-    /// The DFS state; its live vector also grows `via`.
+    /// `(agent, x, w(agent, x))` for each `x` that owns its edge to the
+    /// agent: the base graph's edges at the agent, which `d0` grows from.
+    at_agent: Vec<(NodeId, NodeId, f64)>,
+    /// The DFS state; its live vector also grows `via` and `d0`.
     worker: BrWorker,
 }
 
@@ -224,7 +288,7 @@ thread_local! {
 
 /// Borrowed read-only state shared by every branch of one best-response
 /// search: the immutable half of the engine, a view of one
-/// [`BrSearch`]'s tables, beside the mutable [`BrWorker`].
+/// [`BrSearch`]'s table, beside the mutable [`BrWorker`].
 #[derive(Clone, Copy)]
 struct BrSearchView<'g> {
     agent: NodeId,
@@ -232,9 +296,10 @@ struct BrSearchView<'g> {
     alpha: f64,
     /// The pruning test, with its `1 − 8nε` margin.
     bound: MoveBound,
-    csr: &'g Csr,
-    candidates: &'g [NodeId],
-    cand_w: &'g [f64],
+    /// The network; every include relaxes over it.
+    network: &'g AdjacencyList,
+    /// The kept candidates, `(v, w(agent, v))` by increasing weight.
+    candidates: &'g [(NodeId, f64)],
     via: &'g [f64],
 }
 
@@ -259,9 +324,19 @@ struct BrWorker {
 }
 
 impl BrWorker {
-    /// Re-arms the worker for one search: live vector seeded from `d0`,
-    /// incumbent seeded from the agent's current strategy and cost.
-    fn reset(&mut self, agent: NodeId, n: usize, d0: &[f64], current: f64) {
+    /// Re-arms the worker for one search: the live vector grown to `d0`
+    /// from the agent alone by one relaxation of the base graph's edges
+    /// at it, `at_agent`, over the network (module docs, "Building the
+    /// table"), and the incumbent seeded from the agent's current
+    /// strategy and cost.
+    fn reset(
+        &mut self,
+        network: &AdjacencyList,
+        agent: NodeId,
+        at_agent: &[(NodeId, NodeId, f64)],
+        current: f64,
+    ) {
+        let n = network.n();
         self.chosen.clear();
         self.chosen_w.clear();
         self.chosen_w.resize(n, 0.0);
@@ -269,7 +344,8 @@ impl BrWorker {
         self.best_chosen.clear();
         self.best_is_current = true;
         self.evaluated = 0;
-        self.inc.reset_from(agent, d0);
+        self.inc.reset_alone(agent, n);
+        self.inc.relax_inserts(network, at_agent);
     }
 
     /// The search's answer: the incumbent, whose strategy is
@@ -289,118 +365,149 @@ impl BrWorker {
 }
 
 impl BrSearch {
-    /// Refills every table for `agent` from `self.base`, which the caller
-    /// has just refilled with the agent's base graph: the candidates, the
-    /// CSR, `d0`, and the bound table, grown back to front over the base
-    /// graph (module docs, "Building the table") in the worker's live
-    /// vector, which every search re-arms. Debug builds check the table
-    /// against the fold it is grown instead of.
-    fn build(&mut self, game: &Game, agent: NodeId) {
-        let n = game.n();
-        self.agent = agent;
-        self.n = n;
-        self.alpha = game.alpha();
-        sort_candidates(game, agent, &mut self.candidates, &mut self.cand_w);
-
-        self.csr.refill(&self.base);
-        self.scratch.run(&self.csr, agent, &[]);
-        self.d0.clear();
-        self.d0.resize(n, f64::INFINITY);
-        self.scratch.write_distances(&mut self.d0);
-
+    /// Grows the bound table of `candidates` over `g` back to front in
+    /// the worker's live vector (module docs, "Building the table"): row
+    /// `i` the distances from `agent` in `G − u + star(candidates[i..])`.
+    /// `g` is the agent's network or any graph that differs from it only
+    /// in edges at the agent, such as its base graph.
+    fn grow_table(&mut self, g: &AdjacencyList, agent: NodeId, candidates: &[(NodeId, f64)]) {
+        let n = g.n();
         let grow = &mut self.worker.inc;
         grow.reset_alone(agent, n);
         self.via.clear();
-        self.via.resize(self.candidates.len() * n, f64::INFINITY);
-        for (i, row) in self.via.chunks_exact_mut(n).enumerate().rev() {
-            grow.relax_insert(&self.csr, agent, self.candidates[i], self.cand_w[i]);
+        self.via.resize(candidates.len() * n, f64::INFINITY);
+        for (row, &(c, w)) in self.via.chunks_exact_mut(n).zip(candidates).rev() {
+            grow.relax_insert(g, agent, c, w);
             row.copy_from_slice(grow.dist());
         }
-        #[cfg(debug_assertions)]
-        assert_table_matches_fold(
-            &self.via,
-            &bound_table_reference(game, &self.base, agent),
-            n,
-            agent,
-        );
     }
 
-    /// The agent's exact best response off the built tables, the
-    /// incumbent seeded from its `current` cost and strategy.
-    fn run(&mut self, current: f64, current_set: &BTreeSet<NodeId>) -> BestResponse {
+    /// The agent's exact best response over `candidates` (every one of
+    /// its candidates, or the ones the cut keeps), with the incumbent
+    /// seeded from its `current` cost and strategy: the table grown for
+    /// `candidates`, `d0` grown in the live vector, then the DFS, all
+    /// over the network. Debug builds check the table against the fold it
+    /// is grown instead of and `d0` against a Dijkstra on the base graph.
+    fn run(
+        &mut self,
+        game: &Game,
+        profile: &Profile,
+        network: &AdjacencyList,
+        agent: NodeId,
+        current: f64,
+        candidates: &[(NodeId, f64)],
+    ) -> BestResponse {
+        self.grow_table(network, agent, candidates);
+        self.at_agent.clear();
+        self.at_agent.extend(
+            network
+                .neighbors(agent)
+                .iter()
+                .filter(|&&(x, _)| profile.owns(x, agent))
+                .map(|&(x, w)| (agent, x, w)),
+        );
         let worker = &mut self.worker;
-        worker.reset(self.agent, self.n, &self.d0, current);
-        let view = BrSearchView::new(
-            self.alpha,
-            self.agent,
-            &self.csr,
-            &self.candidates,
-            &self.cand_w,
-            &self.via,
-        );
+        worker.reset(network, agent, &self.at_agent, current);
+        #[cfg(debug_assertions)]
+        {
+            let base = base_graph_from(network, profile, agent);
+            let fold = fold_bound_table(game, &base, agent, candidates.len());
+            assert_table_matches_fold(&self.via, &fold, game.n(), agent);
+            assert_eq!(
+                worker.inc.dist(),
+                gncg_graph::dijkstra::dijkstra(&base, agent),
+                "agent {agent}'s d0 diverged from a Dijkstra on its base graph"
+            );
+        }
+        let n = network.n();
+        let view = BrSearchView {
+            agent,
+            n,
+            alpha: game.alpha(),
+            bound: MoveBound::new(n),
+            network,
+            candidates,
+            via: &self.via,
+        };
         view.search(worker);
-        worker.take_result(current, current_set)
+        worker.take_result(current, profile.strategy(agent))
     }
 }
 
-/// Refills `candidates` with the agent's candidate targets, every other
-/// node sorted by increasing host weight from it (a stable sort, so equal
-/// weights keep ascending ids), and `cand_w` with those weights, all read
-/// off the agent's host row.
-fn sort_candidates(
-    game: &Game,
-    agent: NodeId,
-    candidates: &mut Vec<NodeId>,
-    cand_w: &mut Vec<f64>,
-) {
-    let w = game.host().row(agent);
-    candidates.clear();
-    candidates.extend((0..game.n() as NodeId).filter(|&v| v != agent));
-    candidates.sort_by(|&a, &b| w[a as usize].total_cmp(&w[b as usize]));
-    cand_w.clear();
-    cand_w.extend(candidates.iter().map(|&v| w[v as usize]));
+/// How many of `agent`'s candidates, in [`Game::by_weight`]'s order, its
+/// exact best response keeps when its current cost is `current`: the
+/// first `K`, where `K` is the first index whose weight `w_K` prices
+/// every subset holding it at or above `current − EPS`, or all of them
+/// (module docs, "The cut", which proves the test).
+pub fn candidates_kept(game: &Game, agent: NodeId, current: f64) -> usize {
+    let reach = MoveBound::sum(game.host_distances().row(agent));
+    let bound = MoveBound::new(2 * game.n());
+    let floor = current - gncg_graph::EPS;
+    game.by_weight(agent)
+        .partition_point(|&(_, w)| !bound.rules_out(game.alpha() * w, reach, floor))
 }
 
-/// The pruning bound's table for `agent` on its base graph `base`, as the
-/// exact best response builds it (module docs): `len = n − 1` rows of
-/// `n`, row `i` the distances from `agent` in
+/// The fold oracle's own candidate order: every other node sorted by
+/// increasing host weight from the agent (a stable sort, so equal weights
+/// keep ascending ids), with those weights, read off the agent's host
+/// row apart from [`Game::by_weight`].
+fn sort_candidates(game: &Game, agent: NodeId) -> Vec<(NodeId, f64)> {
+    let w = game.host().row(agent);
+    let mut candidates: Vec<(NodeId, f64)> = (0..game.n() as NodeId)
+        .filter(|&v| v != agent)
+        .map(|v| (v, w[v as usize]))
+        .collect();
+    candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
+    candidates
+}
+
+/// The pruning bound's table for `agent` over every one of its
+/// candidates, uncut, as the exact best response grows it (module docs):
+/// `len = n − 1` rows of `n`, row `i` the distances from `agent` in
 /// `G − u + star(candidates[i..])`, with candidates sorted by increasing
-/// weight from the agent.
-pub fn bound_table(game: &Game, base: &AdjacencyList, agent: NodeId) -> Vec<f64> {
+/// weight from the agent. `graph` is the agent's network or its base
+/// graph: they differ only in edges at the agent, which the growth never
+/// reads.
+pub fn bound_table(game: &Game, graph: &AdjacencyList, agent: NodeId) -> Vec<f64> {
     let mut search = BrSearch::default();
-    search.base.clone_from(base);
-    search.build(game, agent);
+    search.grow_table(graph, agent, game.by_weight(agent));
     search.via
 }
 
 /// The table [`bound_table`] grows, folded the slow way: one Dijkstra per
 /// candidate `c_i` on a copy of `G − u`, and row
-/// `i = min(cand_w[i] + d_{G−u}(c_i, ·), row i + 1)`, back to front. It
+/// `i = min(w(u, c_i) + d_{G−u}(c_i, ·), row i + 1)`, back to front. It
 /// sums each path from its second node, so its entries match the grown
 /// ones within rounding only, and its agent column is `∞` where the grown
 /// table's is 0 (`u` is isolated in `G − u`). Kept as the grown table's
-/// oracle: debug builds compare every table the search builds with it.
+/// oracle: debug builds compare every table a search grows with this
+/// fold over the same candidates, the ones its cut keeps.
 pub fn bound_table_reference(game: &Game, base: &AdjacencyList, agent: NodeId) -> Vec<f64> {
+    fold_bound_table(game, base, agent, game.n() - 1)
+}
+
+/// [`bound_table_reference`] over the first `kept` candidates alone: row
+/// `i` folds `star(candidates[i..kept])`, the table a cut search grows.
+fn fold_bound_table(game: &Game, base: &AdjacencyList, agent: NodeId, kept: usize) -> Vec<f64> {
     let n = game.n();
-    let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
-    sort_candidates(game, agent, &mut candidates, &mut cand_w);
+    let candidates = &sort_candidates(game, agent)[..kept];
     // A base graph differs from the network only in edges at the agent.
     let mut g_minus_u = base.clone();
     for &(v, _) in base.neighbors(agent) {
         g_minus_u.remove_edge(agent, v);
     }
     let mut scratch = DijkstraScratch::new();
-    let mut via = vec![f64::INFINITY; (candidates.len() + 1) * n];
-    for i in (0..candidates.len()).rev() {
-        scratch.run(&g_minus_u, candidates[i], &[]);
+    let mut via = vec![f64::INFINITY; (kept + 1) * n];
+    for (i, &(c, w)) in candidates.iter().enumerate().rev() {
+        scratch.run(&g_minus_u, c, &[]);
         // Row `i` folds over row `i + 1`, laid out right behind it.
         let (row, next) = via[i * n..(i + 2) * n].split_at_mut(n);
         for (x, (slot, &suffix)) in row.iter_mut().zip(next.iter()).enumerate() {
-            *slot = (cand_w[i] + scratch.dist(x as NodeId)).min(suffix);
+            *slot = (w + scratch.dist(x as NodeId)).min(suffix);
         }
     }
     // Drop the all-∞ row the fold started from.
-    via.truncate(candidates.len() * n);
+    via.truncate(kept * n);
     via
 }
 
@@ -427,30 +534,7 @@ fn assert_table_matches_fold(grown: &[f64], fold: &[f64], n: usize, agent: NodeI
     }
 }
 
-impl<'g> BrSearchView<'g> {
-    /// The view of one search's tables, for a game of price `alpha` on
-    /// `csr.n()` nodes.
-    fn new(
-        alpha: f64,
-        agent: NodeId,
-        csr: &'g Csr,
-        candidates: &'g [NodeId],
-        cand_w: &'g [f64],
-        via: &'g [f64],
-    ) -> Self {
-        let n = csr.n();
-        BrSearchView {
-            agent,
-            n,
-            alpha,
-            bound: MoveBound::new(n),
-            csr,
-            candidates,
-            cand_w,
-            via,
-        }
-    }
-
+impl BrSearchView<'_> {
     /// Whether no subset below the node at depth `idx < len` can replace
     /// the incumbent: the module docs' bound `LB`, its distance sum added
     /// in [`MoveBound`]'s four lanes and shrunk by the `1 − 8nε` rounding
@@ -460,7 +544,7 @@ impl<'g> BrSearchView<'g> {
     fn prunes(&self, worker: &BrWorker, idx: usize, edge_w_sum: f64) -> bool {
         let via_row = &self.via[idx * self.n..(idx + 1) * self.n];
         let reach = MoveBound::reach(worker.inc.dist(), 0.0, via_row);
-        let edge = self.alpha * (edge_w_sum + self.cand_w[idx]);
+        let edge = self.alpha * (edge_w_sum + self.candidates[idx].1);
         self.bound
             .rules_out(edge, reach, worker.best_cost - gncg_graph::EPS)
     }
@@ -504,10 +588,9 @@ impl<'g> BrSearchView<'g> {
         if idx == self.candidates.len() || self.prunes(worker, idx, edge_w_sum) {
             return;
         }
-        let v = self.candidates[idx];
-        let w = self.cand_w[idx];
+        let (v, w) = self.candidates[idx];
         // Branch 1: include v — relax incrementally, price the new set.
-        worker.inc.add_edge(self.csr, self.agent, v, w);
+        worker.inc.add_edge(self.network, self.agent, v, w);
         worker.chosen.push(v);
         worker.chosen_w[v as usize] = w;
         self.evaluate_current(worker);
@@ -543,9 +626,12 @@ pub fn exact_best_response_in(
 /// [`exact_best_response_in`] with the agent's current cost supplied by
 /// the caller (e.g. read off a warm distance vector instead of the
 /// Dijkstra `agent_cost_in` would run): the search the dynamics engine's
-/// exact-rule activations run. It builds the whole search state per
-/// call, in buffers its thread keeps (module docs, "The incremental
-/// engine"), so once they have grown a call allocates only its result.
+/// exact-rule activations run. It searches the candidates the cut keeps
+/// ([`candidates_kept`]) straight off `network`, in buffers its thread
+/// keeps (module docs, "The incremental engine"), so once they have
+/// grown a call allocates only its result. Debug builds re-run the
+/// search over every candidate and assert the same strategy and cost
+/// bits, with no more subsets evaluated (module docs, "The cut").
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
@@ -557,22 +643,40 @@ pub fn exact_best_response_given_current(
     agent: NodeId,
     current: f64,
 ) -> BestResponse {
-    SEARCH.with_borrow_mut(|search| {
-        refill_base_graph(&mut search.base, network, profile, agent);
-        search.build(game, agent);
-        search.run(current, profile.strategy(agent))
-    })
+    let candidates = game.by_weight(agent);
+    let kept = &candidates[..candidates_kept(game, agent, current)];
+    let br =
+        SEARCH.with_borrow_mut(|search| search.run(game, profile, network, agent, current, kept));
+    #[cfg(debug_assertions)]
+    {
+        let full = BrSearch::default().run(game, profile, network, agent, current, candidates);
+        assert!(
+            br.strategy == full.strategy
+                && br.cost.to_bits() == full.cost.to_bits()
+                && br.evaluated <= full.evaluated,
+            "agent {agent}: the search over {} of {} candidates returned {:?} at {} \
+             ({} evaluated), the search over all of them {:?} at {} ({} evaluated)",
+            kept.len(),
+            candidates.len(),
+            br.strategy,
+            br.cost,
+            br.evaluated,
+            full.strategy,
+            full.cost,
+            full.evaluated
+        );
+    }
+    br
 }
 
-/// Bytes the calling thread's fresh-search tables hold: `d0`, the `via`
-/// table and the DFS's live vector, the `Θ(n²)` state of
+/// Bytes the calling thread's fresh-search tables hold: the `via` table
+/// and the DFS's live vector, the `Θ(n²)` state of
 /// [`exact_best_response_given_current`]. Capacity-based, so it reports
 /// what the largest search on this thread grew them to; `0` on a thread
 /// that never searched.
 pub fn search_resident_bytes() -> usize {
     SEARCH.with_borrow(|search| {
-        (search.d0.capacity() + search.via.capacity()) * std::mem::size_of::<f64>()
-            + search.worker.inc.resident_bytes()
+        search.via.capacity() * std::mem::size_of::<f64>() + search.worker.inc.resident_bytes()
     })
 }
 

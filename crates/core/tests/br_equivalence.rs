@@ -13,12 +13,14 @@
 
 use proptest::prelude::*;
 
-use gncg_core::cost::{agent_cost_in, base_graph_from};
+use std::collections::BTreeSet;
+
+use gncg_core::cost::{agent_cost_in, base_graph_from, candidate_cost};
 use gncg_core::response::{
-    bound_table, bound_table_reference, exact_best_response, exact_best_response_given_current,
-    exact_best_response_reference, BestResponse,
+    bound_table, bound_table_reference, candidates_kept, exact_best_response,
+    exact_best_response_given_current, exact_best_response_reference, BestResponse,
 };
-use gncg_core::{Game, Profile};
+use gncg_core::{strictly_less, Game, Profile};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_reference};
 use gncg_graph::{AdjacencyList, Csr, DijkstraScratch, NodeId};
 
@@ -175,6 +177,65 @@ proptest! {
         }
     }
 
+    /// The candidate cut (`response` module docs, "The cut") on all nine
+    /// factory hosts — exact ties (`unit`, `onetwo`), ∞ edges (`oneinf`)
+    /// and non-metric weights (`general`) included — and on empty-based
+    /// profiles, whose agents are often disconnected (`current = ∞`). No
+    /// subset that holds a candidate past the cut prices below
+    /// `current − EPS`: every such subset is priced by its own Dijkstra. A
+    /// disconnected agent loses only its `∞`-weight candidates, since
+    /// every factory host connects it. And the cut search returns the
+    /// reference's cost bits. Debug builds also re-run each cut search
+    /// over every candidate and assert the same strategy, the same cost
+    /// bits and no more subsets evaluated.
+    #[test]
+    fn the_cut_drops_no_improving_subset_on_factory_hosts(
+        host in 0usize..9,
+        n in 6usize..9,
+        ln_alpha in 0.05f64.ln()..40f64.ln(),
+        star in proptest::bool::ANY,
+        seed in 0u64..1 << 32,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let g = Game::new(
+            gncg_metrics::factory::build_host(key, n, seed).expect("registry key"),
+            ln_alpha.exp(),
+        );
+        let p = with_extras(n, star, seed);
+        let network = p.build_network(&g);
+        for agent in 0..n as NodeId {
+            let current = agent_cost_in(&g, &p, &network, agent).total();
+            let order = g.by_weight(agent);
+            let kept = candidates_kept(&g, agent, current);
+            if current.is_infinite() {
+                prop_assert!(
+                    order[kept..].iter().all(|&(_, w)| w.is_infinite()),
+                    "{} agent {}: kept {} of {:?}", key, agent, kept, order
+                );
+            }
+            let base = base_graph_from(&network, &p, agent);
+            // Bit `i` of a mask picks `order[i]`; the masks with a bit at
+            // or past `kept` are the subsets the search never visits.
+            for mask in (1u32 << kept)..1 << order.len() {
+                let set: BTreeSet<NodeId> = order
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &(v, _))| v)
+                    .collect();
+                let cost = candidate_cost(&g, &base, agent, &set).total();
+                prop_assert!(
+                    !strictly_less(cost, current),
+                    "{} α = {} agent {}: {:?} prices at {} under {} with {} of {} kept",
+                    key, g.alpha(), agent, set, cost, current, kept, order.len()
+                );
+            }
+            let br = exact_best_response_given_current(&g, &p, &network, agent, current);
+            let refr = exact_best_response_reference(&g, &p, agent);
+            prop_assert_eq!(br.cost.to_bits(), refr.cost.to_bits());
+        }
+    }
+
     /// On all nine factory hosts, empty-based (often disconnected)
     /// profiles included, each agent's bound table as the search grows
     /// it has row `i` bitwise the Dijkstra vector from the agent in
@@ -246,8 +307,8 @@ proptest! {
 /// among them) are searched agent by agent, in changing agent orders:
 /// each result — strategy, cost bits and evaluated subsets — must equal
 /// the same search made on a fresh thread, whose buffers start empty. A
-/// `via` row, a weight-array entry or a base-graph edge left over from a
-/// larger earlier search would show here.
+/// `via` row, a weight-array entry or an edge at an earlier agent left
+/// over from a larger earlier search would show here.
 #[test]
 fn per_thread_search_buffers_match_fresh_threads() {
     let bits = |br: &BestResponse| {

@@ -85,10 +85,11 @@
 //! * the exact rule runs one fresh search per activation
 //!   ([`exact_best_response_given_current`]), the search br
 //!   certification and `is_nash_equilibrium` run, with the agent's
-//!   current cost read off its warm vector. The search builds its tables
-//!   (one Dijkstra for the base distances, one star relaxation per
-//!   candidate for the bound table) in buffers its thread keeps, so the
-//!   context holds no per-agent search state.
+//!   current cost read off its warm vector. The search grows its tables
+//!   straight off the network (one star relaxation per candidate the
+//!   cut keeps for the bound table, one batched relaxation for the base
+//!   distances) in buffers its thread keeps, so the context holds no
+//!   per-agent search state.
 //!
 //! # One activation path
 //!
@@ -648,7 +649,7 @@ impl EvalContext {
 
     /// Bytes resident in the calling thread's exact-best-response search
     /// tables ([`search_resident_bytes`](gncg_core::response::search_resident_bytes):
-    /// `d0`, the bound table and the DFS's live vector; `0` unless a
+    /// the bound table and the DFS's live vector; `0` unless a
     /// BR-rule search ran on this thread) — the `Θ(n²)` companion figure
     /// to [`EvalContext::warm_resident_bytes`]. The context itself holds
     /// no search state: every exact-rule activation searches afresh in

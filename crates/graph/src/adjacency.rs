@@ -11,26 +11,10 @@ use crate::{NodeId, SymMatrix};
 /// Parallel edges are not deduplicated on insertion; callers that need
 /// uniqueness (the game layer does) must check [`AdjacencyList::has_edge`]
 /// first or build via [`AdjacencyList::from_edges`].
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct AdjacencyList {
     adj: Vec<Vec<(NodeId, f64)>>,
     m: usize,
-}
-
-impl Clone for AdjacencyList {
-    fn clone(&self) -> Self {
-        AdjacencyList {
-            adj: self.adj.clone(),
-            m: self.m,
-        }
-    }
-
-    /// Refills `self` with `source`'s edges, in `source`'s neighbour
-    /// order, keeping every adjacency list's allocation.
-    fn clone_from(&mut self, source: &Self) {
-        self.adj.clone_from(&source.adj);
-        self.m = source.m;
-    }
 }
 
 impl AdjacencyList {

@@ -5,8 +5,8 @@
 //! those SSSP calls allocation-free and cache-friendly:
 //!
 //! * [`Csr`] — a compressed-sparse-row snapshot of an [`AdjacencyList`]
-//!   (flat offsets + packed neighbor/weight arrays), built once per search
-//!   and shared by every relaxation over it,
+//!   (flat offsets + packed neighbor/weight arrays), built once per
+//!   all-pairs pass and shared by every Dijkstra of it,
 //! * [`EdgeSource`] — the closure-based neighbor-iteration trait both
 //!   graph representations implement, so one Dijkstra serves both,
 //! * [`DijkstraScratch`] — generation-stamped dist array + a drained,
@@ -271,19 +271,12 @@ impl EdgeSource for AdjacencyList {
 ///
 /// Building costs one `O(n + m)` pass; afterwards every relaxation scans
 /// contiguous memory. Use it whenever one graph serves many SSSP calls
-/// (APSP, a best-response search over a fixed base graph).
+/// (APSP).
 #[derive(Clone, Debug)]
 pub struct Csr {
     offsets: Vec<u32>,
     targets: Vec<NodeId>,
     weights: Vec<f64>,
-}
-
-/// The snapshot of the empty graph.
-impl Default for Csr {
-    fn default() -> Self {
-        Csr::from_adjacency(&AdjacencyList::default())
-    }
 }
 
 impl Csr {
@@ -294,24 +287,15 @@ impl Csr {
             targets: Vec::with_capacity(2 * g.m()),
             weights: Vec::with_capacity(2 * g.m()),
         };
-        csr.refill(g);
-        csr
-    }
-
-    /// Re-snapshots `g` in place, keeping the buffers: the same snapshot
-    /// [`Csr::from_adjacency`] takes.
-    pub fn refill(&mut self, g: &AdjacencyList) {
-        self.offsets.clear();
-        self.targets.clear();
-        self.weights.clear();
-        self.offsets.push(0);
+        csr.offsets.push(0);
         for u in 0..g.n() as NodeId {
             for &(v, w) in g.neighbors(u) {
-                self.targets.push(v);
-                self.weights.push(w);
+                csr.targets.push(v);
+                csr.weights.push(w);
             }
-            self.offsets.push(self.targets.len() as u32);
+            csr.offsets.push(csr.targets.len() as u32);
         }
+        csr
     }
 
     /// Number of nodes.
@@ -905,9 +889,10 @@ impl DynamicSssp {
     ///
     /// # Correctness contract
     ///
-    /// `g` must be the same base graph the vector was built from, and
-    /// **every inserted edge must be incident to the source** passed to
-    /// [`DynamicSssp::reset_from`] (enforced by a `debug_assert`).
+    /// `g` must agree with the graph the vector is exact for on every edge
+    /// off the source (the base graph it was built from, before the first
+    /// insertion), and **every inserted edge must be incident to the
+    /// source** the vector was reset to (enforced by a `debug_assert`).
     /// Under that contract, relaxing over `g` alone is exact: previously
     /// inserted edges are all incident to the source, a shortest path
     /// never re-enters its source, so no improved path can traverse them
@@ -916,6 +901,20 @@ impl DynamicSssp {
     /// insertion could shorten a path that runs *through* an earlier
     /// inserted edge, which the `g`-only relaxation would never see,
     /// silently leaving stale distances.
+    ///
+    /// # Edges at the source
+    ///
+    /// `g`'s own edges at the source never matter, as for
+    /// [`DynamicSssp::relax_insert`] ("Edges at the source" there). The
+    /// source sits at 0, which no relaxation lowers: the new edge offers
+    /// it `dist[b] + w ≥ 0`, and so does an edge `(x, s)` from any
+    /// scanned node `x`. So the source is never pushed, scanned or logged,
+    /// and its edges in `g` carry nothing. An insertion over `g` therefore
+    /// leaves the same vector and logs the same entries, in the same
+    /// order, as one over `g` with any set of edges at the source added
+    /// or taken away. The exact best response relies on this: its vector
+    /// is exact for the agent's base graph, and it relaxes over the
+    /// agent's network, which also holds the edges the agent alone owns.
     pub fn add_edge<G: EdgeSource>(&mut self, g: &G, a: NodeId, b: NodeId, w: f64) {
         debug_assert!(
             self.spec_marks.is_empty(),
@@ -934,7 +933,10 @@ impl DynamicSssp {
     /// Same correctness contract as [`DynamicSssp::add_edge`]: `g` must be
     /// the graph the vector is currently exact for (e.g. the
     /// [`MaskedEdges`] view a preceding speculative removal relaxed over)
-    /// and the edge must be incident to the source.
+    /// and the edge must be incident to the source. Edges at the source
+    /// are exempt, as there ("Edges at the source"): `g` may hold or omit
+    /// any of them, and the vector and the logged entries come out the
+    /// same.
     pub fn speculate_insert<G: EdgeSource>(&mut self, g: &G, a: NodeId, b: NodeId, w: f64) {
         debug_assert!(
             !self.spec_marks.is_empty(),
@@ -1921,6 +1923,69 @@ mod tests {
         inc.rollback();
         assert_eq!(inc.delta_sum_since(mark), 0.0, "empty log sums to zero");
         assert!(inc.resident_bytes() > 0);
+    }
+
+    /// "Edges at the source" of `add_edge` and `speculate_insert`: the
+    /// same includes over `g` and over `g` without its edges at the source
+    /// leave equal vectors and equal undo logs, entry for entry, on the
+    /// word frontier (12 nodes) and past it on the heap (70 nodes). The
+    /// vector is exact for `g` less some of the source's edges (those to
+    /// nodes `≡ 3 mod 4`), as an exact best response's vector is for its
+    /// agent's base graph, and the includes add source edges to nodes
+    /// from the far end.
+    #[test]
+    fn includes_ignore_the_source_edges_of_the_graph() {
+        for n in [12usize, 70] {
+            let mut g = AdjacencyList::new(n);
+            for i in 1..n as NodeId - 1 {
+                g.add_edge(i, i + 1, 1.0 + (i % 4) as f64 * 0.5);
+            }
+            for i in (1..n as NodeId - 3).step_by(3) {
+                g.add_edge(i, i + 3, 2.25);
+            }
+            let without = g.clone();
+            let mut base = g.clone();
+            for v in (1..n as NodeId).step_by(2) {
+                g.add_edge(0, v, 0.75 * v as f64);
+                if v % 4 == 1 {
+                    base.add_edge(0, v, 0.75 * v as f64);
+                }
+            }
+            let d0 = dijkstra(&base, 0);
+            let (mut over_g, mut over_without) = (DynamicSssp::new(), DynamicSssp::new());
+            over_g.reset_from(0, &d0);
+            over_without.reset_from(0, &d0);
+            let includes: Vec<(NodeId, f64)> = (0..4)
+                .map(|k| (n as NodeId - 1 - 3 * k, 1.5 + k as f64))
+                .collect();
+            for &(v, w) in &includes {
+                over_g.add_edge(&g, 0, v, w);
+                over_without.add_edge(&without, 0, v, w);
+                base.add_edge(0, v, w);
+                assert_eq!(over_g.dist(), dijkstra(&base, 0).as_slice(), "n = {n}");
+                assert_eq!(over_g.dist(), over_without.dist(), "n = {n}");
+                assert_eq!(over_g.undo, over_without.undo, "n = {n}");
+            }
+            assert!(
+                over_g.undo.len() > includes.len(),
+                "n = {n}: the includes lowered little"
+            );
+            for _ in &includes {
+                over_g.undo();
+                over_without.undo();
+            }
+            assert_eq!(over_g.dist(), d0.as_slice(), "n = {n}");
+            // A speculative include, from the base vector.
+            over_g.begin_speculation();
+            over_without.begin_speculation();
+            over_g.speculate_insert(&g, 0, 2, 0.5);
+            over_without.speculate_insert(&without, 0, 2, 0.5);
+            assert_eq!(over_g.dist(), over_without.dist(), "n = {n}");
+            assert_eq!(over_g.undo, over_without.undo, "n = {n}");
+            assert_eq!(over_g.heap.capacity() > 0, n > WORD_FRONTIER_NODES);
+            over_g.rollback();
+            assert_eq!(over_g.dist(), d0.as_slice(), "n = {n}");
+        }
     }
 
     #[test]

@@ -115,14 +115,17 @@ GNCG_THREADS=1 swap_heavy_grid
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # Exact best responses, one fresh search per activation
-# (exact_best_response_given_current, the search br certification runs):
-# d0 and a bound table grown one star relaxation per candidate, in
-# buffers each thread keeps; a re-probe with no commit since the agent
-# was last priced is answered by the engine's pricing memo, which serves
-# all three rules.
+# (exact_best_response_given_current, the search br certification runs)
+# straight off the network: the candidates the cut keeps, a bound table
+# grown one star relaxation per kept candidate and d0 grown in the same
+# vector, in buffers each thread keeps; a re-probe with no commit since
+# the agent was last priced is answered by the engine's pricing memo,
+# which serves all three rules.
 # The committed golden locks the bytes at one pool thread and at four;
 # debug builds check every bound table against the per-candidate fold,
-# and every memo hit against a fresh pricing.
+# d0 against a Dijkstra on the base graph, every cut search against the
+# search over every candidate, and every memo hit against a fresh
+# pricing.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
   GNCG_THREADS="$1" "$GNCG" grid \
@@ -237,7 +240,9 @@ echo "== oracle profile (release speed, debug assertions on): goldens + large-n"
 # certifier's masked-scan check on every certified golden cell, every
 # bound table a best response grows (engine activations and br
 # certification) against the per-candidate fold it is grown instead of,
-# within the 1 − 8nε margin, on all 108 golden br cells, the br
+# within the 1 − 8nε margin, and every cut search against the search over
+# every candidate (the same strategy and cost bits, no more subsets
+# evaluated), on all 108 golden br cells, the br
 # certificate's all-pairs current cost against its Dijkstra, the
 # bound-first move scan's masked-scan and synced-row
 # checks on every full-sum greedy and add activation, the RegionDelta

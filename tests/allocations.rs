@@ -176,7 +176,11 @@ fn swap_heavy_run_loop(regret_meter: bool) -> (u64, usize, usize) {
 /// kept across commits took the run loop to 2,687: no agent's tables
 /// are allocated or regrown, and the search's per-thread buffers grow
 /// once. The searches fell to 789, since the run loop has already grown
-/// those buffers on this thread. Each time both locks fell in
+/// those buffers on this thread. Running each search straight off the
+/// network, with no base graph or CSR to grow per thread, more than paid
+/// for the game's lazily built candidate order and host closure (one
+/// allocation each per cell, made by the first search): the run loop fell
+/// to 2,676 and the searches stayed at 789. Each time both locks fell in
 /// proportion.
 #[test]
 #[cfg_attr(
@@ -215,6 +219,6 @@ fn br_grid_allocations_are_locked() {
     }
     eprintln!("br-grid: run loop {run_loop} allocations, {agents} agents searched with {searches}");
     assert_eq!(agents, 468);
-    assert!(run_loop <= 2_706, "run loop: {run_loop} allocations");
+    assert!(run_loop <= 2_694, "run loop: {run_loop} allocations");
     assert!(searches <= 974, "searches: {searches} allocations");
 }
