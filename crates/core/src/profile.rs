@@ -125,11 +125,19 @@ impl Profile {
 
     /// Builds the network `G(s)` with host weights from `game`.
     pub fn build_network(&self, game: &Game) -> AdjacencyList {
-        let mut g = AdjacencyList::new(self.n());
+        let mut g = AdjacencyList::default();
+        self.build_network_into(game, &mut g);
+        g
+    }
+
+    /// [`Profile::build_network`] into `g`, whose edges it replaces: the
+    /// same edges in the same order, in the neighbour lists `g` already
+    /// holds ([`AdjacencyList::clear`]).
+    pub fn build_network_into(&self, game: &Game, g: &mut AdjacencyList) {
+        g.clear(self.n());
         for (u, v) in self.edges() {
             g.add_edge(u, v, game.w(u, v));
         }
-        g
     }
 
     /// The owned edges of `u` as (removable) undirected pairs: pairs whose

@@ -38,16 +38,19 @@
 //!   network the caller passes, which differs from the agent's base graph
 //!   only in edges at the agent ("Building the table"), and the candidates
 //!   are a slice of the game's own weight order ([`Game::by_weight`]);
+//! * **a search needs no Dijkstra**. [`exact_best_response_in`] derives
+//!   the agent's current cost off the base distances the DFS starts from
+//!   ("The current cost"), and [`exact_best_response_given_current`]
+//!   takes it from its caller;
 //! * the DFS allocates nothing per node (the undo log, chosen stack and
 //!   incumbent are reused buffers, and so is the live vector's heap on
-//!   graphs of more than 64 nodes), and a fresh search
-//!   ([`exact_best_response_given_current`]) allocates nothing but its
-//!   result once its thread's buffers have grown: each thread keeps one
-//!   set of them — the `via` table, the base graph's edges at the agent
-//!   and the DFS worker — and every search refills them in place, sized
-//!   to its own `n`, so nothing a larger earlier search left behind is
-//!   read. Only that function borrows them, and nothing it calls searches
-//!   again.
+//!   graphs of more than 64 nodes), and a fresh search allocates nothing
+//!   but its result once its thread's buffers have grown: each thread
+//!   keeps one set of them — the `via` table and the vector it grows in,
+//!   the base graph's edges at the agent and the DFS worker — and every
+//!   search refills them in place, sized to its own `n`, so nothing a
+//!   larger earlier search left behind is read. Only the search borrows
+//!   them, and nothing it calls searches again.
 //!
 //! # Why the pruning bound is admissible
 //!
@@ -105,13 +108,35 @@
 //! oracle.
 //!
 //! The DFS's starting vector `d0`, the distances in the base graph, grows
-//! the same way in the same live vector once the table is built: from
+//! the same way, in the DFS's live vector, before anything else: from
 //! `u` alone, one [`DynamicSssp::relax_inserts`] of the base graph's
 //! edges at `u` — `(u, x)` for each `x` that owns its edge to `u` — over
 //! the network. Both it and the Dijkstra it replaces take the exact
 //! minimum over the same paths' left-to-right sums, so they agree bit for
 //! bit; debug builds check `d0` against a Dijkstra on the base graph, and
-//! the table against the fold, on every search.
+//! the table against the fold, on every search. The live vector holds
+//! `d0` from then on, so the table grows in a second vector of its own.
+//!
+//! # The current cost
+//!
+//! The agent's current cost seeds the incumbent and sets the cut, so a
+//! search needs it before its table. [`exact_best_response_in`] derives
+//! it off `d0`: a copy of `d0`, in the vector the table grows in later,
+//! takes the edges the agent alone owns in one
+//! [`DynamicSssp::relax_inserts`] over the network. The copy is exact for
+//! the base graph, which those edges at `u` extend to the network, so the
+//! relaxation leaves it exact for the network ("Edges at the source" in
+//! [`DynamicSssp::relax_insert`]): bit for bit what a Dijkstra on the
+//! network returns. Its index-order sum ([`DynamicSssp::sum`], the order
+//! `agent_cost_in` sums its Dijkstra in) added to [`edge_cost`] is then
+//! `agent_cost_in`'s total, bit for bit, `∞` for an agent its network
+//! does not connect. `d0` itself stays in the live vector for the DFS.
+//! (Logged includes on the live vector, undone after the sum, would give
+//! the same bits, but a second caller of [`DynamicSssp::add_edge`] leads
+//! the compiler to call it out of line from the DFS.) Debug builds
+//! compare the derived cost with [`agent_cost_in`] on every search, and a
+//! cost supplied to [`exact_best_response_given_current`] with the
+//! derived one.
 //!
 //! # The cut
 //!
@@ -234,7 +259,8 @@ use std::collections::BTreeSet;
 use gncg_graph::{strictly_less, AdjacencyList, DijkstraScratch, DynamicSssp, MaskedEdges, NodeId};
 
 use crate::cost::{
-    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown, MoveBound,
+    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, edge_cost, CostBreakdown,
+    MoveBound,
 };
 use crate::moves::{MoveSpace, StrategyTables};
 use crate::{Game, Move, Profile};
@@ -259,30 +285,35 @@ impl BestResponse {
     }
 }
 
-/// The buffers of one fresh search, refilled in place for every search by
-/// [`BrSearch::run`]: the bound table, the base graph's edges at the agent
-/// and the DFS worker. Each thread keeps one for
-/// [`exact_best_response_given_current`] (module docs, "The incremental
-/// engine"), which every exact best response runs: the dynamics engine's
-/// activations, br certification and `is_nash_equilibrium`. The DFS
-/// itself runs on the borrowed [`BrSearchView`].
+/// The buffers of one fresh search, refilled in place for every search:
+/// the bound table and the vector it grows in, the base graph's edges at
+/// the agent and the DFS worker. Each thread keeps one for the exact best
+/// response (module docs, "The incremental engine"), which the dynamics
+/// engine's activations, br certification and `is_nash_equilibrium` all
+/// run. The DFS itself runs on the borrowed [`BrSearchView`].
 #[derive(Debug, Default)]
 struct BrSearch {
     /// The pruning bound's table (module docs), one row of `n` per kept
     /// candidate: `via[idx·n + x]` is the distance from the agent to `x`
     /// in `G − u + star(candidates[idx..])`.
     via: Vec<f64>,
-    /// `(agent, x, w(agent, x))` for each `x` that owns its edge to the
-    /// agent: the base graph's edges at the agent, which `d0` grows from.
+    /// The vector `via` grows in, and before it the agent's distances in
+    /// the network, which give its current cost. The worker's live vector
+    /// holds `d0` from before the cut is taken, which needs that cost,
+    /// until the DFS starts from it.
+    table: DynamicSssp,
+    /// Edges `(agent, x, w(agent, x))` at the agent: first the base
+    /// graph's, each `x` that owns its edge to the agent, which `d0` grows
+    /// from; then the ones the agent alone owns, which take a copy of
+    /// `d0` to the network.
     at_agent: Vec<(NodeId, NodeId, f64)>,
-    /// The DFS state; its live vector also grows `via` and `d0`.
+    /// The DFS state; its live vector also grows `d0`.
     worker: BrWorker,
 }
 
 thread_local! {
-    /// This thread's fresh-search buffers. Only
-    /// [`exact_best_response_given_current`] borrows them, and nothing it
-    /// calls searches again, so the borrow never nests.
+    /// This thread's fresh-search buffers. Only [`search`] borrows them,
+    /// and nothing it calls searches again, so the borrow never nests.
     static SEARCH: RefCell<BrSearch> = RefCell::new(BrSearch::default());
 }
 
@@ -324,19 +355,9 @@ struct BrWorker {
 }
 
 impl BrWorker {
-    /// Re-arms the worker for one search: the live vector grown to `d0`
-    /// from the agent alone by one relaxation of the base graph's edges
-    /// at it, `at_agent`, over the network (module docs, "Building the
-    /// table"), and the incumbent seeded from the agent's current
-    /// strategy and cost.
-    fn reset(
-        &mut self,
-        network: &AdjacencyList,
-        agent: NodeId,
-        at_agent: &[(NodeId, NodeId, f64)],
-        current: f64,
-    ) {
-        let n = network.n();
+    /// Seeds the incumbent of a search on `n` nodes from the agent's
+    /// current strategy and cost, with nothing chosen.
+    fn arm(&mut self, n: usize, current: f64) {
         self.chosen.clear();
         self.chosen_w.clear();
         self.chosen_w.resize(n, 0.0);
@@ -344,8 +365,6 @@ impl BrWorker {
         self.best_chosen.clear();
         self.best_is_current = true;
         self.evaluated = 0;
-        self.inc.reset_alone(agent, n);
-        self.inc.relax_inserts(network, at_agent);
     }
 
     /// The search's answer: the incumbent, whose strategy is
@@ -365,14 +384,67 @@ impl BrWorker {
 }
 
 impl BrSearch {
+    /// Grows `d0`, the agent's distances in its base graph, in the
+    /// worker's live vector: from the agent alone, one relaxation of the
+    /// base graph's edges at it over the network (module docs, "Building
+    /// the table").
+    fn grow_d0(&mut self, profile: &Profile, network: &AdjacencyList, agent: NodeId) {
+        self.at_agent.clear();
+        self.at_agent.extend(
+            network
+                .neighbors(agent)
+                .iter()
+                .filter(|&&(x, _)| profile.owns(x, agent))
+                .map(|&(x, w)| (agent, x, w)),
+        );
+        let inc = &mut self.worker.inc;
+        inc.reset_alone(agent, network.n());
+        inc.relax_inserts(network, &self.at_agent);
+    }
+
+    /// The agent's current cost, derived off `d0` (module docs, "The
+    /// current cost"): a copy of `d0` in the table's vector takes the
+    /// edges the agent alone owns in one relaxation, which leaves the
+    /// agent's distances in the network, and their index-order sum is
+    /// added to its edge cost. `d0` stays in the live vector. Debug
+    /// builds check the cost bits against [`agent_cost_in`]'s Dijkstra.
+    fn current_cost(
+        &mut self,
+        game: &Game,
+        profile: &Profile,
+        network: &AdjacencyList,
+        agent: NodeId,
+    ) -> f64 {
+        self.at_agent.clear();
+        self.at_agent.extend(
+            profile
+                .strategy(agent)
+                .iter()
+                .filter(|&&v| !profile.owns(v, agent))
+                .map(|&v| (agent, v, game.w(agent, v))),
+        );
+        let dist = &mut self.table;
+        dist.reset_from(agent, self.worker.inc.dist());
+        dist.relax_inserts(network, &self.at_agent);
+        let current = edge_cost(game, profile, agent) + dist.sum();
+        debug_assert_eq!(
+            current.to_bits(),
+            agent_cost_in(game, profile, network, agent)
+                .total()
+                .to_bits(),
+            "agent {agent}'s cost derived off d0 drifted from agent_cost_in"
+        );
+        current
+    }
+
     /// Grows the bound table of `candidates` over `g` back to front in
-    /// the worker's live vector (module docs, "Building the table"): row
-    /// `i` the distances from `agent` in `G − u + star(candidates[i..])`.
-    /// `g` is the agent's network or any graph that differs from it only
-    /// in edges at the agent, such as its base graph.
+    /// its own vector (module docs, "Building the table"): row `i` the
+    /// distances from `agent` in `G − u + star(candidates[i..])`. `g` is
+    /// the agent's network or any graph that differs from it only in
+    /// edges at the agent, such as its base graph.
     fn grow_table(&mut self, g: &AdjacencyList, agent: NodeId, candidates: &[(NodeId, f64)]) {
         let n = g.n();
-        let grow = &mut self.worker.inc;
+        let grow = &mut self.table;
         grow.reset_alone(agent, n);
         self.via.clear();
         self.via.resize(candidates.len() * n, f64::INFINITY);
@@ -383,11 +455,12 @@ impl BrSearch {
     }
 
     /// The agent's exact best response over `candidates` (every one of
-    /// its candidates, or the ones the cut keeps), with the incumbent
-    /// seeded from its `current` cost and strategy: the table grown for
-    /// `candidates`, `d0` grown in the live vector, then the DFS, all
-    /// over the network. Debug builds check the table against the fold it
-    /// is grown instead of and `d0` against a Dijkstra on the base graph.
+    /// its candidates, or the ones the cut keeps), with `d0` grown in the
+    /// live vector ([`BrSearch::grow_d0`]) and the incumbent seeded from
+    /// its `current` cost and strategy: the table grown for `candidates`,
+    /// then the DFS from `d0`, all over the network. Debug builds check
+    /// the table against the fold it is grown instead of and `d0` against
+    /// a Dijkstra on the base graph.
     fn run(
         &mut self,
         game: &Game,
@@ -398,16 +471,9 @@ impl BrSearch {
         candidates: &[(NodeId, f64)],
     ) -> BestResponse {
         self.grow_table(network, agent, candidates);
-        self.at_agent.clear();
-        self.at_agent.extend(
-            network
-                .neighbors(agent)
-                .iter()
-                .filter(|&&(x, _)| profile.owns(x, agent))
-                .map(|&(x, w)| (agent, x, w)),
-        );
+        let n = network.n();
         let worker = &mut self.worker;
-        worker.reset(network, agent, &self.at_agent, current);
+        worker.arm(n, current);
         #[cfg(debug_assertions)]
         {
             let base = base_graph_from(network, profile, agent);
@@ -419,7 +485,6 @@ impl BrSearch {
                 "agent {agent}'s d0 diverged from a Dijkstra on its base graph"
             );
         }
-        let n = network.n();
         let view = BrSearchView {
             agent,
             n,
@@ -612,30 +677,34 @@ pub fn exact_best_response(game: &Game, profile: &Profile, agent: NodeId) -> Bes
     exact_best_response_in(game, profile, &network, agent)
 }
 
-/// [`exact_best_response`] reusing an already-built network `G(s)`.
+/// [`exact_best_response`] reusing an already-built network `G(s)`: the
+/// search every exact-rule activation of the dynamics engine runs. It
+/// derives the agent's current cost off the base distances it grows
+/// anyway (module docs, "The current cost") instead of running the
+/// Dijkstra of [`agent_cost_in`], then searches as
+/// [`exact_best_response_given_current`] does, in the same buffers.
 pub fn exact_best_response_in(
     game: &Game,
     profile: &Profile,
     network: &AdjacencyList,
     agent: NodeId,
 ) -> BestResponse {
-    let current = agent_cost_in(game, profile, network, agent).total();
-    exact_best_response_given_current(game, profile, network, agent, current)
+    search(game, profile, network, agent, None)
 }
 
 /// [`exact_best_response_in`] with the agent's current cost supplied by
-/// the caller (e.g. read off a warm distance vector instead of the
-/// Dijkstra `agent_cost_in` would run): the search the dynamics engine's
-/// exact-rule activations run. It searches the candidates the cut keeps
-/// ([`candidates_kept`]) straight off `network`, in buffers its thread
-/// keeps (module docs, "The incremental engine"), so once they have
-/// grown a call allocates only its result. Debug builds re-run the
-/// search over every candidate and assert the same strategy and cost
-/// bits, with no more subsets evaluated (module docs, "The cut").
+/// the caller (br certification reads it off the cell's all-pairs
+/// table). It searches the candidates the cut keeps ([`candidates_kept`])
+/// straight off `network`, in buffers its thread keeps (module docs, "The
+/// incremental engine"), so once they have grown a call allocates only
+/// its result. Debug builds re-run the search over every candidate and
+/// assert the same strategy and cost bits, with no more subsets evaluated
+/// (module docs, "The cut").
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
-/// prune the true optimum).
+/// prune the true optimum); debug builds check it against the cost the
+/// search derives.
 pub fn exact_best_response_given_current(
     game: &Game,
     profile: &Profile,
@@ -643,20 +712,48 @@ pub fn exact_best_response_given_current(
     agent: NodeId,
     current: f64,
 ) -> BestResponse {
+    search(game, profile, network, agent, Some(current))
+}
+
+/// The exact best response of both entry points, in this thread's
+/// buffers: `d0` grown, the current cost derived off it unless the
+/// caller supplies it, the cut taken, then the table and the DFS.
+fn search(
+    game: &Game,
+    profile: &Profile,
+    network: &AdjacencyList,
+    agent: NodeId,
+    supplied: Option<f64>,
+) -> BestResponse {
     let candidates = game.by_weight(agent);
-    let kept = &candidates[..candidates_kept(game, agent, current)];
-    let br =
-        SEARCH.with_borrow_mut(|search| search.run(game, profile, network, agent, current, kept));
+    let br = SEARCH.with_borrow_mut(|search| {
+        search.grow_d0(profile, network, agent);
+        let current = match supplied {
+            Some(current) => {
+                debug_assert_eq!(
+                    current.to_bits(),
+                    search.current_cost(game, profile, network, agent).to_bits(),
+                    "agent {agent}: the supplied current cost is not its cost"
+                );
+                current
+            }
+            None => search.current_cost(game, profile, network, agent),
+        };
+        let kept = candidates_kept(game, agent, current);
+        search.run(game, profile, network, agent, current, &candidates[..kept])
+    });
     #[cfg(debug_assertions)]
     {
-        let full = BrSearch::default().run(game, profile, network, agent, current, candidates);
+        let kept = candidates_kept(game, agent, br.current_cost);
+        let mut all = BrSearch::default();
+        all.grow_d0(profile, network, agent);
+        let full = all.run(game, profile, network, agent, br.current_cost, candidates);
         assert!(
             br.strategy == full.strategy
                 && br.cost.to_bits() == full.cost.to_bits()
                 && br.evaluated <= full.evaluated,
-            "agent {agent}: the search over {} of {} candidates returned {:?} at {} \
+            "agent {agent}: the search over {kept} of {} candidates returned {:?} at {} \
              ({} evaluated), the search over all of them {:?} at {} ({} evaluated)",
-            kept.len(),
             candidates.len(),
             br.strategy,
             br.cost,
@@ -669,14 +766,16 @@ pub fn exact_best_response_given_current(
     br
 }
 
-/// Bytes the calling thread's fresh-search tables hold: the `via` table
-/// and the DFS's live vector, the `Θ(n²)` state of
-/// [`exact_best_response_given_current`]. Capacity-based, so it reports
-/// what the largest search on this thread grew them to; `0` on a thread
-/// that never searched.
+/// Bytes the calling thread's fresh-search tables hold: the `via` table,
+/// the vector it grows in and the DFS's live vector, the `Θ(n²)` state of
+/// the exact best response. Capacity-based, so it reports what the
+/// largest search on this thread grew them to; `0` on a thread that
+/// never searched.
 pub fn search_resident_bytes() -> usize {
     SEARCH.with_borrow(|search| {
-        search.via.capacity() * std::mem::size_of::<f64>() + search.worker.inc.resident_bytes()
+        search.via.capacity() * std::mem::size_of::<f64>()
+            + search.table.resident_bytes()
+            + search.worker.inc.resident_bytes()
     })
 }
 

@@ -18,7 +18,8 @@ use std::collections::BTreeSet;
 use gncg_core::cost::{agent_cost_in, base_graph_from, candidate_cost};
 use gncg_core::response::{
     bound_table, bound_table_reference, candidates_kept, exact_best_response,
-    exact_best_response_given_current, exact_best_response_reference, BestResponse,
+    exact_best_response_given_current, exact_best_response_in, exact_best_response_reference,
+    BestResponse,
 };
 use gncg_core::{strictly_less, Game, Profile};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_reference};
@@ -64,6 +65,21 @@ fn with_extras(n: usize, star: bool, seed: u64) -> Profile {
         }
     }
     p
+}
+
+/// Has the other endpoint of about a third of `p`'s purchases buy the
+/// same edge, so those edges are co-owned: dropping either purchase
+/// leaves the edge in the network.
+fn co_own(p: &mut Profile, seed: u64) {
+    let mut x = seed ^ 0xC0_0E;
+    let n = p.n() as NodeId;
+    for u in 0..n {
+        for v in 0..n {
+            if p.owns(u, v) && !p.owns(v, u) && mix(&mut x).is_multiple_of(3) {
+                p.buy(v, u);
+            }
+        }
+    }
 }
 
 /// A connected-ish random profile: a star with extra purchases.
@@ -231,6 +247,43 @@ proptest! {
                 );
             }
             let br = exact_best_response_given_current(&g, &p, &network, agent, current);
+            let refr = exact_best_response_reference(&g, &p, agent);
+            prop_assert_eq!(br.cost.to_bits(), refr.cost.to_bits());
+        }
+    }
+
+    /// The current cost each search derives off its base distances
+    /// (`response` module docs, "The current cost") is bit for bit
+    /// `agent_cost_in`'s total, on all nine factory hosts, with about a
+    /// third of the edges co-owned, and on empty-based profiles, whose
+    /// agents are often disconnected (`∞`). The search also returns the
+    /// reference's cost bits. Debug builds assert the same equality on
+    /// every search.
+    #[test]
+    fn derived_current_cost_matches_agent_cost_in_on_factory_hosts(
+        host in 0usize..9,
+        n in 5usize..10,
+        ln_alpha in 0.05f64.ln()..40f64.ln(),
+        star in proptest::bool::ANY,
+        seed in 0u64..1 << 32,
+    ) {
+        let key = gncg_metrics::factory::keys()[host];
+        let g = Game::new(
+            gncg_metrics::factory::build_host(key, n, seed).expect("registry key"),
+            ln_alpha.exp(),
+        );
+        let mut p = with_extras(n, star, seed);
+        co_own(&mut p, seed);
+        let network = p.build_network(&g);
+        for agent in 0..n as NodeId {
+            let br = exact_best_response_in(&g, &p, &network, agent);
+            let want = agent_cost_in(&g, &p, &network, agent).total();
+            prop_assert_eq!(
+                br.current_cost.to_bits(),
+                want.to_bits(),
+                "{} α = {} agent {} of {:?}: derived {}, agent_cost_in {}",
+                key, g.alpha(), agent, p, br.current_cost, want
+            );
             let refr = exact_best_response_reference(&g, &p, agent);
             prop_assert_eq!(br.cost.to_bits(), refr.cost.to_bits());
         }

@@ -33,11 +33,11 @@
 //!   [`EvalContext::apply_strategy_change`] is the **single way network
 //!   state changes**: it stages the delta one edge at a time through the
 //!   cached network;
-//! * the context keeps **per-agent distance vectors warm across rounds**:
-//!   an agent's current distance cost is read from its warm vector
-//!   instead of a per-activation base Dijkstra. Committed insertions are
-//!   *logged* and replayed into a vector as one batched decrease-only
-//!   relaxation when that vector is next read
+//! * the context keeps **per-agent distance vectors warm across rounds**
+//!   for the greedy rules: an agent's current distance cost is read from
+//!   its warm vector instead of a per-activation base Dijkstra.
+//!   Committed insertions are *logged* and replayed into a vector as one
+//!   batched decrease-only relaxation when that vector is next read
 //!   ([`DynamicSssp::relax_inserts`] — lazy sync, which keeps an
 //!   add-heavy round `Θ(n²)` where eager per-move repair was `Θ(n³)`);
 //!   each staged removal is a Ramalingam–Reps affected-region repair
@@ -75,21 +75,24 @@
 //!   syncs, and the others skip the `n` checks. Every vector then
 //!   replays each committed insert on the next activation instead of in
 //!   a batch: `Θ(n)` vectors of `O(n)` each per commit, no more than the
-//!   full-sum scan's own `Θ(n²)` per activation. Horizon pricing and
-//!   the exact rule read only the priced agent's own vector and keep the
-//!   batched lazy sync. The scan's ancestor, one masked from-scratch
+//!   full-sum scan's own `Θ(n²)` per activation. Horizon pricing reads
+//!   only the priced agent's own vector and keeps the batched lazy sync.
+//!   The scan's ancestor, one masked from-scratch
 //!   Dijkstra per candidate
 //!   ([`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)),
 //!   is the debug oracle of every scan and the measured baseline of the
 //!   `move_scan` bench;
-//! * the exact rule runs one fresh search per activation
-//!   ([`exact_best_response_given_current`]), the search br
-//!   certification and `is_nash_equilibrium` run, with the agent's
-//!   current cost read off its warm vector. The search grows its tables
-//!   straight off the network (one star relaxation per candidate the
-//!   cut keeps for the bound table, one batched relaxation for the base
-//!   distances) in buffers its thread keeps, so the context holds no
-//!   per-agent search state.
+//! * the exact rule reads no warm vector. Each activation runs one fresh
+//!   search ([`exact_best_response_in`]), the search br certification
+//!   and `is_nash_equilibrium` run, which derives the agent's current
+//!   cost off the base distances it grows anyway (a copy of them takes
+//!   the edges the agent alone owns in one relaxation, and is summed).
+//!   The search grows its tables straight off the network (one batched
+//!   relaxation for the base distances, one star relaxation per
+//!   candidate the cut keeps for the bound table) in buffers its thread
+//!   keeps, so the context holds no per-agent search state, and a br run
+//!   never makes a warm vector valid: its commits replay no insert and
+//!   repair no vector.
 //!
 //! # One activation path
 //!
@@ -135,8 +138,8 @@ use std::collections::BTreeSet;
 
 use gncg_core::moves::MoveSpace;
 use gncg_core::response::{
-    best_move_among_speculative_priced, exact_best_response_given_current, ScanPricing,
-    ScanScratch, SpeculativePricing,
+    best_move_among_speculative_priced, exact_best_response_in, ScanPricing, ScanScratch,
+    SpeculativePricing,
 };
 use gncg_core::{Game, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
@@ -280,27 +283,34 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Captures the current engine state. `meter` must have been
     /// [`RegretMeter::measure`]d against the same `(game, profile, ctx,
-    /// rule)` — the capture reuses its per-agent regrets and reads every
-    /// cost off a warm vector. Those are all current: the scan warmed the
-    /// agents it priced, and the agents it read off the memo have had
-    /// nothing committed since they were priced, when their vectors were
-    /// made current.
+    /// rule)` — the capture reuses its per-agent regrets. Under the
+    /// greedy rules it reads every cost off a warm vector. Those are all
+    /// current: the scan warmed the agents it priced, and the agents it
+    /// read off the memo have had nothing committed since they were
+    /// priced, when their vectors were made current. The exact rule warms
+    /// no vector, so its costs come from one Dijkstra each on the
+    /// context's network ([`agent_cost_in`](gncg_core::cost::agent_cost_in)).
     fn capture(
         round: usize,
         game: &Game,
         profile: &Profile,
         ctx: &EvalContext,
         meter: &RegretMeter,
+        rule: ResponseRule,
     ) -> Checkpoint {
         let n = game.n();
+        let cost = |u| match rule {
+            ResponseRule::ExactBestResponse => {
+                gncg_core::cost::agent_cost_in(game, profile, ctx.network(), u).total()
+            }
+            _ => ctx.current_cost(game, profile, u),
+        };
         Checkpoint {
             round,
             strategies: (0..n as NodeId)
                 .map(|u| profile.strategy(u).iter().copied().collect())
                 .collect(),
-            costs: (0..n as NodeId)
-                .map(|u| ctx.current_cost(game, profile, u))
-                .collect(),
+            costs: (0..n as NodeId).map(cost).collect(),
             regrets: meter.regrets().to_vec(),
         }
     }
@@ -427,12 +437,27 @@ fn gain(&(_, before, after): &Change) -> f64 {
     }
 }
 
-/// Whether pricing under `rule` and `pricing` reads the other agents'
-/// rows: the greedy rules' bound-first FullSum scan does
-/// ([`ScanPricing::FullSum`]); RegionDelta pricing and the exact rule
-/// read only the priced agent's own vector.
-fn reads_rows(rule: ResponseRule, pricing: SpeculativePricing) -> bool {
-    rule != ResponseRule::ExactBestResponse && pricing == SpeculativePricing::FullSum
+/// Which warm vectors a pricing reads, so which ones must be current
+/// before it runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rows {
+    /// None: the exact rule's search derives the priced agent's current
+    /// cost itself ([`exact_best_response_in`]).
+    None,
+    /// The priced agent's own: RegionDelta pricing of the greedy rules.
+    Own,
+    /// Every agent's: the greedy rules' bound-first FullSum scan
+    /// ([`ScanPricing::FullSum`]).
+    All,
+}
+
+/// The warm vectors pricing under `rule` and `pricing` reads.
+fn rows_read(rule: ResponseRule, pricing: SpeculativePricing) -> Rows {
+    match (rule, pricing) {
+        (ResponseRule::ExactBestResponse, _) => Rows::None,
+        (_, SpeculativePricing::FullSum) => Rows::All,
+        (_, SpeculativePricing::RegionDelta) => Rows::Own,
+    }
 }
 
 /// What one pricer works in, reused from agent to agent: the copy of the
@@ -469,15 +494,16 @@ thread_local! {
 }
 
 /// The per-agent pricing every activation path shares: agent `u`'s
-/// improving change under `rule` (`None` when `u` is stable), priced off
-/// `rows`, the warm vectors, whose entry `u` also supplies the current
-/// cost. Every row the pricing reads must be current. The greedy rules
-/// read `u`'s strategy once into the scratch's tables and walk their move
-/// space off them speculatively against the scratch's copy of `u`'s row
-/// (borrowed mutably for apply → read → rollback), so the rows stay
-/// shared and read-only; under FullSum the scan rules moves out off the
-/// other agents' rows first. The exact rule runs a fresh search
-/// ([`exact_best_response_given_current`]) in its thread's buffers.
+/// improving change under `rule` (`None` when `u` is stable). The exact
+/// rule runs a fresh search ([`exact_best_response_in`]) in its thread's
+/// buffers, which derives `u`'s current cost itself, and reads no row.
+/// The greedy rules price off `rows`, the warm vectors, whose entry `u`
+/// supplies the current cost; every row they read
+/// ([`rows_read`]) must be current. They read `u`'s strategy once into
+/// the scratch's tables and walk their move space off them speculatively
+/// against the scratch's copy of `u`'s row (borrowed mutably for apply →
+/// read → rollback), so the rows stay shared and read-only; under FullSum
+/// the scan rules moves out off the other agents' rows first.
 fn pricer<'a>(
     game: &'a Game,
     profile: &'a Profile,
@@ -486,11 +512,9 @@ fn pricer<'a>(
     pricing: SpeculativePricing,
 ) -> impl Fn(NodeId, &[DynamicSssp], &mut PricerScratch) -> Option<Change> + Sync + 'a {
     move |u, rows, scratch| {
-        let row = &rows[u as usize];
-        let current = gncg_core::cost::edge_cost(game, profile, u) + row.sum();
         let space = match rule {
             ResponseRule::ExactBestResponse => {
-                let br = exact_best_response_given_current(game, profile, network, u, current);
+                let br = exact_best_response_in(game, profile, network, u);
                 return br
                     .improves()
                     .then_some((br.strategy, br.current_cost, br.cost));
@@ -498,6 +522,8 @@ fn pricer<'a>(
             ResponseRule::BestGreedyMove => MoveSpace::Greedy,
             ResponseRule::AddOnly => MoveSpace::AddOnly,
         };
+        let row = &rows[u as usize];
+        let current = gncg_core::cost::edge_cost(game, profile, u) + row.sum();
         scratch.scan.load(game, profile, network, u);
         let scan = match pricing {
             SpeculativePricing::FullSum => ScanPricing::FullSum(rows),
@@ -605,10 +631,12 @@ impl EvalContext {
     }
 
     /// Re-targets the context at a new run, reusing every allocation the
-    /// previous run left behind.
+    /// previous run left behind, the network's neighbour lists included:
+    /// they are cleared and refilled with the profile's edges in
+    /// [`Profile::build_network`]'s order.
     pub fn reset(&mut self, game: &Game, profile: &Profile) {
         self.epoch += 1;
-        self.network = profile.build_network(game);
+        profile.build_network_into(game, &mut self.network);
         let n = game.n();
         if self.warm.len() < n {
             self.warm.resize_with(n, DynamicSssp::new);
@@ -699,13 +727,17 @@ impl EvalContext {
         let i = u as usize;
         let n = game.n();
         // No-ops on a hit: nothing was committed since `u` was priced.
-        if !reads_rows(rule, self.pricing) {
-            self.ensure_warm(u);
-        } else if self.rows_epoch != self.epoch {
-            for a in 0..n as NodeId {
-                self.ensure_warm(a);
+        match rows_read(rule, self.pricing) {
+            Rows::None => {}
+            Rows::Own => self.ensure_warm(u),
+            Rows::All => {
+                if self.rows_epoch != self.epoch {
+                    for a in 0..n as NodeId {
+                        self.ensure_warm(a);
+                    }
+                    self.rows_epoch = self.epoch;
+                }
             }
-            self.rows_epoch = self.epoch;
         }
         let price = pricer(game, profile, &self.network, rule, self.pricing);
         let (rows, scratch) = (&self.warm[..n], &mut self.pricer);
@@ -722,9 +754,10 @@ impl EvalContext {
 
     /// Every agent's improving change under `rule`, in agent order, read
     /// off the memo after two pool-parallel passes: one makes every row
-    /// the pricing reads current (all of them when the scan reads other
-    /// agents' rows, otherwise those of the agents the memo misses), each
-    /// item borrowing exactly its agent's warm vector; the other prices
+    /// the pricing reads current ([`rows_read`]: all of them when the scan
+    /// reads other agents' rows, none under the exact rule, otherwise
+    /// those of the agents the memo misses), each item borrowing exactly
+    /// its agent's warm vector; the other prices
     /// each missed agent against a copy of its row, with its memo slot
     /// borrowed and the rows shared read-only. Both passes work in their
     /// thread's [`PoolScratch`] (a Dijkstra scratch for the rows, a
@@ -741,14 +774,18 @@ impl EvalContext {
         use rayon::prelude::*;
         let n = game.n();
         let epoch = self.epoch;
-        let all_rows = reads_rows(rule, self.pricing);
+        let reads = rows_read(rule, self.pricing);
         let price = pricer(game, profile, &self.network, rule, self.pricing);
         let (network, log) = (&self.network, &self.insert_log);
         let (valid, synced, priced) = (&mut self.valid, &mut self.synced, &self.priced);
         let mut stale: Vec<_> = self.warm[..n]
             .iter_mut()
             .enumerate()
-            .filter(|&(u, _)| all_rows || !is_current(&priced[u], epoch, rule))
+            .filter(|&(u, _)| match reads {
+                Rows::None => false,
+                Rows::Own => !is_current(&priced[u], epoch, rule),
+                Rows::All => true,
+            })
             .map(|(u, warm)| {
                 let pending = valid[u].then(|| &log[synced[u]..]);
                 valid[u] = true;
@@ -763,7 +800,7 @@ impl EvalContext {
                 sync_warm(network, *u, warm, *pending, sync, buf);
             });
         });
-        if all_rows {
+        if reads == Rows::All {
             self.rows_epoch = epoch;
         }
         let rows = &self.warm[..n];
@@ -935,7 +972,9 @@ impl EvalContext {
     ///
     /// Nothing else is staged: an exact-rule activation keeps no search
     /// state between commits, and builds its search from the network
-    /// afresh ([`exact_best_response_given_current`]).
+    /// afresh ([`exact_best_response_in`]). It reads no warm vector
+    /// either, so in a br run no vector is valid, and a delta only edits
+    /// the network and the insert log.
     fn apply_delta(&mut self, delta: &NetworkDelta) {
         let will_remove = delta
             .removes()
@@ -1128,7 +1167,9 @@ impl Engine {
                         checkpoints
                             .as_mut()
                             .expect("checkpoint vec allocated when cadence > 0")
-                            .push(Checkpoint::capture(round, game, &profile, &self.ctx, m));
+                            .push(Checkpoint::capture(
+                                round, game, &profile, &self.ctx, m, cfg.rule,
+                            ));
                     }
                 }
             }
@@ -1965,6 +2006,47 @@ mod tests {
                 }
                 assert_eq!(ctx.pricings(), before, "{rule:?} {scheduler:?}");
             }
+        }
+    }
+
+    #[test]
+    fn br_runs_make_no_warm_vector_valid() {
+        // The exact rule's searches derive each agent's current cost
+        // themselves, so a br run — activations, MaxGain scans, the meter,
+        // checkpoints, and a stability sweep after it — reads no warm
+        // vector, and its commits have none to replay inserts into or to
+        // repair. The checkpoints' costs are still every agent's cost.
+        let host = gncg_metrics::arbitrary::random_metric(7, 1.0, 3.0, 2);
+        let game = Game::new(host, 1.5);
+        let rule = ResponseRule::ExactBestResponse;
+        for scheduler in [Scheduler::RoundRobin, Scheduler::MaxGain] {
+            let mut engine = Engine::new();
+            let cfg = DynamicsConfig {
+                rule,
+                scheduler,
+                max_rounds: 400,
+                regret_meter: true,
+                checkpoint_every: 1,
+                ..Default::default()
+            };
+            let r = engine.run(&game, Profile::star(7, 0), &cfg);
+            assert!(r.converged() && r.moves > 0, "{scheduler:?}");
+            let network = r.profile.build_network(&game);
+            let last = r.checkpoints.as_ref().and_then(|f| f.last()).unwrap();
+            for u in 0..7u32 {
+                let cost = gncg_core::cost::agent_cost_in(&game, &r.profile, &network, u);
+                assert_eq!(last.costs[u as usize].to_bits(), cost.total().to_bits());
+            }
+            let ctx = engine.context_mut();
+            for u in 0..7 {
+                assert!(agent_is_stable_given_current(
+                    &game, &r.profile, ctx, u, rule
+                ));
+            }
+            assert!(
+                ctx.valid.iter().all(|&valid| !valid),
+                "{scheduler:?}: a br run made a warm vector valid"
+            );
         }
     }
 

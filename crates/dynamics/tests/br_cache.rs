@@ -16,11 +16,12 @@
 //! stability verdict of a best response computed from scratch, and a
 //! re-probe with no commit since must be answered by the pricing memo.
 //! The engine prices each activation with the same fresh search
-//! (`exact_best_response_given_current`) on the current cost its warm
-//! vector holds, so these tests check the warm vectors and the memo that
-//! feed it; the search's own tables are checked inside every search by
-//! the debug oracle that compares each bound table with the
-//! per-candidate fold, active in these test builds.
+//! (`exact_best_response_in`), which derives the agent's current cost
+//! itself and reads no warm vector, so these tests check the cached
+//! network and the memo that feed it; the search's own tables and the
+//! derived cost are checked inside every search by the debug oracles
+//! that compare each bound table with the per-candidate fold and the
+//! cost with `agent_cost_in`, active in these test builds.
 
 use std::collections::BTreeSet;
 

@@ -26,6 +26,18 @@ impl AdjacencyList {
         }
     }
 
+    /// Empties the graph and sizes it to `n` nodes, keeping the neighbour
+    /// lists it still has: refilling it then allocates only where a list
+    /// outgrows the capacity it already held.
+    pub fn clear(&mut self, n: usize) {
+        self.adj.truncate(n);
+        for nbrs in &mut self.adj {
+            nbrs.clear();
+        }
+        self.adj.resize_with(n, Vec::new);
+        self.m = 0;
+    }
+
     /// Builds a graph from an edge list, ignoring duplicate pairs
     /// (the first weight wins).
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId, f64)]) -> Self {

@@ -300,8 +300,9 @@ impl ScenarioSpec {
     /// The br-grid preset: exact-best-response dynamics on three hosts at
     /// the sizes where the exponential per-activation search is the whole
     /// cell cost — the end-to-end workload of the exact best response's
-    /// branch-and-bound (`exact_best_response_given_current`, one fresh
-    /// search per activation and per certified agent). This grid's bytes
+    /// branch-and-bound (one fresh search per activation,
+    /// `exact_best_response_in`, and per certified agent,
+    /// `exact_best_response_given_current`). This grid's bytes
     /// are locked by `tests/golden/br_grid_n14.jsonl`.
     pub fn br_grid() -> ScenarioSpec {
         ScenarioSpec {

@@ -115,17 +115,18 @@ GNCG_THREADS=1 swap_heavy_grid
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
 # Exact best responses, one fresh search per activation
-# (exact_best_response_given_current, the search br certification runs)
-# straight off the network: the candidates the cut keeps, a bound table
-# grown one star relaxation per kept candidate and d0 grown in the same
-# vector, in buffers each thread keeps; a re-probe with no commit since
-# the agent was last priced is answered by the engine's pricing memo,
-# which serves all three rules.
+# (exact_best_response_in, the search br certification runs on the
+# all-pairs table's cost) straight off the network: d0 grown in the live
+# vector, the agent's current cost derived off it, the candidates the cut
+# keeps, a bound table grown one star relaxation per kept candidate in a
+# second vector, in buffers each thread keeps; no warm vector is read. A
+# re-probe with no commit since the agent was last priced is answered by
+# the engine's pricing memo, which serves all three rules.
 # The committed golden locks the bytes at one pool thread and at four;
 # debug builds check every bound table against the per-candidate fold,
-# d0 against a Dijkstra on the base graph, every cut search against the
-# search over every candidate, and every memo hit against a fresh
-# pricing.
+# d0 against a Dijkstra on the base graph, the derived cost against
+# agent_cost_in, every cut search against the search over every
+# candidate, and every memo hit against a fresh pricing.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
   GNCG_THREADS="$1" "$GNCG" grid \
@@ -152,6 +153,24 @@ meter_golden() {
 }
 meter_golden 1
 meter_golden 4
+
+echo "== checkpoint grid vs committed golden (36 cells, every rule, a frame per round)" >&2
+# Checkpoint frames carry every agent's cost each round, which no other
+# golden holds: read off warm vectors under the greedy rules, priced
+# afresh under the exact rule, whose searches warm no vector. Pinned to
+# one pool thread and at four.
+checkpoint_golden() {
+  rm -f target/tier1-checkpoints.jsonl target/tier1-checkpoints.manifest
+  GNCG_THREADS="$1" "$GNCG" grid \
+    --out target/tier1-checkpoints.jsonl \
+    --name checkpoints \
+    --hosts unit,metric,oneinf --n 6 --alpha 0.8,2.0 \
+    --rules greedy,add,br --scheds rr,maxgain \
+    --seed-count 1 --max-rounds 100 --regret-meter --checkpoint-every 1
+  cmp target/tier1-checkpoints.jsonl tests/golden/checkpoints_n6.jsonl
+}
+checkpoint_golden 1
+checkpoint_golden 4
 
 echo "== greedy-hosts grid vs committed golden (72 cells, n = 16)" >&2
 # The greedy rule on the hosts no other golden covers: exact ties (unit,
@@ -240,9 +259,10 @@ echo "== oracle profile (release speed, debug assertions on): goldens + large-n"
 # certifier's masked-scan check on every certified golden cell, every
 # bound table a best response grows (engine activations and br
 # certification) against the per-candidate fold it is grown instead of,
-# within the 1 − 8nε margin, and every cut search against the search over
+# within the 1 − 8nε margin, every cut search against the search over
 # every candidate (the same strategy and cost bits, no more subsets
-# evaluated), on all 108 golden br cells, the br
+# evaluated) and every current cost a search derives against
+# agent_cost_in, on every golden br cell, the br
 # certificate's all-pairs current cost against its Dijkstra, the
 # bound-first move scan's masked-scan and synced-row
 # checks on every full-sum greedy and add activation, the RegionDelta
@@ -258,6 +278,7 @@ GNCG=./target/oracle/gncg
 GNCG_THREADS=4 swap_heavy_grid
 br_grid 4
 meter_golden 4
+checkpoint_golden 4
 greedy_hosts 4
 br_hosts 4
 GNCG_THREADS=4 horizon_grid

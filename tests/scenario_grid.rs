@@ -103,6 +103,40 @@ fn regret_meter_grid_matches_committed_golden() {
     );
 }
 
+/// Checkpoint frames against their committed golden: every rule under
+/// round-robin and MaxGain, one frame per round, on exact ties (`unit`),
+/// a metric and ∞ edges (`oneinf`). No other golden carries checkpoint
+/// `costs`: each is read off a warm vector under the greedy rules and
+/// priced afresh under the exact rule, whose searches warm no vector.
+#[test]
+fn checkpoint_grid_matches_committed_golden() {
+    let dir = tmp_dir();
+    let out = dir.join("checkpoints.jsonl");
+    let spec = ScenarioSpec {
+        name: "checkpoints".into(),
+        hosts: vec!["unit".into(), "metric".into(), "oneinf".into()],
+        ns: vec![6],
+        alphas: vec![0.8, 2.0],
+        rules: vec![RuleSpec::Greedy, RuleSpec::Add, RuleSpec::Br],
+        schedulers: vec![SchedSpec::RoundRobin, SchedSpec::MaxGain],
+        seeds: vec![0],
+        max_rounds: 100,
+        regret_meter: true,
+        checkpoint_every: 1,
+        ..ScenarioSpec::default()
+    };
+    run_grid(&spec, &out, false).unwrap();
+    let got = fs::read_to_string(&out).unwrap();
+    let golden = fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoints_n6.jsonl"),
+    )
+    .unwrap();
+    assert_eq!(
+        got, golden,
+        "checkpoint grid drifted from the committed golden"
+    );
+}
+
 /// The greedy rule on the hosts the other goldens leave out, against its
 /// committed golden: exact ties (unit, onetwo), a tree metric, non-metric
 /// weights (general) and ∞ edges (oneinf), under round-robin and the
