@@ -256,7 +256,8 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-use gncg_graph::{strictly_less, AdjacencyList, DijkstraScratch, DynamicSssp, MaskedEdges, NodeId};
+use gncg_graph::dijkstra::dijkstra;
+use gncg_graph::{strictly_less, AdjacencyList, DynamicSssp, MaskedEdges, NodeId};
 
 use crate::cost::{
     agent_cost_in, base_graph_from, base_graph_without, candidate_cost, edge_cost, CostBreakdown,
@@ -481,7 +482,7 @@ impl BrSearch {
             assert_table_matches_fold(&self.via, &fold, game.n(), agent);
             assert_eq!(
                 worker.inc.dist(),
-                gncg_graph::dijkstra::dijkstra(&base, agent),
+                gncg_graph::dijkstra::dijkstra_reference(&base, agent),
                 "agent {agent}'s d0 diverged from a Dijkstra on its base graph"
             );
         }
@@ -561,14 +562,13 @@ fn fold_bound_table(game: &Game, base: &AdjacencyList, agent: NodeId, kept: usiz
     for &(v, _) in base.neighbors(agent) {
         g_minus_u.remove_edge(agent, v);
     }
-    let mut scratch = DijkstraScratch::new();
     let mut via = vec![f64::INFINITY; (kept + 1) * n];
     for (i, &(c, w)) in candidates.iter().enumerate().rev() {
-        scratch.run(&g_minus_u, c, &[]);
+        let from_c = dijkstra(&g_minus_u, c);
         // Row `i` folds over row `i + 1`, laid out right behind it.
         let (row, next) = via[i * n..(i + 2) * n].split_at_mut(n);
-        for (x, (slot, &suffix)) in row.iter_mut().zip(next.iter()).enumerate() {
-            *slot = (w + scratch.dist(x as NodeId)).min(suffix);
+        for ((slot, &suffix), &d) in row.iter_mut().zip(next.iter()).zip(&from_c) {
+            *slot = (w + d).min(suffix);
         }
     }
     // Drop the all-∞ row the fold started from.
@@ -694,7 +694,11 @@ pub fn exact_best_response_in(
 
 /// [`exact_best_response_in`] with the agent's current cost supplied by
 /// the caller (br certification reads it off the cell's all-pairs
-/// table). It searches the candidates the cut keeps ([`candidates_kept`])
+/// table). It stays beside [`exact_best_response_in`] because a
+/// certification that derived the cost instead ran slower end to end
+/// (the br-grid benchmark's time per cell 1.03×, its submit latencies
+/// 1.03–1.04× and its setup 1.04×, lower in none of four alternating
+/// pairs). It searches the candidates the cut keeps ([`candidates_kept`])
 /// straight off `network`, in buffers its thread keeps (module docs, "The
 /// incremental engine"), so once they have grown a call allocates only
 /// its result. Debug builds re-run the search over every candidate and
@@ -1587,7 +1591,7 @@ impl<'r, 's> ScanBounds<'r, 's> {
         for (a, row) in rows.iter().enumerate() {
             debug_assert_eq!(
                 row.dist(),
-                gncg_graph::dijkstra::dijkstra(network, a as NodeId).as_slice(),
+                gncg_graph::dijkstra::dijkstra_reference(network, a as NodeId).as_slice(),
                 "row {a} read by the scan is not synced"
             );
         }

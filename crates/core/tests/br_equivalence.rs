@@ -8,8 +8,8 @@
 //! divergence is a soundness bug, not noise. The reference prices every
 //! leaf with its own Dijkstra and prunes only with the host-closure
 //! bound, so it shares no pruning code with the engine it checks.
-//! Likewise, `DijkstraScratch` reuse must be observationally identical to
-//! fresh-allocation Dijkstra across arbitrarily many calls.
+//! Likewise, a reused `DynamicSssp`'s fresh runs must be observationally
+//! identical to fresh-allocation Dijkstra across arbitrarily many calls.
 
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ use gncg_core::response::{
 };
 use gncg_core::{strictly_less, Game, Profile};
 use gncg_graph::dijkstra::{dijkstra, dijkstra_reference};
-use gncg_graph::{AdjacencyList, Csr, DijkstraScratch, NodeId};
+use gncg_graph::{AdjacencyList, Csr, DynamicSssp, NodeId};
 
 /// A random metric host of size `n` plus an α from the regime list
 /// (buy-everything, balanced, tree-like, buy-nothing).
@@ -119,16 +119,17 @@ proptest! {
         prop_assert!(gncg_graph::approx_eq(real, inc.cost));
     }
 
-    /// A reused `DijkstraScratch` (generation-stamped arrays, drained
-    /// heap) returns exactly what fresh-allocation Dijkstra returns, on
-    /// every source of a stream of random graphs, in both adjacency and
-    /// CSR representations.
+    /// One reused `DynamicSssp`'s fresh runs (`reset_dijkstra`, a vector
+    /// and frontier kept from run to run) return exactly what
+    /// fresh-allocation Dijkstra returns, on every source of a stream of
+    /// random graphs of varying size, in both adjacency and CSR
+    /// representations.
     #[test]
     fn scratch_reuse_matches_fresh_dijkstra(
         seeds in proptest::collection::vec(0u64..1 << 16, 3),
         extra_w in 0.1f64..5.0,
     ) {
-        let mut scratch = DijkstraScratch::new();
+        let mut fresh_run = DynamicSssp::new();
         for &seed in &seeds {
             let n = 6 + (seed % 5) as usize;
             let host = gncg_metrics::arbitrary::random_metric(n, 1.0, 4.0, seed);
@@ -142,14 +143,14 @@ proptest! {
             let csr = Csr::from_adjacency(&g);
             for s in 0..n as NodeId {
                 // dijkstra_reference is the independent per-call-allocation
-                // oracle; dijkstra() itself runs on the scratch core.
+                // oracle; dijkstra() itself runs on a thread-local vector.
                 let fresh = dijkstra_reference(&g, s);
                 prop_assert_eq!(&dijkstra(&g, s), &fresh);
-                scratch.run(&g, s, &[]);
-                prop_assert_eq!(&scratch.to_vec(n), &fresh);
-                scratch.run(&csr, s, &[]);
-                prop_assert_eq!(&scratch.to_vec(n), &fresh);
-                prop_assert_eq!(scratch.sum_distances(n), fresh.iter().sum::<f64>());
+                fresh_run.reset_dijkstra(&g, s);
+                prop_assert_eq!(fresh_run.dist(), fresh.as_slice());
+                fresh_run.reset_dijkstra(&csr, s);
+                prop_assert_eq!(fresh_run.dist(), fresh.as_slice());
+                prop_assert_eq!(fresh_run.sum(), fresh.iter().sum::<f64>());
             }
         }
     }

@@ -142,7 +142,7 @@ use gncg_core::response::{
     SpeculativePricing,
 };
 use gncg_core::{Game, NodeId, Profile};
-use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
+use gncg_graph::{AdjacencyList, DynamicSssp, NetworkDelta};
 
 use crate::cycle::{CycleDetector, Recurrence};
 use crate::trace::{Trace, TraceEntry};
@@ -475,22 +475,14 @@ impl PricerScratch {
     }
 }
 
-/// What one pool thread works in during [`EvalContext::scan`]: a
-/// Dijkstra scratch and distance buffer for the rows it syncs, and a
-/// [`PricerScratch`] for the agents it prices.
-#[derive(Debug, Default)]
-struct PoolScratch {
-    sync: DijkstraScratch,
-    buf: Vec<f64>,
-    pricer: PricerScratch,
-}
-
 thread_local! {
-    /// This thread's [`PoolScratch`], kept from scan to scan so that a
-    /// scan allocates nothing once its threads' scratch has grown. Each
-    /// item of a scan's two passes borrows it for its own sync or pricing
-    /// only, which never reaches another scan, so the borrow never nests.
-    static POOL_SCRATCH: RefCell<PoolScratch> = RefCell::new(PoolScratch::default());
+    /// What one pool thread prices in during [`EvalContext::scan`], kept
+    /// from scan to scan so that a scan allocates nothing once its
+    /// threads' scratch has grown. Each item of a scan's pricing pass
+    /// borrows it for its own pricing only, which never reaches another
+    /// scan, so the borrow never nests. The sync pass needs no scratch: a
+    /// cold row runs its Dijkstra in the row itself.
+    static POOL_SCRATCH: RefCell<PricerScratch> = RefCell::new(PricerScratch::default());
 }
 
 /// The per-agent pricing every activation path shares: agent `u`'s
@@ -546,25 +538,17 @@ fn pricer<'a>(
 }
 
 /// Makes one warm distance vector current for `network`: a fresh Dijkstra
-/// (through `scratch` and `buf`) when it was never computed this run
-/// (`pending` is `None`), otherwise one batched replay of the committed
-/// insertions it has not seen yet.
+/// in the vector itself ([`DynamicSssp::reset_dijkstra`]) when it was
+/// never computed this run (`pending` is `None`), otherwise one batched
+/// replay of the committed insertions it has not seen yet.
 fn sync_warm(
     network: &AdjacencyList,
     u: NodeId,
     warm: &mut DynamicSssp,
     pending: Option<&[(NodeId, NodeId, f64)]>,
-    scratch: &mut DijkstraScratch,
-    buf: &mut Vec<f64>,
 ) {
     match pending {
-        None => {
-            scratch.run(network, u, &[]);
-            buf.clear();
-            buf.resize(network.n(), f64::INFINITY);
-            scratch.write_distances(buf);
-            warm.reset_from(u, buf);
-        }
+        None => warm.reset_dijkstra(network, u),
         Some(log) if !log.is_empty() => warm.relax_inserts(network, log),
         Some(_) => {}
     }
@@ -590,9 +574,6 @@ pub struct EvalContext {
     /// reflects. A vector is current iff `valid[u] && synced[u] ==
     /// insert_log.len()` — what [`EvalContext::ensure_warm`] establishes.
     synced: Vec<usize>,
-    /// Scratch for (re)computing a warm vector from scratch.
-    scratch: DijkstraScratch,
-    dist_buf: Vec<f64>,
     /// What the activations' pricer works in: the copy of the activated
     /// agent's warm vector its move scan speculates on, and the scan's
     /// tables and buffers.
@@ -687,11 +668,12 @@ impl EvalContext {
     }
 
     /// Bytes resident in the warm-vector machinery: every per-agent
-    /// [`DynamicSssp`], the insert log and its sync marks, plus the shared
-    /// scratch (the Dijkstra scratch, its distance buffer, and the
-    /// pricer's row copy, scan tables and buffers) — the
+    /// [`DynamicSssp`], the insert log and its sync marks, plus the
+    /// pricer's scratch (its row copy, scan tables and buffers) — the
     /// dominant per-context memory at large `n` (each warm vector holds
-    /// `Θ(n)` floats).
+    /// `Θ(n)` floats). A warm vector's first read runs its Dijkstra in
+    /// the vector itself (past 64 nodes on a heap its thread shares with
+    /// every fresh run, which no gauge counts).
     /// Capacity-based, so it reports what the allocator holds, not what
     /// the current run touches.
     pub fn warm_resident_bytes(&self) -> usize {
@@ -702,8 +684,6 @@ impl EvalContext {
             .sum::<usize>()
             + self.insert_log.capacity() * size_of::<(NodeId, NodeId, f64)>()
             + self.synced.capacity() * size_of::<usize>()
-            + self.scratch.resident_bytes()
-            + self.dist_buf.capacity() * size_of::<f64>()
             + self.pricer.resident_bytes()
     }
 
@@ -757,14 +737,13 @@ impl EvalContext {
     /// the pricing reads current ([`rows_read`]: all of them when the scan
     /// reads other agents' rows, none under the exact rule, otherwise
     /// those of the agents the memo misses), each item borrowing exactly
-    /// its agent's warm vector; the other prices
-    /// each missed agent against a copy of its row, with its memo slot
-    /// borrowed and the rows shared read-only. Both passes work in their
-    /// thread's [`PoolScratch`] (a Dijkstra scratch for the rows, a
-    /// [`PricerScratch`] for the pricings), kept from scan to scan, so a
-    /// scan allocates nothing once its threads' scratch has grown. No
-    /// pricing depends on what a scratch held before, so the result is
-    /// bitwise deterministic at every thread count.
+    /// its agent's warm vector, in which a cold row runs its Dijkstra; the
+    /// other prices each missed agent against a copy of its row, with its
+    /// memo slot borrowed and the rows shared read-only, in its thread's
+    /// [`PricerScratch`], kept from scan to scan, so a scan allocates
+    /// nothing once its threads' scratch has grown. No pricing depends on
+    /// what a scratch held before, so the result is bitwise deterministic
+    /// at every thread count.
     fn scan(
         &mut self,
         game: &Game,
@@ -796,9 +775,7 @@ impl EvalContext {
             .collect();
         stale.par_chunks_mut(1).for_each(|row| {
             let (u, pending, warm) = &mut row[0];
-            POOL_SCRATCH.with_borrow_mut(|PoolScratch { sync, buf, .. }| {
-                sync_warm(network, *u, warm, *pending, sync, buf);
-            });
+            sync_warm(network, *u, warm, *pending);
         });
         if reads == Rows::All {
             self.rows_epoch = epoch;
@@ -819,7 +796,7 @@ impl EvalContext {
             .count();
         agents.par_chunks_mut(1).for_each(|agent| {
             let (u, slot) = &mut agent[0];
-            POOL_SCRATCH.with_borrow_mut(|PoolScratch { pricer, .. }| {
+            POOL_SCRATCH.with_borrow_mut(|pricer| {
                 memoized(slot, epoch, rule, || price(*u, rows, pricer));
             });
         });
@@ -837,17 +814,10 @@ impl EvalContext {
     pub fn ensure_warm(&mut self, u: NodeId) {
         let i = u as usize;
         let pending = self.valid[i].then(|| &self.insert_log[self.synced[i]..]);
-        sync_warm(
-            &self.network,
-            u,
-            &mut self.warm[i],
-            pending,
-            &mut self.scratch,
-            &mut self.dist_buf,
-        );
+        sync_warm(&self.network, u, &mut self.warm[i], pending);
         #[cfg(debug_assertions)]
         if pending.is_some_and(|p| !p.is_empty()) {
-            let fresh = gncg_graph::dijkstra::dijkstra(&self.network, u);
+            let fresh = gncg_graph::dijkstra::dijkstra_reference(&self.network, u);
             debug_assert_eq!(
                 self.warm[i].dist(),
                 fresh.as_slice(),
@@ -934,7 +904,8 @@ impl EvalContext {
                 .enumerate()
             {
                 if valid && synced == self.insert_log.len() {
-                    let fresh = gncg_graph::dijkstra::dijkstra(&self.network, x as NodeId);
+                    let fresh =
+                        gncg_graph::dijkstra::dijkstra_reference(&self.network, x as NodeId);
                     debug_assert_eq!(
                         inc.dist(),
                         fresh.as_slice(),
@@ -1461,12 +1432,8 @@ mod tests {
         engine.run(&game, Profile::star(9, 0), &DynamicsConfig::default());
         let ctx = &engine.ctx;
         let pricer = &ctx.pricer;
-        assert!(ctx.scratch.resident_bytes() > 0 && pricer.row_copy.resident_bytes() > 0);
-        assert!(pricer.scan.resident_bytes() > 0);
-        let scratch = ctx.scratch.resident_bytes()
-            + ctx.dist_buf.capacity() * std::mem::size_of::<f64>()
-            + pricer.row_copy.resident_bytes()
-            + pricer.scan.resident_bytes();
+        assert!(pricer.row_copy.resident_bytes() > 0 && pricer.scan.resident_bytes() > 0);
+        let scratch = pricer.row_copy.resident_bytes() + pricer.scan.resident_bytes();
         assert_eq!(
             engine.warm_resident_bytes(),
             ctx.warm

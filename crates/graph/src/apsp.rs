@@ -8,7 +8,7 @@
 
 use rayon::prelude::*;
 
-use crate::csr::{Csr, DijkstraScratch};
+use crate::csr::{Csr, DynamicSssp};
 use crate::{AdjacencyList, NodeId, SymMatrix};
 
 /// A dense all-pairs distance table.
@@ -102,20 +102,21 @@ impl DistanceMatrix {
     }
 }
 
-/// Sequential APSP: one Dijkstra per source, all sharing one scratch and
-/// one CSR snapshot — the only allocations are the snapshot and the
-/// `n × n` output buffer itself.
+/// Sequential APSP: one Dijkstra per source, all fresh runs of one
+/// [`DynamicSssp`] over one CSR snapshot, each row copied out — the only
+/// allocations are the snapshot, the vector and the `n × n` output
+/// buffer itself.
 pub fn apsp_sequential(g: &AdjacencyList) -> DistanceMatrix {
     let n = g.n();
     if n == 0 {
         return DistanceMatrix::from_raw(0, Vec::new());
     }
     let csr = Csr::from_adjacency(g);
-    let mut scratch = DijkstraScratch::new();
+    let mut sssp = DynamicSssp::new();
     let mut d = vec![f64::INFINITY; n * n];
     for (u, row) in d.chunks_mut(n).enumerate() {
-        scratch.run(&csr, u as NodeId, &[]);
-        scratch.write_distances(row);
+        sssp.reset_dijkstra(&csr, u as NodeId);
+        row.copy_from_slice(sssp.dist());
     }
     DistanceMatrix::from_raw(n, d)
 }
@@ -130,19 +131,19 @@ pub fn apsp_sequential(g: &AdjacencyList) -> DistanceMatrix {
 pub fn apsp_parallel(g: &AdjacencyList) -> DistanceMatrix {
     let n = g.n();
     // Small graphs and single-thread pools both pay fan-out bookkeeping
-    // for nothing; the one-scratch sequential loop is strictly better.
+    // for nothing; the one-vector sequential loop is strictly better.
     if n < 64 || rayon::current_num_threads() == 1 {
         return apsp_sequential(g);
     }
     let csr = Csr::from_adjacency(g);
     let mut d = vec![f64::INFINITY; n * n];
-    // for_each_init: one scratch per chunk of rows, reused across the
+    // for_each_init: one vector per chunk of rows, reused across the
     // chunk, regardless of which pool thread runs it.
     d.par_chunks_mut(n)
         .enumerate()
-        .for_each_init(DijkstraScratch::new, |scratch, (u, row)| {
-            scratch.run(&csr, u as NodeId, &[]);
-            scratch.write_distances(row);
+        .for_each_init(DynamicSssp::new, |sssp, (u, row)| {
+            sssp.reset_dijkstra(&csr, u as NodeId);
+            row.copy_from_slice(sssp.dist());
         });
     DistanceMatrix::from_raw(n, d)
 }

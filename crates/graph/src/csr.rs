@@ -1,4 +1,4 @@
-//! CSR graph views and allocation-free shortest-path engines.
+//! CSR graph views and the allocation-free shortest-path engine.
 //!
 //! The game layer prices candidate strategies millions of times per
 //! experiment; this module supplies the machinery that makes every one of
@@ -9,19 +9,20 @@
 //!   all-pairs pass and shared by every Dijkstra of it,
 //! * [`EdgeSource`] — the closure-based neighbor-iteration trait both
 //!   graph representations implement, so one Dijkstra serves both,
-//! * [`DijkstraScratch`] — generation-stamped dist array + a drained,
-//!   reused frontier (one machine word on graphs of at most 64 nodes, a
-//!   binary heap above): repeated SSSP calls allocate nothing after the
-//!   first (the stamp bump replaces the `O(n)` re-initialisation),
-//! * [`DynamicSssp`] — a distance vector maintained under edge
-//!   **insertions** (undo-logged [`DynamicSssp::add_edge`] for the
-//!   best-response branch-and-bound in `gncg_core::response`, permanent
-//!   [`DynamicSssp::relax_insert`] for committed moves) *and* edge
-//!   **removals** ([`DynamicSssp::remove_edge`], Ramalingam–Reps-style
-//!   affected-region re-relaxation; [`DynamicSssp::remove_edges`] batches
-//!   several removals into one affected-region pass) — the engine under
-//!   both the incremental best-response search and the dynamics engine's
-//!   warm per-agent distance vectors, which survive moves of every kind,
+//! * [`DynamicSssp`] — the one shortest-path engine: a distance vector
+//!   computed fresh by [`DynamicSssp::reset_dijkstra`] (the source alone,
+//!   pushed and drained once: every fresh run in the workspace, from APSP
+//!   rows and a warm vector's first read to `gncg_graph::dijkstra`) and
+//!   maintained under edge **insertions** (undo-logged
+//!   [`DynamicSssp::add_edge`] for the best-response branch-and-bound in
+//!   `gncg_core::response`, permanent [`DynamicSssp::relax_insert`] for
+//!   committed moves) *and* edge **removals**
+//!   ([`DynamicSssp::remove_edge`], Ramalingam–Reps-style affected-region
+//!   re-relaxation; [`DynamicSssp::remove_edges`] batches several
+//!   removals into one affected-region pass) — the engine under both the
+//!   incremental best-response search and the dynamics engine's warm
+//!   per-agent distance vectors, which survive moves of every kind. A
+//!   reused vector allocates nothing once it has grown to its graph,
 //! * [`MaskedEdges`] — a zero-copy [`EdgeSource`] view with a few edges
 //!   hidden, so a *speculative* removal can be priced against a graph
 //!   that is never actually mutated.
@@ -93,12 +94,14 @@
 //! order for the least distance, keeping the lowest id on ties. That
 //! replaces the binary heap's `O(log n)` sift per push and pop, and its
 //! stale entries, with a few word operations, and allocates nothing.
-//! Graphs of more than 64 nodes keep the binary heap. The node count is
-//! the only gate: a [`DynamicSssp`] reads it from its vector's length
-//! (debug-asserted equal to the graph's), a [`DijkstraScratch`] from the
-//! graph it runs on. Each loop is written once, generic over the two
-//! frontiers; `dijkstra_reference` in [`crate::dijkstra`] keeps a heap of
-//! its own as the independent oracle.
+//! Graphs of more than 64 nodes keep the binary heap: a vector's own for
+//! its updates, and one per thread for fresh runs, whose frontier can
+//! grow to `Θ(n)` entries. The node count is the only gate: a
+//! [`DynamicSssp`] reads it from its vector's length, debug-asserted
+//! equal to the graph's (a fresh run sizes the vector to the graph
+//! first). Each loop is written once, generic over the two frontiers;
+//! `dijkstra_reference` in [`crate::dijkstra`] keeps a heap of its own as
+//! the independent oracle.
 //!
 //! Most loops are order-free fixpoints: every tentative value is a
 //! left-to-right `f64` prefix sum of a real path, and a decrease-only
@@ -123,6 +126,7 @@
 //! distances, the same log suffix entry for entry and, for a removal,
 //! the same affected region in the same order.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -181,7 +185,7 @@ trait Frontier {
 /// The heap frontier: an entry per push, so a node lowered twice has a
 /// stale entry, which `pop` skips. Both methods are forced inline: a loop
 /// pops once per scanned node, and left to itself the compiler calls
-/// `pop` out of line from [`DijkstraScratch`]'s scan.
+/// `pop` out of line from a Dijkstra's drain.
 impl Frontier for BinaryHeap<HeapEntry> {
     #[inline(always)]
     fn push(&mut self, node: NodeId, dist: f64) {
@@ -381,200 +385,32 @@ impl<G: EdgeSource> EdgeSource for MaskedEdges<'_, G> {
     }
 }
 
-/// Reusable Dijkstra state: after the first call on a given size, running
-/// an SSSP allocates nothing.
-///
-/// The distance array is *generation-stamped*: each run bumps a counter
-/// and an entry is valid only when its stamp matches, so starting a run is
-/// `O(1)` instead of an `O(n)` fill. A run on a graph of at most 64 nodes
-/// keeps its frontier in one machine word (module docs, "The small-graph
-/// frontier"); a larger one drains a binary heap (only improving entries
-/// are pushed) whose buffer is reused.
-#[derive(Clone, Debug, Default)]
-pub struct DijkstraScratch {
-    dist: Vec<f64>,
-    stamp: Vec<u32>,
-    generation: u32,
-    /// The frontier of graphs of more than 64 nodes (reused; drained
-    /// empty by each run).
-    heap: BinaryHeap<HeapEntry>,
+thread_local! {
+    /// The heap frontier of every fresh run past 64 nodes on this thread
+    /// ([`DynamicSssp::reset_dijkstra`]). A whole Dijkstra can hold `Θ(n)`
+    /// entries at once (from a star's leaf: every other leaf), far more
+    /// than the regions an update relaxes; a warm vector that kept them
+    /// in its own heap would hold twice its distances' bytes there
+    /// (keeping them took the n = 4096 large-n cell's peak memory from 391
+    /// to 647 MB at one pool thread). So fresh runs share one heap per
+    /// thread, and a vector's own heap serves its updates alone.
+    static FRESH_HEAP: RefCell<BinaryHeap<HeapEntry>> = const { RefCell::new(BinaryHeap::new()) };
 }
 
-impl DijkstraScratch {
-    /// A fresh scratch; arrays grow lazily to the largest graph seen.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn begin(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, f64::INFINITY);
-            self.stamp.resize(n, 0);
-        }
-        if self.generation == u32::MAX {
-            // Stamp wrap: invalidate everything once every 2^32 runs.
-            self.stamp.fill(0);
-            self.generation = 0;
-        }
-        self.generation += 1;
-    }
-
-    /// Distance of `v` from the last run's source (`∞` when unreached or
-    /// out of range for every graph seen so far).
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> f64 {
-        match self.stamp.get(v as usize) {
-            Some(&s) if s == self.generation => self.dist[v as usize],
-            _ => f64::INFINITY,
-        }
-    }
-
-    #[inline]
-    fn improve(&mut self, v: NodeId, d: f64) -> bool {
-        let i = v as usize;
-        if self.stamp[i] != self.generation {
-            // Never first-touch with ∞ (reached only over a forbidden
-            // edge): stamping it would cascade useless heap churn through
-            // unreachable components; untouched nodes already read as ∞.
-            if d < f64::INFINITY {
-                self.stamp[i] = self.generation;
-                self.dist[i] = d;
-                return true;
-            }
-            false
-        } else if d < self.dist[i] {
-            self.dist[i] = d;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Runs Dijkstra from `source` on `g` with virtual undirected `extra`
-    /// edges overlaid. Distances are read back via
-    /// [`DijkstraScratch::dist`], [`DijkstraScratch::write_distances`], or
-    /// [`DijkstraScratch::sum_distances`].
-    pub fn run<G: EdgeSource>(&mut self, g: &G, source: NodeId, extra: &[(NodeId, NodeId, f64)]) {
-        self.run_masked(g, source, &[], extra)
-    }
-
-    /// [`DijkstraScratch::run`] with edges in `removed` (unordered pairs)
-    /// skipped — the "agent drops its own edges" evaluation.
-    pub fn run_masked<G: EdgeSource>(
-        &mut self,
-        g: &G,
-        source: NodeId,
-        removed: &[(NodeId, NodeId)],
-        extra: &[(NodeId, NodeId, f64)],
-    ) {
-        let n = g.num_nodes();
-        if n <= WORD_FRONTIER_NODES {
-            self.scan(g, source, removed, extra, &mut WordFrontier::default());
-            #[cfg(debug_assertions)]
-            {
-                // Oracle: the heap ancestor, on a scratch of its own, must
-                // agree bitwise.
-                let mut oracle = DijkstraScratch::new();
-                oracle.scan(g, source, removed, extra, &mut BinaryHeap::new());
-                assert_eq!(
-                    self.to_vec(n),
-                    oracle.to_vec(n),
-                    "bitmask SSSP diverged from the heap oracle"
-                );
-            }
-            return;
-        }
-        let mut heap = std::mem::take(&mut self.heap);
-        self.scan(g, source, removed, extra, &mut heap);
-        self.heap = heap;
-    }
-
-    /// The Dijkstra of [`DijkstraScratch::run_masked`] on `frontier`,
-    /// which the scan drains.
-    fn scan<G: EdgeSource, F: Frontier>(
-        &mut self,
-        g: &G,
-        source: NodeId,
-        removed: &[(NodeId, NodeId)],
-        extra: &[(NodeId, NodeId, f64)],
-        frontier: &mut F,
-    ) {
-        self.begin(g.num_nodes());
-        self.improve(source, 0.0);
-        frontier.push(source, 0.0);
-        let is_removed = |u: NodeId, v: NodeId| {
-            removed
-                .iter()
-                .any(|&(a, b)| (a == u && b == v) || (a == v && b == u))
-        };
-        // Every pending node is stamped in this generation, so its raw
-        // `dist` entry is its distance.
-        while let Some((u, d)) = frontier.pop(&self.dist) {
-            g.for_each_neighbor(u, |v, w| {
-                if !removed.is_empty() && is_removed(u, v) {
-                    return;
-                }
-                let nd = d + w;
-                if self.improve(v, nd) {
-                    frontier.push(v, nd);
-                }
-            });
-            for &(a, b, w) in extra {
-                let v = if a == u {
-                    b
-                } else if b == u {
-                    a
-                } else {
-                    continue;
-                };
-                let nd = d + w;
-                if self.improve(v, nd) {
-                    frontier.push(v, nd);
-                }
-            }
-        }
-    }
-
-    /// Approximate resident heap footprint of the scratch buffers, in
-    /// bytes (capacities, as [`DynamicSssp::resident_bytes`] counts them).
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.dist.capacity() * size_of::<f64>()
-            + self.stamp.capacity() * size_of::<u32>()
-            + self.heap.capacity() * size_of::<HeapEntry>()
-    }
-
-    /// Copies the distances of the last run into `out` (any length:
-    /// unreached or out-of-range nodes get `∞`).
-    pub fn write_distances(&self, out: &mut [f64]) {
-        let known = self.dist.len().min(out.len());
-        for (v, slot) in out.iter_mut().enumerate().take(known) {
-            *slot = self.dist(v as NodeId);
-        }
-        out[known..].fill(f64::INFINITY);
-    }
-
-    /// The distances of the last run as a fresh vector.
-    pub fn to_vec(&self, n: usize) -> Vec<f64> {
-        (0..n as NodeId).map(|v| self.dist(v)).collect()
-    }
-
-    /// Index-order sum of the first `n` distances (`∞` when any node is
-    /// unreached) — identical summation order to `dists.iter().sum()` on a
-    /// materialized vector, so totals agree bitwise.
-    pub fn sum_distances(&self, n: usize) -> f64 {
-        let mut s = 0.0;
-        for v in 0..n as NodeId {
-            s += self.dist(v);
-        }
-        s
-    }
+/// Where an unlogged relaxation of a [`DynamicSssp`] starts.
+#[derive(Clone, Copy)]
+enum Seeds<'a> {
+    /// The source, pending at 0: a fresh Dijkstra.
+    Source,
+    /// The endpoints that inserted edges lower.
+    Inserts(&'a [(NodeId, NodeId, f64)]),
 }
 
-/// A single-source distance vector maintained under edge insertions
+/// A single-source distance vector computed fresh
+/// ([`DynamicSssp::reset_dijkstra`]) and maintained under edge insertions
 /// (undo-logged or permanent) **and** edge removals — the workhorse of
-/// both the incremental best-response search and the dynamics engine's
-/// warm per-agent distance vectors.
+/// every fresh shortest-path run, the incremental best-response search
+/// and the dynamics engine's warm per-agent distance vectors.
 ///
 /// Its loops keep their frontier in one machine word when the vector has
 /// at most 64 entries, and in a reused binary heap when it has more.
@@ -590,8 +426,9 @@ pub struct DynamicSssp {
     /// While non-empty, removal repairs log every distance overwrite so
     /// [`DynamicSssp::rollback`] can restore the vector bitwise.
     spec_marks: Vec<usize>,
-    /// The frontier of vectors of more than 64 nodes (reused; a horizon
-    /// cut may leave it unfinished, so each loop clears it first).
+    /// The frontier of this vector's updates past 64 nodes (reused; a
+    /// horizon cut may leave it unfinished, so each loop clears it first).
+    /// A fresh run drains the thread's [`FRESH_HEAP`] instead.
     heap: BinaryHeap<HeapEntry>,
     /// Scratch of [`DynamicSssp::remove_edges`]: the affected-region node
     /// list and its membership bitmap (cleared after every removal).
@@ -634,6 +471,18 @@ impl DynamicSssp {
         self.dist.resize(n, f64::INFINITY);
         self.dist[source as usize] = 0.0;
         self.rearm(source);
+    }
+
+    /// Resets to the distances from `source` in `g`: one Dijkstra, run as
+    /// [`DynamicSssp::reset_alone`] with the source pending at 0 on an
+    /// empty frontier, drained once. Every fresh single-source run of the
+    /// workspace is this call, on a vector reused from run to run: APSP
+    /// rows, a warm vector's first read and the functions of
+    /// [`crate::dijkstra`]. After the first run on a graph of its size it
+    /// allocates nothing.
+    pub fn reset_dijkstra<G: EdgeSource>(&mut self, g: &G, source: NodeId) {
+        self.reset_alone(source, g.num_nodes());
+        self.relax_unlogged(g, Seeds::Source);
     }
 
     /// Sets the source and clears the undo log and frames.
@@ -834,40 +683,63 @@ impl DynamicSssp {
             self.spec_marks.is_empty(),
             "an insert relaxation inside a speculation frame would be unrevertible"
         );
+        self.relax_unlogged(g, Seeds::Inserts(edges));
+    }
+
+    /// The decrease-only relaxation of [`DynamicSssp::reset_dijkstra`] and
+    /// [`DynamicSssp::relax_inserts`], from `seeds`: on the word frontier
+    /// when the vector is word-sized, which debug builds re-run on the
+    /// heap, and on a reused heap otherwise: the thread's [`FRESH_HEAP`]
+    /// for a fresh run, the vector's own for inserts.
+    fn relax_unlogged<G: EdgeSource>(&mut self, g: &G, seeds: Seeds<'_>) {
         if self.word_sized(g) {
             #[cfg(debug_assertions)]
             let (mut twin, mark) = (self.heap_twin(), self.undo.len());
-            self.relax_unlogged(g, edges, &mut WordFrontier::default());
+            self.drain_unlogged(g, seeds, &mut WordFrontier::default());
             #[cfg(debug_assertions)]
             {
-                twin.relax_unlogged(g, edges, &mut BinaryHeap::new());
-                self.assert_matches_heap_twin(&twin, mark, "insert relaxation");
+                twin.drain_unlogged(g, seeds, &mut BinaryHeap::new());
+                let what = match seeds {
+                    Seeds::Source => "Dijkstra",
+                    Seeds::Inserts(_) => "insert relaxation",
+                };
+                self.assert_matches_heap_twin(&twin, mark, what);
             }
+        } else if let Seeds::Source = seeds {
+            // A drain always empties its heap, so this one starts empty.
+            let mut heap = FRESH_HEAP.take();
+            self.drain_unlogged(g, seeds, &mut heap);
+            FRESH_HEAP.set(heap);
         } else {
             let mut heap = std::mem::take(&mut self.heap);
             heap.clear();
-            self.relax_unlogged(g, edges, &mut heap);
+            self.drain_unlogged(g, seeds, &mut heap);
             self.heap = heap;
         }
     }
 
-    /// The decrease-only relaxation of [`DynamicSssp::relax_inserts`] on
-    /// `frontier`.
-    fn relax_unlogged<G: EdgeSource, F: Frontier>(
+    /// The relaxation of [`DynamicSssp::relax_unlogged`] on `frontier`:
+    /// seeds it, then drains it.
+    fn drain_unlogged<G: EdgeSource, F: Frontier>(
         &mut self,
         g: &G,
-        edges: &[(NodeId, NodeId, f64)],
+        seeds: Seeds<'_>,
         frontier: &mut F,
     ) {
         let dist = &mut self.dist;
-        for &(a, b, w) in edges {
-            for (from, to) in [(a, b), (b, a)] {
-                let df = dist[from as usize];
-                if df.is_finite() {
-                    let nd = df + w;
-                    if nd < dist[to as usize] {
-                        dist[to as usize] = nd;
-                        frontier.push(to, nd);
+        match seeds {
+            Seeds::Source => frontier.push(self.source, 0.0),
+            Seeds::Inserts(edges) => {
+                for &(a, b, w) in edges {
+                    for (from, to) in [(a, b), (b, a)] {
+                        let df = dist[from as usize];
+                        if df.is_finite() {
+                            let nd = df + w;
+                            if nd < dist[to as usize] {
+                                dist[to as usize] = nd;
+                                frontier.push(to, nd);
+                            }
+                        }
                     }
                 }
             }
@@ -1321,7 +1193,7 @@ impl DynamicSssp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::dijkstra;
+    use crate::dijkstra::dijkstra_reference;
 
     fn diamond() -> AdjacencyList {
         AdjacencyList::from_edges(4, &[(0, 1, 1.0), (1, 3, 1.0), (0, 2, 3.0), (2, 3, 1.0)])
@@ -1343,23 +1215,12 @@ mod tests {
         }
     }
 
+    /// One vector reused for fresh runs equals the independent oracle on
+    /// every run: over adjacency lists and their CSR snapshots, on a
+    /// smaller graph after a larger one (no entry of the larger run
+    /// survives), and with a node no edge reaches, which reads `∞`.
     #[test]
-    fn scratch_matches_fresh_dijkstra_across_reuse() {
-        let g = diamond();
-        let c = Csr::from_adjacency(&g);
-        let mut scratch = DijkstraScratch::new();
-        for _round in 0..3 {
-            for s in 0..4u32 {
-                scratch.run(&c, s, &[]);
-                let fresh = dijkstra(&g, s);
-                assert_eq!(scratch.to_vec(4), fresh, "source {s}");
-                assert_eq!(scratch.sum_distances(4), fresh.iter().sum::<f64>());
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_shrinking_and_growing_graphs() {
+    fn fresh_runs_match_the_reference_across_reuse() {
         let big = AdjacencyList::from_edges(
             6,
             &[
@@ -1370,76 +1231,47 @@ mod tests {
                 (4, 5, 1.0),
             ],
         );
-        let small = diamond();
-        let mut scratch = DijkstraScratch::new();
-        scratch.run(&big, 0, &[]);
-        assert_eq!(scratch.dist(5), 5.0);
-        // A smaller graph after a bigger one must not see stale entries.
-        scratch.run(&small, 0, &[]);
-        assert_eq!(scratch.to_vec(4), dijkstra(&small, 0));
-        scratch.run(&big, 2, &[]);
-        assert_eq!(scratch.to_vec(6), dijkstra(&big, 2));
-    }
-
-    #[test]
-    fn scratch_extra_and_masked() {
-        let g = diamond();
-        let mut scratch = DijkstraScratch::new();
-        scratch.run(&g, 0, &[(0, 3, 0.5)]);
-        assert_eq!(scratch.dist(3), 0.5);
-        assert_eq!(scratch.dist(2), 1.5);
-        scratch.run_masked(&g, 0, &[(0, 1)], &[]);
-        assert_eq!(scratch.dist(1), 5.0);
-        assert_eq!(scratch.dist(3), 4.0);
-    }
-
-    #[test]
-    fn scratch_disconnected_sum_is_infinite() {
-        let mut g = AdjacencyList::new(3);
-        g.add_edge(0, 1, 1.0);
-        let mut scratch = DijkstraScratch::new();
-        scratch.run(&g, 0, &[]);
-        assert_eq!(scratch.dist(2), f64::INFINITY);
-        assert!(scratch.sum_distances(3).is_infinite());
-        let mut out = vec![0.0; 3];
-        scratch.write_distances(&mut out);
-        assert_eq!(out, vec![0.0, 1.0, f64::INFINITY]);
-        // A longer output buffer gets ∞ past the graph, not a panic.
-        let mut long = vec![0.0; 6];
-        scratch.write_distances(&mut long);
-        assert_eq!(
-            long,
-            vec![
-                0.0,
-                1.0,
-                f64::INFINITY,
-                f64::INFINITY,
-                f64::INFINITY,
-                f64::INFINITY
-            ]
-        );
+        let mut apart = AdjacencyList::new(3);
+        apart.add_edge(0, 1, 1.0);
+        let mut fresh = DynamicSssp::new();
+        for _round in 0..2 {
+            for g in [&big, &diamond(), &apart] {
+                let c = Csr::from_adjacency(g);
+                for s in 0..g.n() as NodeId {
+                    let want = dijkstra_reference(g, s);
+                    fresh.reset_dijkstra(g, s);
+                    assert_eq!(fresh.dist(), want.as_slice(), "source {s}");
+                    assert_eq!(fresh.sum(), want.iter().sum::<f64>());
+                    fresh.reset_dijkstra(&c, s);
+                    assert_eq!(fresh.dist(), want.as_slice(), "CSR, source {s}");
+                }
+            }
+        }
+        fresh.reset_dijkstra(&apart, 0);
+        assert_eq!(fresh.dist(), &[0.0, 1.0, f64::INFINITY]);
+        assert!(fresh.sum().is_infinite());
     }
 
     #[test]
     fn incremental_insert_matches_fresh_and_undo_restores() {
         let g = diamond();
         let c = Csr::from_adjacency(&g);
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
 
         inc.add_edge(&c, 0, 3, 0.5);
         let mut with_edge = g.clone();
         with_edge.add_edge(0, 3, 0.5);
-        assert_eq!(inc.dist(), dijkstra(&with_edge, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&with_edge, 0).as_slice());
 
         inc.add_edge(&c, 0, 2, 0.25);
         let mut with_both = with_edge.clone();
         with_both.add_edge(0, 2, 0.25);
-        assert_eq!(inc.dist(), dijkstra(&with_both, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&with_both, 0).as_slice());
 
         inc.undo();
-        assert_eq!(inc.dist(), dijkstra(&with_edge, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&with_edge, 0).as_slice());
         inc.undo();
         assert_eq!(inc.dist(), d0.as_slice());
         assert_eq!(inc.depth(), 0);
@@ -1452,7 +1284,7 @@ mod tests {
         let mut g = AdjacencyList::new(4);
         g.add_edge(1, 2, 1.0);
         g.add_edge(2, 3, 1.0);
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         assert!(d0[1].is_infinite());
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
@@ -1466,7 +1298,7 @@ mod tests {
     fn incremental_sum_matches_vector_sum() {
         let g = diamond();
         let mut inc = DynamicSssp::new();
-        inc.reset_from(0, &dijkstra(&g, 0));
+        inc.reset_from(0, &dijkstra_reference(&g, 0));
         inc.add_edge(&g, 0, 3, 0.5);
         let manual: f64 = inc.dist().iter().sum();
         assert_eq!(inc.sum(), manual);
@@ -1484,7 +1316,7 @@ mod tests {
         // the live graph (already containing it) must still be exact.
         let g = diamond();
         for source in 0..4u32 {
-            let d0 = dijkstra(&g, source);
+            let d0 = dijkstra_reference(&g, source);
             let mut live = g.clone();
             live.add_edge(1, 2, 0.25);
             let mut inc = DynamicSssp::new();
@@ -1492,7 +1324,7 @@ mod tests {
             inc.relax_insert(&live, 1, 2, 0.25);
             assert_eq!(
                 inc.dist(),
-                dijkstra(&live, source).as_slice(),
+                dijkstra_reference(&live, source).as_slice(),
                 "source {source}"
             );
         }
@@ -1507,7 +1339,7 @@ mod tests {
         g.add_edge(0, 1, 10.0);
         g.add_edge(1, 2, 10.0);
         g.add_edge(2, 3, 10.0);
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut live = g.clone();
         live.add_edge(0, 3, 1.0);
         live.add_edge(3, 2, 1.0);
@@ -1515,14 +1347,14 @@ mod tests {
         inc.reset_from(0, &d0);
         inc.relax_insert(&live, 0, 3, 1.0);
         inc.relax_insert(&live, 3, 2, 1.0);
-        assert_eq!(inc.dist(), dijkstra(&live, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&live, 0).as_slice());
         assert_eq!(inc.dist()[2], 2.0);
     }
 
     #[test]
     fn relax_insert_leaves_undo_log_untouched() {
         let g = diamond();
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mut live = g.clone();
@@ -1539,7 +1371,7 @@ mod tests {
         let edges: Vec<_> = g.edges().collect();
         for source in 0..4u32 {
             for &(a, b, w) in &edges {
-                let d0 = dijkstra(&g, source);
+                let d0 = dijkstra_reference(&g, source);
                 let mut live = g.clone();
                 live.remove_edge(a, b);
                 let mut inc = DynamicSssp::new();
@@ -1547,7 +1379,7 @@ mod tests {
                 inc.remove_edge(&live, a, b, w);
                 assert_eq!(
                     inc.dist(),
-                    dijkstra(&live, source).as_slice(),
+                    dijkstra_reference(&live, source).as_slice(),
                     "source {source}, removed ({a}, {b})"
                 );
                 assert_eq!(inc.depth(), 0, "removal must not open undo frames");
@@ -1563,7 +1395,7 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 2.0);
         g.add_edge(2, 3, 1.0);
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mut live = g.clone();
@@ -1574,7 +1406,7 @@ mod tests {
             &[0.0, 1.0, f64::INFINITY, f64::INFINITY],
             "disconnected tail must read ∞"
         );
-        assert_eq!(inc.dist(), dijkstra(&live, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&live, 0).as_slice());
     }
 
     #[test]
@@ -1582,14 +1414,14 @@ mod tests {
         // The heavy (0, 2) edge supports nobody from source 0 (0→2 goes
         // via 1, 3): removal must leave the vector bitwise untouched.
         let g = diamond();
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mut live = g.clone();
         live.remove_edge(0, 2);
         inc.remove_edge(&live, 0, 2, 3.0);
         assert_eq!(inc.dist(), d0.as_slice());
-        assert_eq!(inc.dist(), dijkstra(&live, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&live, 0).as_slice());
     }
 
     #[test]
@@ -1599,16 +1431,16 @@ mod tests {
         let g = diamond();
         for source in 0..4u32 {
             let mut inc = DynamicSssp::new();
-            inc.reset_from(source, &dijkstra(&g, source));
+            inc.reset_from(source, &dijkstra_reference(&g, source));
             let mut live = g.clone();
             live.remove_edge(0, 1);
             inc.remove_edge(&live, 0, 1, 1.0);
-            assert_eq!(inc.dist(), dijkstra(&live, source).as_slice());
+            assert_eq!(inc.dist(), dijkstra_reference(&live, source).as_slice());
             live.add_edge(0, 3, 0.25);
             inc.relax_insert(&live, 0, 3, 0.25);
             assert_eq!(
                 inc.dist(),
-                dijkstra(&live, source).as_slice(),
+                dijkstra_reference(&live, source).as_slice(),
                 "source {source}"
             );
         }
@@ -1624,13 +1456,13 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         g.add_edge(3, 4, 1.0);
         g.add_edge(0, 4, 10.0);
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mut live = g.clone();
         live.remove_edge(1, 2);
         inc.remove_edge(&live, 1, 2, 1.0);
-        assert_eq!(inc.dist(), dijkstra(&live, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&live, 0).as_slice());
         assert_eq!(inc.dist()[2], 12.0);
         assert_eq!(inc.dist()[3], 11.0);
     }
@@ -1650,9 +1482,9 @@ mod tests {
         // A masked Dijkstra equals a Dijkstra on the really-removed graph.
         let mut live = g.clone();
         live.remove_edge(0, 1);
-        let mut scratch = DijkstraScratch::new();
-        scratch.run(&view, 0, &[]);
-        assert_eq!(scratch.to_vec(4), dijkstra(&live, 0));
+        let mut fresh = DynamicSssp::new();
+        fresh.reset_dijkstra(&view, 0);
+        assert_eq!(fresh.dist(), dijkstra_reference(&live, 0).as_slice());
     }
 
     #[test]
@@ -1664,7 +1496,7 @@ mod tests {
         let g = diamond();
         let edges: Vec<_> = g.edges().collect();
         for source in 0..4u32 {
-            let d0 = dijkstra(&g, source);
+            let d0 = dijkstra_reference(&g, source);
             let mut inc = DynamicSssp::new();
             inc.reset_from(source, &d0);
             for &(a, b, w) in &edges {
@@ -1676,7 +1508,7 @@ mod tests {
                 inc.remove_edge(&view, a, b, w);
                 assert_eq!(
                     inc.dist(),
-                    dijkstra(&live, source).as_slice(),
+                    dijkstra_reference(&live, source).as_slice(),
                     "source {source}, removed ({a}, {b})"
                 );
                 inc.rollback();
@@ -1692,7 +1524,7 @@ mod tests {
         // rollback. The mid-frame vector must match a fresh Dijkstra on
         // the swapped graph.
         let g = diamond();
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mask = [(0u32, 1u32)];
@@ -1703,7 +1535,7 @@ mod tests {
         inc.begin_speculation();
         inc.remove_edge(&view, 0, 1, 1.0);
         inc.speculate_insert(&view, 0, 3, 0.25);
-        assert_eq!(inc.dist(), dijkstra(&swapped, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&swapped, 0).as_slice());
         inc.rollback();
         assert_eq!(inc.dist(), d0.as_slice());
         assert_eq!((inc.depth(), inc.speculation_depth()), (0, 0));
@@ -1713,7 +1545,7 @@ mod tests {
     fn frames_opened_counts_every_frame_across_resets() {
         let g = diamond();
         let mut inc = DynamicSssp::new();
-        inc.reset_from(0, &dijkstra(&g, 0));
+        inc.reset_from(0, &dijkstra_reference(&g, 0));
         let mask = [(0u32, 1u32)];
         let view = MaskedEdges::new(&g, &mask);
         inc.begin_speculation();
@@ -1723,7 +1555,7 @@ mod tests {
         inc.rollback();
         inc.rollback();
         assert_eq!(inc.frames_opened(), 2);
-        inc.reset_from(1, &dijkstra(&g, 1));
+        inc.reset_from(1, &dijkstra_reference(&g, 1));
         inc.begin_speculation();
         inc.rollback();
         assert_eq!(inc.frames_opened(), 3, "a reset keeps the count");
@@ -1737,7 +1569,7 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 2.0);
         g.add_edge(2, 3, 1.0);
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mask = [(1u32, 2u32)];
@@ -1776,9 +1608,9 @@ mod tests {
                 }
                 for source in 0..5u32 {
                     let mut batched = DynamicSssp::new();
-                    batched.reset_from(source, &dijkstra(&g, source));
+                    batched.reset_from(source, &dijkstra_reference(&g, source));
                     batched.remove_edges(&live, &pair);
-                    let fresh = dijkstra(&live, source);
+                    let fresh = dijkstra_reference(&live, source);
                     assert_eq!(
                         batched.dist(),
                         fresh.as_slice(),
@@ -1801,7 +1633,7 @@ mod tests {
                 (4, 0, 5.0),
             ],
         );
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let removed = [(1u32, 2u32, 1.0), (3u32, 4u32, 1.0)];
@@ -1812,7 +1644,7 @@ mod tests {
         live.remove_edge(3, 4);
         inc.begin_speculation();
         inc.remove_edges(&view, &removed);
-        assert_eq!(inc.dist(), dijkstra(&live, 0).as_slice());
+        assert_eq!(inc.dist(), dijkstra_reference(&live, 0).as_slice());
         inc.rollback();
         assert_eq!(inc.dist(), d0.as_slice());
     }
@@ -1864,12 +1696,12 @@ mod tests {
     }
 
     /// 64 nodes is the word frontier's limit: at 63 and 64 nodes the
-    /// scratch and the vector never touch their heaps, at 65 they do, and
-    /// all three sizes agree with the independent oracle with the last
-    /// node reached.
+    /// updates after a fresh run never touch the vector's heap, at 65 they
+    /// do, and all three sizes agree with the independent oracle with the
+    /// last node reached. A fresh run never grows the vector's own heap:
+    /// past 64 nodes it drains the thread's [`FRESH_HEAP`].
     #[test]
     fn graphs_past_64_nodes_take_the_heap() {
-        use crate::dijkstra::dijkstra_reference;
         for n in [63usize, 64, 65] {
             let mut g = AdjacencyList::new(n);
             for i in 0..n as NodeId - 1 {
@@ -1879,14 +1711,11 @@ mod tests {
                 g.add_edge(i, i + 5, 2.5);
             }
             let on_heap = n > WORD_FRONTIER_NODES;
-            let mut scratch = DijkstraScratch::new();
-            scratch.run(&g, 0, &[]);
-            assert_eq!(scratch.to_vec(n), dijkstra_reference(&g, 0), "n = {n}");
-            assert!(scratch.dist(n as NodeId - 1).is_finite());
-            assert_eq!(scratch.heap.capacity() > 0, on_heap, "scratch, n = {n}");
-
             let mut inc = DynamicSssp::new();
-            inc.reset_from(0, &dijkstra_reference(&g, 0));
+            inc.reset_dijkstra(&g, 0);
+            assert_eq!(inc.dist(), dijkstra_reference(&g, 0).as_slice(), "n = {n}");
+            assert!(inc.dist()[n - 1].is_finite());
+            assert_eq!(inc.heap.capacity(), 0, "fresh run, n = {n}");
             let (a, b) = (0, n as NodeId - 1);
             g.add_edge(a, b, 1.0);
             inc.relax_insert(&g, a, b, 1.0);
@@ -1904,7 +1733,7 @@ mod tests {
         // changed: compare against the definitionally-exact per-node
         // recomputation (ascending ids, same accumulation order).
         let g = diamond();
-        let d0 = dijkstra(&g, 0);
+        let d0 = dijkstra_reference(&g, 0);
         let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mark = inc.undo_len();
@@ -1951,7 +1780,7 @@ mod tests {
                     base.add_edge(0, v, 0.75 * v as f64);
                 }
             }
-            let d0 = dijkstra(&base, 0);
+            let d0 = dijkstra_reference(&base, 0);
             let (mut over_g, mut over_without) = (DynamicSssp::new(), DynamicSssp::new());
             over_g.reset_from(0, &d0);
             over_without.reset_from(0, &d0);
@@ -1962,7 +1791,11 @@ mod tests {
                 over_g.add_edge(&g, 0, v, w);
                 over_without.add_edge(&without, 0, v, w);
                 base.add_edge(0, v, w);
-                assert_eq!(over_g.dist(), dijkstra(&base, 0).as_slice(), "n = {n}");
+                assert_eq!(
+                    over_g.dist(),
+                    dijkstra_reference(&base, 0).as_slice(),
+                    "n = {n}"
+                );
                 assert_eq!(over_g.dist(), over_without.dist(), "n = {n}");
                 assert_eq!(over_g.undo, over_without.undo, "n = {n}");
             }
@@ -1997,7 +1830,7 @@ mod tests {
         // enforced in debug builds.
         let g = diamond();
         let mut inc = DynamicSssp::new();
-        inc.reset_from(0, &dijkstra(&g, 0));
+        inc.reset_from(0, &dijkstra_reference(&g, 0));
         inc.add_edge(&g, 1, 2, 0.1);
     }
 }

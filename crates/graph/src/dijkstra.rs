@@ -1,34 +1,48 @@
 //! Single-source shortest paths (Dijkstra) on [`AdjacencyList`] graphs.
 //!
 //! The game layer evaluates agent costs — sums of shortest-path distances —
-//! millions of times per experiment, so this module is the hot path. Since
-//! the incremental-engine refactor the actual relaxation lives in
-//! [`crate::csr`]: every function here drives a thread-local
-//! [`DijkstraScratch`], so repeated calls reuse its frontier and the
-//! generation-stamped distance array instead of allocating fresh ones.
-//! Only materializing the returned `Vec<f64>` allocates; callers on the
-//! hottest paths (APSP, best-response search) use the scratch API directly
-//! and skip even that.
+//! millions of times per experiment, so this module is the hot path. The
+//! relaxation lives in [`crate::csr`]: every function here is a fresh run
+//! of a thread-local [`DynamicSssp`] ([`DynamicSssp::reset_dijkstra`]),
+//! so repeated calls reuse its distance vector and frontier instead of
+//! allocating fresh ones. Only materializing the returned `Vec<f64>`
+//! allocates; callers on the hottest paths (APSP, the dynamics engine's
+//! warm vectors) run vectors of their own and skip even that.
 //!
-//! The free functions run the scratch's one-word frontier on graphs of at
-//! most 64 nodes and its binary heap on larger ones (see [`crate::csr`]'s
-//! module docs). [`dijkstra_reference`] is not built on the scratch at
-//! all: it keeps a heap of its own, so it is the independent oracle that
-//! both of the scratch's frontiers are tested against.
+//! Extra and masked edges ([`dijkstra_with_extra`], [`dijkstra_masked`])
+//! enter as edges at the source ([`DynamicSssp::relax_insert`], "Edges at
+//! the source"): the vector starts from the source alone and takes the
+//! source's unmasked edges and the extra ones in one batched relaxation,
+//! so every extra edge must sit at the source (debug-asserted), as an
+//! agent's candidate edges do.
+//!
+//! The vector runs its one-word frontier on graphs of at most 64 nodes
+//! and its binary heap on larger ones (see [`crate::csr`]'s module docs).
+//! [`dijkstra_reference`] is not built on it at all: it keeps a heap of
+//! its own, so it is the independent oracle that both frontiers are
+//! tested against.
 
 use std::cell::RefCell;
 
-use crate::csr::DijkstraScratch;
+use crate::csr::{DynamicSssp, EdgeSource, MaskedEdges};
 use crate::{AdjacencyList, NodeId};
 
+/// An undirected edge `(a, b, w)`.
+type Edge = (NodeId, NodeId, f64);
+
 thread_local! {
-    static SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
+    /// This thread's fresh-run vector, and the buffer of the edges at the
+    /// source that a run with extra or masked edges starts from.
+    static FRESH: RefCell<(DynamicSssp, Vec<Edge>)> = RefCell::default();
 }
 
 /// Computes shortest-path distances from `source` to every node.
 /// Unreachable nodes get `f64::INFINITY`.
 pub fn dijkstra(g: &AdjacencyList, source: NodeId) -> Vec<f64> {
-    dijkstra_with_extra(g, source, &[])
+    FRESH.with_borrow_mut(|(sssp, _)| {
+        sssp.reset_dijkstra(g, source);
+        sssp.dist().to_vec()
+    })
 }
 
 /// Dijkstra with additional *virtual* undirected edges overlaid on `g`.
@@ -36,21 +50,18 @@ pub fn dijkstra(g: &AdjacencyList, source: NodeId) -> Vec<f64> {
 /// This is the workhorse of single-move evaluation: to price a candidate
 /// strategy `S_u` the solver runs Dijkstra from `u` on the graph
 /// `G − (u's old edges) ∪ (u's candidate edges)` without copying it.
-/// `extra` edges apply in both directions.
+/// Every `extra` edge must be incident to `source` (debug-asserted).
 pub fn dijkstra_with_extra(
     g: &AdjacencyList,
     source: NodeId,
     extra: &[(NodeId, NodeId, f64)],
 ) -> Vec<f64> {
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        s.run(g, source, extra);
-        s.to_vec(g.n())
-    })
+    dijkstra_masked(g, source, &[], extra)
 }
 
 /// Dijkstra that ignores every edge in `removed` (as unordered pairs),
-/// with `extra` virtual edges added.
+/// with `extra` virtual edges added, each incident to `source`
+/// (debug-asserted).
 ///
 /// Used to evaluate strategy changes: agent `u`'s owned edges are removed
 /// and the candidate strategy's edges are overlaid.
@@ -60,20 +71,33 @@ pub fn dijkstra_masked(
     removed: &[(NodeId, NodeId)],
     extra: &[(NodeId, NodeId, f64)],
 ) -> Vec<f64> {
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        s.run_masked(g, source, removed, extra);
-        s.to_vec(g.n())
+    debug_assert!(
+        extra.iter().all(|&(a, b, _)| a == source || b == source),
+        "an extra edge is not incident to source {source}"
+    );
+    FRESH.with_borrow_mut(|(sssp, star)| {
+        let masked = MaskedEdges::new(g, removed);
+        star.clear();
+        masked.for_each_neighbor(source, |v, w| star.push((source, v, w)));
+        star.extend_from_slice(extra);
+        sssp.reset_alone(source, g.n());
+        // The mask costs a scan per relaxed edge: skip the view without one.
+        if removed.is_empty() {
+            sssp.relax_inserts(g, star);
+        } else {
+            sssp.relax_inserts(&masked, star);
+        }
+        sssp.dist().to_vec()
     })
 }
 
 /// Textbook Dijkstra with per-call allocation — deliberately **not**
-/// built on [`DijkstraScratch`].
+/// built on [`DynamicSssp`].
 ///
 /// This is the independent test oracle: every production SSSP entry point
-/// (including `exact_best_response_reference`) runs on the shared scratch
-/// core, so equivalence tests comparing them to each other could not
-/// catch a defect *in that core*. Comparing against this self-contained
+/// (including `exact_best_response_reference`) runs on [`DynamicSssp`],
+/// so equivalence tests comparing them to each other could not catch a
+/// defect *in that engine*. Comparing against this self-contained
 /// implementation, which keeps a binary heap of its own at every size,
 /// can: it checks the word frontier and the heap alike. Not a production
 /// entry point — use [`dijkstra`].
@@ -116,12 +140,11 @@ pub fn dijkstra_reference(g: &AdjacencyList, source: NodeId) -> Vec<f64> {
 
 /// Sum of distances from `source` to all nodes (the *distance cost*
 /// `d_G(u, V)` of the paper). Infinite if any node is unreachable.
-/// Allocation-free: sums straight out of the thread-local scratch.
+/// Allocation-free: sums straight out of the thread-local vector.
 pub fn distance_cost(g: &AdjacencyList, source: NodeId) -> f64 {
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        s.run(g, source, &[]);
-        s.sum_distances(g.n())
+    FRESH.with_borrow_mut(|(sssp, _)| {
+        sssp.reset_dijkstra(g, source);
+        sssp.sum()
     })
 }
 
@@ -194,9 +217,9 @@ mod tests {
 
     #[test]
     fn scratch_core_matches_independent_reference() {
-        // dijkstra() runs on the shared scratch core; dijkstra_reference
-        // is self-contained. Agreement here is the one check that does
-        // not route both sides through DijkstraScratch.
+        // dijkstra() runs on the thread-local DynamicSssp;
+        // dijkstra_reference is self-contained. Agreement here is the one
+        // check that does not route both sides through DynamicSssp.
         let g = diamond();
         for s in 0..4u32 {
             assert_eq!(dijkstra(&g, s), dijkstra_reference(&g, s));
@@ -213,7 +236,7 @@ mod tests {
 
     #[test]
     fn repeated_calls_reuse_scratch_consistently() {
-        // The thread-local scratch must never leak state between calls on
+        // The thread-local vector must never leak state between calls on
         // different graphs or sources.
         let g = diamond();
         let mut h = AdjacencyList::new(6);
@@ -225,5 +248,15 @@ mod tests {
             assert!(dh[3].is_infinite());
             assert_eq!(dijkstra(&g, 3), vec![2.0, 1.0, 1.0, 0.0]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not incident to source")]
+    #[cfg(debug_assertions)]
+    fn extra_edge_off_source_violates_contract() {
+        // Extra edges enter as edges at the source (module docs): one off
+        // the source would be relaxed only from its endpoints' starting
+        // `∞`, so it would carry nothing. Debug builds refuse it.
+        dijkstra_with_extra(&diamond(), 0, &[(1, 2, 0.1)]);
     }
 }

@@ -10,15 +10,15 @@
 //!
 //! * [`SymMatrix`] — dense symmetric `f64` weight storage for host graphs,
 //! * [`AdjacencyList`] — sparse built networks `G(s)`,
-//! * [`csr`] — CSR graph snapshots, the allocation-free
-//!   [`DijkstraScratch`], and the [`DynamicSssp`] engine (undo-logged
-//!   insertions plus Ramalingam–Reps deletion repair) under the
-//!   incremental best-response search and the dynamics engine's warm
-//!   distance vectors,
+//! * [`csr`] — CSR graph snapshots and [`DynamicSssp`], the one
+//!   shortest-path engine: fresh runs from a source, undo-logged
+//!   insertions and Ramalingam–Reps deletion repair, under every
+//!   Dijkstra, the incremental best-response search and the dynamics
+//!   engine's warm distance vectors,
 //! * [`delta`] — [`NetworkDelta`], the batched edge-change description
 //!   every network mutation flows through,
 //! * [`dijkstra`] / [`apsp`] — single-source and (rayon-parallel) all-pairs
-//!   shortest paths, running on the scratch engine,
+//!   shortest paths, each a fresh run of a reused [`DynamicSssp`],
 //! * [`mst`] — Prim/Kruskal minimum spanning trees,
 //! * [`tree`] — edge-weighted trees and their metric closure (the `T–GNCG`
 //!   host-graph factory substrate),
@@ -44,7 +44,7 @@ pub mod unionfind;
 
 pub use adjacency::AdjacencyList;
 pub use apsp::DistanceMatrix;
-pub use csr::{Csr, DijkstraScratch, DynamicSssp, EdgeSource, MaskedEdges};
+pub use csr::{Csr, DynamicSssp, EdgeSource, MaskedEdges};
 pub use delta::NetworkDelta;
 pub use matrix::SymMatrix;
 pub use tree::WeightedTree;

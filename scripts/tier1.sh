@@ -21,6 +21,51 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo build --release" >&2
 cargo build --release
 
+echo "== exact best response: the DFS keeps its shortest-path steps inlined" >&2
+# BrSearchView::dfs relaxes and undoes each include through DynamicSssp
+# (add_edge, undo), and the search's speed rests on the compiler inlining
+# those into it: a second caller of add_edge once made the DFS call it out
+# of line, and a search ran about 9 % slower with no byte or work count
+# moved. So the release binary must hold dfs, and dfs must call no
+# function of gncg_graph::csr (DynamicSssp's methods, the frontiers, the
+# edge sources), neither directly nor through a GOT slot (how a call to a
+# global symbol is emitted). Disassembling takes under a second.
+dfs_inlining_guard() {
+  local bin=$1 csr_fns csr_slots dfs_branches
+  # Addresses, leading zeros stripped, of every gncg_graph::csr function,
+  # and of the GOT slots that hold one.
+  csr_fns=$(nm -C "$bin" | awk '/gncg_graph::csr::/ {sub(/^0+/, "", $1); print $1}')
+  csr_slots=$(objdump -R "$bin" | awk -v fns="$csr_fns" '
+    BEGIN {n = split(fns, f, "\n"); for (i = 1; i <= n; i++) csr[f[i]] = 1}
+    $3 ~ /^\*ABS\*\+0x/ {
+      t = substr($3, 9); sub(/^0+/, "", t)
+      if (t in csr) {s = $1; sub(/^0+/, "", s); print s}
+    }')
+  dfs_branches=$(objdump -d -C --no-show-raw-insn "$bin" | awk '
+    /^[0-9a-f]+ <gncg_core::response::BrSearchView::dfs>:$/ {on = 1; found = 1; next}
+    on && /^$/ {on = 0}
+    on && /\t(call|jmp)/ {print}
+    END {if (!found) print "no dfs"}')
+  if [ "$dfs_branches" = "no dfs" ]; then
+    echo "tier-1 inlining guard: $bin holds no BrSearchView::dfs symbol" >&2
+    return 1
+  fi
+  local bad
+  bad=$(echo "$dfs_branches" | awk -v slots="$csr_slots" '
+    BEGIN {n = split(slots, s, "\n"); for (i = 1; i <= n; i++) if (s[i] != "") slot[s[i]] = 1}
+    /gncg_graph::csr::/ {print; next}
+    match($0, /# [0-9a-f]+ </) {
+      t = substr($0, RSTART + 2, RLENGTH - 4)
+      if (t in slot) print
+    }')
+  if [ -n "$bad" ]; then
+    echo "tier-1 inlining guard: BrSearchView::dfs calls gncg_graph::csr out of line:" >&2
+    echo "$bad" >&2
+    return 1
+  fi
+}
+dfs_inlining_guard target/release/gncg
+
 echo "== cargo test" >&2
 cargo test -q
 

@@ -386,8 +386,9 @@ proptest! {
     /// word's top bit), each `DynamicSssp` operation must leave the two
     /// vectors with the same distance bits and the same undo log, entry
     /// for entry, `delta_sum_since` reading the same bits at every mark;
-    /// and `DijkstraScratch::run_masked` must equal `dijkstra_reference`
-    /// bitwise on both graphs.
+    /// and `dijkstra_masked`, a fresh run seeded with the source's edges
+    /// and a virtual one at the source, must equal `dijkstra_reference`
+    /// on the graph so changed, bitwise, on both graphs.
     #[test]
     fn word_frontier_matches_the_heap_entry_for_entry(
         ops in proptest::collection::vec(0u64..(1u64 << 62), 10),
@@ -395,8 +396,8 @@ proptest! {
         size in 1usize..65,
         cap in 1usize..6,
     ) {
-        use gncg_graph::dijkstra::dijkstra_reference;
-        use gncg_graph::{DijkstraScratch, DynamicSssp, MaskedEdges};
+        use gncg_graph::dijkstra::{dijkstra_masked, dijkstra_reference};
+        use gncg_graph::{DynamicSssp, MaskedEdges};
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         for n in [size, 63, 64] {
             for key in gncg_metrics::factory::keys() {
@@ -429,7 +430,6 @@ proptest! {
                 };
                 let mut word: Vec<DynamicSssp> = sources.iter().map(|&s| fresh(&g, s)).collect();
                 let mut heap: Vec<DynamicSssp> = sources.iter().map(|&s| fresh(&gp, s)).collect();
-                let mut scratch = DijkstraScratch::new();
                 for (i, &op) in ops.iter().enumerate() {
                     let r = (op / 6) as usize;
                     let missing: Vec<(u32, u32)> = (0..n as u32)
@@ -583,16 +583,16 @@ proptest! {
                             key, n, i, sources[k]
                         );
                     }
-                    // run_masked, one edge masked and one virtual edge
-                    // added, against the oracle on the graph so changed.
+                    // dijkstra_masked, one edge masked (anywhere) and one
+                    // virtual edge added at the source, against the oracle
+                    // on the graph so changed.
                     let s = (r % n) as u32;
                     let mask: Vec<(u32, u32)> =
                         present.first().map(|&(a, b, _)| (a, b)).into_iter().filter(|&(a, b)| g.has_edge(a, b)).collect();
-                    let extra: Vec<(u32, u32, f64)> = picks(missing.len(), 1)
+                    let free: Vec<u32> = (0..n as u32).filter(|&v| v != s && !g.has_edge(s, v)).collect();
+                    let extra: Vec<(u32, u32, f64)> = picks(free.len(), 1)
                         .into_iter()
-                        .map(|p| missing[p])
-                        .filter(|&(u, v)| !g.has_edge(u, v))
-                        .map(|(u, v)| (u, v, host.get(u, v)))
+                        .map(|p| (s, free[p], host.get(s, free[p])))
                         .collect();
                     let mut changed = g.clone();
                     for &(a, b) in &mask {
@@ -602,14 +602,17 @@ proptest! {
                         changed.add_edge(u, v, w);
                     }
                     let mut expected = dijkstra_reference(&changed, s);
-                    scratch.run_masked(&g, s, &mask, &extra);
-                    prop_assert_eq!(bits(&scratch.to_vec(n)), bits(&expected), "{} n={} op {}: run_masked", key, n, i);
-                    scratch.run_masked(&gp, s, &mask, &extra);
+                    prop_assert_eq!(
+                        bits(&dijkstra_masked(&g, s, &mask, &extra)),
+                        bits(&expected),
+                        "{} n={} op {}: dijkstra_masked",
+                        key, n, i
+                    );
                     expected.resize(PAST_THE_WORD, f64::INFINITY);
                     prop_assert_eq!(
-                        bits(&scratch.to_vec(PAST_THE_WORD)),
+                        bits(&dijkstra_masked(&gp, s, &mask, &extra)),
                         bits(&expected),
-                        "{} n={} op {}: padded run_masked",
+                        "{} n={} op {}: padded dijkstra_masked",
                         key, n, i
                     );
                 }
@@ -701,7 +704,8 @@ proptest! {
         seed in 0u64..500,
         cap in 1usize..5,
     ) {
-        use gncg_graph::{DijkstraScratch, DynamicSssp};
+        use gncg_graph::dijkstra::dijkstra_with_extra;
+        use gncg_graph::DynamicSssp;
         let n = 8usize;
         for key in gncg_metrics::factory::keys() {
             let host = gncg_metrics::factory::build_host(key, n, seed).unwrap();
@@ -712,7 +716,6 @@ proptest! {
                     g.add_edge(0, v, w);
                 }
             }
-            let mut exact_scr = DijkstraScratch::new();
             for (i, &pick) in picks.iter().enumerate() {
                 // Speculated edges must be incident to the vector's
                 // source (the `speculate_insert` contract — agents only
@@ -732,13 +735,13 @@ proptest! {
                 let pre = t.dist().to_vec();
                 t.begin_speculation();
                 t.speculate_insert(&g, s, v, w);
-                exact_scr.run(&g, s, &[(s, v, w)]);
+                let exact = dijkstra_with_extra(&g, s, &[(s, v, w)]);
                 for (x, &p) in pre.iter().enumerate() {
                     let trunc = t.dist()[x];
                     prop_assert!(
-                        trunc <= p && trunc >= exact_scr.dist(x as u32),
+                        trunc <= p && trunc >= exact[x],
                         "host '{}' frame {}: truncated dist[{}] = {} outside [{}, {}]",
-                        key, i, x, trunc, exact_scr.dist(x as u32), p
+                        key, i, x, trunc, exact[x], p
                     );
                 }
                 t.rollback();
