@@ -1215,13 +1215,8 @@ mod tests {
         }
     }
 
-    /// One vector reused for fresh runs equals the independent oracle on
-    /// every run: over adjacency lists and their CSR snapshots, on a
-    /// smaller graph after a larger one (no entry of the larger run
-    /// survives), and with a node no edge reaches, which reads `∞`.
-    #[test]
-    fn fresh_runs_match_the_reference_across_reuse() {
-        let big = AdjacencyList::from_edges(
+    fn path6() -> AdjacencyList {
+        AdjacencyList::from_edges(
             6,
             &[
                 (0, 1, 1.0),
@@ -1230,24 +1225,60 @@ mod tests {
                 (3, 4, 1.0),
                 (4, 5, 1.0),
             ],
-        );
+        )
+    }
+
+    /// One vector reused for fresh runs (`reset_dijkstra`) equals the
+    /// independent oracle on every run, over adjacency lists and their
+    /// CSR snapshots, with equal sums.
+    #[test]
+    fn scratch_matches_fresh_dijkstra_across_reuse() {
         let mut apart = AdjacencyList::new(3);
         apart.add_edge(0, 1, 1.0);
         let mut fresh = DynamicSssp::new();
-        for _round in 0..2 {
-            for g in [&big, &diamond(), &apart] {
+        for _round in 0..3 {
+            for g in [&path6(), &diamond(), &apart] {
                 let c = Csr::from_adjacency(g);
                 for s in 0..g.n() as NodeId {
                     let want = dijkstra_reference(g, s);
+                    let want_sum = want.iter().sum::<f64>();
                     fresh.reset_dijkstra(g, s);
                     assert_eq!(fresh.dist(), want.as_slice(), "source {s}");
-                    assert_eq!(fresh.sum(), want.iter().sum::<f64>());
+                    assert_eq!(fresh.sum(), want_sum, "source {s}");
                     fresh.reset_dijkstra(&c, s);
                     assert_eq!(fresh.dist(), want.as_slice(), "CSR, source {s}");
+                    assert_eq!(fresh.sum(), want_sum, "CSR, source {s}");
                 }
             }
         }
-        fresh.reset_dijkstra(&apart, 0);
+    }
+
+    /// A fresh run on a smaller graph after a larger one sees no entry of
+    /// the larger run, and a larger graph after it is read in full again.
+    #[test]
+    fn scratch_reuse_shrinking_and_growing_graphs() {
+        let big = path6();
+        let small = diamond();
+        let mut fresh = DynamicSssp::new();
+        fresh.reset_dijkstra(&big, 0);
+        assert_eq!(fresh.dist()[5], 5.0);
+        fresh.reset_dijkstra(&small, 0);
+        assert_eq!(fresh.dist(), dijkstra_reference(&small, 0).as_slice());
+        fresh.reset_dijkstra(&big, 2);
+        assert_eq!(fresh.dist(), dijkstra_reference(&big, 2).as_slice());
+    }
+
+    /// A node no edge reaches reads `∞` in a fresh run, and so does the
+    /// sum, over the adjacency list and its CSR snapshot.
+    #[test]
+    fn scratch_disconnected_sum_is_infinite() {
+        let mut g = AdjacencyList::new(3);
+        g.add_edge(0, 1, 1.0);
+        let mut fresh = DynamicSssp::new();
+        fresh.reset_dijkstra(&g, 0);
+        assert_eq!(fresh.dist(), &[0.0, 1.0, f64::INFINITY]);
+        assert!(fresh.sum().is_infinite());
+        fresh.reset_dijkstra(&Csr::from_adjacency(&g), 0);
         assert_eq!(fresh.dist(), &[0.0, 1.0, f64::INFINITY]);
         assert!(fresh.sum().is_infinite());
     }
