@@ -145,7 +145,6 @@ use gncg_core::{Game, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DynamicSssp, NetworkDelta};
 
 use crate::cycle::{CycleDetector, Recurrence};
-use crate::trace::{Trace, TraceEntry};
 
 /// Which deviation space activated agents search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,8 +182,6 @@ pub struct DynamicsConfig {
     pub scheduler: Scheduler,
     /// Maximum rounds before giving up.
     pub max_rounds: usize,
-    /// Whether to record a [`Trace`].
-    pub record_trace: bool,
     /// Whether to record the per-round max-regret series
     /// ([`RunResult::regret_series`]) via a [`RegretMeter`] scan after
     /// each round. Off by default: the scan is behaviorally invisible
@@ -205,7 +202,6 @@ impl Default for DynamicsConfig {
             rule: ResponseRule::BestGreedyMove,
             scheduler: Scheduler::RoundRobin,
             max_rounds: 1_000,
-            record_trace: false,
             regret_meter: false,
             checkpoint_every: 0,
         }
@@ -243,8 +239,6 @@ pub struct RunResult {
     pub rounds: usize,
     /// Total applied moves.
     pub moves: usize,
-    /// Optional per-move trace.
-    pub trace: Option<Trace>,
     /// Per-round max regret ([`DynamicsConfig::regret_meter`]): entry `r`
     /// is the largest cost improvement any agent could still realize
     /// under the run's rule at the end of round `r`. `0.0` certifies an
@@ -996,8 +990,8 @@ impl EvalContext {
 
 /// A reusable dynamics engine: owns every piece of per-run scratch (the
 /// [`EvalContext`], the cycle detector) and resets it between runs, so
-/// batch cells (scenario grids, sweeps, the experiment harness) pay the
-/// allocations once per worker instead of once per run.
+/// batch cells (scenario grids, the daemon's jobs, the experiment
+/// harness) pay the allocations once per worker instead of once per run.
 #[derive(Debug, Default)]
 pub struct Engine {
     ctx: EvalContext,
@@ -1028,17 +1022,18 @@ impl Engine {
         self.ctx.warm_resident_bytes()
     }
 
-    /// Drops run-specific state (the cycle-detector map, the cached
-    /// network, its warm vectors and the pricing memo, by bumping the
+    /// Drops run-specific state (the cycle-detector map, the warm
+    /// vectors, the insert log and the pricing memo, by bumping the
     /// commit epoch) while keeping every allocation, so a long-lived
     /// worker — e.g. a service worker thread holding one engine across
-    /// *jobs*, not just across the cells of one batch — releases
-    /// references into the last job's data without paying the scratch
-    /// allocations again on the next one.
+    /// *jobs*, not just across the cells of one batch — releases the last
+    /// job's state without paying the scratch allocations again on the
+    /// next one. The cached network keeps the last run's edges until the
+    /// next run's [`EvalContext::reset`] refills its neighbour lists in
+    /// place.
     pub fn recycle(&mut self) {
         self.detector.clear();
         self.ctx.epoch += 1;
-        self.ctx.network = AdjacencyList::default();
         self.ctx.valid.fill(false);
         self.ctx.insert_log.clear();
     }
@@ -1052,11 +1047,6 @@ impl Engine {
         let mut rng = match cfg.scheduler {
             Scheduler::RandomOrder { seed } => Some(StdRng::seed_from_u64(seed)),
             _ => None,
-        };
-        let mut trace = if cfg.record_trace {
-            Some(Trace::default())
-        } else {
-            None
         };
         // One meter serves both observability features: the per-round
         // series takes its max, checkpoint frames take the whole vector.
@@ -1093,20 +1083,11 @@ impl Engine {
             }
             for &u in &self.order {
                 let change = self.ctx.activate(game, &profile, u, cfg.rule).take();
-                if let Some((new_strategy, before, after)) = change {
+                if let Some((new_strategy, _, _)) = change {
                     let old = profile.set_strategy(u, new_strategy);
                     self.ctx.apply_strategy_change(game, &profile, u, &old);
                     moves += 1;
                     moved_this_round = true;
-                    if let Some(t) = trace.as_mut() {
-                        t.entries.push(TraceEntry {
-                            round,
-                            agent: u,
-                            cost_before: before,
-                            cost_after: after,
-                            strategy_size: profile.strategy(u).len(),
-                        });
-                    }
                     if let Some(rec) = self.detector.observe(&profile, [(u, &old)]) {
                         // A recurrence aborts mid-round: the series and
                         // checkpoints cover the completed rounds only.
@@ -1115,7 +1096,6 @@ impl Engine {
                             outcome: Outcome::Cycle { recurrence: rec },
                             rounds: round + 1,
                             moves,
-                            trace,
                             regret_series,
                             checkpoints,
                         };
@@ -1150,7 +1130,6 @@ impl Engine {
                     outcome: Outcome::Converged { rounds: round + 1 },
                     rounds: round + 1,
                     moves,
-                    trace,
                     regret_series,
                     checkpoints,
                 };
@@ -1161,7 +1140,6 @@ impl Engine {
             outcome: Outcome::MaxRoundsReached,
             rounds: cfg.max_rounds,
             moves,
-            trace,
             regret_series,
             checkpoints,
         }
@@ -1264,7 +1242,6 @@ mod tests {
             start,
             &DynamicsConfig {
                 rule: ResponseRule::AddOnly,
-                record_trace: true,
                 ..Default::default()
             },
         );
@@ -1272,10 +1249,9 @@ mod tests {
         assert!(gncg_core::equilibrium::is_add_only_equilibrium(
             &game, &r.profile
         ));
-        let t = r.trace.expect("trace recorded");
-        assert!(t.all_improving());
-        assert_eq!(t.moves(), r.moves);
-        // α < 1 on unit metric: everyone buys all missing edges.
+        // α < 1 on unit metric: everyone buys all missing edges, one
+        // improving add per move, so the star's 6 edges grow to 21.
+        assert_eq!(r.moves, 15);
         let g = r.profile.build_network(&game);
         assert_eq!(g.m(), 21);
     }
@@ -1994,7 +1970,6 @@ mod tests {
                 max_rounds: 400,
                 regret_meter: true,
                 checkpoint_every: 1,
-                ..Default::default()
             };
             let r = engine.run(&game, Profile::star(7, 0), &cfg);
             assert!(r.converged() && r.moves > 0, "{scheduler:?}");

@@ -10,15 +10,12 @@
 //!
 //! * [`engine`] — the run loop: response rules × schedulers,
 //! * [`cycle`] — profile hashing and recurrence detection,
-//! * [`trace`] — per-move records of a run,
-//! * [`parallel`] — rayon-parallel batch sweeps over seeds and α grids.
+//! * [`simultaneous`] — simultaneous-move dynamics, every agent
+//!   responding to the same network each round.
 
 pub mod cycle;
 pub mod engine;
-pub mod parallel;
 pub mod simultaneous;
-pub mod stats;
-pub mod trace;
 
 pub use engine::{
     agent_is_stable_given_current, run, Checkpoint, DynamicsConfig, Engine, EvalContext, Outcome,

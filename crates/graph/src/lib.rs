@@ -20,17 +20,16 @@
 //! * [`dijkstra`] / [`apsp`] — single-source and (rayon-parallel) all-pairs
 //!   shortest paths, each a fresh run of a reused [`DynamicSssp`],
 //! * [`mst`] — Prim/Kruskal minimum spanning trees,
+//! * [`paths`] — shortest-path trees and route extraction,
 //! * [`tree`] — edge-weighted trees and their metric closure (the `T–GNCG`
 //!   host-graph factory substrate),
 //! * [`spanner`] — `k`-spanner verification (Lemmas 1 and 2 of the paper),
-//! * [`stats`] — distance cost, diameter, eccentricity, connectivity,
 //! * [`unionfind`] — disjoint sets used by Kruskal and cycle checks.
 //!
 //! Everything is index-based: nodes are `u32` ids in `0..n`.
 
 pub mod adjacency;
 pub mod apsp;
-pub mod bfs;
 pub mod csr;
 pub mod delta;
 pub mod dijkstra;
@@ -38,7 +37,6 @@ pub mod matrix;
 pub mod mst;
 pub mod paths;
 pub mod spanner;
-pub mod stats;
 pub mod tree;
 pub mod unionfind;
 

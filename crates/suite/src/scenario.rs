@@ -854,7 +854,6 @@ impl Runner {
             max_rounds: cell.max_rounds,
             regret_meter: cell.regret_meter,
             checkpoint_every: cell.checkpoint_every,
-            ..DynamicsConfig::default()
         };
         // The pricing policy is sticky on the context, so every cell must
         // set it explicitly — a full-sum cell after a horizon cell would

@@ -70,11 +70,13 @@ echo "== cargo test" >&2
 cargo test -q
 
 echo "== allocation lock (release build)" >&2
-# tests/allocations.rs locks four heap-allocation counts: the swap-heavy
+# tests/allocations.rs locks five heap-allocation counts: the swap-heavy
 # preset's run loop, the same run loop with the regret meter on (its pool
 # scans kept on the calling thread by rayon::with_sequential), the br-grid
-# preset's run loop, and the br-grid final profiles' fresh exact best
-# responses. All of them run at n ≤ 64, where every shortest-path loop
+# preset's run loop, the br-grid final profiles' fresh exact best
+# responses, and a run after Engine::recycle (which a daemon worker calls
+# between jobs), which must allocate exactly as often as the same run
+# without it. All of them run at n ≤ 64, where every shortest-path loop
 # keeps its frontier in one machine word, so no heap allocation is left
 # in them. Debug builds skip them: their oracles allocate on every
 # activation.

@@ -32,34 +32,40 @@ fn theorem17_fig8_best_response_cycle() {
 }
 
 /// E24 / Corollary 1: convergence is *not* guaranteed — yet dynamics do
-/// converge on many instances; measure both outcomes on a small batch and
-/// sanity-check the bookkeeping.
+/// converge on many instances; measure both outcomes on a small batch of
+/// random metrics, run back to back on one reused engine.
 #[test]
 fn convergence_statistics() {
-    use gncg_core::Profile;
-    use gncg_dynamics::{DynamicsConfig, Outcome, ResponseRule, Scheduler};
-    let hosts: Vec<gncg_graph::SymMatrix> = (0..4)
-        .map(|s| gncg_metrics::arbitrary::random_metric(6, 1.0, 4.0, s))
-        .collect();
+    use gncg_core::{Game, Profile};
+    use gncg_dynamics::{DynamicsConfig, Engine, Outcome, ResponseRule, Scheduler};
     let cfg = DynamicsConfig {
         rule: ResponseRule::BestGreedyMove,
         scheduler: Scheduler::RoundRobin,
         max_rounds: 400,
         ..DynamicsConfig::default()
     };
-    let points =
-        gncg_dynamics::parallel::sweep(&hosts, &[0.5, 1.0, 2.0], &cfg, |_, n| Profile::star(n, 0));
-    assert_eq!(points.len(), 12);
-    for p in &points {
-        match p.result.outcome {
-            Outcome::Converged { rounds } => assert!(rounds <= 400),
-            Outcome::Cycle { recurrence } => assert!(recurrence.period() >= 1),
-            Outcome::MaxRoundsReached => {}
+    let mut engine = Engine::new();
+    let (mut runs, mut converged) = (0, 0);
+    for s in 0..4 {
+        let host = gncg_metrics::arbitrary::random_metric(6, 1.0, 4.0, s);
+        for alpha in [0.5, 1.0, 2.0] {
+            let game = Game::new(host.clone(), alpha);
+            let r = engine.run(&game, Profile::star(6, 0), &cfg);
+            match r.outcome {
+                Outcome::Converged { rounds } => {
+                    assert!(rounds <= 400);
+                    converged += 1;
+                }
+                Outcome::Cycle { recurrence } => assert!(recurrence.period() >= 1),
+                Outcome::MaxRoundsReached => {}
+            }
+            assert!(gncg_core::cost::social_cost(&game, &r.profile).is_finite());
+            runs += 1;
         }
-        assert!(p.social_cost.is_finite());
     }
+    assert_eq!(runs, 12);
     // On these small metric instances greedy dynamics mostly converge.
-    let rate = gncg_dynamics::stats::summarize(&points).convergence_rate;
+    let rate = converged as f64 / runs as f64;
     assert!(rate > 0.5, "convergence rate suspiciously low: {rate}");
 }
 

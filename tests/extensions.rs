@@ -124,28 +124,3 @@ fn one_inf_equilibria_avoid_forbidden_edges() {
         assert!(g.edges().all(|(_, _, w)| w.is_finite()), "seed {seed}");
     }
 }
-
-/// Sweep statistics: summary invariants over a mixed batch.
-#[test]
-fn sweep_summary_invariants() {
-    use gncg_dynamics::{DynamicsConfig, Scheduler};
-    let hosts: Vec<gncg_graph::SymMatrix> = (0..3)
-        .map(|s| gncg_metrics::arbitrary::random_metric(6, 1.0, 4.0, s))
-        .collect();
-    let cfg = DynamicsConfig {
-        rule: ResponseRule::BestGreedyMove,
-        scheduler: Scheduler::RoundRobin,
-        max_rounds: 300,
-        ..DynamicsConfig::default()
-    };
-    let points =
-        gncg_dynamics::parallel::sweep(&hosts, &[1.0, 2.0], &cfg, |_, n| Profile::star(n, 0));
-    let summary = gncg_dynamics::stats::summarize(&points);
-    assert_eq!(summary.runs, 6);
-    assert!(summary.social_cost.min <= summary.social_cost.max);
-    assert!((0.0..=1.0).contains(&summary.convergence_rate));
-    let accounted = (summary.convergence_rate * summary.runs as f64).round() as usize
-        + summary.cycles
-        + summary.capped;
-    assert_eq!(accounted, summary.runs);
-}

@@ -79,7 +79,6 @@ proptest! {
                 max_rounds: 80,
                 regret_meter: true,
                 checkpoint_every: 1,
-                ..DynamicsConfig::default()
             },
         );
         let series = result.regret_series.as_ref().expect("meter was on");
